@@ -186,15 +186,15 @@ def mask_enum_benchmark(workers: int = 2, repeats: int = 5) -> dict:
     rank-test bound) serially and sharded over ``workers`` pool
     processes, plus the closed-form heptagon-local table (2**15 masks,
     bit-count bound) as the cheap reference.  Three numbers per code:
-    ``workers_1`` (fresh code, empty rank memo), the *cold* sharded run
-    (fresh pool, so start-up and cold worker caches are priced in —
-    expect ~breakeven on this 2-vCPU container; the fan-out pays on
-    real multi-core/multi-host hardware), and ``repeat_warm`` — the
-    same sharded call again on the live pool, where the workers'
-    shard-code caches already hold the rank memos, the amortized cost
-    of repeated enumerations (validation + chain build in one session).
-    The merged tables are bit-identical by construction; the snapshot
-    records that too.
+    ``workers_1`` (fresh code), the *cold* sharded run (fresh pool, so
+    its ~0.025 s fork start-up and the workers' first layout build are
+    priced in — expect ~breakeven at 2**16 masks on this 2-vCPU
+    container; the fan-out pays from 2**19 masks, or on real
+    multi-core/multi-host hardware), and ``repeat_warm`` — the same
+    sharded call again on the live pool, whose workers already hold
+    the built code (there is no verdict memo: every run redoes the
+    batched rank tests).  The merged tables are bit-identical by
+    construction; the snapshot records that too.
 
     The sharded legs pass ``serial_below=0`` to keep measuring the
     fan-out machinery itself: production callers that just say

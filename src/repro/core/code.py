@@ -9,14 +9,19 @@ fallback repair plan — is provided here once, for all codes.
 
 Two shared performance engines live here:
 
-* a **decodability engine**: every recoverability question reduces to a
-  slot-bitmask lookup in a per-instance memo, backed by the layout's
-  vectorised replica masks and a second-level cache keyed on the
-  surviving-*symbol* set (many failure patterns strand the same
-  symbols, so rank tests run once per distinct surviving set).  Bulk
-  queries go through :meth:`can_recover_many` /
-  :meth:`can_recover_masks`, which the fault-tolerance enumerators,
-  Markov-chain builders and Monte-Carlo simulators all share.
+* a **decodability engine**: every recoverability question reduces to
+  one batched primitive.  Failed-slot bitmasks unpack to
+  surviving-symbol masks through the layout's replica matrix; because
+  every layout is systematic, a pattern decodes iff its surviving
+  parity rows, restricted to the lost data columns, have rank equal to
+  the number of lost columns — so a pattern that lost more data than
+  it kept parities is decided by counting, and the rest are ranked
+  together by :func:`repro.gf.rank_many` as a stack of small
+  ``parities x k`` matrices.  Single queries are the batch-of-one case
+  behind a per-instance slot-bitmask memo; bulk queries go through
+  :meth:`can_recover_many` / :meth:`can_recover_masks`, which the
+  fault-tolerance enumerators, Markov-chain builders and Monte-Carlo
+  simulators all share.
 * a **batched encode/decode path**: the parity rows of the generator
   are compiled once into a packed-table
   :class:`~repro.gf.kernels.BatchedLinearMap`, so encoding computes all
@@ -28,6 +33,7 @@ Two shared performance engines live here:
 from __future__ import annotations
 
 import itertools
+import math
 from abc import ABC, abstractmethod
 from functools import cached_property
 
@@ -40,7 +46,7 @@ from ..gf import (
     independent_rows,
     invert,
     linear_combine,
-    matrix_rank,
+    rank_many,
     solve,
 )
 from .layout import StripeLayout, SymbolKind
@@ -52,13 +58,6 @@ from .repair import (
     TransferKind,
     UnrecoverableStripeError,
 )
-
-#: Cap on the surviving-set rank memo.  Exhaustive mask sweeps over
-#: long codes can visit millions of distinct surviving sets; beyond
-#: this many entries fresh verdicts are computed but no longer stored,
-#: so enumeration memory stays bounded while short-code behaviour is
-#: unchanged (a 16-slot sweep has at most 2**16 distinct sets).
-SURVIVOR_MEMO_LIMIT = 1 << 17
 
 
 class Code(ABC):
@@ -124,13 +123,17 @@ class Code(ABC):
         )
 
     @cached_property
+    def _parity_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(symbol indices, generator rows) of the parity symbols."""
+        indices = np.array([s.index for s in self.layout.symbols
+                            if s.kind.is_parity()], dtype=np.intp)
+        return indices, self.layout.generator_matrix()[indices]
+
+    @cached_property
     def _parity_kernel(self) -> BatchedLinearMap | None:
         """Packed-table kernel over the generator's parity rows."""
-        parity_indices = [s.index for s in self.layout.symbols
-                          if s.kind.is_parity()]
-        if not parity_indices:
-            return None
-        return BatchedLinearMap(self.layout.generator_matrix()[parity_indices])
+        _, rows = self._parity_rows
+        return BatchedLinearMap(rows) if len(rows) else None
 
     @cached_property
     def _decode_kernels(self) -> dict[tuple[int, ...], BatchedLinearMap]:
@@ -274,61 +277,36 @@ class Code(ABC):
         """Memo: failed-slot bitmask -> recoverable?  Shared by every code."""
         return {0: True}
 
-    @cached_property
-    def _surviving_verdicts(self) -> dict[bytes, bool]:
-        """Memo: surviving-symbol mask bytes -> rank verdict.
+    def _survivor_verdicts_many(self, surviving: np.ndarray) -> np.ndarray:
+        """Rank verdicts for a (patterns, symbol_count) surviving mask.
 
-        Many distinct failure patterns strand the same symbol set; the
-        rank test runs once per distinct surviving set, not per pattern.
+        Data symbols are unit rows covering every data column (the
+        layout validates it), so ``rank(G[S]) = |S & data| +
+        rank(G[S & parity][:, lost columns])``: a pattern decodes iff
+        its surviving parity rows, restricted to the data columns it
+        lost, have rank equal to the number of lost columns.  Patterns
+        that lost no data, or more columns than they kept parities, are
+        decided by counting; the rest are ranked in one batched
+        elimination (lost parity rows and kept columns zeroed out, so
+        every matrix keeps the ``parities x k`` shape).
         """
-        return {}
+        parity_indices, parity_rows = self._parity_rows
+        lost = ~surviving[:, self.layout.data_symbol_indices()]
+        lost_count = lost.sum(axis=1)
+        parity_alive = surviving[:, parity_indices]
+        verdicts = lost_count == 0
+        undecided = np.nonzero(
+            ~verdicts & (lost_count <= parity_alive.sum(axis=1)))[0]
+        if len(undecided):
+            stack = (parity_rows[None]
+                     * parity_alive[undecided, :, None]
+                     * lost[undecided, None, :])
+            verdicts[undecided] = rank_many(stack) == lost_count[undecided]
+        return verdicts
 
     def _decodable_from_survivors(self, surviving: np.ndarray) -> bool:
-        """Rank verdict for a (symbol_count,) surviving-symbol bool mask."""
-        layout = self.layout
-        if surviving[layout.data_symbol_indices()].all():
-            return True            # unit rows alone span the data space
-        if int(surviving.sum()) < self.k:
-            return False
-        key = surviving.tobytes()
-        verdict = self._surviving_verdicts.get(key)
-        if verdict is None:
-            matrix = layout.generator_matrix()[np.nonzero(surviving)[0]]
-            verdict = matrix_rank(matrix) == self.k
-            if len(self._surviving_verdicts) < SURVIVOR_MEMO_LIMIT:
-                self._surviving_verdicts[key] = verdict
-        return verdict
-
-    def _survivor_verdicts_many(self, surviving: np.ndarray) -> np.ndarray:
-        """Vectorised rank verdicts for a (patterns, symbol_count) mask.
-
-        The two cheap classifications — all data symbols present, or
-        fewer than ``k`` survivors — are decided in one vectorised pass;
-        only the undecided middle band pays for rank tests, and those
-        are deduplicated with :func:`numpy.unique` before consulting
-        (and feeding) the surviving-set memo.
-        """
-        layout = self.layout
-        verdicts = surviving[:, layout.data_symbol_indices()].all(axis=1)
-        undecided = np.nonzero(
-            ~verdicts & (surviving.sum(axis=1) >= self.k))[0]
-        if len(undecided):
-            unique_rows, inverse = np.unique(
-                surviving[undecided], axis=0, return_inverse=True)
-            memo = self._surviving_verdicts
-            generator = layout.generator_matrix()
-            unique_verdicts = np.empty(len(unique_rows), dtype=bool)
-            for position, row in enumerate(unique_rows):
-                key = row.tobytes()
-                verdict = memo.get(key)
-                if verdict is None:
-                    verdict = matrix_rank(
-                        generator[np.nonzero(row)[0]]) == self.k
-                    if len(memo) < SURVIVOR_MEMO_LIMIT:
-                        memo[key] = verdict
-                unique_verdicts[position] = verdict
-            verdicts[undecided] = unique_verdicts[inverse]
-        return verdicts
+        """Rank verdict for one (symbol_count,) surviving-symbol mask."""
+        return bool(self._survivor_verdicts_many(surviving[None])[0])
 
     def can_decode_from_symbols(self, symbol_indices) -> bool:
         """True when the listed symbols determine all data symbols."""
@@ -369,7 +347,7 @@ class Code(ABC):
 
         Uncached generic patterns are resolved in one vectorised pass
         (bit-unpack -> one matmul for all surviving-symbol masks ->
-        deduplicated rank tests); closed-form overrides are consulted
+        one batched rank test); closed-form overrides are consulted
         per mask.  Returns a bool array aligned with ``masks``.
         """
         masks = [int(m) for m in masks]
@@ -478,7 +456,7 @@ class Code(ABC):
 
     def fatal_pattern_fraction(self, size: int) -> float:
         """Fraction of ``size``-slot failure patterns that lose data."""
-        total = len(list(itertools.combinations(range(self.length), size)))
+        total = math.comb(self.length, size)
         if total == 0:
             return 0.0
         return len(self.fatal_patterns(size)) / total
@@ -582,8 +560,7 @@ class Code(ABC):
                 delivers_symbol=symbol_index, note=f"remote read of {label}",
             )
             return ReadPlan(self.name, symbol_index, reader_slot, (transfer,))
-        surviving = layout.surviving_symbols(failed)
-        if not self.can_decode_from_symbols(surviving):
+        if not self.can_recover(failed):
             raise UnrecoverableStripeError(self.name, failed, (symbol_index,))
         basis = self._independent_surviving_symbols(failed)
         transfers = []

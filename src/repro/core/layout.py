@@ -110,6 +110,22 @@ class StripeLayout:
             for slot in symbol.replicas:
                 if not 0 <= slot < self.length:
                     raise ValueError(f"symbol {position} references slot {slot} out of range")
+        # The decodability engine counts surviving data symbols instead
+        # of ranking them: that is only sound for a systematic layout.
+        carrier: dict[int, int] = {}         # data column -> symbol index
+        for symbol in data:
+            row = symbol.coefficients
+            if sum(1 for value in row if value) != 1 or 1 not in row:
+                raise ValueError(
+                    f"{self.code_name}: data symbol {symbol.index} must have "
+                    f"a unit-vector generator row, got {row}")
+            column = row.index(1)
+            if column in carrier:
+                raise ValueError(
+                    f"{self.code_name}: data symbols {carrier[column]} and "
+                    f"{symbol.index} both carry data column {column}, so "
+                    f"the data symbols do not cover range({self.k})")
+            carrier[column] = symbol.index
         slot_map: dict[int, list[int]] = {slot: [] for slot in range(self.length)}
         for symbol in self.symbols:
             for slot in symbol.replicas:
@@ -125,8 +141,8 @@ class StripeLayout:
             replica_matrix.sum(axis=1, dtype=np.int64))
         object.__setattr__(
             self, "_data_indices",
-            np.array([s.index for s in self.symbols
-                      if s.kind is SymbolKind.DATA], dtype=np.intp))
+            np.array([carrier[column] for column in range(self.k)],
+                     dtype=np.intp))
         generator = np.array([s.coefficients for s in self.symbols],
                              dtype=np.uint8)
         generator.setflags(write=False)
@@ -173,22 +189,20 @@ class StripeLayout:
         return self._generator
 
     def data_symbol_indices(self) -> np.ndarray:
-        """Indices of the data symbols, as a read-only index array."""
+        """Index of the data symbol carrying each data column, in column
+        order, as a read-only index array."""
         return self._data_indices
 
     def data_column(self, symbol_index: int) -> int:
         """Data-buffer column a systematic symbol carries.
 
-        For a data symbol this is the position of its (single) nonzero
-        coefficient; parity symbols have no data column.
+        For a data symbol this is the position of the 1 in its unit
+        row; parity symbols have no data column.
         """
         symbol = self.symbols[symbol_index]
         if symbol.kind is not SymbolKind.DATA:
             raise ValueError(f"symbol {symbol_index} is not a data symbol")
-        for column, value in enumerate(symbol.coefficients):
-            if value:
-                return column
-        raise ValueError(f"symbol {symbol_index} has an all-zero row")
+        return symbol.coefficients.index(1)
 
     # ------------------------------------------------------------------
     # Failure reasoning

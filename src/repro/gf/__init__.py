@@ -26,6 +26,7 @@ from .linalg import (
     invert,
     matmul,
     matrix_rank,
+    rank_many,
     row_echelon,
     solve,
     vandermonde,
@@ -55,6 +56,7 @@ __all__ = [
     "SingularMatrixError",
     "row_echelon",
     "matrix_rank",
+    "rank_many",
     "independent_rows",
     "solve",
     "invert",

@@ -38,35 +38,34 @@ import numpy as np
 
 from ..core import Code, make_code
 
-#: Hard ceiling on exact enumeration: 2**24 verdicts is ~minutes of
-#: sharded rank tests and a 2 MiB packed table; every length the
-#: shipped families need (3-group heptagon-local is 22) fits under it.
+#: Hard ceiling on exact enumeration: 2**24 verdicts is under a minute
+#: of sharded rank tests (a 22-slot family measures 5.8 s serial, 2.6 s
+#: on two workers) and a 2 MiB packed table; every length the shipped
+#: families need (3-group heptagon-local is 22) fits under it.
 MAX_EXACT_LENGTH = 24
 
-#: Smallest shard worth shipping to a worker: below this the pickle +
-#: dispatch overhead swamps the rank tests.  Kept small relative to the
-#: pooled executor's chunking so the pool can load-balance — rank cost
-#: clusters heavily in some mask regions (measured ~4x between halves
-#: of a 16-slot family) — while chunks of consecutive shards preserve
-#: the per-process rank-memo locality that contiguous ranges share
-#: (scattering shards across processes re-ranks the same surviving
-#: sets everywhere and measures *slower* than serial).
+#: Smallest shard worth shipping to a worker.  A 1024-mask shard is
+#: 0.3-1.5 ms of verdicts, ~0.15 ms of it the fixed cost of the numpy
+#: calls whatever the batch; 256-mask shards measured 20-40 % slower
+#: end to end on two workers, 4096 and 16384 within noise of 1024, so
+#: the small size stays for the load balance it gives the pool (rank
+#: tests cluster where few slots failed: 7115 of a 16-slot family's
+#: first 2**14 masks need one, 1518 of its last).
 MIN_SHARD_MASKS = 1 << 10
 
 #: Target shard count for long codes (bounds scheduling overhead).
 _MAX_SHARDS = 256
 
 #: Below this many masks a *worker-count* request runs serially even
-#: when the count is > 1: a 2**15 enumeration is ~0.02 s of rank tests
-#: while a cold process pool costs ~0.25 s to spin up, a measured 16x
-#: cold-start regression for ``heptagon_local_2p15``
-#: (``speedup_cold=0.06`` in ``results/BENCH_2026-07-27_families.json``).
-#: 2**16 is the first size where the fan-out has ever measured at or
-#: past breakeven on the reference container.  Explicit
+#: when the count is > 1.  Measured serial vs two-worker cold pool
+#: (fork start-up ~0.025 s) on the reference container: 2**14 6 ms vs
+#: 36 ms, 2**15 15 vs 42, 2**16 93 vs 83, 2**17 37-173 vs 44-136
+#: (family-dependent, wins and losses), 2**18 69 vs 85, and from 2**19
+#: every family measured wins (250-750 ms vs 100-380).  Explicit
 #: :class:`~repro.experiments.engine.Executor` instances (socket
 #: coordinators, pre-warmed pools) bypass the heuristic — the caller
 #: already paid the start-up cost — as does ``serial_below=0``.
-AUTO_SERIAL_MASKS = 1 << 16
+AUTO_SERIAL_MASKS = 1 << 19
 
 
 def check_enumerable(code: Code) -> None:
@@ -101,11 +100,10 @@ def shard_ranges(length: int, shard_masks: int | None = None) -> list[tuple[int,
 
 
 #: Per-process code cache for shard workers.  Pool and socket workers
-#: serve many shards of the same enumeration; reusing one instance
-#: lets its (bounded) surviving-set rank memo accumulate across
-#: shards, so the fanned-out enumeration does not repeat rank tests
-#: the serial path would deduplicate globally.  Verdicts are exact
-#: either way — the cache changes wall-clock, never results.
+#: serve many shards of one enumeration, and building a code's layout
+#: (0.2-1.5 ms) costs as much as a 1024-mask shard's verdicts
+#: (0.3-1.5 ms): rebuilding per shard measured 1.5x (``rs(17,13)``) to
+#: 2.4x (``heptagon-local``) slower on two workers.
 _SHARD_CODES: dict[str, Code] = {}
 
 

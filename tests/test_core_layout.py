@@ -48,6 +48,32 @@ class TestValidation:
                 Symbol(1, SymbolKind.DATA, (0,), (0, 1), "d1"),
             ))
 
+    @pytest.mark.parametrize("row", [(2, 0), (1, 1), (0, 0)])
+    def test_non_unit_data_row_rejected(self, row):
+        """The decodability engine counts data symbols; it never ranks them."""
+        with pytest.raises(ValueError, match=r"toy: data symbol 1 .*unit"):
+            StripeLayout("toy", k=2, length=1, symbols=(
+                Symbol(0, SymbolKind.DATA, (0,), (0, 1), "d0"),
+                Symbol(1, SymbolKind.DATA, (0,), row, "d1"),
+            ))
+
+    def test_data_columns_must_cover_range_k(self):
+        with pytest.raises(ValueError,
+                           match=r"toy: data symbols 0 and 1 .*column 1"):
+            StripeLayout("toy", k=2, length=1, symbols=(
+                Symbol(0, SymbolKind.DATA, (0,), (0, 1), "d0"),
+                Symbol(1, SymbolKind.DATA, (0,), (0, 1), "d1"),
+            ))
+
+    def test_data_symbols_listed_in_column_order(self):
+        layout = StripeLayout("toy", k=2, length=1, symbols=(
+            Symbol(0, SymbolKind.LOCAL_PARITY, (0,), (1, 1), "P"),
+            Symbol(1, SymbolKind.DATA, (0,), (0, 1), "d1"),
+            Symbol(2, SymbolKind.DATA, (0,), (1, 0), "d0"),
+        ))
+        assert layout.data_symbol_indices().tolist() == [2, 1]
+        assert layout.data_column(1) == 1
+
     def test_duplicate_replica_rejected(self):
         with pytest.raises(ValueError, match="replicated twice"):
             Symbol(0, SymbolKind.DATA, (1, 1), (1,), "d0")

@@ -26,7 +26,7 @@ from repro.gf import (
     BatchedLinearMap,
     gf_mul,
     matmul,
-    matrix_rank,
+    row_echelon,
 )
 from repro.gf.kernels import _u16_view
 from repro.reliability import (
@@ -159,7 +159,7 @@ class TestDecodabilityEngine:
                 if any(slot not in pattern for slot in s.replicas)
             ]
             exact = (len(surviving) >= code.k
-                     and matrix_rank(generator[surviving]) == code.k)
+                     and len(row_echelon(generator[surviving])[1]) == code.k)
             assert verdict == exact, f"{code_name} bulk {pattern}"
             assert reference.can_recover(pattern) == exact, \
                 f"{code_name} scalar {pattern}"

@@ -163,7 +163,12 @@ class TestExecutorBitIdentity:
 class TestAutoSerial:
     """Small enumerations must not pay pool spin-up for worker counts."""
 
-    def test_small_worker_count_request_stays_serial(self, monkeypatch):
+    @pytest.mark.parametrize("name", [
+        "heptagon-local",            # 2**15 masks, closed form
+        "pentagon-local(3g,2p)",     # 2**16: 0.09 s serial, pool no faster
+    ])
+    def test_small_worker_count_request_stays_serial(self, monkeypatch,
+                                                     name):
         import repro.experiments.engine as engine
 
         def forbidden(*args, **kwargs):
@@ -171,11 +176,10 @@ class TestAutoSerial:
                 "run_cells must not be reached below AUTO_SERIAL_MASKS")
 
         monkeypatch.setattr(engine, "run_cells", forbidden)
-        code = make_code("heptagon-local")       # 2**15 masks
+        code = make_code(name)
         assert (1 << code.length) < AUTO_SERIAL_MASKS
         table = recoverable_mask_table(code, workers=2)
-        expected = make_code("heptagon-local").mask_range_verdicts(
-            0, 1 << code.length)
+        expected = make_code(name).mask_range_verdicts(0, 1 << code.length)
         assert (table == expected).all()
 
     def test_serial_below_zero_forces_sharding(self, monkeypatch):
