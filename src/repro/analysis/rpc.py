@@ -20,7 +20,9 @@ them:
 * **call sites** — literal kinds passed to ``_nn_call`` (namenode),
   ``_dn_call``/``dn_call_sync`` (datanode), the bare framed
   ``call(sock, kind, ...)`` helper and the async ``client.call(kind,
-  ...)``/``pool.call(address, kind, ...)`` methods (either side), and
+  ...)``/``pool.call(address, kind, ...)`` methods (either side),
+  ``return ("kind", {...})`` in ``service/protocol.py``'s request
+  builders (``transfer_request``: callers send what it returns), and
   direct ``_op_<kind>`` attribute access.  Call sites are collected
   from the scanned tree *and* the context files (the test suite), so
   an op exercised only by tests still counts as called.
@@ -146,7 +148,29 @@ class RpcSurfaceChecker(Checker):
     def _collect_calls(self, entry: SourceFile, surface: _Surface,
                        report: bool) -> list[Finding]:
         findings: list[Finding] = []
+
+        def either(kind: str | None, node: ast.AST) -> None:
+            """A kind sent to whichever server registers it."""
+            if kind is None:
+                return
+            surface.either_calls.add(kind)
+            if report and not self._known(kind, surface,
+                                          surface.namenode_ops,
+                                          surface.datanode_ops):
+                findings.append(Finding(
+                    "rpc.unknown-op", entry.rel, node.lineno,
+                    f"op '{kind}' is sent but neither server "
+                    f"registers it"))
+
+        builders = entry.rel.endswith("service/protocol.py")
         for node in ast.walk(entry.tree):
+            if (builders and isinstance(node, ast.Return)
+                    and isinstance(node.value, ast.Tuple)
+                    and len(node.value.elts) == 2
+                    and isinstance(node.value.elts[1], ast.Dict)):
+                # A request builder: callers send what it returns.
+                either(string_literal(node.value.elts[0]), node)
+                continue
             if isinstance(node, ast.Attribute):
                 if (node.attr.startswith("_op_")
                         and not isinstance(getattr(node, "ctx", None),
@@ -181,33 +205,14 @@ class RpcSurfaceChecker(Checker):
                         "rpc.unknown-op", entry.rel, node.lineno,
                         f"datanode op '{kind}' has no _handle arm"))
             elif name == "call" and len(node.args) >= 2:
-                kind = string_literal(node.args[1])
-                if kind is None:
-                    continue
-                surface.either_calls.add(kind)
-                known = self._known(kind, surface, surface.namenode_ops,
-                                    surface.datanode_ops)
-                if report and not known:
-                    findings.append(Finding(
-                        "rpc.unknown-op", entry.rel, node.lineno,
-                        f"op '{kind}' is sent but neither server "
-                        f"registers it"))
+                either(string_literal(node.args[1]), node)
             elif attr == "call" and node.args:
                 # AsyncRpcClient.call("kind", data) has the kind first;
                 # RpcPool.call(address, "kind", data) has it second.
                 kind = string_literal(node.args[0])
                 if kind is None and len(node.args) >= 2:
                     kind = string_literal(node.args[1])
-                if kind is None:
-                    continue
-                surface.either_calls.add(kind)
-                known = self._known(kind, surface, surface.namenode_ops,
-                                    surface.datanode_ops)
-                if report and not known:
-                    findings.append(Finding(
-                        "rpc.unknown-op", entry.rel, node.lineno,
-                        f"op '{kind}' is sent but neither server "
-                        f"registers it"))
+                either(kind, node)
         return findings
 
     @staticmethod

@@ -2,8 +2,9 @@
 degraded reads, failure injection and byte-accounted repair.
 
 The cluster layer is what the paper built on Facebook's HDFS-RAID: it
-stores real encoded bytes, executes the codes' repair plans against
-live DataNodes, and charges every transfer to a network ledger so the
+stores real encoded bytes, gives the core plan interpreter
+(:func:`repro.core.run_plan`) a transport over live DataNodes, and
+charges every transfer it lands to a network ledger so the
 Section 2.1/3.1 bandwidth numbers can be measured rather than asserted.
 """
 
@@ -27,7 +28,6 @@ from .placement import (
     rack_loss_survivability,
     rack_slot_groups,
 )
-from .plan_runtime import ClusterExecutionError, run_read_plan, run_repair_plan
 from .raidnode import RaidNode, RaidPolicy, RaidReport
 from .topology import ClusterTopology, NodeInfo
 
@@ -56,9 +56,6 @@ __all__ = [
     "FailureInjector",
     "FailureKind",
     "FailureEvent",
-    "ClusterExecutionError",
-    "run_read_plan",
-    "run_repair_plan",
     "RaidNode",
     "RaidPolicy",
     "RaidReport",

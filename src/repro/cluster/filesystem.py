@@ -15,13 +15,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import Code, SymbolKind, UnrecoverableStripeError, make_code
-from ..gf import GF256
+from ..core import (
+    Code,
+    PlanExecutionError,
+    ReadPlan,
+    RepairPlan,
+    UnrecoverableStripeError,
+    make_code,
+    run_plan,
+)
+from ..gf import linear_combine
 from .datanode import CorruptBlockError, DataNode
 from .namenode import BlockId, FileInfo, NameNode, StripeInfo
 from .network import NetworkLedger
 from .placement import PlacementPolicy, RandomSpreadPlacement
-from .plan_runtime import run_read_plan, run_repair_plan
 from .topology import ClusterTopology
 
 
@@ -70,23 +77,13 @@ class MiniHDFS:
             name=name, code_name=code_name,
             size_bytes=len(data), block_bytes=self.block_bytes,
         )
-        stripe_payload = code.k * self.block_bytes
-        padded = data + b"\x00" * (-len(data) % stripe_payload) \
-            if data else b"\x00" * stripe_payload
-        stripe_count = len(padded) // stripe_payload
-        batch = max(1, ENCODE_BATCH_BYTES // stripe_payload)
-        for start in range(0, stripe_count, batch):
-            stripe_blocks = [
-                [
-                    padded[index * stripe_payload + i * self.block_bytes:
-                           index * stripe_payload + (i + 1) * self.block_bytes]
-                    for i in range(code.k)
-                ]
-                for index in range(start, min(start + batch, stripe_count))
-            ]
-            for offset, encoded in enumerate(code.encode_stripes(stripe_blocks)):
-                stripe = self._store_stripe(info, start + offset, code, encoded)
-                info.stripes.append(stripe)
+        stripes = code.split_stripes(data, self.block_bytes)
+        batch = max(1, ENCODE_BATCH_BYTES // (code.k * self.block_bytes))
+        for start in range(0, len(stripes), batch):
+            for offset, encoded in enumerate(
+                    code.encode_stripes(stripes[start:start + batch])):
+                info.stripes.append(
+                    self._store_stripe(info, start + offset, code, encoded))
         self.namenode.create_file(info)
         return info
 
@@ -110,9 +107,7 @@ class MiniHDFS:
         info = self.namenode.file(name)
         pieces: list[bytes] = []
         for stripe in info.stripes:
-            for symbol in stripe.code.layout.symbols:
-                if symbol.kind is not SymbolKind.DATA:
-                    continue
+            for symbol in stripe.code.layout.data_symbols():
                 pieces.append(bytes(self._read_symbol(stripe, symbol.index,
                                                       reader_node)))
         return b"".join(pieces)[:info.size_bytes]
@@ -128,23 +123,91 @@ class MiniHDFS:
         """Read one symbol, degrading past failed *and corrupt* replicas.
 
         Every block fetched on the way is checksum-verified by the
-        DataNode; a :class:`CorruptBlockError` promotes the offending
-        slot to failed and the read re-plans against the survivors, so
-        silent corruption turns into a degraded read instead of served
-        garbage.  Only a pattern the code cannot decode raises.
+        DataNode; a corrupt replica's slot joins the failed set and the
+        read re-plans against the survivors, so silent corruption turns
+        into a degraded read instead of served garbage.  Only a pattern
+        the code cannot decode raises.
         """
-        failed = set(self.topology.failed_nodes())
-        failed_slots = set(stripe.failed_slots(failed))
+        failed_slots = stripe.failed_slots(set(self.topology.failed_nodes()))
         reader_slot = (stripe.slot_of_node(reader_node)
                        if reader_node is not None else None)
+        return self._around_corruption(
+            stripe, failed_slots,
+            lambda: self.run_read_plan(
+                stripe,
+                stripe.code.plan_degraded_read(symbol_index, failed_slots,
+                                               reader_slot=reader_slot),
+                reader_node))
+
+    # ------------------------------------------------------------------
+    # Plan transport: datanode reads in, ledger charges out
+    # ------------------------------------------------------------------
+    def _run_plan(self, stripe: StripeInfo, plan, purpose: str, endpoints):
+        """:func:`~repro.core.executor.run_plan` over this cluster's nodes.
+
+        The transport combines checksum-verified blocks the (live)
+        source DataNode holds; the observer charges each landed
+        transfer to the ledger between the ``(source node, destination
+        node)`` that ``endpoints(transfer)`` names.
+        """
+        def fetch(transfer) -> np.ndarray:
+            node_id = stripe.slot_nodes[transfer.source_slot]
+            if not self.topology.is_alive(node_id):
+                raise PlanExecutionError(
+                    f"plan reads from failed node {node_id}")
+            store = self.datanodes[node_id]
+            return linear_combine(
+                transfer.coefficients,
+                [store.get(stripe.block_id(symbol))
+                 for symbol in transfer.symbols_read])
+
+        def charge(transfer, payload) -> None:
+            source, dest = endpoints(transfer)
+            self.ledger.charge(
+                source, dest, len(payload), purpose,
+                cross_rack=(source is not None and dest is not None
+                            and self.topology.cross_rack(source, dest)))
+
+        return run_plan(plan, fetch, charge)
+
+    def run_read_plan(self, stripe: StripeInfo, plan: ReadPlan,
+                      reader_node: int | None) -> np.ndarray:
+        """Execute a read plan for a reader on ``reader_node`` (``None``
+        for an off-cluster client); returns the requested symbol's bytes."""
+        return self._run_plan(
+            stripe, plan, "degraded-read" if plan.degraded else "read",
+            lambda transfer: (stripe.slot_nodes[transfer.source_slot],
+                              reader_node))
+
+    def run_repair_plan(self, stripe: StripeInfo, plan: RepairPlan,
+                        relocate: dict[int, int]) -> dict[int, np.ndarray]:
+        """Execute a repair plan; returns ``symbol -> recovered bytes``.
+
+        ``relocate`` maps a failed node to the node that takes over its
+        slot; every other slot is rebuilt (and charged) where it lives.
+        """
+        def home(slot: int | None) -> int | None:
+            if slot is None:
+                return None         # synthesised at the destination
+            node_id = stripe.slot_nodes[slot]
+            return relocate.get(node_id, node_id)
+
+        return self._run_plan(
+            stripe, plan, "repair",
+            lambda transfer: (home(transfer.source_slot),
+                              home(transfer.dest_slot)))
+
+    @staticmethod
+    def _around_corruption(stripe: StripeInfo, failed_slots: set[int], attempt):
+        """Call ``attempt()`` until no source it reads is corrupt.
+
+        A :class:`CorruptBlockError` adds the rotten replica's slot to
+        ``failed_slots`` — the set ``attempt`` plans against — and
+        retries; the planner raises once the pattern is past decoding.
+        """
         while True:
-            plan = stripe.code.plan_degraded_read(
-                symbol_index, failed_slots, reader_slot=reader_slot)
-            purpose = "degraded-read" if plan.degraded else "read"
             try:
-                return run_read_plan(stripe, plan, self.datanodes,
-                                     self.topology, self.ledger,
-                                     reader_node, purpose=purpose)
+                return attempt()
             except CorruptBlockError as error:
                 slot = stripe.slot_of_node(error.node_id)
                 if slot is None or slot in failed_slots:
@@ -174,17 +237,57 @@ class MiniHDFS:
         :meth:`~repro.core.Code.can_recover_many` call, and the
         planners' own checks then hit a warm cache.
         """
-        by_code: dict[int, tuple[Code, set[tuple[int, ...]]]] = {}
+        by_code: dict[Code, set[tuple[int, ...]]] = {}
         for stripe, failed_slots in stripe_patterns:
-            _, patterns = by_code.setdefault(id(stripe.code),
-                                             (stripe.code, set()))
-            patterns.add(tuple(failed_slots))
-        for code, patterns in by_code.values():
+            by_code.setdefault(stripe.code, set()).add(tuple(failed_slots))
+        for code, patterns in by_code.items():
             keys = sorted(patterns)
             for key, ok in zip(keys, code.can_recover_many(keys)):
                 if not ok:
                     raise UnrecoverableStripeError(
                         code.name, key, code.layout.lost_symbols(set(key)))
+
+    def _repair_stripes(self, stripes, rebuilt_node: int | None,
+                        relocate: dict[int, int]) -> int:
+        """Plan, run and store one combined repair per wounded stripe.
+
+        The body :meth:`repair_node` and :meth:`repair_all` share;
+        returns the repair bytes moved.  Every failure pattern is
+        checked up front with a bulk decodability query, before any
+        bytes move.  With ``rebuilt_node`` only that node's slot is put
+        back (on ``relocate``'s stand-in for it); otherwise every failed
+        slot is.  A source replica that turns out corrupt is promoted
+        to failed, planned around and rebuilt in place, exactly as on
+        the read path.
+        """
+        before = self.ledger.total_bytes("repair")
+        failed = set(self.topology.failed_nodes())
+        worklist = [(stripe, down) for stripe in stripes
+                    if (down := stripe.failed_slots(failed))]
+        self._assert_repairable(worklist)
+        for stripe, down in worklist:
+            failed_slots = set(down)
+            recovered = self._around_corruption(
+                stripe, failed_slots,
+                lambda: self.run_repair_plan(
+                    stripe, stripe.code.plan_node_repair(failed_slots),
+                    relocate))
+            rebuild = failed_slots - down      # corrupt sources, in place
+            rebuild |= (down if rebuilt_node is None
+                        else {stripe.slot_of_node(rebuilt_node)})
+            for slot in rebuild:
+                target = relocate.get(stripe.slot_nodes[slot],
+                                      stripe.slot_nodes[slot])
+                for symbol_index in stripe.code.layout.symbols_on_slot(slot):
+                    if symbol_index not in recovered:
+                        raise UnrecoverableStripeError(
+                            stripe.code.name, failed_slots, (symbol_index,))
+                    self.datanodes[target].put(
+                        stripe.block_id(symbol_index),
+                        recovered[symbol_index])
+            stripe.slot_nodes = tuple(relocate.get(node, node)
+                                      for node in stripe.slot_nodes)
+        return self.ledger.total_bytes("repair") - before
 
     def repair_node(self, node_id: int, replacement: int | None = None) -> int:
         """Rebuild every stripe touching a failed node; returns bytes moved.
@@ -192,45 +295,16 @@ class MiniHDFS:
         The rebuilt blocks land on ``replacement`` (default: the node
         itself, which is restored empty first).  Raises
         :class:`~repro.core.UnrecoverableStripeError` if any stripe has
-        already lost data — detected up front with a bulk decodability
-        query, before any bytes move.
+        already lost data.
         """
         if self.topology.is_alive(node_id):
             raise ValueError(f"node {node_id} is not failed")
-        target = replacement if replacement is not None else node_id
-        before = self.ledger.total_bytes("repair")
-        failed = set(self.topology.failed_nodes())
-        worklist = [
-            (stripe, failed_slots)
-            for stripe in self.namenode.stripes_on_node(node_id)
-            if (failed_slots := stripe.failed_slots(failed))
-        ]
-        self._assert_repairable(worklist)
-        for stripe, failed_slots in worklist:
-            plan = stripe.code.plan_node_repair(failed_slots)
-            replacements = {
-                slot: (target if stripe.slot_nodes[slot] == node_id
-                       else stripe.slot_nodes[slot])
-                for slot in failed_slots
-            }
-            recovered = run_repair_plan(
-                stripe, plan, self.datanodes, self.topology, self.ledger,
-                replacements)
-            slot = stripe.slot_of_node(node_id)
-            for symbol_index in stripe.code.layout.symbols_on_slot(slot):
-                if symbol_index not in recovered:
-                    raise UnrecoverableStripeError(
-                        stripe.code.name, failed_slots, (symbol_index,))
-                self.datanodes[target].put(
-                    stripe.block_id(symbol_index),
-                    recovered[symbol_index])
-            if target != node_id:
-                nodes = list(stripe.slot_nodes)
-                nodes[slot] = target
-                stripe.slot_nodes = tuple(nodes)
+        moved = self._repair_stripes(
+            self.namenode.stripes_on_node(node_id), node_id,
+            {} if replacement is None else {node_id: replacement})
         if replacement is None:
             self.topology.restore(node_id)
-        return self.ledger.total_bytes("repair") - before
+        return moved
 
     def repair_all(self) -> int:
         """Rebuild every failed node in place; returns bytes moved.
@@ -240,38 +314,11 @@ class MiniHDFS:
         repair), so the accounting matches Section 2.1's "10 blocks for
         a pentagon double repair" exactly.
         """
-        failed = set(self.topology.failed_nodes())
-        if not failed:
-            return 0
-        before = self.ledger.total_bytes("repair")
-        done: set[tuple[str, int]] = set()
-        worklist = []
-        for node_id in sorted(failed):
-            for stripe in self.namenode.stripes_on_node(node_id):
-                key = (stripe.file_name, stripe.stripe_index)
-                if key in done:
-                    continue
-                done.add(key)
-                failed_slots = stripe.failed_slots(failed)
-                if failed_slots:
-                    worklist.append((stripe, failed_slots))
-        self._assert_repairable(worklist)
-        for stripe, failed_slots in worklist:
-            plan = stripe.code.plan_node_repair(failed_slots)
-            replacements = {slot: stripe.slot_nodes[slot]
-                            for slot in failed_slots}
-            recovered = run_repair_plan(
-                stripe, plan, self.datanodes, self.topology, self.ledger,
-                replacements)
-            for slot in failed_slots:
-                target = stripe.slot_nodes[slot]
-                for symbol_index in stripe.code.layout.symbols_on_slot(slot):
-                    self.datanodes[target].put(
-                        stripe.block_id(symbol_index),
-                        recovered[symbol_index])
+        failed = self.topology.failed_nodes()
+        moved = self._repair_stripes(self.namenode.stripes(), None, {})
         for node_id in failed:
             self.topology.restore(node_id)
-        return self.ledger.total_bytes("repair") - before
+        return moved
 
     # ------------------------------------------------------------------
     # Introspection

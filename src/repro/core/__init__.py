@@ -8,7 +8,8 @@ Public surface:
   :class:`HeptagonLocalCode`, :class:`ReedSolomonCode`;
 * :func:`make_code` registry and :func:`compute_metrics` for the static
   Table 1 columns;
-* plan execution/verification helpers in :mod:`repro.core.executor`.
+* the plan interpreter :func:`run_plan` and its in-memory transport
+  in :mod:`repro.core.executor`.
 """
 
 from .code import Code
@@ -16,6 +17,7 @@ from .executor import (
     PlanExecutionError,
     execute_read_plan,
     execute_repair_plan,
+    run_plan,
     verify_repair_plan,
 )
 from .heptagon_local import GLOBAL_SLOT, HEPTAGON_A_SLOTS, HEPTAGON_B_SLOTS, HeptagonLocalCode
@@ -75,6 +77,7 @@ __all__ = [
     "TransferKind",
     "DecodeStep",
     "UnrecoverableStripeError",
+    "run_plan",
     "execute_repair_plan",
     "execute_read_plan",
     "verify_repair_plan",

@@ -166,6 +166,24 @@ class Code(ABC):
                 encoded.append(next(parity_rows))
         return encoded
 
+    def split_stripes(self, data: bytes, block_bytes: int) -> list[list[memoryview]]:
+        """Pad and split file ``data`` into per-stripe data-block lists.
+
+        The tail is zero-padded to a whole stripe of ``k`` blocks of
+        ``block_bytes``, as HDFS-RAID does (an empty file is one
+        all-zero stripe); callers keep the true length in metadata.
+        Blocks are zero-copy views, ready for :meth:`encode` /
+        :meth:`encode_stripes`.
+        """
+        stripe_payload = self.k * block_bytes
+        padded = memoryview(data + b"\x00" * (-len(data) % stripe_payload)
+                            if data else b"\x00" * stripe_payload)
+        return [
+            [padded[start + i * block_bytes:start + (i + 1) * block_bytes]
+             for i in range(self.k)]
+            for start in range(0, len(padded), stripe_payload)
+        ]
+
     def encode(self, data_blocks) -> list[np.ndarray]:
         """Encode ``k`` data buffers into one buffer per distinct symbol.
 

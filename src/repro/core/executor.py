@@ -1,11 +1,26 @@
-"""Execute repair/read plans against in-memory stripe contents.
+"""The plan interpreter: one loop, three transports.
 
-The executor is the single arbiter of what a plan *means*: sources may
-only read symbols they actually hold and that have not failed, every
-transfer moves exactly one block, and decode steps may only combine
-payloads already delivered.  Both the test-suite and the cluster's
-:class:`~repro.cluster.repair_manager.RepairManager` run plans through
-this module, so a plan proven correct here is correct in the cluster.
+:func:`run_plan` is the only code in the tree that walks a
+:class:`~repro.core.repair.RepairPlan` or
+:class:`~repro.core.repair.ReadPlan`.  It decides what a plan *means*
+— every transfer moves exactly one block, a DECODED transfer may only
+forward a symbol some decode step already produced, a decode step runs
+as soon as the payloads it combines have landed, and a read stops the
+moment its symbol is in hand — and leaves *where the bytes come from*
+to a ``fetch(transfer) -> ndarray`` transport:
+
+* the in-memory transport below (``execute_*_plan``), over a list of
+  stripe symbols, which also checks that every source slot is alive
+  and holds what it is asked to read — the unit tests' arbiter;
+* :class:`~repro.cluster.filesystem.MiniHDFS`, whose fetch reads
+  checksum-verified blocks from live DataNodes and whose observer
+  charges each transfer to the :class:`~repro.cluster.NetworkLedger`
+  (the paper's Section 2.1/3.1 bandwidth numbers);
+* the storage service, whose fetch is a datanode ``get``/``combine``
+  RPC issued by the reading client or the namenode's repairer, so
+  partial parities are computed at the source daemon.
+
+A plan proven correct on one transport is therefore correct on all.
 """
 
 from __future__ import annotations
@@ -14,38 +29,92 @@ import numpy as np
 
 from ..gf import GF256, linear_combine
 from .code import Code
-from .repair import ReadPlan, RepairPlan, TransferKind
+from .repair import ReadPlan, RepairPlan, Transfer, TransferKind
 
 
 class PlanExecutionError(RuntimeError):
     """Raised when a plan references unavailable blocks or slots."""
 
 
-def _source_payload(code: Code, blocks: list[np.ndarray], transfer,
-                    failed: set[int], produced: dict[int, np.ndarray]) -> np.ndarray:
-    """Compute the payload a transfer's source would put on the wire."""
+def run_plan(plan, fetch, observe=None):
+    """Interpret ``plan``, pulling every source payload through ``fetch``.
+
+    ``fetch(transfer)`` returns the block a COPY / PARTIAL_PARITY
+    transfer's source puts on the wire; DECODED transfers are local
+    hand-offs of an already-solved symbol and never reach it.
+    ``observe(transfer, payload)``, when given, sees each transfer as
+    it lands (the MiniHDFS ledger).  A :class:`RepairPlan` returns
+    ``symbol -> recovered bytes`` for everything it restores; a
+    :class:`ReadPlan` returns the requested symbol's bytes, skipping
+    whatever the plan lists past the point they are in hand; one with
+    no transfers is a local read at its ``reader_slot``.
+    """
+    wanted = plan.symbol if isinstance(plan, ReadPlan) else None
+    if wanted is not None and not plan.transfers:
+        # Reader-local: the reader's own slot serves the replica, and
+        # nothing crosses the network for the observer to see.
+        return fetch(Transfer(TransferKind.COPY, plan.reader_slot,
+                              plan.reader_slot, (wanted,), (1,), wanted))
+    payloads: list[np.ndarray] = []
+    produced: dict[int, np.ndarray] = {}
+    recovered: dict[int, np.ndarray] = {}
+    for transfer in plan.transfers:
+        if not transfer.symbols_read:
+            raise PlanExecutionError("transfer reads no symbols")
+        if transfer.kind is TransferKind.DECODED:
+            symbol = transfer.symbols_read[0]
+            if symbol not in produced:
+                raise PlanExecutionError(
+                    f"transfer forwards symbol {symbol} before any decode "
+                    "step produced it")
+            payload = produced[symbol].copy()
+        else:
+            payload = fetch(transfer)
+        if observe is not None:
+            observe(transfer, payload)
+        payloads.append(payload)
+        if transfer.delivers_symbol is not None:
+            recovered[transfer.delivers_symbol] = payload
+        for step in plan.decode_steps:
+            if (step.produces_symbol not in produced
+                    and max(step.payload_indices, default=-1) < len(payloads)):
+                value = linear_combine(
+                    step.coefficients,
+                    [payloads[index] for index in step.payload_indices],
+                    length=len(payloads[0]))
+                produced[step.produces_symbol] = value
+                recovered[step.produces_symbol] = value
+        if wanted in recovered:
+            return recovered[wanted]
+    if wanted is not None:
+        raise PlanExecutionError("read plan never produced the requested symbol")
+    for step in plan.decode_steps:
+        if step.produces_symbol not in produced:
+            raise PlanExecutionError(
+                f"decode step for symbol {step.produces_symbol} never "
+                "received its payloads")
+    return recovered
+
+
+def _memory_fetch(code: Code, blocks: list[np.ndarray], failed: set[int]):
+    """The in-memory transport: sources read ``blocks`` directly."""
     layout = code.layout
-    if transfer.kind is TransferKind.DECODED:
-        symbol = transfer.symbols_read[0]
-        if symbol not in produced:
+
+    def fetch(transfer) -> np.ndarray:
+        if transfer.source_slot is None or transfer.source_slot in failed:
             raise PlanExecutionError(
-                f"transfer forwards symbol {symbol} before any decode step produced it"
+                f"transfer sources from failed or undefined slot {transfer.source_slot}"
             )
-        return produced[symbol].copy()
-    if transfer.source_slot is None or transfer.source_slot in failed:
-        raise PlanExecutionError(
-            f"transfer sources from failed or undefined slot {transfer.source_slot}"
-        )
-    held = set(layout.symbols_on_slot(transfer.source_slot))
-    for symbol in transfer.symbols_read:
-        if symbol not in held:
-            raise PlanExecutionError(
-                f"slot {transfer.source_slot} does not hold symbol {symbol}"
-            )
-    if not transfer.symbols_read:
-        raise PlanExecutionError("transfer reads no symbols")
-    return linear_combine(transfer.coefficients,
-                          [blocks[symbol] for symbol in transfer.symbols_read])
+        held = set(layout.symbols_on_slot(transfer.source_slot))
+        for symbol in transfer.symbols_read:
+            if symbol not in held:
+                raise PlanExecutionError(
+                    f"slot {transfer.source_slot} does not hold symbol {symbol}"
+                )
+        return linear_combine(transfer.coefficients,
+                              [blocks[symbol] for symbol in transfer.symbols_read])
+
+    return fetch
 
 
 def execute_repair_plan(code: Code, blocks: list[np.ndarray],
@@ -58,33 +127,7 @@ def execute_repair_plan(code: Code, blocks: list[np.ndarray],
     :class:`PlanExecutionError` if the plan cheats (reads failed slots,
     references missing payloads, ...).
     """
-    failed = set(plan.failed_slots)
-    payloads: list[np.ndarray] = []
-    produced: dict[int, np.ndarray] = {}
-    recovered: dict[int, np.ndarray] = {}
-
-    for transfer in plan.transfers:
-        payload = _source_payload(code, blocks, transfer, failed, produced)
-        payloads.append(payload)
-        if transfer.delivers_symbol is not None:
-            recovered[transfer.delivers_symbol] = payload
-        # Decode steps are interleaved by payload availability below.
-        for step in plan.decode_steps:
-            if step.produces_symbol in produced:
-                continue
-            if max(step.payload_indices, default=-1) < len(payloads):
-                value = linear_combine(
-                    step.coefficients,
-                    [payloads[index] for index in step.payload_indices],
-                    length=len(payloads[0]))
-                produced[step.produces_symbol] = value
-                recovered[step.produces_symbol] = value
-    for step in plan.decode_steps:
-        if step.produces_symbol not in produced:
-            raise PlanExecutionError(
-                f"decode step for symbol {step.produces_symbol} never received its payloads"
-            )
-    return recovered
+    return run_plan(plan, _memory_fetch(code, blocks, set(plan.failed_slots)))
 
 
 def verify_repair_plan(code: Code, blocks: list[np.ndarray], plan: RepairPlan) -> bool:
@@ -103,24 +146,4 @@ def verify_repair_plan(code: Code, blocks: list[np.ndarray], plan: RepairPlan) -
 def execute_read_plan(code: Code, blocks: list[np.ndarray], plan: ReadPlan,
                       failed_slots) -> np.ndarray:
     """Run a read plan and return the bytes the reader receives."""
-    failed = set(failed_slots)
-    layout = code.layout
-    if not plan.transfers:
-        # Local read: reader holds a live replica.
-        if plan.reader_slot is None or plan.reader_slot in failed:
-            raise PlanExecutionError("local read from failed or undefined reader slot")
-        if plan.symbol not in layout.symbols_on_slot(plan.reader_slot):
-            raise PlanExecutionError("local read of a symbol the reader does not hold")
-        return GF256.asarray(blocks[plan.symbol]).copy()
-    payloads: list[np.ndarray] = []
-    for transfer in plan.transfers:
-        payloads.append(_source_payload(code, blocks, transfer, failed, {}))
-        if transfer.delivers_symbol == plan.symbol:
-            return payloads[-1]
-    for step in plan.decode_steps:
-        if step.produces_symbol == plan.symbol:
-            return linear_combine(
-                step.coefficients,
-                [payloads[index] for index in step.payload_indices],
-                length=len(payloads[0]))
-    raise PlanExecutionError("read plan never produced the requested symbol")
+    return run_plan(plan, _memory_fetch(code, blocks, set(failed_slots)))

@@ -9,10 +9,12 @@ cost is therefore simply the number of transfers, in block units —
 matching how the paper counts repair bandwidth ("the overall network
 data transfer incurred in repairing the two nodes ... is 10 blocks").
 
-Plans are *pure descriptions*; :mod:`repro.cluster.repair_manager`
-executes them against a live cluster and the tests execute them against
-in-memory stripes to verify that the described arithmetic really
-reconstructs the lost bytes.
+Plans are *pure descriptions*.  One interpreter executes them,
+:func:`repro.core.executor.run_plan`, over three transports: in-memory
+stripes (the tests verify that the described arithmetic really
+reconstructs the lost bytes), MiniHDFS DataNodes with every transfer
+charged to the network ledger, and the storage service's datanode
+``get``/``combine`` RPCs.
 """
 
 from __future__ import annotations

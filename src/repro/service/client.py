@@ -54,8 +54,11 @@ import numpy as np
 
 from ..cluster.datanode import BlockNotFoundError, CorruptBlockError
 from ..cluster.namenode import BlockId
-from ..core import Code, SymbolKind, UnrecoverableStripeError, make_code
-from ..core.repair import TransferKind
+from ..core import Code, UnrecoverableStripeError, make_code
+# The one plan interpreter.  It keeps the module-level name the read
+# path has always called, because external tracers (perfbench's span
+# recorder) wrap ``repro.service.client.execute_read_plan``.
+from ..core import run_plan as execute_read_plan
 from ..net import RetryPolicy, recv_frame, send_frame
 from .datanode import call
 from .protocol import (
@@ -63,9 +66,9 @@ from .protocol import (
     ServiceUnavailableError,
     WriteFailedError,
     block_tuple,
+    transfer_request,
     unmarshal_error,
 )
-from .transfer import execute_read_plan
 
 #: How long an unreachable datanode stays on the suspect list before a
 #: read is willing to try it again.  Derived from the shared
@@ -262,18 +265,12 @@ class StorageClient:
         block_bytes = int(begin["block_bytes"])
         placed: list[tuple[int, BlockId]] = []
         try:
-            stripe_payload = code.k * block_bytes
-            padded = (data + b"\x00" * (-len(data) % stripe_payload)
-                      if data else b"\x00" * stripe_payload)
-            stripes = []
-            for index in range(len(padded) // stripe_payload):
-                blocks = [
-                    padded[index * stripe_payload + i * block_bytes:
-                           index * stripe_payload + (i + 1) * block_bytes]
-                    for i in range(code.k)
-                ]
-                stripes.append(self._store_stripe(
-                    name, index, code, code.encode(blocks), placed))
+            stripes = [
+                self._store_stripe(name, index, code, code.encode(blocks),
+                                   placed)
+                for index, blocks
+                in enumerate(code.split_stripes(data, block_bytes))
+            ]
             reply = self._nn_call(
                 "commit-write",
                 {"name": name, "code_name": code_name,
@@ -360,9 +357,7 @@ class StorageClient:
         code = self._code(info["code_name"])
         pieces: list[bytes] = []
         for stripe_index in range(len(info["stripes"])):
-            for symbol in code.layout.symbols:
-                if symbol.kind is not SymbolKind.DATA:
-                    continue
+            for symbol in code.layout.data_symbols():
                 pieces.append(self._read_symbol(
                     info, code, stripe_index, symbol.index).tobytes())
         return b"".join(pieces)[:info["size_bytes"]]
@@ -373,7 +368,7 @@ class StorageClient:
         info = self._stat_for_read(name)
         code = self._code(info["code_name"])
         if symbol_index is None:
-            symbol_index = self._first_data_symbol(code)
+            symbol_index = code.layout.data_symbols()[0].index
         return self._read_symbol(info, code, stripe_index,
                                  symbol_index).tobytes()
 
@@ -390,16 +385,9 @@ class StorageClient:
         info = self._stat_for_read(name)
         code = self._code(info["code_name"])
         if symbol_index is None:
-            symbol_index = self._first_data_symbol(code)
+            symbol_index = code.layout.data_symbols()[0].index
         return self._read_symbol(info, code, stripe_index, symbol_index,
                                  force_degraded=True).tobytes()
-
-    @staticmethod
-    def _first_data_symbol(code: Code) -> int:
-        for symbol in code.layout.symbols:
-            if symbol.kind is SymbolKind.DATA:
-                return symbol.index
-        raise ValueError(f"{code.name} has no data symbols")
 
     def _read_symbol(self, info: dict, code: Code, stripe_index: int,
                      symbol_index: int,
@@ -487,30 +475,22 @@ class StorageClient:
             raise outcome
         return np.frombuffer(outcome["data"], dtype=np.uint8)
 
-    @staticmethod
-    def _transfer_request(name: str, stripe_index: int,
-                          transfer) -> tuple[str, dict]:
-        """The ``get``/``combine`` request one transfer maps to."""
-        if (transfer.kind is TransferKind.COPY
-                and transfer.coefficients[0] == 1):
-            return ("get", {"block": (name, stripe_index,
-                                      transfer.symbols_read[0])})
-        parts = [((name, stripe_index, symbol), int(coefficient))
-                 for symbol, coefficient
-                 in zip(transfer.symbols_read, transfer.coefficients)]
-        return ("combine", {"parts": parts})
+    #: The ``get``/``combine`` request one transfer maps to (the
+    #: mapping the namenode's repairer shares).
+    _transfer_request = staticmethod(transfer_request)
 
     def _fetch_pipelined(self, name: str, stripe_index: int, plan,
                          slot_nodes) -> list:
-        """Fetch every transfer of a multi-source plan concurrently.
+        """Fetch every transfer of a plan, multi-source ones concurrently.
 
         The requests go out on all per-datanode connections *before*
         any reply is read, so a reconstruction waits for the slowest
         daemon instead of the sum of all of them (``get``/``combine``
         are idempotent reads, so pipelining is safe).  Any transport
         hiccup falls back to the per-call retry path for that node's
-        requests.  Returns one reply-or-exception per transfer, in plan
-        order.
+        requests, which a single-source plan (nothing to overlap)
+        takes from the start.  Returns one reply-or-exception per
+        transfer, in plan order.
         """
         requests = [self._transfer_request(name, stripe_index, transfer)
                     for transfer in plan.transfers]
@@ -522,6 +502,9 @@ class StorageClient:
         sent: list[tuple[int, list[int]]] = []
         fallback: list[tuple[int, list[int]]] = []
         for node_id, positions in by_node.items():
+            if len(requests) == 1:
+                fallback.append((node_id, positions))
+                continue
             try:
                 sock = self._dn_sock(node_id)
                 for position in positions:
@@ -559,34 +542,12 @@ class StorageClient:
 
     def _execute_plan(self, name: str, stripe_index: int, plan,
                       slot_nodes) -> np.ndarray:
-        if len(plan.transfers) > 1:
-            # Reconstruction: all sources pipelined, then decode.
-            pairs = iter(zip(plan.transfers,
-                             self._fetch_pipelined(name, stripe_index,
-                                                   plan, slot_nodes)))
-
-            def fetch(transfer):
-                del transfer        # the iterator tracks plan order
-                planned, outcome = next(pairs)
-                return self._resolve_fetch(name, stripe_index, planned,
-                                           slot_nodes, outcome)
-
-            return execute_read_plan(plan, fetch)
-
-        def fetch(transfer):
-            node_id = slot_nodes[transfer.source_slot]
-            kind, data = self._transfer_request(name, stripe_index,
-                                                transfer)
-            try:
-                reply = self._dn_call(node_id, kind, data)
-            except (CorruptBlockError, BlockNotFoundError,
-                    ServiceUnavailableError) as error:
-                return self._resolve_fetch(name, stripe_index, transfer,
-                                           slot_nodes, error)
-            return self._resolve_fetch(name, stripe_index, transfer,
-                                       slot_nodes, reply)
-
-        return execute_read_plan(plan, fetch)
+        """Fetch all sources, then interpret the plan over the replies."""
+        outcomes = iter(self._fetch_pipelined(name, stripe_index, plan,
+                                              slot_nodes))
+        return execute_read_plan(
+            plan, lambda transfer: self._resolve_fetch(
+                name, stripe_index, transfer, slot_nodes, next(outcomes)))
 
     def _report_corrupt(self, node_id: int, block: BlockId) -> None:
         """Tell the namenode so the checker repairs ahead of its scrub."""

@@ -28,7 +28,7 @@ import time
 
 import numpy as np
 
-from ..core import SymbolKind, make_code
+from ..core import make_code
 from .client import RetryPolicy, StorageClient
 from .cluster import _is_settled
 from .faults import FaultPlan
@@ -84,8 +84,8 @@ class _Worker:
         self.deadline = deadline
         code = make_code(code_name)
         self.block_bytes: int | None = None     # learned from stat
-        self.data_symbols = [symbol.index for symbol in code.layout.symbols
-                             if symbol.kind is SymbolKind.DATA]
+        self.data_symbols = [symbol.index
+                             for symbol in code.layout.data_symbols()]
         self.k = code.k
         self.normal: list[float] = []
         self.degraded: list[float] = []

@@ -49,7 +49,7 @@ from ..cluster.datanode import CorruptBlockError
 from ..cluster.namenode import BlockId, FileInfo, StripeInfo
 from ..cluster.placement import PlacementError, RackAwarePlacement
 from ..cluster.topology import ClusterTopology, NodeInfo
-from ..core import Code, UnrecoverableStripeError, make_code
+from ..core import Code, UnrecoverableStripeError, make_code, run_plan
 from ..core.repair import TransferKind
 from ..net import AsyncRpcServer, ProtocolError, RetryPolicy, RpcPool
 from .protocol import (
@@ -58,9 +58,9 @@ from .protocol import (
     block_from_tuple,
     block_tuple,
     marshal_error,
+    transfer_request,
     unmarshal_error,
 )
-from .transfer import execute_repair_plan
 
 #: Default silence budget before a datanode is declared dead; must
 #: comfortably exceed the datanodes' heartbeat interval.
@@ -656,31 +656,22 @@ class NameNodeServer:
                 else:
                     return False    # no replacement capacity yet: requeue
             plan = code.plan_node_repair(failed)
-            # Pre-fetch every network transfer (DECODED ones are
-            # produced locally by the plan executor; the rest never
-            # depend on earlier payloads), then run the sync executor
-            # over the prefetched payloads in plan order.
+            # Pre-fetch every network transfer (DECODED ones are local
+            # hand-offs inside the interpreter; the rest never depend
+            # on earlier payloads), then interpret the plan over the
+            # prefetched payloads, which arrive in plan order.
             prefetched: list[np.ndarray] = []
             for transfer in plan.transfers:
                 if transfer.kind is TransferKind.DECODED:
                     continue
-                node_id = stripe.slot_nodes[transfer.source_slot]
-                parts = [(block_tuple(stripe.block_id(symbol)),
-                          int(coefficient))
-                         for symbol, coefficient
-                         in zip(transfer.symbols_read,
-                                transfer.coefficients)]
-                reply = await self._dn_call(node_id, "combine",
-                                            {"parts": parts})
+                kind, data = transfer_request(
+                    stripe.file_name, stripe.stripe_index, transfer)
+                reply = await self._dn_call(
+                    stripe.slot_nodes[transfer.source_slot], kind, data)
                 prefetched.append(
                     np.frombuffer(reply["data"], dtype=np.uint8))
             payloads = iter(prefetched)
-
-            def fetch(transfer):
-                del transfer
-                return next(payloads)
-
-            recovered = execute_repair_plan(plan, fetch)
+            recovered = run_plan(plan, lambda transfer: next(payloads))
             with self._meta:
                 expected = {
                     symbol: self._checksums.get(stripe.block_id(symbol))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from ..cluster.datanode import BlockNotFoundError, CorruptBlockError
 from ..cluster.namenode import BlockId
 from ..cluster.placement import PlacementError
-from ..core.repair import UnrecoverableStripeError
+from ..core.repair import TransferKind, UnrecoverableStripeError
 from ..net import ProtocolError
 
 #: Bumped on any incompatible message change; both ends carry it in the
@@ -75,7 +75,7 @@ def marshal_error(error: Exception) -> tuple[str, str, dict]:
     details: dict = {}
     if isinstance(error, CorruptBlockError):
         details = {"node_id": error.node_id,
-                   "block": _block_tuple(error.block)}
+                   "block": block_tuple(error.block)}
     for cls in type(error).__mro__:
         if cls in _CODE_OF_TYPE:
             return _CODE_OF_TYPE[cls], str(error), details
@@ -108,14 +108,28 @@ def unmarshal_error(code: str, message: str, details: dict) -> Exception:
     return error
 
 
-def _block_tuple(block: BlockId) -> tuple[str, int, int]:
-    return (block.file_name, block.stripe_index, block.symbol_index)
-
-
 def block_from_tuple(data) -> BlockId:
     return BlockId(str(data[0]), int(data[1]), int(data[2]))
 
 
 def block_tuple(block: BlockId) -> tuple[str, int, int]:
     """Wire form of a :class:`BlockId` (plain tuple, stable order)."""
-    return _block_tuple(block)
+    return (block.file_name, block.stripe_index, block.symbol_index)
+
+
+def transfer_request(name: str, stripe_index: int,
+                     transfer) -> tuple[str, dict]:
+    """The datanode request one plan transfer maps to.
+
+    A plain replica copy is a ``get``; anything weighted or spanning
+    several symbols is a ``combine`` the source daemon computes from
+    blocks it holds, so the transfer costs one block on the wire.
+    """
+    if (transfer.kind is TransferKind.COPY
+            and transfer.coefficients[0] == 1):
+        return ("get", {"block": (name, stripe_index,
+                                  transfer.symbols_read[0])})
+    parts = [((name, stripe_index, symbol), int(coefficient))
+             for symbol, coefficient
+             in zip(transfer.symbols_read, transfer.coefficients)]
+    return ("combine", {"parts": parts})

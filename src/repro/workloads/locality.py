@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import Code, SymbolKind, make_code
+from ..core import Code, make_code
 from ..scheduling import Task, tasks_for_load
 
 
@@ -49,7 +49,7 @@ def generate_tasks(code: Code, task_count: int, node_count: int,
         raise ValueError("task_count must be non-negative")
     tasks: list[Task] = []
     layout = code.layout
-    data_symbols = [s for s in layout.symbols if s.kind is SymbolKind.DATA]
+    data_symbols = layout.data_symbols()
     stripe = 0
     while len(tasks) < task_count:
         nodes = stripe_node_sample(rng, node_count, code.length)

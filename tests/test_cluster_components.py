@@ -7,7 +7,6 @@ import pytest
 from repro.cluster import (
     BlockId,
     BlockNotFoundError,
-    ClusterExecutionError,
     ClusterTopology,
     DataNode,
     MiniHDFS,
@@ -20,7 +19,7 @@ from repro.cluster import (
     StripeInfo,
     make_placement,
 )
-from repro.core import make_code
+from repro.core import PlanExecutionError, make_code
 
 
 class TestTopology:
@@ -268,10 +267,8 @@ class TestPlanRuntimeErrors:
         stripe = fs.namenode.file("f").stripes[0]
         plan = stripe.code.plan_degraded_read(0, set())
         # Fail the node the plan wants to read from, then execute.
-        from repro.cluster import run_read_plan
         source = stripe.slot_nodes[plan.transfers[0].source_slot] \
             if plan.transfers else stripe.slot_nodes[plan.reader_slot]
         fs.topology.fail(source)
-        with pytest.raises(ClusterExecutionError):
-            run_read_plan(stripe, plan, fs.datanodes, fs.topology,
-                          fs.ledger, None)
+        with pytest.raises(PlanExecutionError):
+            fs.run_read_plan(stripe, plan, None)

@@ -218,6 +218,59 @@ class TestRepair:
         assert fs.ledger.total_bytes("repair") == before
 
 
+class TestRepairAroundCorruptSources:
+    """A rotten source replica is planned around, as on the read path."""
+
+    def _wounded(self):
+        fs = make_fs(block_bytes=128)
+        data = payload(128 * 9)
+        fs.write_file("f", data, "pentagon")
+        stripe = fs.namenode.file("f").stripes[0]
+        source = stripe.code.plan_node_repair([0]).transfers[0]
+        assert stripe.code.can_recover((0, source.source_slot))
+        rotten = stripe.slot_nodes[source.source_slot]
+        fs.datanodes[rotten].corrupt(stripe.block_id(source.symbols_read[0]))
+        fs.fail_node(stripe.slot_nodes[0], permanent=True)
+        return fs, data, stripe, rotten
+
+    def test_repair_node_replans_and_heals_the_corrupt_slot(self):
+        fs, data, stripe, rotten = self._wounded()
+        victim = stripe.slot_nodes[0]
+        fs.repair_node(victim)
+        assert fs.topology.is_alive(victim)
+        assert fs.read_file("f") == data
+        assert fs.ledger.total_bytes("degraded-read") == 0
+        # Both the dead slot and the rotten one were rebuilt bit-exactly:
+        # every replica of every symbol verifies and matches its twin.
+        for symbol in stripe.code.layout.symbols:
+            copies = [fs.datanodes[node].get(stripe.block_id(symbol.index))
+                      for node in stripe.replica_nodes(symbol.index)]
+            assert all(np.array_equal(copies[0], copy) for copy in copies)
+        assert fs.datanodes[rotten].block_count == 4
+
+    def test_repair_all_replans_too(self):
+        fs, data, stripe, rotten = self._wounded()
+        fs.repair_all()
+        assert fs.topology.failed_nodes() == []
+        fs.datanodes[rotten].get(stripe.block_id(
+            stripe.code.layout.symbols_on_slot(
+                stripe.slot_of_node(rotten))[0]))       # verifies
+        assert fs.read_file("f") == data
+
+    def test_corruption_past_tolerance_is_unrecoverable(self):
+        """Only a pattern the code cannot decode raises."""
+        fs = make_fs(block_bytes=128)
+        fs.write_file("f", payload(128 * 9), "pentagon")
+        stripe = fs.namenode.file("f").stripes[0]
+        for slot in (0, 1):
+            fs.fail_node(stripe.slot_nodes[slot], permanent=True)
+        source = stripe.code.plan_node_repair([0, 1]).transfers[0]
+        fs.datanodes[stripe.slot_nodes[source.source_slot]].corrupt(
+            stripe.block_id(source.symbols_read[0]))
+        with pytest.raises(UnrecoverableStripeError):
+            fs.repair_all()
+
+
 class TestBatchedWritePath:
     def test_encode_stripes_bit_identical_to_encode(self):
         from repro.core import make_code

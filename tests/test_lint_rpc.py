@@ -135,6 +135,29 @@ class TestOpRegistries:
             ("rpc.unknown-op", "service/datanode.py", 11)]
 
 
+    def test_protocol_request_builders_count_as_senders(self, tmp_path):
+        """``transfer_request`` returns the frame its callers send."""
+        write(tmp_path, "service/datanode.py", DATANODE)
+        write(tmp_path, "service/protocol.py", """\
+            def transfer_request(name, stripe, transfer):
+                if transfer.plain:
+                    return ("get", {"block": (name, stripe, 0)})
+                return ("combyne", {"parts": []})
+
+            def unrelated():
+                return ("put", None)
+        """)
+        write(tmp_path, "service/client.py", """\
+            class StorageClient:
+                def use(self):
+                    self._dn_call(0, "delete", {})
+        """)
+        report = lint(tmp_path)
+        assert sorted(actives(report)) == [
+            ("rpc.unknown-op", "service/protocol.py", 4),
+            ("rpc.unused-op", "service/datanode.py", 3)]    # put
+
+
 class TestAsyncSurface:
     def test_async_op_handlers_register(self, tmp_path):
         write(tmp_path, "service/namenode.py", """\
