@@ -2,8 +2,8 @@
 
 ``repro lint`` runs AST checkers that encode the invariants the rest
 of the system depends on — determinism by construction, picklability
-across the executor seam, service lock discipline, a two-sided RPC
-surface, derived wire schemas, and the typed-error contract.  The
+across the executor seam, service lock discipline, the declared wire
+surface, and the typed-error contract.  The
 cross-function rules ride a project-wide call graph
 (:mod:`repro.analysis.callgraph`).  See :mod:`repro.analysis.core`
 for the framework and the waiver syntax, ``docs/linting.md`` for the
@@ -14,14 +14,12 @@ from .callgraph import CallGraph, get_callgraph
 from .core import (Checker, Finding, LintReport, Project, SourceFile,
                    Waiver, changed_paths, register,
                    registered_checkers, run_lint)
-from .schema import (FrameValidator, derive_wire_schema,
-                     load_wire_schema, render_wire_schema)
+from .schema import derive_wire_schema, render_wire_schema
 
 __all__ = [
     "CallGraph",
     "Checker",
     "Finding",
-    "FrameValidator",
     "LintReport",
     "Project",
     "SourceFile",
@@ -29,7 +27,6 @@ __all__ = [
     "changed_paths",
     "derive_wire_schema",
     "get_callgraph",
-    "load_wire_schema",
     "register",
     "registered_checkers",
     "render_wire_schema",

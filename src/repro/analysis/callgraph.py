@@ -121,7 +121,6 @@ class CallSite:
     awaited: bool
     # bare parameter names forwarded whole: (positional index, param)
     forwarded: tuple[tuple[int, str], ...] = ()
-    starred: str | None = None      # f(*data): the starred name
     callee: str | None = None       # resolved qualname (filled at build)
     # exception types of enclosing try/except handlers at this site
     caught: tuple[str, ...] = ()
@@ -157,7 +156,6 @@ class FunctionInfo:
     # payload reads: param -> key -> (required, first line)
     reads: dict[str, dict[str, tuple[bool, int]]] = field(
         default_factory=dict)
-    returns: list[ast.expr | None] = field(default_factory=list)
 
 
 @dataclass
@@ -194,21 +192,18 @@ class _Summarizer:
 
     def walk_body(self, body: list[ast.stmt]) -> None:
         for stmt in body:
-            self._walk(stmt, (), awaited=False, nested=False,
-                       caught=())
+            self._walk(stmt, (), awaited=False, caught=())
 
     def _walk(self, node: ast.AST,
               held: tuple[tuple[str, bool], ...],
-              awaited: bool, nested: bool,
-              caught: tuple[str, ...]) -> None:
+              awaited: bool, caught: tuple[str, ...]) -> None:
         fn = self.fn
         if isinstance(node, (ast.With, ast.AsyncWith)):
             is_sync = isinstance(node, ast.With)
             tokens: list[tuple[str, bool]] = []
             for item in node.items:
                 # the with-expression evaluates *before* the lock holds
-                self._walk(item.context_expr, held, awaited, nested,
-                           caught)
+                self._walk(item.context_expr, held, awaited, caught)
                 token = lock_token(item.context_expr)
                 if token is not None:
                     token = qualify_token(token, fn.cls)
@@ -219,36 +214,34 @@ class _Summarizer:
                     tokens.append((token, is_sync))
             inner = held + tuple(tokens)
             for stmt in node.body:
-                self._walk(stmt, inner, False, nested, caught)
+                self._walk(stmt, inner, False, caught)
             return
         if isinstance(node, ast.Try) or (
                 hasattr(ast, "TryStar")
                 and isinstance(node, ast.TryStar)):
             handled = caught + _handler_types(node.handlers)
             for stmt in node.body:
-                self._walk(stmt, held, False, nested, handled)
+                self._walk(stmt, held, False, handled)
             # handlers/orelse/finalbody run outside the handlers'
             # protection
             for handler in node.handlers:
                 for stmt in handler.body:
-                    self._walk(stmt, held, False, nested, caught)
+                    self._walk(stmt, held, False, caught)
             for stmt in [*node.orelse, *node.finalbody]:
-                self._walk(stmt, held, False, nested, caught)
+                self._walk(stmt, held, False, caught)
             return
         if isinstance(node, ast.Await):
             fn.awaits = True
-            self._walk(node.value, held, True, nested, caught)
+            self._walk(node.value, held, True, caught)
             return
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.Lambda)):
             # folded into the enclosing summary under definition-site
-            # locks; its returns are its own, not the enclosing fn's
+            # locks
             body = node.body if isinstance(node.body, list) else [node.body]
             for stmt in body:
-                self._walk(stmt, held, False, nested=True, caught=())
+                self._walk(stmt, held, False, caught=())
             return
-        if isinstance(node, ast.Return) and not nested:
-            fn.returns.append(node.value)
         if isinstance(node, ast.Raise) and node.exc is not None:
             target = node.exc
             if isinstance(target, ast.Call):
@@ -261,7 +254,7 @@ class _Summarizer:
         if isinstance(node, ast.Subscript):
             self._record_read(node)
         for child in ast.iter_child_nodes(node):
-            self._walk(child, held, awaited, nested, caught)
+            self._walk(child, held, awaited, caught)
 
     def _record_call(self, node: ast.Call,
                      held: tuple[tuple[str, bool], ...],
@@ -272,15 +265,10 @@ class _Summarizer:
         forwarded = tuple(
             (index, arg.id) for index, arg in enumerate(node.args)
             if isinstance(arg, ast.Name) and arg.id in self._params)
-        starred = None
-        for arg in node.args:
-            if (isinstance(arg, ast.Starred)
-                    and isinstance(arg.value, ast.Name)):
-                starred = arg.value.id
         fn.calls.append(CallSite(
             node.lineno, raw,
             tuple((qualify_token(t, fn.cls), s) for t, s in held),
-            awaited, forwarded, starred, caught=caught))
+            awaited, forwarded, caught=caught))
         # payload.get("key") reads
         func = node.func
         if (isinstance(func, ast.Attribute) and func.attr == "get"
@@ -422,8 +410,7 @@ class CallGraph:
         for info in self.functions.values():
             info.calls = [
                 CallSite(c.line, c.raw, c.held, c.awaited, c.forwarded,
-                         c.starred, self.resolve_call(c.raw, info),
-                         c.caught)
+                         self.resolve_call(c.raw, info), c.caught)
                 for c in info.calls
             ]
 

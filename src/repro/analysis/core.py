@@ -3,10 +3,10 @@
 The repo rests on invariants that ordinary tests only trip by luck:
 determinism by construction (every RNG derives from ``stable_seed``),
 picklability of everything that crosses the Serial/Pooled/Distributed
-executor seam, the service daemons' lock discipline, and a two-sided
-RPC surface.  Each invariant gets an AST checker
+executor seam, the service daemons' lock discipline, and a declared
+wire surface.  Each invariant gets an AST checker
 (:mod:`.determinism`, :mod:`.picklability`, :mod:`.locks`,
-:mod:`.rpc`); this module is the machinery they share.
+:mod:`.schema`); this module is the machinery they share.
 
 Architecture
 ------------
@@ -226,8 +226,9 @@ class Project:
         return [*self.files, *self.context_files]
 
     def find(self, suffix: str) -> SourceFile | None:
-        """The scanned file whose relative path ends with ``suffix``."""
-        for entry in self.files:
+        """The loaded file (scanned first, then context) whose relative
+        path ends with ``suffix``."""
+        for entry in self.all_files():
             if entry.rel.endswith(suffix):
                 return entry
         return None
@@ -289,7 +290,7 @@ def register(checker: Checker) -> Checker:
 def registered_checkers() -> dict[str, Checker]:
     """Name -> checker, with the built-in checker modules loaded."""
     from . import (determinism, exceptions, locks,  # noqa: F401
-                   picklability, rpc, schema)
+                   picklability, schema)
 
     return dict(_REGISTRY)
 

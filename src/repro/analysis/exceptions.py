@@ -160,14 +160,10 @@ def _error_code_table(graph: CallGraph
 
 def _handler_roots(graph: CallGraph) -> list:
     """The RPC entry points whose raise surface is the wire contract."""
-    roots = []
-    for fn in graph.functions.values():
-        if (fn.rel.endswith("service/namenode.py") and fn.cls
-                and fn.name.startswith("_op_")):
-            roots.append(fn)
-        elif (fn.rel.endswith("service/datanode.py") and fn.cls
-                and fn.name == "_handle"):
-            roots.append(fn)
+    roots = [fn for fn in graph.functions.values()
+             if fn.cls and fn.name.startswith("_op_")
+             and fn.rel.endswith(("service/namenode.py",
+                                  "service/datanode.py"))]
     return sorted(roots, key=lambda f: (f.rel, f.line))
 
 

@@ -1,51 +1,38 @@
-"""Wire-schema checker: derive RPC request/response schemas from the
-handler bodies and hold every call site to them.
+"""Wire-surface checker: hold handlers, call sites and frames to the
+declared op tables.
 
-The service speaks dicts over pickled frames: a namenode op is a
-``_op_<kind>`` method reading keys out of its ``data`` payload and
-returning a reply dict; a datanode op is an arm of ``_handle``'s
-``if kind == ...`` chain; the distributed executor exchanges framed
-``(kind, payload)`` tuples.  None of that is declared anywhere — the
-schema *is* the code — so a client passing ``{"node": ...}`` where the
-handler reads ``data["node_id"]`` fails at runtime, on the remote
-side, as a ``KeyError`` marshalled back as an internal error.
+The service's wire surface is declared once, as pure literals:
+``NAMENODE_OPS`` / ``DATANODE_OPS`` in ``service/protocol.py`` (op ->
+required request keys, optional request keys, reply keys), ``FRAMES``
+in ``experiments/distributed.py`` (frame kind -> payload shape) and
+``FRAMING_OPS`` in ``repro/net.py``.  The daemons dispatch from the op
+tables at run time (``protocol.dispatch``); this checker reads the
+same literals with :func:`ast.literal_eval` — scanned trees are never
+imported — and cross-checks everything that has to agree with them:
 
-This checker derives the schema from the handlers via the call graph
-(:mod:`.callgraph`) and cross-checks:
-
-* every client/worker call site's dict-literal payload (missing
-  required keys, keys the handler never reads),
-* every read of a reply dict against the union of the response
-  schemas the variable can carry,
-* the distributed frame shapes: send sites establish each kind's
-  payload shape (tuple arity / dict keys / none) and receive-side
-  tuple unpacks and ``f(*data)`` star-calls must match it,
-* the committed machine-readable artifact ``docs/wire_schema.json``
-  (regenerate with ``repro lint --emit-schema``) against the derived
-  truth — CI fails on drift.
-
-Request keys: a ``data["k"]`` read (transitively, following the
-payload forwarded whole into helpers) makes ``k`` required;
-``data.get("k")`` makes it optional.  Response schemas come from the
-return expressions: dict literals, dict-literal variables grown with
-constant subscript stores, and resolved helper calls; multiple
-returns merge (keys union, required intersection).  A non-dict return
-makes the response opaque (``kind: "any"``) and exempt from checks.
-
-The same derived schema drives an opt-in runtime validation shim:
-with ``REPRO_RPC_VALIDATE=1`` the RPC server (:mod:`repro.net`)
-asserts every request before dispatch and every reply after, so a
-schema violation fails loudly in tests instead of surfacing as a
-remote ``KeyError``.  :func:`load_wire_schema` serves the committed
-artifact (falling back to live derivation) and :class:`FrameValidator`
-does the checking.
+* every ``_op_<kind>`` handler body: the ``data["k"]`` /
+  ``data.get("k")`` reads (followed through helpers the payload is
+  forwarded into, via :meth:`.callgraph.CallGraph.payload_keys`) fit
+  the declaration, every declared op has a handler and every handler a
+  declaration;
+* every client call site: the kind is declared, a dict-literal payload
+  carries the required keys and no undeclared ones, reads of the reply
+  stay within the declared reply keys, and every declared op is sent
+  from somewhere (tests count as senders);
+* the distributed executor's frames: sends, dispatch arms, tuple
+  unpacks and ``f(*data)`` star-calls agree with ``FRAMES``;
+* the committed rendering ``docs/wire_schema.json`` (regenerate with
+  ``repro lint --emit-schema``) — CI fails on drift.
 
 Rules
 -----
-``schema.missing-key``      call site omits a key the handler requires
-``schema.unknown-key``      call site passes a key the handler never reads
-``schema.unknown-reply-key`` caller reads a reply key no response schema has
-``schema.frame-shape``      distributed frame sent/consumed with mismatched shape
+``schema.unknown-op``       kind sent or frame kind handled that is undeclared
+``schema.unused-op``        declared op or frame kind that nothing sends
+``schema.declaration``      op table and ``_op_*`` handlers disagree
+``schema.missing-key``      call site omits a key the op requires
+``schema.unknown-key``      call site passes a key the op does not declare
+``schema.unknown-reply-key`` caller reads a reply key the op does not declare
+``schema.frame-shape``      distributed frame at odds with its declared shape
 ``schema.artifact-drift``   docs/wire_schema.json is stale
 ``schema.artifact-missing`` docs/wire_schema.json has not been generated
 """
@@ -54,13 +41,12 @@ from __future__ import annotations
 
 import ast
 import json
-import pathlib
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .callgraph import CallGraph, FunctionInfo, get_callgraph
-from .core import (Checker, Finding, Project, SourceFile, default_root,
-                   dotted_name, register, string_literal)
+from .core import (Checker, Finding, Project, dotted_name, register,
+                   string_literal)
 
 #: Wire-schema artifact version; bump on incompatible format changes.
 WIRE_SCHEMA_VERSION = 1
@@ -68,241 +54,370 @@ WIRE_SCHEMA_VERSION = 1
 #: Repo-relative location of the committed artifact.
 ARTIFACT_REL = "docs/wire_schema.json"
 
+_PROTOCOL_FILE = "service/protocol.py"
+_FRAMES_FILE = "experiments/distributed.py"
+
+#: service -> (its table in service/protocol.py, the file whose
+#: classes carry its ``_op_*`` handlers)
+_SERVICES = {"namenode": ("NAMENODE_OPS", "service/namenode.py"),
+             "datanode": ("DATANODE_OPS", "service/datanode.py")}
+
 
 # ---------------------------------------------------------------------------
-# Derived schema model
+# The declarations
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ResponseSchema:
-    """Merged shape of a handler's return values."""
+class _Op:
+    """One declared RPC op.  ``rel``/``line`` start at the table entry
+    and move to the ``_op_*`` handler once one is found."""
 
-    kind: str = "dict"                  # "dict" | "any"
-    keys: set[str] = field(default_factory=set)
-    required: set[str] = field(default_factory=set)
-    complete: bool = True               # False once a ** spread appears
-
-    def as_dict(self) -> dict:
-        if self.kind != "dict":
-            return {"kind": self.kind}
-        return {"kind": "dict", "keys": sorted(self.keys),
-                "required": sorted(self.required),
-                "complete": self.complete}
-
-
-@dataclass
-class OpSchema:
-    """One RPC op: request keys in, response shape out."""
-
+    service: str
     kind: str
     rel: str
     line: int
-    required: set[str] = field(default_factory=set)
-    optional: set[str] = field(default_factory=set)
-    response: ResponseSchema = field(default_factory=ResponseSchema)
+    required: tuple = ()
+    optional: tuple = ()
+    reply: tuple | None = None          # None: the reply is not a dict
+    used: bool = False
 
     def as_dict(self) -> dict:
+        if self.reply is None:
+            response: dict = {"kind": "any"}
+        else:
+            response = {"kind": "dict", "keys": sorted(self.reply),
+                        "required": sorted(self.reply), "complete": True}
         return {"request": {"required": sorted(self.required),
                             "optional": sorted(self.optional)},
-                "response": self.response.as_dict()}
+                "response": response}
 
 
 @dataclass
 class FrameShape:
-    """Payload shape of one distributed frame kind, from send sites."""
+    """Declared payload shape of one distributed frame kind."""
 
-    kind: str                           # "tuple" | "dict" | "none" | "any"
+    kind: str                           # "tuple" | "dict" | "none"
     arity: int = 0
     keys: tuple[str, ...] = ()
-    rel: str = ""
     line: int = 0
+    sent: bool = False
+    handled: bool = False
+
+    @classmethod
+    def declared(cls, shape, line: int) -> "FrameShape":
+        """From a ``FRAMES`` value: ``None``, a tuple arity, or the
+        key names of a dict."""
+        if shape is None:
+            return cls("none", line=line)
+        if isinstance(shape, int):
+            return cls("tuple", arity=shape, line=line)
+        return cls("dict", keys=tuple(shape), line=line)
 
     def as_dict(self) -> dict:
         if self.kind == "tuple":
             return {"kind": "tuple", "arity": self.arity}
         if self.kind == "dict":
             return {"kind": "dict", "keys": sorted(self.keys)}
-        return {"kind": self.kind}
+        return {"kind": "none"}
+
+    def __str__(self) -> str:
+        if self.kind == "tuple":
+            return f"a {self.arity}-tuple"
+        if self.kind == "dict":
+            return f"a dict with keys {', '.join(sorted(self.keys))}"
+        return "None"
+
+
+class _Declared:
+    """Every table the loaded files declare; a table whose file is not
+    in view (a partial scan) is ``None`` and its checks are skipped."""
+
+    def __init__(self, project: Project):
+        self.findings: list[Finding] = []
+        self.services: dict[str, dict[str, _Op] | None] = {}
+        for service, (table, _handlers) in _SERVICES.items():
+            rel, rows = self._load(project, _PROTOCOL_FILE, table, dict)
+            self.services[service] = None if rows is None else {
+                kind: _Op(service, kind, rel, line, *spec)
+                for kind, spec, line in rows}
+        rel, rows = self._load(project, "repro/net.py", "FRAMING_OPS",
+                               tuple)
+        self.framing: dict[str, _Op] = {
+            kind: _Op("framing", kind, rel, line)
+            for kind, _, line in rows or ()}
+        self.frames_rel, rows = self._load(project, _FRAMES_FILE,
+                                           "FRAMES", dict)
+        self.frames: dict[str, FrameShape] | None = None if rows is None \
+            else {kind: FrameShape.declared(shape, line)
+                  for kind, shape, line in rows}
+
+    def _load(self, project: Project, suffix: str, name: str, kind: type
+              ) -> tuple[str, list[tuple[str, object, int]] | None]:
+        """``(rel, [(key, value, line), ...])`` of the module-level
+        ``name = <literal>`` in the loaded file ending with ``suffix``
+        (a tuple literal's elements are the keys); ``("", None)`` when
+        it is not in view."""
+        entry = project.find(suffix)
+        for node in (entry.tree.body if entry and entry.tree else ()):
+            if not (isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == name
+                    for target in node.targets)):
+                continue
+            try:
+                value = ast.literal_eval(node.value)
+            except ValueError:
+                value = None
+            if not isinstance(value, kind):
+                self.findings.append(Finding(
+                    "schema.declaration", entry.rel, node.lineno,
+                    f"{name} must be a pure {kind.__name__} literal "
+                    f"(the lint reads it without importing)"))
+                break
+            if kind is dict:
+                return entry.rel, [
+                    (key, value[key], item.lineno)
+                    for key, item in zip(value, node.value.keys)]
+            return entry.rel, [(key, None, item.lineno) for key, item
+                               in zip(value, node.value.elts)]
+        return "", None
+
+    def lookup(self, services: tuple[str, ...], kind: str
+               ) -> list[_Op] | None:
+        """The ops ``kind`` can mean at a call site against ``services``
+        (a framing kind is valid against any); ``None`` when one of the
+        candidate tables is not in view."""
+        tables = [self.services[service] for service in services]
+        if any(table is None for table in tables):
+            return None
+        return [table[kind] for table in [*tables, self.framing]
+                if kind in table]
+
+    def ready(self) -> bool:
+        """Every table the artifact renders is in view."""
+        return (self.frames is not None
+                and None not in self.services.values())
 
 
 # ---------------------------------------------------------------------------
-# Handler-side derivation
+# Handlers against the tables
 # ---------------------------------------------------------------------------
 
-def _dict_literal_shape(node: ast.Dict) -> tuple[set[str], bool]:
-    """String keys of a dict literal; ``complete=False`` when any key
-    is dynamic or a ``**`` spread appears."""
-    keys: set[str] = set()
-    complete = True
-    for key in node.keys:
-        if key is None:                 # ** spread
-            complete = False
+def _check_handlers(project: Project, graph: CallGraph,
+                    declared: _Declared) -> Iterable[Finding]:
+    for service, (table, handler_file) in _SERVICES.items():
+        ops = declared.services[service]
+        if ops is None or project.find(handler_file) is None:
             continue
-        text = string_literal(key)
-        if text is None:
-            complete = False
-        else:
-            keys.add(text)
-    return keys, complete
+        handlers = {fn.name: fn for fn in graph.functions.values()
+                    if fn.cls and fn.name.startswith("_op_")
+                    and fn.rel.endswith(handler_file)}
+        for op in ops.values():
+            fn = handlers.pop("_op_" + op.kind.replace("-", "_"), None)
+            if fn is None:
+                yield Finding(
+                    "schema.declaration", op.rel, op.line,
+                    f"{table} declares {op.kind!r} but {handler_file} "
+                    f"has no _op_{op.kind.replace('-', '_')} method")
+                continue
+            op.rel, op.line = fn.rel, fn.line
+            reads = (graph.payload_keys(fn.qualname, fn.params[0])
+                     if fn.params else {})
+            for key, (subscript, line) in sorted(reads.items()):
+                if key not in op.required + op.optional:
+                    yield Finding(
+                        "schema.declaration", fn.rel, line,
+                        f"{fn.name}() reads payload key {key!r}, which "
+                        f"{table}[{op.kind!r}] does not declare")
+                elif subscript and key not in op.required:
+                    yield Finding(
+                        "schema.declaration", fn.rel, line,
+                        f"{fn.name}() reads data[{key!r}] "
+                        f"unconditionally but {table}[{op.kind!r}] "
+                        f"declares it optional")
+            for key in op.required:
+                if key not in reads:
+                    yield Finding(
+                        "schema.declaration", fn.rel, fn.line,
+                        f"{table}[{op.kind!r}] requires {key!r} but "
+                        f"{fn.name}() never reads it")
+        for fn in sorted(handlers.values(), key=lambda f: f.line):
+            yield Finding(
+                "schema.declaration", fn.rel, fn.line,
+                f"{fn.name}() has no entry in {table}: dispatch will "
+                f"never reach it")
 
 
-def _var_dict_shape(fn: FunctionInfo, name: str
-                    ) -> tuple[set[str], set[str], bool] | None:
-    """Shape of a variable that is built as a dict literal and grown
-    with constant subscript stores (``out = {...}; out["k"] = v``).
-    Returns ``(literal_keys, stored_keys, complete)`` — stored keys
-    may sit behind conditionals, so they are part of the shape but
-    not guaranteed present."""
-    literal_keys: set[str] = set()
-    stored: set[str] = set()
-    complete = True
-    seeded = False
-    for node in ast.walk(fn.node):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if (isinstance(target, ast.Name) and target.id == name
-                        and isinstance(node.value, ast.Dict)):
-                    literal, literal_complete = _dict_literal_shape(
-                        node.value)
-                    literal_keys |= literal
-                    complete = complete and literal_complete
-                    seeded = True
-                elif (isinstance(target, ast.Subscript)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == name):
-                    key = string_literal(target.slice)
-                    if key is not None:
-                        stored.add(key)
-                    else:
-                        complete = False
-    if not seeded:
+# ---------------------------------------------------------------------------
+# Client-side call sites and reply reads
+# ---------------------------------------------------------------------------
+
+_EITHER = ("namenode", "datanode")
+
+
+def _wire_call(node: ast.AST
+               ) -> tuple[tuple[str, ...], str, ast.expr | None] | None:
+    """``(candidate services, kind, payload expr)`` when ``node`` is an
+    RPC call with a literal kind: ``_nn_call(kind, data)``,
+    ``_dn_call``/``dn_call_sync(node, kind, data)``, the bare framed
+    ``call(sock, kind, data)``, ``client.call(kind, data)`` and
+    ``pool.call(address, kind, data)``."""
+    if not isinstance(node, ast.Call):
         return None
-    return literal_keys, stored, complete
+    func = node.func
+    attr = func.attr if isinstance(func, ast.Attribute) else None
+    bare = func.id if isinstance(func, ast.Name) else None
+    if "_nn_call" in (attr, bare):
+        services, index = ("namenode",), 0
+    elif attr in ("_dn_call", "dn_call_sync"):
+        services, index = ("datanode",), 1
+    elif bare == "call":
+        services, index = _EITHER, 1
+    elif attr == "call":
+        services, index = _EITHER, 0
+        if (len(node.args) > 1
+                and string_literal(node.args[0]) is None):
+            index = 1
+    else:
+        return None
+    if len(node.args) <= index:
+        return None
+    kind = string_literal(node.args[index])
+    if kind is None:
+        return None
+    payload = node.args[index + 1] if len(node.args) > index + 1 else None
+    return services, kind, payload
 
 
-def _response_from_expr(expr: ast.expr | None, fn: FunctionInfo,
-                        graph: CallGraph,
-                        stack: frozenset) -> ResponseSchema:
-    if isinstance(expr, ast.Dict):
-        keys, complete = _dict_literal_shape(expr)
-        return ResponseSchema("dict", set(keys), set(keys), complete)
-    if isinstance(expr, ast.Name):
-        shape = _var_dict_shape(fn, expr.id)
-        if shape is not None:
-            literal_keys, stored, complete = shape
-            return ResponseSchema(
-                "dict", literal_keys | stored,
-                set(literal_keys) if complete else set(), complete)
-        return ResponseSchema("any")
-    if isinstance(expr, ast.Call):
-        raw = dotted_name(expr.func)
-        callee = graph.resolve_call(raw, fn)
-        if callee is not None and callee not in stack:
-            target = graph.functions.get(callee)
-            if target is not None:
-                return _response_from_function(target, graph,
-                                               stack | {callee})
-        return ResponseSchema("any")
-    return ResponseSchema("any")
+def _built_request(node: ast.AST
+                   ) -> tuple[tuple[str, ...], str, ast.expr] | None:
+    """``return ("kind", {...})`` in ``service/protocol.py``: a request
+    builder (``transfer_request``) whose callers send what it returns."""
+    if not (isinstance(node, ast.Return)
+            and isinstance(node.value, ast.Tuple)
+            and len(node.value.elts) == 2
+            and isinstance(node.value.elts[1], ast.Dict)):
+        return None
+    kind = string_literal(node.value.elts[0])
+    return None if kind is None else (_EITHER, kind, node.value.elts[1])
 
 
-def _merge_responses(schemas: list[ResponseSchema]) -> ResponseSchema:
-    if not schemas:
-        return ResponseSchema("any")
-    if any(schema.kind != "dict" for schema in schemas):
-        return ResponseSchema("any")
-    merged = ResponseSchema("dict")
-    merged.keys = set().union(*(schema.keys for schema in schemas))
-    merged.required = set.intersection(
-        *(schema.required for schema in schemas))
-    merged.complete = all(schema.complete for schema in schemas)
-    return merged
+def _dict_literal_keys(node: ast.expr | None) -> set[str] | None:
+    """String keys of a dict literal; ``None`` unless it is one with
+    constant keys only (no ``**`` spread)."""
+    if not isinstance(node, ast.Dict):
+        return None
+    keys = {string_literal(key) if key is not None else None
+            for key in node.keys}
+    return None if None in keys else keys
 
 
-def _response_from_function(fn: FunctionInfo, graph: CallGraph,
-                            stack: frozenset = frozenset()
-                            ) -> ResponseSchema:
-    return _merge_responses([
-        _response_from_expr(value, fn, graph, stack)
-        for value in fn.returns
-    ])
+def _payload_findings(op: _Op, keys: set[str], rel: str, line: int
+                      ) -> list[Finding]:
+    out = [Finding(
+        "schema.missing-key", rel, line,
+        f"{op.service} op {op.kind!r} requires payload key {key!r} "
+        f"but this call omits it")
+        for key in sorted(set(op.required) - keys)]
+    out += [Finding(
+        "schema.unknown-key", rel, line,
+        f"{op.service} op {op.kind!r} declares no payload key {key!r}")
+        for key in sorted(keys - set(op.required) - set(op.optional))]
+    return out
 
 
-def _response_from_statements(stmts: list[ast.stmt], fn: FunctionInfo,
-                              graph: CallGraph) -> ResponseSchema:
-    """Response schema from the ``return``s of one ``_handle`` arm."""
-    returns: list[ast.expr | None] = []
-    for stmt in stmts:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Return):
-                returns.append(node.value)
-    return _merge_responses([
-        _response_from_expr(value, fn, graph, frozenset())
-        for value in returns
-    ])
-
-
-def _namenode_ops(graph: CallGraph) -> dict[str, OpSchema]:
-    """Ops from ``_op_<kind>`` methods in ``service/namenode.py``."""
-    ops: dict[str, OpSchema] = {}
-    for fn in graph.functions.values():
-        if (not fn.rel.endswith("service/namenode.py")
-                or fn.cls is None or not fn.name.startswith("_op_")):
+def _check_call_sites(project: Project, declared: _Declared
+                      ) -> Iterable[Finding]:
+    """Every send in scanned *and* context files: an op exercised only
+    by the test suite still counts as used."""
+    for entry in project.all_files():
+        if entry.tree is None:
             continue
-        kind = fn.name[len("_op_"):].replace("_", "-")
-        op = OpSchema(kind, fn.rel, fn.line)
-        if fn.params:
-            for key, (required, _line) in graph.payload_keys(
-                    fn.qualname, fn.params[0]).items():
-                (op.required if required else op.optional).add(key)
-        op.optional -= op.required
-        op.response = _response_from_function(fn, graph)
-        ops[kind] = op
-    return ops
+        builders = entry.rel.endswith(_PROTOCOL_FILE)
+        for node in ast.walk(entry.tree):
+            site = _wire_call(node) or (builders and _built_request(node))
+            if not site:
+                continue
+            services, kind, payload = site
+            ops = declared.lookup(services, kind)
+            if ops is None:
+                continue
+            if not ops:
+                yield Finding(
+                    "schema.unknown-op", entry.rel, node.lineno,
+                    f"op {kind!r} is sent but "
+                    f"{' / '.join(_SERVICES[s][0] for s in services)} "
+                    f"does not declare it")
+                continue
+            for op in ops:
+                op.used = True
+            keys = _dict_literal_keys(payload)
+            if keys is not None:
+                problems = [_payload_findings(op, keys, entry.rel,
+                                              node.lineno) for op in ops]
+                if all(problems):       # fits none of the candidates
+                    yield from problems[0]
 
 
-def _arm_payload_keys(stmts: list[ast.stmt], fn: FunctionInfo,
-                      payload: str, graph: CallGraph
-                      ) -> tuple[set[str], set[str]]:
-    """Required/optional keys one ``_handle`` arm reads off ``data``."""
-    required: set[str] = set()
-    optional: set[str] = set()
-    for stmt in stmts:
-        for node in ast.walk(stmt):
-            if (isinstance(node, ast.Subscript)
-                    and isinstance(node.ctx, ast.Load)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == payload):
-                key = string_literal(node.slice)
-                if key is not None:
-                    required.add(key)
-            elif (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "get"
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id == payload and node.args):
-                key = string_literal(node.args[0])
-                if key is not None:
-                    optional.add(key)
-            elif isinstance(node, ast.Call):
-                # the payload forwarded whole into a helper
-                raw = dotted_name(node.func)
-                callee = graph.resolve_call(raw, fn)
-                if callee is None:
-                    continue
-                target = graph.functions.get(callee)
-                if target is None:
-                    continue
-                for index, arg in enumerate(node.args):
-                    if (isinstance(arg, ast.Name) and arg.id == payload
-                            and index < len(target.params)):
-                        for key, (req, _line) in graph.payload_keys(
-                                callee, target.params[index]).items():
-                            (required if req else optional).add(key)
-    return required, optional - required
+def _unused_ops(declared: _Declared) -> Iterable[Finding]:
+    for table in [*declared.services.values(), declared.framing]:
+        for op in (table or {}).values():
+            if not op.used:
+                yield Finding(
+                    "schema.unused-op", op.rel, op.line,
+                    f"{op.service} op {op.kind!r} has no call site in "
+                    f"src or tests")
 
 
-def _kind_compare(test: ast.expr) -> tuple[str, str] | None:
+def _check_reply_reads(graph: CallGraph, declared: _Declared
+                       ) -> Iterable[Finding]:
+    """Reads of reply dicts checked against the declared reply keys of
+    every op the variable can carry."""
+    for fn in sorted(graph.functions.values(),
+                     key=lambda f: (f.rel, f.line)):
+        replies: dict[str, list[_Op]] = {}
+        opaque: set[str] = set()
+        for node in ast.walk(fn.node):
+            if not isinstance(node, ast.Assign):
+                continue
+            value = node.value
+            if isinstance(value, ast.Await):
+                value = value.value
+            names = [t.id for t in node.targets
+                     if isinstance(t, ast.Name)]
+            if not names or not isinstance(value, ast.Call):
+                continue
+            site = _wire_call(value)
+            ops = declared.lookup(site[0], site[1]) if site else None
+            for name in names:
+                if ops:
+                    replies.setdefault(name, []).extend(ops)
+                else:
+                    opaque.add(name)    # non-RPC or undeclared source
+        for name, sources in replies.items():
+            if name in opaque or any(op.reply is None for op in sources):
+                continue
+            known = set().union(*(op.reply for op in sources))
+            origin = ", ".join(sorted({f"{op.kind!r}" for op in sources}))
+            for node in ast.walk(fn.node):
+                if (isinstance(node, ast.Subscript)
+                        and isinstance(node.ctx, ast.Load)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == name):
+                    key = string_literal(node.slice)
+                    if key is not None and key not in known:
+                        yield Finding(
+                            "schema.unknown-reply-key", fn.rel,
+                            node.lineno,
+                            f"reply of op(s) {origin} has no key "
+                            f"{key!r} (declared reply keys: "
+                            f"{', '.join(sorted(known)) or 'none'})")
+
+
+# ---------------------------------------------------------------------------
+# Distributed frames
+# ---------------------------------------------------------------------------
+
+def _kind_compare(test: ast.AST) -> tuple[str, str] | None:
     """``("==", kind)`` / ``("!=", kind)`` for ``kind <op> "lit"``."""
     if not (isinstance(test, ast.Compare)
             and isinstance(test.left, ast.Name)
@@ -316,71 +431,6 @@ def _kind_compare(test: ast.expr) -> tuple[str, str] | None:
     if isinstance(test.ops[0], ast.NotEq):
         return "!=", literal
     return None
-
-
-def _datanode_ops(graph: CallGraph) -> dict[str, OpSchema]:
-    """Ops from the ``if kind == ...`` arms of ``_handle`` in
-    ``service/datanode.py``."""
-    ops: dict[str, OpSchema] = {}
-    for fn in graph.functions.values():
-        if (not fn.rel.endswith("service/datanode.py")
-                or fn.cls is None or fn.name != "_handle"):
-            continue
-        payload = fn.params[1] if len(fn.params) > 1 else "data"
-
-        def collect(stmts: list[ast.stmt]) -> None:
-            for stmt in stmts:
-                if not isinstance(stmt, ast.If):
-                    continue
-                compare = _kind_compare(stmt.test)
-                if compare is not None and compare[0] == "==":
-                    kind = compare[1]
-                    op = OpSchema(kind, fn.rel, stmt.lineno)
-                    op.required, op.optional = _arm_payload_keys(
-                        stmt.body, fn, payload, graph)
-                    op.response = _response_from_statements(
-                        stmt.body, fn, graph)
-                    ops.setdefault(kind, op)
-                collect(stmt.orelse)
-
-        collect(fn.node.body)
-    return ops
-
-
-# ---------------------------------------------------------------------------
-# Distributed frame shapes
-# ---------------------------------------------------------------------------
-
-def _frame_payload_shape(expr: ast.expr, fn: FunctionInfo
-                         ) -> FrameShape:
-    if isinstance(expr, ast.Tuple):
-        return FrameShape("tuple", arity=len(expr.elts))
-    if isinstance(expr, ast.Dict):
-        keys, complete = _dict_literal_shape(expr)
-        if complete:
-            return FrameShape("dict", keys=tuple(sorted(keys)))
-        return FrameShape("any")
-    if isinstance(expr, ast.Constant) and expr.value is None:
-        return FrameShape("none")
-    if isinstance(expr, ast.Name):
-        # chase a single tuple/dict assignment in the same function
-        shapes = []
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if (isinstance(target, ast.Name)
-                            and target.id == expr.id):
-                        shapes.append(_frame_payload_shape(
-                            node.value, fn))
-        if shapes and all(s.kind == shapes[0].kind
-                          and s.arity == shapes[0].arity
-                          for s in shapes):
-            return shapes[0]
-    return FrameShape("any")
-
-
-def _is_frame_file(rel: str) -> bool:
-    return rel.endswith("experiments/distributed.py")
 
 
 def _frame_kinds(expr: ast.expr, fn: FunctionInfo
@@ -404,59 +454,73 @@ def _frame_kinds(expr: ast.expr, fn: FunctionInfo
     return []
 
 
-def _frame_sends(graph: CallGraph
-                 ) -> tuple[dict[str, FrameShape], list[Finding]]:
-    """Frame kind -> payload shape, from every send site in the
-    distributed executor; conflicting tuple arities are findings."""
-    shapes: dict[str, FrameShape] = {}
-    findings: list[Finding] = []
+def _fits(payload: ast.expr, shape: FrameShape) -> bool:
+    """Whether a literal payload expression has the declared shape
+    (anything that is not a literal is not judged)."""
+    if isinstance(payload, ast.Tuple):
+        return shape.kind == "tuple" and len(payload.elts) == shape.arity
+    if isinstance(payload, ast.Dict):
+        keys = _dict_literal_keys(payload)
+        return keys is None or (shape.kind == "dict"
+                                and keys == set(shape.keys))
+    if isinstance(payload, ast.Constant) and payload.value is None:
+        return shape.kind == "none"
+    return True
+
+
+def _check_frames(graph: CallGraph, declared: _Declared
+                  ) -> Iterable[Finding]:
+    """Sends, dispatch arms and payload unpacks in the distributed
+    executor against ``FRAMES`` (both ends live in the one module)."""
+    frames = declared.frames
+    if frames is None:
+        return
+    undeclared = ("frame kind {!r} is {} but FRAMES does not declare it")
     for fn in sorted(graph.functions.values(),
                      key=lambda f: (f.rel, f.line)):
-        if not _is_frame_file(fn.rel):
+        if not fn.rel.endswith(_FRAMES_FILE):
             continue
         for node in ast.walk(fn.node):
+            compare = _kind_compare(node)
+            if compare is not None:
+                if compare[1] in frames:
+                    frames[compare[1]].handled = True
+                else:
+                    yield Finding("schema.unknown-op", fn.rel, node.lineno,
+                                  undeclared.format(compare[1], "handled"))
             if not isinstance(node, ast.Call):
                 continue
             raw = dotted_name(node.func)
             head, _, attr = raw.rpartition(".")
-            if (attr == "send_frame" or raw == "send_frame") \
-                    and len(node.args) >= 2:
+            if attr == "send_frame" and len(node.args) >= 2:
                 frame = node.args[1]    # send_frame(sock, frame)
             elif attr == "send" and head and len(node.args) == 1:
                 frame = node.args[0]    # conn.send(frame)
             else:
                 continue
             for kind, payload in _frame_kinds(frame, fn):
-                shape = _frame_payload_shape(payload, fn)
-                shape.rel, shape.line = fn.rel, node.lineno
-                known = shapes.get(kind)
-                if known is None:
-                    shapes[kind] = shape
-                elif (known.kind == "tuple" and shape.kind == "tuple"
-                        and known.arity != shape.arity):
-                    findings.append(Finding(
+                shape = frames.get(kind)
+                if shape is None:
+                    yield Finding("schema.unknown-op", fn.rel, node.lineno,
+                                  undeclared.format(kind, "sent"))
+                    continue
+                shape.sent = True
+                if not _fits(payload, shape):
+                    yield Finding(
                         "schema.frame-shape", fn.rel, node.lineno,
-                        f"frame {kind!r} sent with a "
-                        f"{shape.arity}-tuple here but a "
-                        f"{known.arity}-tuple at "
-                        f"{known.rel}:{known.line}"))
-    return shapes, findings
-
-
-def _frame_receives(graph: CallGraph, shapes: dict[str, FrameShape]
-                    ) -> Iterable[Finding]:
-    """Receive-side shape checks: tuple unpacks and star-calls of the
-    frame payload under an established ``kind`` must match the send
-    shape."""
-    for fn in sorted(graph.functions.values(),
-                     key=lambda f: (f.rel, f.line)):
-        if not _is_frame_file(fn.rel):
-            continue
+                        f"frame {kind!r} is declared {shape} "
+                        f"(FRAMES, line {shape.line}) but sent with a "
+                        f"different payload here")
         payload_vars = _payload_vars(fn)
-        if not payload_vars:
-            continue
-        yield from _scan_receive_block(fn.node.body, None, fn,
-                                       payload_vars, shapes, graph)
+        if payload_vars:
+            yield from _scan_receive_block(fn.node.body, None, fn,
+                                           payload_vars, frames, graph)
+    for kind, shape in frames.items():
+        if not (shape.sent and shape.handled):
+            yield Finding(
+                "schema.unused-op", declared.frames_rel, shape.line,
+                f"frame kind {kind!r} is declared but never "
+                f"{'handled' if shape.sent else 'sent'}")
 
 
 def _payload_vars(fn: FunctionInfo) -> set[str]:
@@ -524,28 +588,20 @@ def _check_receive_statement(stmt: ast.stmt, kind: str,
                              shapes: dict[str, FrameShape],
                              graph: CallGraph) -> Iterable[Finding]:
     shape = shapes.get(kind)
-    if shape is None or shape.kind == "any":
+    if shape is None:
         return
     if isinstance(stmt, ast.Assign):
         for target in stmt.targets:
             if (isinstance(target, ast.Tuple)
                     and isinstance(stmt.value, ast.Name)
-                    and stmt.value.id in payload_vars):
-                arity = len(target.elts)
-                if shape.kind != "tuple":
-                    yield Finding(
-                        "schema.frame-shape", fn.rel, stmt.lineno,
-                        f"frame {kind!r} payload is "
-                        f"{shape.kind} (sent at {shape.rel}:"
-                        f"{shape.line}) but unpacked as a "
-                        f"{arity}-tuple")
-                elif arity != shape.arity:
-                    yield Finding(
-                        "schema.frame-shape", fn.rel, stmt.lineno,
-                        f"frame {kind!r} payload is a "
-                        f"{shape.arity}-tuple (sent at {shape.rel}:"
-                        f"{shape.line}) but unpacked as a "
-                        f"{arity}-tuple")
+                    and stmt.value.id in payload_vars
+                    and (shape.kind != "tuple"
+                         or len(target.elts) != shape.arity)):
+                yield Finding(
+                    "schema.frame-shape", fn.rel, stmt.lineno,
+                    f"frame {kind!r} is declared {shape} (FRAMES, "
+                    f"line {shape.line}) but unpacked as a "
+                    f"{len(target.elts)}-tuple")
     for node in ast.walk(stmt):
         if not isinstance(node, ast.Call):
             continue
@@ -564,291 +620,68 @@ def _check_receive_statement(stmt: ast.stmt, kind: str,
         if shape.kind == "tuple" and expected != shape.arity:
             yield Finding(
                 "schema.frame-shape", fn.rel, node.lineno,
-                f"frame {kind!r} payload is a {shape.arity}-tuple "
-                f"(sent at {shape.rel}:{shape.line}) but "
-                f"{target.name}() takes {expected} payload "
-                f"argument(s)")
-
-
-# ---------------------------------------------------------------------------
-# Client-side call sites and reply reads
-# ---------------------------------------------------------------------------
-
-@dataclass
-class _WireCall:
-    """One resolved client-side RPC call site."""
-
-    service: str                        # "namenode" | "datanode"
-    kind: str
-    payload: ast.expr | None
-    node: ast.Call
-    line: int
-
-
-def _wire_call(node: ast.Call, ops: dict[str, dict[str, OpSchema]]
-               ) -> _WireCall | None:
-    """Classify a call expression as an RPC call site, if it is one."""
-    raw = dotted_name(node.func)
-    if not raw:
-        return None
-    head, _, attr = raw.rpartition(".")
-
-    def make(service: str, kind_arg: int) -> _WireCall | None:
-        if len(node.args) <= kind_arg:
-            return None
-        kind = string_literal(node.args[kind_arg])
-        if kind is None:
-            return None
-        payload = (node.args[kind_arg + 1]
-                   if len(node.args) > kind_arg + 1 else None)
-        return _WireCall(service, kind, payload, node, node.lineno)
-
-    if attr == "_nn_call" or raw == "_nn_call":
-        return make("namenode", 0)
-    if attr in {"_dn_call", "dn_call_sync"}:
-        return make("datanode", 1)
-    if raw == "call":                   # module-level call(sock, kind, data)
-        found = make("datanode", 1)
-        if found is not None and found.kind not in ops["datanode"] \
-                and found.kind in ops["namenode"]:
-            found.service = "namenode"
-        return found
-    if attr == "call" and head:         # client.call(kind, data)
-        found = make("namenode", 0)
-        if found is None:
-            return None
-        if found.kind not in ops["namenode"] \
-                and found.kind in ops["datanode"]:
-            found.service = "datanode"
-        return found
-    return None
-
-
-def _check_call_sites(graph: CallGraph,
-                      ops: dict[str, dict[str, OpSchema]]
-                      ) -> Iterable[Finding]:
-    for fn in sorted(graph.functions.values(),
-                     key=lambda f: (f.rel, f.line)):
-        for node in ast.walk(fn.node):
-            if not isinstance(node, ast.Call):
-                continue
-            site = _wire_call(node, ops)
-            if site is None:
-                continue
-            op = ops[site.service].get(site.kind)
-            if op is None:
-                continue                # rpc checker owns unknown ops
-            if not isinstance(site.payload, ast.Dict):
-                continue                # only literal payloads checked
-            keys, complete = _dict_literal_shape(site.payload)
-            if not complete:
-                continue
-            for missing in sorted(op.required - keys):
-                yield Finding(
-                    "schema.missing-key", fn.rel, site.line,
-                    f"{site.service} op {site.kind!r} requires "
-                    f"payload key {missing!r} (read at {op.rel}:"
-                    f"{op.line}) but this call omits it")
-            for unknown in sorted(keys - op.required - op.optional):
-                yield Finding(
-                    "schema.unknown-key", fn.rel, site.line,
-                    f"{site.service} op {site.kind!r} never reads "
-                    f"payload key {unknown!r} (handler at {op.rel}:"
-                    f"{op.line})")
-
-
-def _check_reply_reads(graph: CallGraph,
-                       ops: dict[str, dict[str, OpSchema]]
-                       ) -> Iterable[Finding]:
-    """Reads of reply dicts checked against the union of the response
-    schemas a variable can carry (skipped unless all are complete)."""
-    for fn in sorted(graph.functions.values(),
-                     key=lambda f: (f.rel, f.line)):
-        replies: dict[str, list[OpSchema]] = {}
-        opaque: set[str] = set()
-        for node in ast.walk(fn.node):
-            if not isinstance(node, ast.Assign):
-                continue
-            value = node.value
-            if isinstance(value, ast.Await):
-                value = value.value
-            names = [t.id for t in node.targets
-                     if isinstance(t, ast.Name)]
-            if not names or not isinstance(value, ast.Call):
-                continue
-            site = _wire_call(value, ops)
-            if site is None:
-                for name in names:
-                    opaque.add(name)    # reassigned from non-RPC
-                continue
-            op = ops[site.service].get(site.kind)
-            for name in names:
-                if op is None:
-                    opaque.add(name)
-                else:
-                    replies.setdefault(name, []).append(op)
-        for name, sources in replies.items():
-            if name in opaque:
-                continue
-            responses = [op.response for op in sources]
-            if any(r.kind != "dict" or not r.complete
-                   for r in responses):
-                continue
-            known = set().union(*(r.keys for r in responses))
-            origin = ", ".join(sorted({f"{op.kind!r}"
-                                       for op in sources}))
-            for node in ast.walk(fn.node):
-                if (isinstance(node, ast.Subscript)
-                        and isinstance(node.ctx, ast.Load)
-                        and isinstance(node.value, ast.Name)
-                        and node.value.id == name):
-                    key = string_literal(node.slice)
-                    if key is not None and key not in known:
-                        yield Finding(
-                            "schema.unknown-reply-key", fn.rel,
-                            node.lineno,
-                            f"reply of op(s) {origin} has no key "
-                            f"{key!r} (response keys: "
-                            f"{', '.join(sorted(known)) or 'none'})")
+                f"frame {kind!r} is declared {shape} (FRAMES, line "
+                f"{shape.line}) but {target.name}() takes {expected} "
+                f"payload argument(s)")
 
 
 # ---------------------------------------------------------------------------
 # The artifact
 # ---------------------------------------------------------------------------
 
-def derive_wire_schema(project: Project) -> dict:
-    """The machine-readable wire schema derived from the handlers."""
-    graph = get_callgraph(project)
-    shapes, _ = _frame_sends(graph)
+def _render(declared: _Declared) -> dict:
     return {
         "version": WIRE_SCHEMA_VERSION,
         "services": {
-            "namenode": {kind: op.as_dict() for kind, op
-                         in sorted(_namenode_ops(graph).items())},
-            "datanode": {kind: op.as_dict() for kind, op
-                         in sorted(_datanode_ops(graph).items())},
-        },
-        "frames": {kind: shape.as_dict()
-                   for kind, shape in sorted(shapes.items())},
+            service: {kind: op.as_dict()
+                      for kind, op in sorted((table or {}).items())}
+            for service, table in declared.services.items()},
+        "frames": {kind: shape.as_dict() for kind, shape
+                   in sorted((declared.frames or {}).items())},
     }
+
+
+def derive_wire_schema(project: Project) -> dict:
+    """The declared tables in the machine-readable v1 layout."""
+    return _render(_Declared(project))
 
 
 def render_wire_schema(schema: dict) -> str:
     return json.dumps(schema, indent=2, sort_keys=True) + "\n"
 
 
-def load_wire_schema(root: pathlib.Path | None = None) -> dict:
-    """The committed artifact, or a live derivation when absent (a
-    source checkout mid-edit, an installed package without docs/)."""
-    root = root or default_root()
-    artifact = root / ARTIFACT_REL
-    if artifact.is_file():
-        return json.loads(artifact.read_text(encoding="utf-8"))
-    project = Project(root, None)
-    return derive_wire_schema(project)
-
-
-# ---------------------------------------------------------------------------
-# Runtime validation (REPRO_RPC_VALIDATE=1)
-# ---------------------------------------------------------------------------
-
-class FrameValidator:
-    """Assert live RPC frames against the derived schema.
-
-    Returns problem strings rather than raising so the transport
-    (:mod:`repro.net`) can wrap violations in its own typed error.
-    """
-
-    def __init__(self, schema: dict):
-        self._services: dict = schema.get("services", {})
-
-    def validate_request(self, service: str, kind: str,
-                         payload) -> str | None:
-        op = self._services.get(service, {}).get(kind)
-        if op is None:
-            return None                 # unknown op: dispatch decides
-        request = op.get("request", {})
-        required = set(request.get("required", ()))
-        optional = set(request.get("optional", ()))
-        if not isinstance(payload, dict):
-            if required:
-                return (f"op {kind!r} needs a dict payload with "
-                        f"key(s) {', '.join(sorted(required))}; got "
-                        f"{type(payload).__name__}")
-            return None
-        keys = {key for key in payload if isinstance(key, str)}
-        missing = required - keys
-        if missing:
-            return (f"op {kind!r} payload is missing required "
-                    f"key(s) {', '.join(sorted(missing))}")
-        unknown = keys - required - optional
-        if unknown:
-            return (f"op {kind!r} payload has unknown key(s) "
-                    f"{', '.join(sorted(unknown))}")
-        return None
-
-    def validate_reply(self, service: str, kind: str,
-                       reply) -> str | None:
-        op = self._services.get(service, {}).get(kind)
-        if op is None:
-            return None
-        response = op.get("response", {})
-        if response.get("kind") != "dict" \
-                or not response.get("complete", False):
-            return None
-        if not isinstance(reply, dict):
-            return (f"op {kind!r} reply should be a dict; got "
-                    f"{type(reply).__name__}")
-        missing = set(response.get("required", ())) - set(reply)
-        if missing:
-            return (f"op {kind!r} reply is missing key(s) "
-                    f"{', '.join(sorted(missing))}")
-        return None
-
-
 # ---------------------------------------------------------------------------
 # The checker
 # ---------------------------------------------------------------------------
 
-#: Files the schema derivation reads; the drift gate only runs when
-#: every one that exists on disk is actually loaded into the project.
-_SOURCE_SUFFIXES = ("service/namenode.py", "service/datanode.py",
-                    "experiments/distributed.py")
-
-
-def _derivation_sources_loaded(project: Project) -> bool:
-    from .core import SKIP_DIRS
-    loaded = {entry.rel for entry in project.all_files()}
-    for suffix in _SOURCE_SUFFIXES:
-        filename = suffix.rsplit("/", 1)[1]
-        for path in project.root.rglob(filename):
-            if any(part in SKIP_DIRS for part in path.parts):
-                continue
-            rel = path.relative_to(project.root).as_posix()
-            if rel.endswith(suffix) and rel not in loaded:
-                return False
-    return True
-
-
 class WireSchemaChecker(Checker):
     name = "schema"
     rules = {
+        "schema.unknown-op":
+            "op or frame kind sent (or a frame kind handled) that no "
+            "table declares; dispatch answers it with bad-request",
+        "schema.unused-op":
+            "declared op or frame kind that no call site in src/tests "
+            "ever sends; dead surface or a lost caller",
+        "schema.declaration":
+            "op table and _op_* handlers disagree: undeclared key "
+            "read, required key never read, op without handler, "
+            "handler without op, or a table that is not a pure literal",
         "schema.missing-key":
-            "RPC call site omits a payload key the handler reads "
-            "unconditionally — a remote KeyError at runtime",
+            "RPC call site omits a payload key the op requires — "
+            "dispatch refuses it at runtime",
         "schema.unknown-key":
-            "RPC call site passes a payload key the handler never "
-            "reads — dead weight on the wire, usually a typo",
+            "RPC call site passes a payload key the op does not "
+            "declare — dispatch refuses it, usually a typo",
         "schema.unknown-reply-key":
-            "caller reads a reply key absent from every response "
-            "schema the variable can carry",
+            "caller reads a reply key absent from the declared reply "
+            "keys of every op the variable can carry",
         "schema.frame-shape":
-            "distributed frame sent and consumed with different "
-            "payload shapes (tuple arity / dict / none)",
+            "distributed frame sent or consumed with a payload shape "
+            "other than the one FRAMES declares",
         "schema.artifact-drift":
-            "docs/wire_schema.json no longer matches the schema "
-            "derived from the handlers; regenerate with "
-            "`repro lint --emit-schema`",
+            "docs/wire_schema.json no longer matches the declared "
+            "tables; regenerate with `repro lint --emit-schema`",
         "schema.artifact-missing":
             "docs/wire_schema.json has not been generated; run "
             "`repro lint --emit-schema`",
@@ -856,25 +689,22 @@ class WireSchemaChecker(Checker):
 
     def run(self, project: Project) -> Iterable[Finding]:
         graph = get_callgraph(project)
-        ops = {"namenode": _namenode_ops(graph),
-               "datanode": _datanode_ops(graph)}
-        findings: list[Finding] = []
-        shapes, send_findings = _frame_sends(graph)
-        findings.extend(send_findings)
-        findings.extend(_frame_receives(graph, shapes))
-        findings.extend(_check_call_sites(graph, ops))
-        findings.extend(_check_reply_reads(graph, ops))
-        findings.extend(self._check_artifact(project))
+        declared = _Declared(project)
+        findings = list(declared.findings)
+        findings.extend(_check_handlers(project, graph, declared))
+        findings.extend(_check_call_sites(project, declared))
+        findings.extend(_unused_ops(declared))
+        findings.extend(_check_reply_reads(graph, declared))
+        findings.extend(_check_frames(graph, declared))
+        findings.extend(self._check_artifact(project, declared))
         return findings
 
-    def _check_artifact(self, project: Project) -> Iterable[Finding]:
-        docs = project.root / "docs"
-        if not docs.is_dir():
-            return                      # fixture trees have no docs/
-        if not _derivation_sources_loaded(project):
-            # Partial scan (e.g. `repro lint somefile.py`): the
-            # derived schema would be incomplete, so a drift verdict
-            # would be noise.  The full run still gates.
+    def _check_artifact(self, project: Project, declared: _Declared
+                        ) -> Iterable[Finding]:
+        # Fixture trees have no docs/; a partial scan (`repro lint
+        # somefile.py`) does not see every table, so a drift verdict
+        # would be noise.  The full run still gates.
+        if not (project.root / "docs").is_dir() or not declared.ready():
             return
         artifact = project.root / ARTIFACT_REL
         if not artifact.is_file():
@@ -888,7 +718,7 @@ class WireSchemaChecker(Checker):
             yield Finding("schema.artifact-drift", ARTIFACT_REL, 1,
                           f"artifact is not valid JSON: {exc}")
             return
-        if committed != derive_wire_schema(project):
+        if committed != _render(declared):
             yield Finding("schema.artifact-drift", ARTIFACT_REL, 1,
                           self.rules["schema.artifact-drift"])
 

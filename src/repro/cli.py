@@ -60,8 +60,8 @@ Static analysis
 ---------------
 
 ``repro lint`` runs the invariant checkers over the tree (determinism,
-picklability, lock discipline, RPC surface, wire schemas, typed
-errors; see ``docs/linting.md``)::
+picklability, lock discipline, declared wire surface, typed errors;
+see ``docs/linting.md``)::
 
     python -m repro lint                 # scan src/ benchmarks/ examples/
     python -m repro lint --format json   # machine-readable report
@@ -72,7 +72,7 @@ errors; see ``docs/linting.md``)::
 
 Exit status is nonzero when any unwaived finding remains — CI runs it
 as a hard gate, plus a drift check that ``docs/wire_schema.json``
-matches the schema derived from the handlers.
+matches the op tables declared in ``service/protocol.py``.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def run_lint_cmd(args: argparse.Namespace) -> None:
             print(f"error: {exc}", file=sys.stderr)
             raise SystemExit(2) from None
         # Findings are scoped to the changed files, but cross-file
-        # checkers (RPC surface, wire schemas) still need the whole
+        # checkers (declared wire surface) still need the whole
         # tree in view — pass the default scan roots as read-only
         # context.  Changed test files stay context-only, as always.
         scan_roots = analysis_core.default_scan_paths(root)
@@ -507,8 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lint = sub.add_parser(
         "lint", help="run the invariant static-analysis suite "
-                     "(determinism, picklability, locks, RPC surface, "
-                     "wire schemas, typed errors)")
+                     "(determinism, picklability, locks, declared wire "
+                     "surface, typed errors)")
     p_lint.add_argument(
         "paths", nargs="*", metavar="PATH",
         help="files or directories to scan (default: the repo's src/, "
@@ -528,8 +528,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument(
         "--emit-schema", nargs="?", const="", default=None,
         metavar="PATH",
-        help="derive the wire schema from the service handlers, write "
-             "it to PATH (default: docs/wire_schema.json) and exit")
+        help="render the declared op and frame tables as the wire "
+             "schema, write it to PATH (default: docs/wire_schema.json) "
+             "and exit")
     p_lint.add_argument("--rules", action="store_true",
                         help="list every checker and rule, then exit")
     p_lint.add_argument(

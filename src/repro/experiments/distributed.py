@@ -32,19 +32,8 @@ Protocol (version 1)
 --------------------
 
 Every message is a length-prefixed pickle frame: a 4-byte big-endian
-payload length, then the pickled ``(kind, data)`` tuple.
-
-=================  ==========  =====================================
-direction          kind        data
-=================  ==========  =====================================
-worker to coord    hello       ``{"version", "pid", "host"}``
-coord to worker    welcome     ``{"version"}``
-coord to worker    unit        ``(generation, unit_id, payload)``
-worker to coord    ping        ``None`` (heartbeat while computing)
-worker to coord    result      ``(generation, unit_id, output)``
-worker to coord    error       ``(generation, unit_id, message)``
-coord to worker    shutdown    ``None``
-=================  ==========  =====================================
+payload length, then the pickled ``(kind, data)`` tuple.  The kinds and
+their payload shapes are declared in :data:`FRAMES` below.
 
 Failure handling: the coordinator reads every connection under a
 ``heartbeat_timeout`` silence budget, and workers ping every
@@ -93,6 +82,20 @@ from .engine import CellExecutionError, Executor, _run_unit
 #: Bumped on any incompatible frame/message change; both ends check it
 #: during the handshake so version skew fails fast instead of weirdly.
 PROTOCOL_VERSION = 1
+
+#: The frame table: kind -> payload shape.  A tuple of names is a dict
+#: with exactly those keys, an int is a tuple of that many elements,
+#: ``None`` is no payload.  Pure literal — ``repro lint`` holds every
+#: send, unpack and dispatch arm in this module to it.
+FRAMES = {
+    "hello": ("version", "pid", "host"),    # worker to coord
+    "welcome": ("version",),                # coord to worker
+    "unit": 3,          # coord to worker: (generation, unit_id, payload)
+    "ping": None,       # worker to coord, heartbeat while computing
+    "result": 3,        # worker to coord: (generation, unit_id, output)
+    "error": 3,         # worker to coord: (generation, unit_id, message)
+    "shutdown": None,   # coord to worker
+}
 
 #: Seconds between worker heartbeats while a unit is computing.
 HEARTBEAT_INTERVAL = 2.0

@@ -34,7 +34,6 @@ or a private cluster network; TLS/token auth is a ROADMAP follow-up.
 from __future__ import annotations
 
 import asyncio
-import os
 import pickle
 import socket
 import struct
@@ -374,6 +373,12 @@ class RpcPool:
 # ----------------------------------------------------------------------
 # Async RPC server
 # ----------------------------------------------------------------------
+#: Kinds an RPC-mode connection answers itself, before any handler:
+#: ``bye`` closes the connection without a reply.
+# lint: allow(schema.unused-op): framing-level close handshake for external clients; our own clients just close the socket
+FRAMING_OPS = ("bye",)
+
+
 class _RpcProtocol(asyncio.Protocol):
     """One RPC-mode connection: frame parsing + dispatch in callbacks.
 
@@ -461,8 +466,7 @@ class _RpcProtocol(asyncio.Protocol):
     def _dispatch(self, message: tuple) -> None:
         kind, data = message
         server = self.server
-        # lint: allow(rpc.unused-op): framing-level close handshake for external clients; our own clients just close the socket
-        if kind == "bye" or server._closing:
+        if kind in FRAMING_OPS or server._closing:
             self._drop()
             return
         server._busy += 1
@@ -488,11 +492,6 @@ class _RpcProtocol(asyncio.Protocol):
         producing one (the request touched something async)."""
         server = self.server
         try:
-            if server._validator is not None:
-                problem = server._validator.validate_request(
-                    server._validate_service, kind, data)
-                if problem is not None:
-                    raise ProtocolError(f"schema violation: {problem}")
             if server._before_request is not None:
                 gate = server._before_request(kind, data)
                 if asyncio.iscoroutine(gate):
@@ -500,18 +499,9 @@ class _RpcProtocol(asyncio.Protocol):
             result = server._handler(kind, data, self.peer)
             if asyncio.iscoroutine(result):
                 return self._finish(None, kind, data, result)
-            self._check_reply(kind, result)
             return ("ok", result)
         except Exception as error:
             return ("err", server._marshal(error))
-
-    def _check_reply(self, kind: str, result) -> None:
-        server = self.server
-        if server._validator is not None:
-            problem = server._validator.validate_reply(
-                server._validate_service, kind, result)
-            if problem is not None:
-                raise ProtocolError(f"schema violation: {problem}")
 
     async def _finish(self, gate, kind, data, pending) -> tuple:
         server = self.server
@@ -523,7 +513,6 @@ class _RpcProtocol(asyncio.Protocol):
                     result = await result
             else:
                 result = await pending
-            self._check_reply(kind, result)
             return ("ok", result)
         except Exception as error:
             return ("err", server._marshal(error))
@@ -539,8 +528,7 @@ class _RpcProtocol(asyncio.Protocol):
             coro = None
             while self._queue and coro is None:
                 kind, data = self._queue.popleft()
-                # lint: allow(rpc.unused-op): same close handshake, drained behind an in-flight async request
-                if kind == "bye" or server._closing:
+                if kind in FRAMING_OPS or server._closing:
                     self._drop()
                     return
                 server._busy += 1
@@ -614,23 +602,6 @@ class AsyncRpcServer:
         self._idle_timeout = idle_timeout
         self._drain_timeout = drain_timeout
         self._name = name
-        self._validator = None
-        self._validate_service = None
-        if handler is not None and os.environ.get(
-                "REPRO_RPC_VALIDATE", "") not in ("", "0"):
-            # Opt-in schema enforcement for tests/CI: assert every RPC
-            # frame against the derived wire schema
-            # (docs/wire_schema.json, or a live derivation when the
-            # artifact is absent).  Stream-mode connections own their
-            # own protocol and are not validated.
-            service = ("namenode" if name == "namenode"
-                       else "datanode" if name.startswith("datanode")
-                       else None)
-            if service is not None:
-                from .analysis.schema import (FrameValidator,
-                                              load_wire_schema)
-                self._validator = FrameValidator(load_wire_schema())
-                self._validate_service = service
         self._busy = 0
         self._closing = False
         self._closed = False

@@ -2,8 +2,10 @@
 
 Wraps the in-memory :class:`~repro.cluster.datanode.DataNode` store in
 an :class:`~repro.net.AsyncRpcServer` (one event loop per daemon),
-registers with its namenode, and heartbeats until shut down.  The data
-path serves
+registers with its namenode, and heartbeats until shut down.  The ops,
+their request keys and their reply keys are declared in
+:data:`~.protocol.DATANODE_OPS`; each is one ``_op_<kind>`` method
+reached through :func:`~.protocol.dispatch`.  The data path serves
 
 * ``put`` / ``get`` — store / verified-read one block (every ``get``
   recomputes the CRC and answers a typed ``corrupt`` error on rot);
@@ -42,8 +44,10 @@ from ..net import (
 )
 from .faults import FaultArm
 from .protocol import (
+    DATANODE_OPS,
     SERVICE_VERSION,
     block_from_tuple,
+    dispatch,
     marshal_error,
     unmarshal_error,
 )
@@ -117,50 +121,65 @@ class DataNodeServer:
     # Request handling
     # ------------------------------------------------------------------
     def _handle(self, kind: str, data, peer) -> object:
-        del peer
         self._served += 1
-        if kind == "put":
-            block = block_from_tuple(data["block"])
-            with self._store_lock:
-                crc = self.store.put(block, np.frombuffer(data["data"],
-                                                          dtype=np.uint8))
-            return {"crc": crc}
-        if kind == "get":
-            block = block_from_tuple(data["block"])
-            with self._store_lock:
-                payload = self.store.get(block, verify=True)
-                crc = self.store.checksum(block)
-            return {"data": payload.tobytes(), "crc": crc}
-        if kind == "combine":
-            return {"data": self._combine(data["parts"]).tobytes()}
-        if kind == "checksums":
-            return self._checksums(data.get("blocks") if data else None)
-        if kind == "delete":
-            dropped = 0
-            with self._store_lock:
-                for entry in data["blocks"]:
-                    block = block_from_tuple(entry)
-                    if self.store.has(block):
-                        self.store.drop(block)
-                        dropped += 1
-            return {"dropped": dropped}
-        if kind == "fault":
-            pending = self.faults.arm(data["faults"])
-            return {"armed": pending}
-        # lint: allow(rpc.unused-op): operator/debug surface — reachable over the raw framed call() protocol for manual cluster inspection
-        if kind == "status":
-            with self._store_lock:
-                blocks = self.store.block_count
-                used = self.store.used_bytes
-            return {"node_id": self.node_id, "version": SERVICE_VERSION,
-                    "blocks": blocks, "used_bytes": used,
-                    "requests": self._served,
-                    "faults": self.faults.snapshot()}
-        # lint: allow(rpc.unused-op): graceful-stop surface for external operators; ServiceCluster terminates its subprocess children directly
-        if kind == "shutdown":
-            self._shutdown.set()
-            return {"node_id": self.node_id}
-        raise ProtocolError(f"unknown datanode request {kind!r}")
+        return dispatch(self, DATANODE_OPS, kind, data, peer)
+
+    def _op_put(self, data, peer) -> dict:
+        del peer
+        block = block_from_tuple(data["block"])
+        with self._store_lock:
+            crc = self.store.put(block, np.frombuffer(data["data"],
+                                                      dtype=np.uint8))
+        return {"crc": crc}
+
+    def _op_get(self, data, peer) -> dict:
+        del peer
+        block = block_from_tuple(data["block"])
+        with self._store_lock:
+            payload = self.store.get(block, verify=True)
+            crc = self.store.checksum(block)
+        return {"data": payload.tobytes(), "crc": crc}
+
+    def _op_combine(self, data, peer) -> dict:
+        del peer
+        return {"data": self._combine(data["parts"]).tobytes()}
+
+    def _op_checksums(self, data, peer) -> dict:
+        del peer
+        return self._checksums(data.get("blocks") if data else None)
+
+    def _op_delete(self, data, peer) -> dict:
+        del peer
+        dropped = 0
+        with self._store_lock:
+            for entry in data["blocks"]:
+                block = block_from_tuple(entry)
+                if self.store.has(block):
+                    self.store.drop(block)
+                    dropped += 1
+        return {"dropped": dropped}
+
+    def _op_fault(self, data, peer) -> dict:
+        del peer
+        pending = self.faults.arm(data["faults"])
+        return {"armed": pending}
+
+    # lint: allow(schema.unused-op): operator/debug surface — reachable over the raw framed call() protocol for manual cluster inspection
+    def _op_status(self, data, peer) -> dict:
+        del data, peer
+        with self._store_lock:
+            blocks = self.store.block_count
+            used = self.store.used_bytes
+        return {"node_id": self.node_id, "version": SERVICE_VERSION,
+                "blocks": blocks, "used_bytes": used,
+                "requests": self._served,
+                "faults": self.faults.snapshot()}
+
+    # lint: allow(schema.unused-op): graceful-stop surface for external operators; ServiceCluster terminates its subprocess children directly
+    def _op_shutdown(self, data, peer) -> dict:
+        del data, peer
+        self._shutdown.set()
+        return {"node_id": self.node_id}
 
     def _combine(self, parts) -> np.ndarray:
         """GF-combine locally held blocks: the partial-parity hot path."""

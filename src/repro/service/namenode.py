@@ -53,10 +53,12 @@ from ..core import Code, UnrecoverableStripeError, make_code, run_plan
 from ..core.repair import TransferKind
 from ..net import AsyncRpcServer, ProtocolError, RetryPolicy, RpcPool
 from .protocol import (
+    NAMENODE_OPS,
     SERVICE_VERSION,
     WriteRefusedError,
     block_from_tuple,
     block_tuple,
+    dispatch,
     marshal_error,
     transfer_request,
     unmarshal_error,
@@ -202,17 +204,14 @@ class NameNodeServer:
     # Request handling
     # ------------------------------------------------------------------
     def _handle(self, kind: str, data, peer) -> object:
-        handler = getattr(self, f"_op_{kind.replace('-', '_')}", None)
-        if handler is None:
-            raise ProtocolError(f"unknown namenode request {kind!r}")
-        return handler(data, peer)
+        return dispatch(self, NAMENODE_OPS, kind, data, peer)
 
     # -- datanode-facing ----------------------------------------------
     def _op_dn_register(self, data, peer) -> dict:
         del peer
-        if data.get("version") != SERVICE_VERSION:
+        if data["version"] != SERVICE_VERSION:
             raise ProtocolError(
-                f"datanode speaks service version {data.get('version')}, "
+                f"datanode speaks service version {data['version']}, "
                 f"namenode speaks {SERVICE_VERSION}")
         node_id = int(data["node_id"])
         address = (str(data["address"][0]), int(data["address"][1]))
@@ -436,7 +435,7 @@ class NameNodeServer:
             }
         return out
 
-    # lint: allow(rpc.unused-op): graceful-stop surface for external operators; `repro serve` and the tests close the server object directly
+    # lint: allow(schema.unused-op): graceful-stop surface for external operators; `repro serve` and the tests close the server object directly
     def _op_shutdown(self, data, peer) -> dict:
         del data, peer
         # close() must run off-loop (it joins the loop thread).

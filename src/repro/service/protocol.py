@@ -1,7 +1,14 @@
-"""Service wire protocol: request/response framing and typed errors.
+"""Service wire protocol: the declared op tables, dispatch, typed errors.
 
 Every request is one :mod:`repro.net` frame ``(kind, data)``; every
 response is ``("ok", payload)`` or ``("err", (code, message, details))``.
+Which kinds exist, which keys a request may carry and which keys every
+reply has is stated once, in :data:`NAMENODE_OPS` / :data:`DATANODE_OPS`
+below: both daemons answer through :func:`dispatch`, which holds every
+live frame to the table, ``repro lint`` holds every handler body and
+call site to it, and ``docs/wire_schema.json`` is its JSON rendering.
+Adding an op is one table line plus one ``_op_<kind>`` method.
+
 The error tuple round-trips typed exceptions across the wire: a
 namenode that refuses a write raises :class:`WriteRefusedError` locally,
 the server marshals it, and the client re-raises the same type — so
@@ -23,6 +30,50 @@ from ..net import ProtocolError
 #: Bumped on any incompatible message change; both ends carry it in the
 #: register/stat paths so version skew fails fast instead of weirdly.
 SERVICE_VERSION = 1
+
+
+#: The namenode's wire surface: op -> (required request keys, optional
+#: request keys, keys every reply carries; ``None`` = the reply is not a
+#: dict).  Pure literals — the lint reads them without importing.
+NAMENODE_OPS = {
+    # datanode-facing
+    "dn-register": (("node_id", "address", "version"), (),
+                    ("node_id", "block_bytes", "version")),
+    "dn-heartbeat": (("node_id",), ("blocks",), ()),
+    # client-facing: namespace
+    "locations": ((), (), ("datanodes", "alive")),
+    "list": ((), (), None),
+    "stat": (("name",), (),
+             ("name", "code_name", "size_bytes", "block_bytes", "stripes",
+              "datanodes", "alive")),
+    # client-facing: two-phase writes
+    "begin-write": (("name", "code_name"), (), ("block_bytes",)),
+    "place-stripe": (("code_name",), ("exclude",),
+                     ("slot_nodes", "datanodes")),
+    "commit-write": (("name", "code_name", "size_bytes", "stripes"), (),
+                     ("stripes",)),
+    "abort-write": (("name",), (), ("aborted",)),
+    "report-corrupt": (("block", "node_id"), (), ()),
+    # operator-facing
+    "status": ((), (),
+               ("version", "block_bytes", "datanodes", "alive", "files",
+                "pending_writes", "stripes", "repair", "checker")),
+    "shutdown": ((), (), ()),
+}
+
+#: The datanode's wire surface, same shape as :data:`NAMENODE_OPS`.
+DATANODE_OPS = {
+    "put": (("block", "data"), (), ("crc",)),
+    "get": (("block",), (), ("data", "crc")),
+    "combine": (("parts",), (), ("data",)),
+    "checksums": ((), ("blocks",), ("checksums",)),
+    "delete": (("blocks",), (), ("dropped",)),
+    "fault": (("faults",), (), ("armed",)),
+    "status": ((), (),
+               ("node_id", "version", "blocks", "used_bytes", "requests",
+                "faults")),
+    "shutdown": ((), (), ("node_id",)),
+}
 
 
 class ServiceError(RuntimeError):
@@ -106,6 +157,52 @@ def unmarshal_error(code: str, message: str, details: dict) -> Exception:
                 error = ServiceError(f"[{code}] {message}")
     error.code = code                  # type: ignore[attr-defined]
     return error
+
+
+def dispatch(server, ops: dict, kind: str, data, peer) -> object:
+    """Answer one request through ``server._op_<kind>``, held to ``ops``.
+
+    An undeclared kind, a payload that is neither a dict nor (where
+    nothing is required) ``None``, a missing required key or an
+    undeclared key is a :class:`~repro.net.ProtocolError` — the client
+    sees a typed ``bad-request``, never a handler's ``KeyError``.  The
+    handler is looked up per request, so a method replaced on the class
+    after construction (the benchmark's span recorder) is what runs.
+    A reply without its declared keys is this daemon's defect and goes
+    out as a :class:`ServiceError`, not as the client's mistake.
+    """
+    spec = ops.get(kind)
+    if spec is None:
+        raise ProtocolError(f"unknown request {kind!r}")
+    required, optional, reply_keys = spec
+    present = 0
+    if isinstance(data, dict):
+        for key in data:
+            if key in required:
+                present += 1
+            elif key not in optional:
+                raise ProtocolError(
+                    f"request {kind!r} carries undeclared key {key!r}")
+    elif data is not None:
+        raise ProtocolError(
+            f"request {kind!r} needs a dict payload, got "
+            f"{type(data).__name__}")
+    if present != len(required):
+        missing = [key for key in required if key not in (data or ())]
+        raise ProtocolError(
+            f"request {kind!r} is missing required key(s) "
+            f"{', '.join(missing)}")
+    reply = getattr(server, "_op_" + kind.replace("-", "_"))(data, peer)
+    if reply_keys is not None:
+        if not isinstance(reply, dict):
+            raise ServiceError(
+                f"reply to {kind!r} is {type(reply).__name__}, "
+                "declared a dict")
+        for key in reply_keys:
+            if key not in reply:
+                raise ServiceError(
+                    f"reply to {kind!r} lacks declared key {key!r}")
+    return reply
 
 
 def block_from_tuple(data) -> BlockId:

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import textwrap
 
+import pytest
+
 from repro.analysis import run_lint
 
 PROTOCOL = """\
@@ -76,13 +78,15 @@ class TestUnmarshallable:
         assert not any(r == "exceptions.unmarshallable" and line == 7
                        for r, _, line in rules)
 
-    def test_transitive_raise_through_helper(self, tmp_path):
+    @pytest.mark.parametrize("daemon", ["namenode", "datanode"])
+    def test_transitive_raise_through_helper(self, tmp_path, daemon):
+        # both daemons' _op_* methods are the roots of the wire contract
         report = build(tmp_path, {
             "service/protocol.py": PROTOCOL,
-            "service/namenode.py": """\
+            f"service/{daemon}.py": """\
                 from .protocol import NoSuchFileError, QuotaError
 
-                class NameNodeServer:
+                class Server:
                     def _op_stat(self, data):
                         return self._lookup(data["name"])
 
@@ -91,7 +95,7 @@ class TestUnmarshallable:
             """,
         }, context=CATCHER)
         assert ("exceptions.unmarshallable",
-                "service/namenode.py", 8) in active(report)
+                f"service/{daemon}.py", 8) in active(report)
 
     def test_caught_en_route_is_clean(self, tmp_path):
         report = build(tmp_path, {

@@ -48,16 +48,16 @@ class TestWaiverParsing:
 
     def test_multiple_rules_one_comment(self):
         waivers = _parse_waivers(
-            ["y()  # lint: allow(locks.blocking-call, rpc.unused-op)"])
-        assert waivers[0].rules == ("locks.blocking-call", "rpc.unused-op")
+            ["y()  # lint: allow(locks.blocking-call, schema.unused-op)"])
+        assert waivers[0].rules == ("locks.blocking-call", "schema.unused-op")
         assert waivers[0].justification is None
-        assert waivers[0].covers("rpc.unused-op")
+        assert waivers[0].covers("schema.unused-op")
 
     def test_checker_prefix_waives_every_rule(self):
         waivers = _parse_waivers(["z()  # lint: allow(locks): all of it"])
         assert waivers[0].covers("locks.blocking-call")
         assert waivers[0].covers("locks.lock-order")
-        assert not waivers[0].covers("rpc.unused-op")
+        assert not waivers[0].covers("schema.unused-op")
         # prefix match is on dotted boundaries, not substrings
         assert not waivers[0].covers("locksmith.pick")
 
@@ -149,9 +149,10 @@ class TestReport:
 
 
 class TestRegistryAndSelection:
-    def test_all_four_checkers_registered(self):
-        assert set(registered_checkers()) >= {
-            "determinism", "picklability", "locks", "rpc"}
+    def test_the_five_checkers_registered(self):
+        assert set(registered_checkers()) == {
+            "determinism", "picklability", "locks", "schema",
+            "exceptions"}
 
     def test_every_rule_is_prefixed_by_its_checker(self):
         for name, checker in registered_checkers().items():
@@ -193,7 +194,7 @@ class TestCli:
         assert cli.main(["lint", "--rules"]) == 0
         out = capsys.readouterr().out
         for rule in ("determinism.global-rng", "picklability.lambda-callable",
-                     "locks.blocking-call", "rpc.unknown-op"):
+                     "locks.blocking-call", "schema.unknown-op"):
             assert rule in out
 
     def test_unknown_checker_exits_two(self, tmp_path, capsys):

@@ -1,103 +1,133 @@
-"""Opt-in runtime schema validation (REPRO_RPC_VALIDATE=1): the
-FrameValidator unit surface, and a live namenode rejecting misshapen
-frames as typed bad-request errors while well-formed traffic flows."""
+"""The always-on wire contract: ``protocol.dispatch`` holds every
+request and reply to the declared op table, and both live daemons
+answer any malformed request — for every op they declare — with a typed
+``bad-request``, never an opaque ``internal`` error."""
 
 from __future__ import annotations
 
+import ast
+import inspect
 import socket
 
 import pytest
 
-from repro.analysis.schema import FrameValidator
 from repro.net import ProtocolError
+from repro.service import protocol
+from repro.service.datanode import DataNodeServer, call
+from repro.service.namenode import NameNodeServer
+from repro.service.protocol import (DATANODE_OPS, NAMENODE_OPS,
+                                    ServiceError, dispatch)
 
-SCHEMA = {
-    "version": 1,
-    "services": {
-        "namenode": {
-            "stat": {
-                "request": {"required": ["name"],
-                            "optional": ["verbose"]},
-                "response": {"kind": "dict", "complete": True,
-                             "keys": ["size"], "required": ["size"]},
-            },
-            "list": {
-                "request": {"required": [], "optional": []},
-                "response": {"kind": "any", "complete": False},
-            },
-        },
-    },
+OPS = {
+    "stat": (("name",), ("verbose",), ("size",)),
+    "list": ((), (), None),
 }
 
 
-class TestFrameValidator:
-    def setup_method(self):
-        self.validator = FrameValidator(SCHEMA)
+class FakeServer:
+    reply = {"size": 7}
 
-    def test_valid_request_passes(self):
-        assert self.validator.validate_request(
-            "namenode", "stat", {"name": "f", "verbose": True}) is None
+    def _op_stat(self, data, peer):
+        return self.reply
+
+    def _op_list(self, data, peer):
+        return ["a", "b"]
+
+
+class TestDispatch:
+    def test_valid_request_reaches_the_handler(self):
+        assert dispatch(FakeServer(), OPS, "stat",
+                        {"name": "f", "verbose": True}, None) == {"size": 7}
 
     def test_missing_required_key(self):
-        problem = self.validator.validate_request(
-            "namenode", "stat", {"verbose": True})
-        assert "missing required" in problem and "name" in problem
+        with pytest.raises(ProtocolError, match="missing required.*name"):
+            dispatch(FakeServer(), OPS, "stat", {"verbose": True}, None)
 
-    def test_unknown_key(self):
-        problem = self.validator.validate_request(
-            "namenode", "stat", {"name": "f", "nmae": 1})
-        assert "unknown key" in problem and "nmae" in problem
+    def test_undeclared_key(self):
+        with pytest.raises(ProtocolError, match="undeclared key 'nmae'"):
+            dispatch(FakeServer(), OPS, "stat", {"name": "f", "nmae": 1},
+                     None)
 
-    def test_non_dict_payload_with_required_keys(self):
-        problem = self.validator.validate_request("namenode", "stat", None)
-        assert "needs a dict payload" in problem
+    def test_none_payload_where_keys_are_required(self):
+        with pytest.raises(ProtocolError, match="missing required.*name"):
+            dispatch(FakeServer(), OPS, "stat", None, None)
 
-    def test_unknown_op_and_service_pass_through(self):
-        # dispatch owns unknown-op handling; the validator stays quiet
-        assert self.validator.validate_request(
-            "namenode", "frobnicate", {"x": 1}) is None
-        assert self.validator.validate_request(
-            "datanode", "stat", {}) is None
+    def test_non_dict_payload(self):
+        with pytest.raises(ProtocolError, match="needs a dict payload"):
+            dispatch(FakeServer(), OPS, "list", ["f"], None)
 
-    def test_reply_missing_key(self):
-        problem = self.validator.validate_reply("namenode", "stat", {})
-        assert "missing key" in problem and "size" in problem
+    def test_unknown_op(self):
+        with pytest.raises(ProtocolError, match="unknown request"):
+            dispatch(FakeServer(), OPS, "frobnicate", {"x": 1}, None)
 
-    def test_incomplete_response_schema_not_enforced(self):
-        assert self.validator.validate_reply(
-            "namenode", "list", ["a", "b"]) is None
+    def test_reply_missing_declared_key(self):
+        server = FakeServer()
+        server.reply = {}
+        with pytest.raises(ServiceError, match="lacks declared key 'size'"):
+            dispatch(server, OPS, "stat", {"name": "f"}, None)
+
+    def test_non_dict_reply_where_none_is_declared(self):
+        assert dispatch(FakeServer(), OPS, "list", None, None) == ["a", "b"]
+
+    def test_handler_is_looked_up_per_request(self, monkeypatch):
+        """The benchmark's span recorder patches ``_op_*`` on the class
+        after the server is built; dispatch must see the patch."""
+        server = FakeServer()
+        monkeypatch.setattr(FakeServer, "_op_stat",
+                            lambda self, data, peer: {"size": -1})
+        assert dispatch(server, OPS, "stat", {"name": "f"}, None) \
+            == {"size": -1}
+
+    def test_tables_are_pure_literals(self):
+        tree = ast.parse(inspect.getsource(protocol))
+        tables = {node.targets[0].id: ast.literal_eval(node.value)
+                  for node in tree.body if isinstance(node, ast.Assign)
+                  and getattr(node.targets[0], "id", "").endswith("_OPS")}
+        assert tables == {"NAMENODE_OPS": NAMENODE_OPS,
+                          "DATANODE_OPS": DATANODE_OPS}
 
 
-@pytest.fixture
-def validated_namenode(monkeypatch):
-    monkeypatch.setenv("REPRO_RPC_VALIDATE", "1")
-    from repro.service.namenode import NameNodeServer
-    nn = NameNodeServer(check_period=30.0)
-    yield nn
-    nn.close()
+@pytest.fixture(scope="module")
+def daemons():
+    namenode = NameNodeServer(check_period=30.0)
+    datanode = DataNodeServer(0, namenode.address)
+    socks = {"namenode": socket.create_connection(namenode.address),
+             "datanode": socket.create_connection(datanode.address)}
+    yield socks
+    for sock in socks.values():
+        sock.close()
+    datanode.close()
+    namenode.close()
 
 
-def raw_call(address, kind, data):
-    from repro.service.datanode import call
-    with socket.create_connection(address) as sock:
-        return call(sock, kind, data)
+def bad_request(sock, kind, data):
+    with pytest.raises(ProtocolError) as caught:
+        call(sock, kind, data)
+    assert caught.value.code == "bad-request", caught.value
+    return str(caught.value)
 
 
-class TestLiveValidation:
-    def test_well_formed_request_flows(self, validated_namenode):
-        status = raw_call(validated_namenode.address, "status", {})
-        assert status["files"] == 0
-
-    def test_schema_violation_is_typed_bad_request(self,
-                                                   validated_namenode):
-        with pytest.raises(ProtocolError, match="schema violation"):
-            raw_call(validated_namenode.address, "stat", {"nam": "f"})
-
-    def test_unset_env_means_no_validator(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RPC_VALIDATE", raising=False)
-        from repro.service.namenode import NameNodeServer
-        nn = NameNodeServer(check_period=30.0)
-        try:
-            assert nn.server._validator is None
-        finally:
-            nn.close()
+@pytest.mark.parametrize("service,kind", [
+    (service, kind)
+    for service, ops in (("namenode", NAMENODE_OPS),
+                         ("datanode", DATANODE_OPS))
+    for kind in ops])
+def test_malformed_request_is_a_typed_bad_request(daemons, service, kind):
+    sock = daemons[service]
+    ops = NAMENODE_OPS if service == "namenode" else DATANODE_OPS
+    required = ops[kind][0]
+    full = dict.fromkeys(required)
+    for dropped in required:
+        partial = {key: None for key in required if key != dropped}
+        assert dropped in bad_request(sock, kind, partial)
+    assert "no-such-key" in bad_request(
+        sock, kind, {**full, "no-such-key": 1})
+    for payload in (["f"], "f", 7):
+        bad_request(sock, kind, payload)
+    if required:
+        bad_request(sock, kind, None)
+    elif kind != "shutdown":        # None stays legal: nothing required
+        call(sock, kind, None)
+    if "-" in kind:                 # the method-name spelling is no alias
+        assert "unknown request" in bad_request(
+            sock, kind.replace("-", "_"), full)
