@@ -16,7 +16,7 @@ from .datanode import (
 )
 from .failure import FailureEvent, FailureInjector, FailureKind
 from .filesystem import MiniHDFS
-from .namenode import BlockId, FileInfo, NameNode, StripeInfo
+from .namenode import BlockId, FileInfo, NameNode, StripeInfo, choose_targets
 from .network import NetworkLedger, TransferRecord
 from .placement import (
     PlacementError,
@@ -40,6 +40,7 @@ __all__ = [
     "BlockId",
     "FileInfo",
     "StripeInfo",
+    "choose_targets",
     "DataNode",
     "BlockNotFoundError",
     "CorruptBlockError",

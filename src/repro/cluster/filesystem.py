@@ -9,6 +9,11 @@ degraded reads (partial-parity reconstruction) when replicas are down.
 All bytes are real and all movement is charged to the
 :class:`~repro.cluster.network.NetworkLedger`, so integration tests can
 assert both content round-trips and the paper's bandwidth numbers.
+
+MiniHDFS is one of two drivers of the stripe model in
+:mod:`~repro.cluster.namenode` (the namenode daemon is the other): the
+model says which block goes where, how a stripe is repaired and on
+which nodes; this module moves the bytes and keeps the ledger.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from ..core import (
     PlanExecutionError,
     ReadPlan,
     RepairPlan,
-    UnrecoverableStripeError,
     make_code,
     run_plan,
 )
@@ -89,14 +93,12 @@ class MiniHDFS:
 
     def _store_stripe(self, info: FileInfo, stripe_index: int, code: Code,
                       encoded: list) -> StripeInfo:
-        slot_nodes = self.placement.place_stripe(code, self.topology, self._rng)
-        stripe = StripeInfo(info.name, stripe_index, code, slot_nodes)
-        for symbol in code.layout.symbols:
-            block = stripe.block_id(symbol.index)
-            for slot in symbol.replicas:
-                node_id = slot_nodes[slot]
-                self.datanodes[node_id].put(block, encoded[symbol.index])
-                self.ledger.charge(None, node_id, self.block_bytes, "write")
+        stripe = StripeInfo(
+            info.name, stripe_index, code,
+            self.placement.place_stripe(code, self.topology, self._rng))
+        for node_id, block in stripe.placed_blocks():
+            self.datanodes[node_id].put(block, encoded[block.symbol_index])
+            self.ledger.charge(None, node_id, self.block_bytes, "write")
         return stripe
 
     # ------------------------------------------------------------------
@@ -114,9 +116,8 @@ class MiniHDFS:
 
     def read_block(self, block: BlockId, reader_node: int | None = None) -> bytes:
         """Read one block, degrading to reconstruction when necessary."""
-        info = self.namenode.file(block.file_name)
-        stripe = info.stripes[block.stripe_index]
-        return bytes(self._read_symbol(stripe, block.symbol_index, reader_node))
+        return bytes(self._read_symbol(self.namenode.stripe_of(block),
+                                       block.symbol_index, reader_node))
 
     def _read_symbol(self, stripe: StripeInfo, symbol_index: int,
                      reader_node: int | None) -> np.ndarray:
@@ -227,66 +228,48 @@ class MiniHDFS:
         """Bring a node back (blocks intact only after transient failures)."""
         self.topology.restore(node_id)
 
-    def _assert_repairable(self, stripe_patterns) -> None:
-        """Fail fast: resolve every stripe's failure pattern through one
-        bulk decodability query per code before moving any bytes.
-
-        Replaces the one-at-a-time ``can_recover`` probes the planners
-        would otherwise issue mid-repair (a ROADMAP open item): distinct
-        patterns deduplicate, each code answers them in a single
-        :meth:`~repro.core.Code.can_recover_many` call, and the
-        planners' own checks then hit a warm cache.
-        """
-        by_code: dict[Code, set[tuple[int, ...]]] = {}
-        for stripe, failed_slots in stripe_patterns:
-            by_code.setdefault(stripe.code, set()).add(tuple(failed_slots))
-        for code, patterns in by_code.items():
-            keys = sorted(patterns)
-            for key, ok in zip(keys, code.can_recover_many(keys)):
-                if not ok:
-                    raise UnrecoverableStripeError(
-                        code.name, key, code.layout.lost_symbols(set(key)))
-
     def _repair_stripes(self, stripes, rebuilt_node: int | None,
                         relocate: dict[int, int]) -> int:
         """Plan, run and store one combined repair per wounded stripe.
 
         The body :meth:`repair_node` and :meth:`repair_all` share;
-        returns the repair bytes moved.  Every failure pattern is
-        checked up front with a bulk decodability query, before any
-        bytes move.  With ``rebuilt_node`` only that node's slot is put
-        back (on ``relocate``'s stand-in for it); otherwise every failed
-        slot is.  A source replica that turns out corrupt is promoted
-        to failed, planned around and rebuilt in place, exactly as on
-        the read path.
+        returns the repair bytes moved.  Every stripe is planned before
+        any byte moves, so a pattern past decoding or a ``relocate``
+        stand-in the stripe already uses raises with nothing changed.
+        With ``rebuilt_node`` only that node's slot is put back (on
+        ``relocate``'s stand-in for it); otherwise every failed slot
+        is.  A source replica that turns out corrupt is promoted to
+        failed, planned around and rebuilt in place, exactly as on the
+        read path.
         """
         before = self.ledger.total_bytes("repair")
         failed = set(self.topology.failed_nodes())
-        worklist = [(stripe, down) for stripe in stripes
-                    if (down := stripe.failed_slots(failed))]
-        self._assert_repairable(worklist)
-        for stripe, down in worklist:
+        jobs = []
+        for stripe in stripes:
+            if down := stripe.failed_slots(failed):
+                rebuild = (down if rebuilt_node is None
+                           else {stripe.slot_of_node(rebuilt_node)})
+                targets = {slot: relocate.get(stripe.slot_nodes[slot],
+                                              stripe.slot_nodes[slot])
+                           for slot in rebuild}
+                jobs.append((stripe, down, targets,
+                             stripe.plan_repair(down, targets)))
+        for stripe, down, targets, plan in jobs:
             failed_slots = set(down)
             recovered = self._around_corruption(
                 stripe, failed_slots,
                 lambda: self.run_repair_plan(
-                    stripe, stripe.code.plan_node_repair(failed_slots),
+                    stripe,
+                    # a retry means a corrupt source joined failed_slots
+                    plan if failed_slots == down
+                    else stripe.plan_repair(failed_slots, targets),
                     relocate))
-            rebuild = failed_slots - down      # corrupt sources, in place
-            rebuild |= (down if rebuilt_node is None
-                        else {stripe.slot_of_node(rebuilt_node)})
-            for slot in rebuild:
-                target = relocate.get(stripe.slot_nodes[slot],
-                                      stripe.slot_nodes[slot])
-                for symbol_index in stripe.code.layout.symbols_on_slot(slot):
-                    if symbol_index not in recovered:
-                        raise UnrecoverableStripeError(
-                            stripe.code.name, failed_slots, (symbol_index,))
-                    self.datanodes[target].put(
-                        stripe.block_id(symbol_index),
-                        recovered[symbol_index])
-            stripe.slot_nodes = tuple(relocate.get(node, node)
-                                      for node in stripe.slot_nodes)
+            for slot in failed_slots - down:    # corrupt sources, in place
+                targets[slot] = stripe.slot_nodes[slot]
+            for node_id, block, data in stripe.rebuilt_blocks(targets,
+                                                              recovered):
+                self.datanodes[node_id].put(block, data)
+            stripe.rehome(targets)
         return self.ledger.total_bytes("repair") - before
 
     def repair_node(self, node_id: int, replacement: int | None = None) -> int:
@@ -295,10 +278,14 @@ class MiniHDFS:
         The rebuilt blocks land on ``replacement`` (default: the node
         itself, which is restored empty first).  Raises
         :class:`~repro.core.UnrecoverableStripeError` if any stripe has
-        already lost data.
+        already lost data, and ValueError — before anything moves — for
+        a ``replacement`` that is failed or already holds a slot of a
+        stripe being repaired.
         """
         if self.topology.is_alive(node_id):
             raise ValueError(f"node {node_id} is not failed")
+        if replacement is not None and not self.topology.is_alive(replacement):
+            raise ValueError(f"replacement node {replacement} is failed")
         moved = self._repair_stripes(
             self.namenode.stripes_on_node(node_id), node_id,
             {} if replacement is None else {node_id: replacement})

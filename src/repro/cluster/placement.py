@@ -153,13 +153,13 @@ class RackAwarePlacement(PlacementPolicy):
                     assignment[slot] = members[pick]
             chosen = tuple(assignment[slot] for slot in range(code.length))
             if self.validate:
-                self._validate_domains(code, groups, chosen, topology)
+                self.validate_domains(code, groups, chosen, topology)
             return chosen
         return self._deal_across_racks(code, topology, rng)
 
-    def _validate_domains(self, code: Code, domains: dict[str, tuple[int, ...]],
-                          slot_nodes: tuple[int, ...],
-                          topology: ClusterTopology) -> None:
+    def validate_domains(self, code: Code, domains: dict[str, tuple[int, ...]],
+                         slot_nodes: tuple[int, ...],
+                         topology: ClusterTopology) -> None:
         """The paper's rack contract, checked with one bulk query.
 
         A rack failure must touch at most one failure domain, and a

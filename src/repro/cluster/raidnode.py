@@ -127,10 +127,8 @@ class RaidNode:
     def _delete_blocks(self, file_name: str) -> None:
         info = self.fs.namenode.file(file_name)
         for stripe in info.stripes:
-            for symbol in stripe.code.layout.symbols:
-                block = stripe.block_id(symbol.index)
-                for slot in symbol.replicas:
-                    self.fs.datanodes[stripe.slot_nodes[slot]].drop(block)
+            for node_id, block in stripe.placed_blocks():
+                self.fs.datanodes[node_id].drop(block)
 
     # ------------------------------------------------------------------
     # Block fixing

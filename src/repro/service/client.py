@@ -53,7 +53,7 @@ import time
 import numpy as np
 
 from ..cluster.datanode import BlockNotFoundError, CorruptBlockError
-from ..cluster.namenode import BlockId
+from ..cluster.namenode import BlockId, StripeInfo
 from ..core import Code, UnrecoverableStripeError, make_code
 # The one plan interpreter.  It keeps the module-level name the read
 # path has always called, because external tracers (perfbench's span
@@ -293,26 +293,25 @@ class StorageClient:
         """Place and store one stripe, re-placing around dead nodes."""
         exclude: set[int] = {n for n in self._datanodes
                              if self._suspected(n)}
+        payloads = [block.tobytes() for block in encoded]
         last: Exception | None = None
         for _ in range(PLACE_ATTEMPTS):
             reply = self._nn_call(
                 "place-stripe",
                 {"code_name": code.name, "exclude": sorted(exclude)})
-            slot_nodes = tuple(reply["slot_nodes"])
+            stripe = StripeInfo(name, index, code,
+                                tuple(reply["slot_nodes"]))
             self._datanodes.update(reply["datanodes"])
             here: list[tuple[int, BlockId]] = []
             checksums: dict[str, int] = {}
             try:
-                for symbol in code.layout.symbols:
-                    block = BlockId(name, index, symbol.index)
-                    payload = encoded[symbol.index].tobytes()
-                    for slot in symbol.replicas:
-                        node_id = slot_nodes[slot]
-                        put = self._dn_call(node_id, "put",
-                                            {"block": block_tuple(block),
-                                             "data": payload})
-                        here.append((node_id, block))
-                    checksums[str(symbol.index)] = int(put["crc"])
+                for node_id, block in stripe.placed_blocks():
+                    put = self._dn_call(
+                        node_id, "put",
+                        {"block": block_tuple(block),
+                         "data": payloads[block.symbol_index]})
+                    here.append((node_id, block))
+                    checksums[str(block.symbol_index)] = int(put["crc"])
             except ServiceUnavailableError as error:
                 last = error
                 casualty = getattr(error, "node_id", None)
@@ -322,7 +321,7 @@ class StorageClient:
                 self._delete_blocks(here)   # orphans on the survivors
                 continue
             placed.extend(here)
-            return {"slot_nodes": slot_nodes, "checksums": checksums}
+            return {"slot_nodes": stripe.slot_nodes, "checksums": checksums}
         raise WriteFailedError(
             f"stripe {index} of {name!r} could not be placed after "
             f"{PLACE_ATTEMPTS} attempts: {last}") from last

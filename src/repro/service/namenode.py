@@ -29,10 +29,16 @@ publishes the whole file atomically — a client that dies mid-write
 leaves no partial stripes behind, just an expirable reservation whose
 blocks the next sweep deletes.
 
-With a ``rack_map`` (``node_id -> rack``) configured, ``place-stripe``
-routes through :class:`~repro.cluster.placement.RackAwarePlacement`
-instead of a flat random spread, so a single rack loss stays within
-the code's failure-domain tolerance.
+What is decided about a stripe — the namespace, store order, where a
+failed slot is rebuilt, the repair plan, the put-back list, the
+re-binding — is decided in :mod:`repro.cluster.namenode`, the model
+MiniHDFS drives too; this module is the daemon around it: locks,
+awaits, liveness, scrub, GC.  With a ``rack_map`` (``node_id -> rack``)
+``place-stripe`` places through
+:class:`~repro.cluster.placement.RackAwarePlacement` instead of
+:class:`~repro.cluster.placement.RandomSpreadPlacement` and a repair
+rebuilds a dead slot in its own rack while that has a spare, so a
+single rack loss stays within the code's failure-domain tolerance.
 """
 
 from __future__ import annotations
@@ -46,8 +52,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cluster.datanode import CorruptBlockError
-from ..cluster.namenode import BlockId, FileInfo, StripeInfo
-from ..cluster.placement import PlacementError, RackAwarePlacement
+from ..cluster.namenode import (
+    BlockId,
+    FileInfo,
+    NameNode,
+    StripeInfo,
+    choose_targets,
+)
+from ..cluster.placement import RackAwarePlacement, RandomSpreadPlacement
 from ..cluster.topology import ClusterTopology, NodeInfo
 from ..core import Code, UnrecoverableStripeError, make_code, run_plan
 from ..core.repair import TransferKind
@@ -109,8 +121,10 @@ class NameNodeServer:
         self.reservation_timeout = reservation_timeout
         self.rack_map = (None if rack_map is None
                          else {int(k): int(v) for k, v in rack_map.items()})
+        self._placement = (RandomSpreadPlacement() if rack_map is None
+                           else RackAwarePlacement())
         self._meta = threading.RLock()
-        self._files: dict[str, FileInfo] = {}
+        self._namespace = NameNode()
         self._checksums: dict[BlockId, int] = {}
         self._pending: dict[str, float] = {}      # reserved name -> since
         self._datanodes: dict[int, DataNodeRecord] = {}
@@ -245,15 +259,13 @@ class NameNodeServer:
     def _op_list(self, data, peer) -> list:
         del data, peer
         with self._meta:
-            return sorted(self._files)
+            return self._namespace.files()
 
     def _op_stat(self, data, peer) -> dict:
         del peer
         name = str(data["name"])
         with self._meta:
-            if name not in self._files:
-                raise FileNotFoundError(name)
-            info = self._files[name]
+            info = self._namespace.file(name)
             stripes = [tuple(stripe.slot_nodes) for stripe in info.stripes]
             out = {"name": name, "code_name": info.code_name,
                    "size_bytes": info.size_bytes,
@@ -274,7 +286,7 @@ class NameNodeServer:
                 f"{len(alive)} alive — the service is read-only below "
                 "the code's tolerance")
         with self._meta:
-            if name in self._files:
+            if name in self._namespace:
                 raise FileExistsError(f"file {name!r} already exists")
             if name in self._pending:
                 raise WriteRefusedError(
@@ -291,41 +303,33 @@ class NameNodeServer:
             raise WriteRefusedError(
                 f"{code.name} needs {code.length} distinct datanodes; "
                 f"{len(eligible)} eligible (alive minus {sorted(exclude)})")
-        if self.rack_map is None:
-            with self._meta:
-                picks = self._rng.choice(len(eligible), size=code.length,
-                                         replace=False)
-            slot_nodes = tuple(int(eligible[i]) for i in picks)
-        else:
-            with self._meta:
-                slot_nodes = self._place_racked(code, eligible)
-        return {"slot_nodes": slot_nodes, "datanodes": self._addresses()}
+        topology = self._topology(eligible)
+        with self._meta:
+            placed = self._placement.place_stripe(code, topology, self._rng)
+        return {"slot_nodes": tuple(int(n) for n in placed),
+                "datanodes": self._addresses()}
 
-    def _place_racked(self, code: Code, eligible) -> tuple[int, ...]:
-        """Rack-aware placement over the configured rack map.
+    def _topology(self, eligible) -> ClusterTopology:
+        """The eligible datanodes as the topology a placement policy reads.
 
-        Racks are renumbered densely (the placement strategies iterate
-        ``range(rack_count)``); eligible nodes missing from the rack
-        map count as dead.  Domain/capacity violations raise
-        :class:`~repro.cluster.placement.PlacementError`, which
-        marshals to the client as a typed ``placement`` error.
+        Every id up to the largest eligible one is a node, alive only if
+        eligible — and, under a rack map, in it.  Racks are renumbered
+        densely (the rack-aware policy iterates ``range(rack_count)``);
+        without a map everything is rack 0.  The policy's
+        :class:`~repro.cluster.placement.PlacementError` marshals to
+        the client as a typed ``placement`` error.
         """
-        usable = sorted(n for n in eligible if n in self.rack_map)
-        if len(usable) < code.length:
-            raise PlacementError(
-                f"{code.name} needs {code.length} rack-mapped datanodes; "
-                f"{len(usable)} of the {len(eligible)} eligible are in "
-                "the rack map")
+        rack_map = self.rack_map
+        if rack_map is None:
+            rack_map = dict.fromkeys(eligible, 0)
+        usable = {n for n in eligible if n in rack_map}
         dense = {rack: index for index, rack
-                 in enumerate(sorted({self.rack_map[n] for n in usable}))}
-        present = set(usable)
-        nodes = [NodeInfo(node_id=node_id,
-                          rack=dense.get(self.rack_map.get(node_id, -1), 0),
-                          alive=node_id in present)
-                 for node_id in range(max(usable) + 1)]
-        placed = RackAwarePlacement().place_stripe(
-            code, ClusterTopology(nodes=nodes), self._rng)
-        return tuple(int(n) for n in placed)
+                 in enumerate(sorted({rack_map[n] for n in usable}))}
+        return ClusterTopology(nodes=[
+            NodeInfo(node_id=node_id,
+                     rack=dense.get(rack_map.get(node_id, -1), 0),
+                     alive=node_id in usable)
+            for node_id in range(max(eligible) + 1)])
 
     def _op_commit_write(self, data, peer) -> dict:
         del peer
@@ -352,10 +356,8 @@ class NameNodeServer:
             if name not in self._pending:
                 raise ProtocolError(
                     f"commit of {name!r} without begin-write")
-            if name in self._files:
-                raise FileExistsError(f"file {name!r} already exists")
             # Atomic publish: namespace + checksums land together.
-            self._files[name] = info
+            self._namespace.create_file(info)
             self._checksums.update(checksums)
             del self._pending[name]
         return {"stripes": len(info.stripes)}
@@ -374,10 +376,10 @@ class NameNodeServer:
         block = block_from_tuple(data["block"])
         key = (block.file_name, block.stripe_index)
         with self._meta:
-            info = self._files.get(block.file_name)
-            if info is None:
-                raise FileNotFoundError(block.file_name)
-            stripe = info.stripes[block.stripe_index]
+            try:
+                stripe = self._namespace.stripe_of(block)
+            except IndexError as exc:
+                raise ProtocolError(f"report-corrupt: {exc}") from exc
             slot = stripe.slot_of_node(int(data["node_id"]))
             if slot is not None:
                 self._damaged.setdefault(key, set()).add(slot)
@@ -399,14 +401,12 @@ class NameNodeServer:
                 if self.rack_map is not None:
                     entry["rack"] = self.rack_map.get(node_id)
                 datanodes[node_id] = entry
-            stripe_count = sum(len(info.stripes)
-                               for info in self._files.values())
+            stripes = self._namespace.stripes()
             # Stripes with a slot on a dead node: the checker's backlog
             # even before its next sweep has noticed — the load/CI
             # settle condition keys off this going to zero.
             degraded_stripes = sum(
-                1 for info in self._files.values()
-                for stripe in info.stripes
+                1 for stripe in stripes
                 if (stripe.file_name, stripe.stripe_index) not in self._lost
                 and any(node not in alive for node in stripe.slot_nodes))
             out = {
@@ -414,9 +414,9 @@ class NameNodeServer:
                 "block_bytes": self.block_bytes,
                 "datanodes": datanodes,
                 "alive": sorted(alive),
-                "files": len(self._files),
+                "files": len(self._namespace.files()),
                 "pending_writes": len(self._pending),
-                "stripes": stripe_count,
+                "stripes": len(stripes),
                 "repair": {
                     "queued": len(self._repair_queue),
                     "in_progress": self._repairing is not None,
@@ -471,12 +471,10 @@ class NameNodeServer:
         """One checker pass: scrub checksums, find damage, GC orphans."""
         alive = set(self._alive_ids())
         with self._meta:
-            # snapshot placement alongside each stripe: _repair_stripe
-            # re-homes slots by assigning stripe.slot_nodes under
-            # _meta, so the sweep must read it under the same lock
-            stripes = [(stripe, stripe.slot_nodes)
-                       for info in self._files.values()
-                       for stripe in info.stripes]
+            # slot_nodes is read below without the lock: only
+            # _repair_stripe re-homes a stripe, and it runs after the
+            # sweep on this same coroutine
+            stripes = self._namespace.stripes()
             expected = dict(self._checksums)
             now = time.monotonic()
             for name, since in list(self._pending.items()):
@@ -484,48 +482,41 @@ class NameNodeServer:
                     del self._pending[name]     # writer died; free the name
             self._stats["checker_sweeps"] += 1
         # Scrub: fetch each alive datanode's full inventory of current
-        # CRCs.  Mismatch or absence of a block we believe it holds
-        # marks the slot damaged; blocks *we* cannot account for are
-        # orphans for the GC pass below.
-        blocks_by_node: dict[int, list[BlockId]] = {}
-        for stripe, slot_nodes in stripes:
-            for slot, node_id in enumerate(slot_nodes):
-                if node_id not in alive:
-                    continue
-                for symbol in stripe.code.layout.symbols_on_slot(slot):
-                    blocks_by_node.setdefault(node_id, []).append(
-                        stripe.block_id(symbol))
+        # CRCs.
         inventories: dict[int, dict] = {}
-        damaged_blocks: set[tuple[BlockId, int]] = set()
         for node_id in sorted(alive):
             try:
                 reply = await self._dn_call(node_id, "checksums",
                                             {"blocks": None})
             except (ConnectionError, OSError, ProtocolError):
                 continue        # silent node: liveness will catch it
-            crcs = reply["checksums"]
-            inventories[node_id] = crcs
-            for block in blocks_by_node.get(node_id, ()):
-                seen = crcs.get(block_tuple(block))
-                if seen is None or seen != expected.get(block):
-                    damaged_blocks.add((block, node_id))
-        # Walk stripes: dead slots + scrubbed damage -> repair queue.
-        for stripe, slot_nodes in stripes:
-            key = (stripe.file_name, stripe.stripe_index)
-            slots = {slot for slot, node in enumerate(slot_nodes)
-                     if node not in alive}
-            for block, node_id in damaged_blocks:
-                if (block.file_name, block.stripe_index) == key:
-                    if node_id in slot_nodes:
-                        slots.add(slot_nodes.index(node_id))
+            inventories[node_id] = reply["checksums"]
+        # Walk stripes: a slot on a dead node, or one whose node lacks
+        # a block we believe it holds or reports another CRC for it,
+        # is damaged -> repair queue.  Whatever an inventory lists that
+        # no stripe claims here is left for the GC pass to judge.
+        unclaimed = {node_id: set(crcs)
+                     for node_id, crcs in inventories.items()}
+        for stripe in stripes:
+            slots = stripe.failed_slots(set(stripe.slot_nodes) - alive)
+            for node_id, block in stripe.placed_blocks():
+                crcs = inventories.get(node_id)
+                if crcs is not None:
+                    wire = block_tuple(block)
+                    unclaimed[node_id].discard(wire)
+                    seen = crcs.get(wire)
+                    if seen is None or seen != expected.get(block):
+                        slots.add(stripe.slot_of_node(node_id))
             if slots:
+                key = (stripe.file_name, stripe.stripe_index)
                 with self._meta:
                     self._damaged.setdefault(key, set()).update(slots)
                 self._enqueue_repair(key)
-        await self._gc_orphans(inventories)
+        await self._gc_orphans(unclaimed)
 
-    async def _gc_orphans(self, inventories: dict[int, dict]) -> None:
-        """Delete blocks that no committed stripe accounts for.
+    async def _gc_orphans(self, unclaimed: dict[int, set]) -> None:
+        """Delete the blocks no committed stripe accounts for, out of
+        those the sweep's walk found ``unclaimed`` on each datanode.
 
         An aborted or expired two-phase write leaves its blocks behind
         on the datanodes (client-side deletes are best-effort only);
@@ -539,29 +530,22 @@ class NameNodeServer:
         """
         doomed: dict[int, list[tuple]] = {}
         with self._meta:
-            for node_id, crcs in inventories.items():
-                for entry in crcs:
+            for node_id, entries in unclaimed.items():
+                for entry in entries:
                     name, stripe_index, symbol_index = entry
                     if name in self._pending:
                         continue            # write still in flight
-                    info = self._files.get(name)
-                    if info is None:        # aborted/expired/unknown
-                        doomed.setdefault(node_id, []).append(entry)
-                        continue
-                    if not 0 <= stripe_index < len(info.stripes):
+                    try:
+                        stripe = self._namespace.stripe_of(BlockId(*entry))
+                    except (FileNotFoundError, IndexError):
+                        # aborted/expired/unknown, or outside the file
                         doomed.setdefault(node_id, []).append(entry)
                         continue
                     key = (name, stripe_index)
                     if (key in self._damaged or key in self._queued
                             or key == self._repairing):
                         continue            # the repairer owns this stripe
-                    stripe = info.stripes[stripe_index]
-                    symbols = stripe.code.layout.symbols
-                    if not 0 <= symbol_index < len(symbols):
-                        doomed.setdefault(node_id, []).append(entry)
-                        continue
-                    if not any(stripe.slot_nodes[slot] == node_id
-                               for slot in symbols[symbol_index].replicas):
+                    if node_id not in stripe.replica_nodes(symbol_index):
                         # stale copy from before a repair re-homed it
                         doomed.setdefault(node_id, []).append(entry)
         for node_id, entries in doomed.items():
@@ -593,12 +577,10 @@ class NameNodeServer:
                 # A repair source turned out corrupt: widen the damage
                 # set and try again next round.
                 with self._meta:
-                    info = self._files.get(key[0])
-                    if info is not None:
-                        stripe = info.stripes[key[1]]
-                        slot = stripe.slot_of_node(error.node_id)
-                        if slot is not None:
-                            self._damaged.setdefault(key, set()).add(slot)
+                    stripe = self._namespace.file(key[0]).stripes[key[1]]
+                    slot = stripe.slot_of_node(error.node_id)
+                    if slot is not None:
+                        self._damaged.setdefault(key, set()).add(slot)
                     self._stats["repair_failures"] += 1
                 requeue = True
             except Exception:
@@ -623,38 +605,21 @@ class NameNodeServer:
         async with self._stripe_lock(key):
             alive = set(self._alive_ids())
             with self._meta:
-                info = self._files.get(key[0])
-                if info is None:
-                    self._damaged.pop(key, None)
-                    return True     # file deleted meanwhile
-                stripe = info.stripes[key[1]]
-                scrubbed = set(self._damaged.get(key, ()))
-            code = stripe.code
-            dead = {slot for slot, node in enumerate(stripe.slot_nodes)
-                    if node not in alive}
-            damaged = dead | {slot for slot in scrubbed
-                              if slot < code.length}
+                stripe = self._namespace.file(key[0]).stripes[key[1]]
+                damaged = set(self._damaged.get(key, ()))
+            damaged |= stripe.failed_slots(set(stripe.slot_nodes) - alive)
             if not damaged:
                 with self._meta:
                     self._damaged.pop(key, None)
                 return True         # healed elsewhere (e.g. node revived)
-            failed = tuple(sorted(damaged))
-            if not code.can_recover(failed):
-                raise UnrecoverableStripeError(
-                    code.name, failed, code.layout.lost_symbols(set(failed)))
-            # Replacements: corrupt-but-alive slots repair in place;
-            # dead slots move to alive nodes outside the stripe.
-            replacements: dict[int, int] = {}
-            spare = sorted(alive - set(stripe.slot_nodes))
-            for slot in failed:
-                node = stripe.slot_nodes[slot]
-                if node in alive:
-                    replacements[slot] = node
-                elif spare:
-                    replacements[slot] = spare.pop(0)
-                else:
-                    return False    # no replacement capacity yet: requeue
-            plan = code.plan_node_repair(failed)
+            targets = choose_targets(
+                stripe, damaged, alive,
+                None if self.rack_map is None else self.rack_map.get)
+            # planned even with no spare to put it on: a stripe past
+            # decoding is lost now, not requeued forever
+            plan = stripe.plan_repair(damaged, targets or {})
+            if targets is None:
+                return False        # no replacement capacity yet: requeue
             # Pre-fetch every network transfer (DECODED ones are local
             # hand-offs inside the interpreter; the rest never depend
             # on earlier payloads), then interpret the plan over the
@@ -670,32 +635,19 @@ class NameNodeServer:
                 prefetched.append(
                     np.frombuffer(reply["data"], dtype=np.uint8))
             payloads = iter(prefetched)
-            recovered = run_plan(plan, lambda transfer: next(payloads))
+            puts = stripe.rebuilt_blocks(
+                targets, run_plan(plan, lambda transfer: next(payloads)))
             with self._meta:
-                expected = {
-                    symbol: self._checksums.get(stripe.block_id(symbol))
-                    for slot in failed
-                    for symbol in code.layout.symbols_on_slot(slot)
-                }
-            for slot in failed:
-                target = replacements[slot]
-                for symbol in code.layout.symbols_on_slot(slot):
-                    if symbol not in recovered:
-                        raise UnrecoverableStripeError(
-                            code.name, failed, (symbol,))
-                    reply = await self._dn_call(
-                        target, "put",
-                        {"block": block_tuple(stripe.block_id(symbol)),
-                         "data": recovered[symbol].tobytes()})
-                    if (expected[symbol] is not None
-                            and reply["crc"] != expected[symbol]):
-                        raise CorruptBlockError(
-                            target, stripe.block_id(symbol))
+                expected = [self._checksums.get(block)
+                            for _, block, _ in puts]
+            for (node_id, block, payload), crc in zip(puts, expected):
+                reply = await self._dn_call(
+                    node_id, "put", {"block": block_tuple(block),
+                                     "data": payload.tobytes()})
+                if crc is not None and reply["crc"] != crc:
+                    raise CorruptBlockError(node_id, block)
             with self._meta:
-                nodes = list(stripe.slot_nodes)
-                for slot in failed:
-                    nodes[slot] = replacements[slot]
-                stripe.slot_nodes = tuple(nodes)
+                stripe.rehome(targets)
                 self._damaged.pop(key, None)
                 self._stats["repairs_done"] += 1
             return True

@@ -180,6 +180,32 @@ class TestRepair:
         assert victim not in stripe.slot_nodes
         assert fs.read_file("f") == data
 
+    @pytest.mark.parametrize("bad", ["in-stripe", "failed"])
+    def test_unusable_replacement_rejected_before_a_byte_moves(self, bad):
+        """A stand-in that already holds a slot of a stripe under repair
+        (two slots on one node), or that is itself failed, is refused
+        with ledger, metadata and every disk as they were."""
+        fs = make_fs(node_count=12, block_bytes=128,
+                     placement=RoundRobinPlacement())
+        fs.write_file("f", payload(128 * 9 * 3), "pentagon")
+        stripes = fs.namenode.file("f").stripes
+        assert [s.slot_nodes for s in stripes] == [
+            (0, 1, 2, 3, 4), (5, 6, 7, 8, 9), (10, 11, 0, 1, 2)]
+        # node 10 is outside the victim's first stripe but inside its
+        # second, so the first alone would accept it; node 5 holds no
+        # slot of either
+        victim, replacement = 0, 10 if bad == "in-stripe" else 5
+        fs.fail_node(victim, permanent=True)
+        if bad == "failed":
+            fs.fail_node(replacement)
+        before = ([s.slot_nodes for s in stripes],
+                  [node.block_count for node in fs.datanodes])
+        with pytest.raises(ValueError):
+            fs.repair_node(victim, replacement=replacement)
+        assert fs.ledger.total_bytes("repair") == 0
+        assert before == ([s.slot_nodes for s in stripes],
+                          [node.block_count for node in fs.datanodes])
+
     def test_repair_of_healthy_node_rejected(self):
         fs = make_fs()
         fs.write_file("f", payload(256 * 9), "pentagon")

@@ -131,3 +131,47 @@ def test_malformed_request_is_a_typed_bad_request(daemons, service, kind):
     if "-" in kind:                 # the method-name spelling is no alias
         assert "unknown request" in bad_request(
             sock, kind.replace("-", "_"), full)
+
+
+@pytest.fixture
+def namenode_with_a_file():
+    """A namenode holding one committed one-stripe pentagon file ``f``
+    on (fake, never dialled) datanodes 0-4; the checker only runs when
+    kicked."""
+    with NameNodeServer(check_period=30.0) as namenode:
+        with socket.create_connection(namenode.address) as sock:
+            for node_id in range(5):
+                call(sock, "dn-register",
+                     {"node_id": node_id, "address": ("127.0.0.1", 1),
+                      "version": protocol.SERVICE_VERSION})
+            call(sock, "begin-write", {"name": "f", "code_name": "pentagon"})
+            call(sock, "commit-write",
+                 {"name": "f", "code_name": "pentagon", "size_bytes": 9,
+                  "stripes": [{"slot_nodes": (0, 1, 2, 3, 4),
+                               "checksums": {str(s): 0 for s in range(10)}}]})
+            yield namenode, sock
+
+
+def repair_backlog(namenode):
+    repair = namenode._op_status({}, None)["repair"]
+    return repair["queued"], repair["damaged_stripes"]
+
+
+@pytest.mark.parametrize("block", [("f", -1, 0), ("f", 1, 0), ("f", 7, 0),
+                                   ("f", 0, -1), ("f", 0, 10)])
+def test_report_corrupt_outside_the_file_is_a_bad_request(
+        namenode_with_a_file, block):
+    namenode, sock = namenode_with_a_file
+    bad_request(sock, "report-corrupt", {"block": block, "node_id": 0})
+    assert repair_backlog(namenode) == (0, 0)
+
+
+def test_report_corrupt_unknown_file_and_stale_node(namenode_with_a_file):
+    namenode, sock = namenode_with_a_file
+    with pytest.raises(FileNotFoundError):
+        call(sock, "report-corrupt", {"block": ("g", 0, 0), "node_id": 0})
+    # a node that no longer holds a slot of the stripe (the client's
+    # metadata predates a re-home): accepted, nothing queued
+    assert call(sock, "report-corrupt",
+                {"block": ("f", 0, 0), "node_id": 9}) == {}
+    assert repair_backlog(namenode) == (0, 0)
