@@ -480,6 +480,27 @@ class Code(ABC):
         return len(self.fatal_patterns(size)) / total
 
     # ------------------------------------------------------------------
+    # Failure symmetry (what the reliability chains lump by)
+    # ------------------------------------------------------------------
+    def symmetry_classes(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Which slots are interchangeable as far as data loss goes.
+
+        A tuple of *classes*, each a tuple of interchangeable *cells*
+        of one size, each a tuple of interchangeable slots: the claim
+        is that :meth:`can_recover` depends only on how many cells of
+        each class have ``j`` slots down.  The default — every slot its
+        own class — claims nothing, so it is exact for any code (and as
+        large as the brute force); subclasses declare their structure
+        and :func:`repro.reliability.validate_lumping` checks the claim
+        against every failure mask.
+        """
+        return tuple(((slot,),) for slot in range(self.length))
+
+    def one_flat_class(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The declaration "only the number of failed slots matters"."""
+        return (tuple((slot,) for slot in range(self.length)),)
+
+    # ------------------------------------------------------------------
     # Repair planning (generic fallbacks; subclasses override)
     # ------------------------------------------------------------------
     def plan_node_repair(self, failed_slots) -> RepairPlan:

@@ -99,6 +99,9 @@ class PolygonCode(Code):
         """
         return len(set(failed_slots)) <= 2
 
+    #: The complete graph is vertex-transitive.
+    symmetry_classes = Code.one_flat_class
+
     # ------------------------------------------------------------------
     # Structured repair
     # ------------------------------------------------------------------

@@ -131,6 +131,13 @@ class PolygonLocalCode(Code):
                 per_group[group].append(slot)
         return per_group, global_failed
 
+    def symmetry_classes(self):
+        """One class per local polygon, then the global node alone."""
+        n = self.n
+        return (*(tuple((slot,) for slot in range(group * n, (group + 1) * n))
+                  for group in range(self.groups)),
+                ((self.global_slot,),))
+
     def local_group_slots(self) -> dict[str, tuple[int, ...]]:
         """Failure domains for rack-aware placement."""
         domains = {

@@ -68,6 +68,10 @@ class RaidMirrorCode(Code):
         )
         return doubly_lost <= 1
 
+    def symmetry_classes(self):
+        """One class of mirror pairs: any pair, and either half of it."""
+        return (tuple((slot, slot + 1) for slot in range(0, self.length, 2)),)
+
     # ------------------------------------------------------------------
     # Structured repair
     # ------------------------------------------------------------------

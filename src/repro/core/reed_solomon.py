@@ -50,3 +50,6 @@ class ReedSolomonCode(Code):
                 label=f"p{parity_index}",
             ))
         return StripeLayout(self.name, k=k, length=n, symbols=tuple(symbols))
+
+    #: MDS: any ``k`` of the ``n`` symbols decode, whichever they are.
+    symmetry_classes = Code.one_flat_class

@@ -35,6 +35,9 @@ class ReplicationCode(Code):
         """Closed form: the block survives while any replica survives."""
         return len(set(failed_slots)) < self.replicas
 
+    #: Every replica is as good as any other.
+    symmetry_classes = Code.one_flat_class
+
     def plan_node_repair(self, failed_slots) -> RepairPlan:
         """Copy the block from any surviving replica to each lost slot."""
         failed = tuple(sorted(set(failed_slots)))

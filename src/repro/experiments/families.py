@@ -2,14 +2,14 @@
 
 The paper evaluates one locally regenerating code (two heptagons plus a
 global node).  With the generalized registry names, the aggregated
-pattern chains of :func:`repro.reliability.polygon_local_chain` and the
+pattern chains of :func:`repro.reliability.group_chain` and the
 sharded exact-reliability engine behind them, the whole family is
 sweepable: this experiment reports, for each member, the static layout
 columns (overhead, length, fault tolerance, repair reads) next to the
 system MTTDL under the pattern and conservative loss models — and the
 pattern MTTDL again with UBER sector errors folded in
-(:func:`repro.reliability.group_chain_with_uber`), the loss mode that
-punishes exactly the wide critical rebuilds these codes rely on.
+(:func:`repro.reliability.system_mttdl_years_with_uber`), the loss mode
+that punishes exactly the wide critical rebuilds these codes rely on.
 
 Every row is one single-call engine cell keyed by the registry name,
 so the sweep fans out over ``--workers`` / ``--distributed`` like any
@@ -26,11 +26,9 @@ from ..reliability import (
     ReliabilityParams,
     calibrate_mttf,
     critical_read_blocks,
-    group_chain_with_uber,
     group_count,
-    hours_to_years,
-    initial_state,
     system_mttdl_years,
+    system_mttdl_years_with_uber,
 )
 from .engine import Cell, Executor, run_cells
 
@@ -114,9 +112,6 @@ def family_row(code_name: str, params: ReliabilityParams, node_count: int,
     """
     code = make_code(code_name)
     metrics = compute_metrics(code)
-    uber_chain = group_chain_with_uber(code_name, params, uber_block_prob)
-    uber_group_hours = uber_chain.mean_time_to_absorption(
-        initial_state(code_name))
     return FamilyRow(
         code=code_name,
         groups=code.groups,
@@ -130,8 +125,8 @@ def family_row(code_name: str, params: ReliabilityParams, node_count: int,
             code_name, params, node_count, model="pattern"),
         mttdl_conservative_years=system_mttdl_years(
             code_name, params, node_count, model="conservative"),
-        mttdl_uber_years=(hours_to_years(uber_group_hours)
-                          / group_count(code_name, node_count)),
+        mttdl_uber_years=system_mttdl_years_with_uber(
+            code_name, params, uber_block_prob, node_count),
     )
 
 

@@ -4,7 +4,7 @@ Implements the "standard node failure and repair models" behind the
 paper's Table 1 MTTDL column: per-code redundancy-group CTMCs with
 pattern-exact loss conditions, a grouped system model, parameter
 calibration against the paper's anchor row, and simulators that
-validate the hand-derived state spaces.
+validate the lumped state spaces.
 """
 
 from .markov import HOURS_PER_YEAR, MarkovChain, hours_to_years, years_to_hours
@@ -17,18 +17,12 @@ from .mask_enum import (
 )
 from .models import (
     DATA_LOSS,
+    GroupModel,
     ReliabilityParams,
     brute_force_chain,
-    conservative_chain,
     group_chain,
-    heptagon_local_chain,
-    initial_state,
-    polygon_chain,
-    polygon_local_chain,
-    polygon_local_state_table,
-    raid_mirror_chain,
-    replication_chain,
-    validate_polygon_local_states,
+    group_model,
+    validate_lumping,
 )
 from .sector_errors import (
     add_sector_errors,
@@ -45,10 +39,8 @@ from .simulate import (
     simulate_group_mttd_total,
 )
 from .system import (
-    GroupModel,
     calibrate_mttf,
     group_count,
-    group_model,
     group_mttdl_years,
     system_mttdl_years,
 )
@@ -60,17 +52,9 @@ __all__ = [
     "HOURS_PER_YEAR",
     "DATA_LOSS",
     "ReliabilityParams",
-    "replication_chain",
-    "polygon_chain",
-    "raid_mirror_chain",
-    "heptagon_local_chain",
-    "polygon_local_chain",
-    "polygon_local_state_table",
-    "validate_polygon_local_states",
-    "conservative_chain",
     "brute_force_chain",
     "group_chain",
-    "initial_state",
+    "validate_lumping",
     "AUTO_SERIAL_MASKS",
     "MAX_EXACT_LENGTH",
     "recoverable_mask_table",

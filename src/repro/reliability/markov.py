@@ -5,14 +5,15 @@ models" [7]: nodes fail and repair as independent exponential processes
 and data loss is the absorption event.  This module provides the
 generic machinery — a CTMC described by its transition rates, and the
 mean-time-to-absorption solve — while :mod:`repro.reliability.models`
-builds the per-code state spaces.
+builds each code's lumped state space.
 
 The mean time to absorption from transient state ``s`` satisfies
 
     (sum of rates out of s) * t(s) - sum_{s' transient} rate(s->s') t(s') = 1
 
 a sparse linear system solved with scipy.  Small systems (every
-hand-reduced per-code chain) go through the exact sparse-LU solve;
+lumped chain of :func:`repro.reliability.models.group_chain`) go
+through the exact sparse-LU solve;
 the exhaustive subset chains of
 :func:`repro.reliability.models.brute_force_chain` reach tens of
 thousands of hypercube-structured states where sparse LU fill-in is
@@ -35,7 +36,7 @@ from scipy.sparse.linalg import LinearOperator, bicgstab, spsolve
 State = Hashable
 
 #: Largest transient-state count solved by exact sparse LU; the
-#: hand-reduced chains all sit far below it (the 15-slot heptagon-local
+#: lumped chains all sit far below it (the 15-slot heptagon-local
 #: subset chain has ~3.7k states), so their solution paths — and the
 #: 1e-9-tight equivalence tests against them — are unchanged.
 DIRECT_SOLVE_STATES = 4096

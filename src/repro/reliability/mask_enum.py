@@ -25,8 +25,9 @@ Three properties make the split safe:
 
 The practical wall moves from 15 slots to :data:`MAX_EXACT_LENGTH`
 (~2**24 verdicts); beyond that even a sharded table (and any chain
-built on it) is out of reach, and the aggregated pattern chains
-(:func:`repro.reliability.models.polygon_local_chain`) are the
+built on it) is out of reach, and the lumped pattern chains
+(:func:`repro.reliability.models.group_chain`, over the symmetry the
+code declares in :meth:`~repro.core.Code.symmetry_classes`) are the
 supported model.
 """
 
@@ -79,8 +80,8 @@ def check_enumerable(code: Code) -> None:
             f"{code.name}: exact reliability enumeration needs "
             f"2**{code.length} recoverability verdicts; length "
             f"{code.length} exceeds the {MAX_EXACT_LENGTH}-slot sharded "
-            f"engine limit — use the aggregated pattern chain "
-            f"(e.g. polygon_local_chain) for codes this long")
+            f"engine limit — declare the code's symmetry_classes() so "
+            f"group_chain can lump its states")
 
 
 def shard_ranges(length: int, shard_masks: int | None = None) -> list[tuple[int, int]]:

@@ -1,51 +1,50 @@
 """Per-code Markov reliability models (the MTTDL column of Table 1).
 
-Each builder returns a :class:`~repro.reliability.markov.MarkovChain`
-over a *redundancy group* — one stripe's worth of nodes — with a single
-absorbing ``"DL"`` (data loss) state.  Node failures are exponential
-with rate ``lambda = 1/MTTF``; failed nodes are rebuilt with exponential
-rate ``mu = 1/MTTR`` (in parallel by default, or through a single
-repair facility with ``repair="serial"``).
+Every model is one :class:`~repro.reliability.markov.MarkovChain` over
+a *redundancy group* — one stripe's worth of nodes — with a single
+absorbing ``"DL"`` (data loss) state, and every one is built by the
+same four steps:
 
-Loss conditions are *pattern-exact*, derived from each code's
-structure and cross-checked in the tests against a brute-force chain
-over all failure subsets:
+* **declaration** — the code says which of its slots are
+  interchangeable (:meth:`repro.core.Code.symmetry_classes`): classes
+  of cells of slots.  Replication, polygons and Reed-Solomon declare
+  one class of single-slot cells, RAID+m one class of mirror pairs,
+  polygon-local families one class per local polygon plus the global
+  node; a code that declares nothing gets every slot as its own class,
+  i.e. the subset chain.
+* **state** — per class, the histogram "cells with ``j`` slots down",
+  ``j = 1..cell size``: ``((2,),)`` is two replicas down,
+  ``((s1, s2),)`` the RAID+m state (pairs half down, pairs fully down),
+  ``((f1,), (f2,), (g,))`` the heptagon-local one.
+* **verdict** — ``code.can_recover`` on the state's canonical
+  representative pattern (``model="pattern"``), or ``failures <=
+  tolerance`` over one flat class (``model="conservative"``, the
+  pessimistic variant reliability literature often quotes; Table 1
+  reports both).  Recoverability is monotone, so the states reachable
+  from all-healthy through failures are exactly the recoverable ones.
+* **rates** — ``cells_j`` cells with ``j`` of ``size`` slots down lose
+  another slot at ``cells_j * (size - j) * lambda`` and, repaired in
+  parallel, regain one at ``cells_j * j * mu``; a single repair
+  facility (``repair="serial"``) instead serves the class with the
+  most slots down (lowest index on ties) and its most damaged cell, at
+  ``mu``.  ``lambda = 1/MTTF``, ``mu = 1/MTTR``.
 
-* ``r``-rep: all ``r`` replicas down;
-* polygon(n): any 3 of the n nodes down (a failure triangle always
-  doubly-loses 3 symbols against one XOR parity);
-* (k+1,k) RAID+m: two mirror pairs fully down — the state is
-  ``(s1, s2)`` = (symbols with one copy lost, symbols with both lost);
-* polygon-local families (any polygon size, group count and
-  global-parity count — the paper's heptagon-local is the
-  2-heptagon member): the state is ``(f_1, ..., f_groups, g)``
-  (failures per local group, global node down?) with per-state loss
-  verdicts taken from the exact decodability engine on canonical
-  representative patterns.  That aggregation is exact — every failure
-  pattern with the same per-group counts has the same verdict — and
-  :func:`validate_polygon_local_states` checks it state-for-state
-  against the sharded brute force.
-
-A ``conservative_chain`` builder is also provided (loss as soon as
-``tolerance + 1`` nodes of the group are concurrently down, pattern
-ignored) since reliability literature often quotes that pessimistic
-variant; the Table 1 experiment reports both.
+The declaration is a claim about the code, and
+:func:`validate_lumping` checks it mask for mask against the sharded
+brute force; :func:`brute_force_chain` stays as the independent
+reference the tests compare lumped chains with.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..core import Code, PolygonLocalCode, make_code
+from ..core import Code, make_code
 from .markov import MarkovChain
-from .mask_enum import (
-    MAX_EXACT_LENGTH,
-    check_enumerable,
-    recoverable_mask_table,
-)
+from .mask_enum import check_enumerable, recoverable_mask_table
 
 DATA_LOSS = "DL"
 
@@ -84,290 +83,182 @@ class ReliabilityParams:
     def with_mttf(self, node_mttf_hours: float) -> "ReliabilityParams":
         return replace(self, node_mttf_hours=node_mttf_hours)
 
-    def effective_repair_rate(self, failed_count: int) -> float:
-        """Aggregate repair rate with ``failed_count`` nodes down."""
-        if failed_count <= 0:
-            return 0.0
-        if self.repair == "parallel":
-            return failed_count * self.repair_rate
-        return self.repair_rate
+
+@dataclass(frozen=True)
+class GroupModel:
+    """A group chain with its all-healthy start state and repair edges."""
+
+    chain: MarkovChain
+    start: object
+    #: The ``(source, dest)`` edges that are rebuilds, by construction.
+    repairs: frozenset
+
+    def mttdl_hours(self) -> float:
+        return self.chain.mean_time_to_absorption(self.start)
 
 
-def replication_chain(replicas: int, params: ReliabilityParams) -> MarkovChain:
-    """Chain for an ``r``-rep group: states = failed-node count."""
-    chain = MarkovChain()
-    chain.mark_absorbing(DATA_LOSS)
-    lam, = (params.failure_rate,)
-    for failed in range(replicas):
-        fail_rate = (replicas - failed) * lam
-        dest = DATA_LOSS if failed + 1 == replicas else failed + 1
-        chain.add_transition(failed, dest, fail_rate)
-        if failed > 0:
-            chain.add_transition(failed, failed - 1,
-                                 params.effective_repair_rate(failed))
-    return chain
+def _representative(symmetry, state) -> list[int]:
+    """The canonical failed-slot pattern of a lumped state."""
+    slots: list[int] = []
+    for cells, histogram in zip(symmetry, state):
+        cell = iter(cells)
+        for down, cells_down in enumerate(histogram, start=1):
+            for _ in range(cells_down):
+                slots.extend(next(cell)[:down])
+    return slots
 
 
-def polygon_chain(n: int, params: ReliabilityParams) -> MarkovChain:
-    """Chain for a polygon(n) group: any third concurrent failure is fatal."""
-    chain = MarkovChain()
-    chain.mark_absorbing(DATA_LOSS)
-    lam = params.failure_rate
-    for failed in range(3):
-        fail_rate = (n - failed) * lam
-        dest = DATA_LOSS if failed + 1 == 3 else failed + 1
-        chain.add_transition(failed, dest, fail_rate)
-        if failed > 0:
-            chain.add_transition(failed, failed - 1,
-                                 params.effective_repair_rate(failed))
-    return chain
+def _moved(state, index: int, down: int, to: int):
+    """``state`` with one cell of class ``index`` taken from ``down`` slots
+    down to ``to`` slots down."""
+    histogram = list(state[index])
+    if down:
+        histogram[down - 1] -= 1
+    if to:
+        histogram[to - 1] += 1
+    return (*state[:index], tuple(histogram), *state[index + 1:])
 
 
-def raid_mirror_chain(k: int, params: ReliabilityParams) -> MarkovChain:
-    """Chain for a (k+1,k) RAID+m group over states (s1, s2).
+def _lumped_edges(symmetry, recoverable, repair: str):
+    """Start state, rate-free edges and repair edges of the lumped chain.
 
-    ``s1`` symbols have one copy down, ``s2`` symbols have both copies
-    down; loss occurs when a second symbol loses both copies.
+    Explores from all-healthy through failures; ``recoverable(state)``
+    is asked once per state met.  Edges are ``(source, dest,
+    multiplicity, is_repair)``: the rate is ``multiplicity`` times the
+    failure or the repair rate.
     """
-    chain = MarkovChain()
-    chain.mark_absorbing(DATA_LOSS)
-    lam, symbols = params.failure_rate, k + 1
-    for s1 in range(symbols + 1):
-        for s2 in range(2):
-            if s1 + s2 > symbols:
-                continue
-            state = (s1, s2)
-            intact_pairs = symbols - s1 - s2
-            # A copy of an intact pair fails.
-            chain.add_transition(state, (s1 + 1, s2), 2 * intact_pairs * lam)
-            # The partner of a singly-failed symbol fails.
-            if s1 > 0:
-                dest = DATA_LOSS if s2 + 1 >= 2 else (s1 - 1, s2 + 1)
-                chain.add_transition(state, dest, s1 * lam)
-            # Repairs.
-            failed_nodes = s1 + 2 * s2
-            if failed_nodes == 0:
-                continue
-            if params.repair == "parallel":
-                if s1 > 0:
-                    chain.add_transition(state, (s1 - 1, s2), s1 * params.repair_rate)
-                if s2 > 0:
-                    chain.add_transition(state, (s1 + 1, s2 - 1),
-                                         2 * s2 * params.repair_rate)
-            else:
-                # One facility; doubly-lost symbols are rebuilt first.
-                if s2 > 0:
-                    chain.add_transition(state, (s1 + 1, s2 - 1), params.repair_rate)
-                else:
-                    chain.add_transition(state, (s1 - 1, s2), params.repair_rate)
-    return chain
+    start = tuple((0,) * len(cells[0]) for cells in symmetry)
+    verdicts = {start: True}
+    frontier = [start]
+    edges = []
+    while frontier:
+        state = frontier.pop()
+        repairs = []
+        for index, (cells, histogram) in enumerate(zip(symmetry, state)):
+            size = len(cells[0])
+            healthy = len(cells) - sum(histogram)
+            for down, cells_down in enumerate((healthy, *histogram)):
+                if not cells_down:
+                    continue
+                if down < size:
+                    dest = _moved(state, index, down, down + 1)
+                    if dest not in verdicts:
+                        verdicts[dest] = recoverable(dest)
+                        if verdicts[dest]:
+                            frontier.append(dest)
+                    edges.append((state, dest if verdicts[dest] else DATA_LOSS,
+                                  cells_down * (size - down), False))
+                if down:
+                    repairs.append((index, down, cells_down * down))
+        if repair == "serial" and repairs:
+            # One facility: the class with the most slots down (lowest
+            # index on ties), and its most damaged cell.
+            damage = [sum(down * cells_down
+                          for down, cells_down in enumerate(histogram, start=1))
+                      for histogram in state]
+            index, down, _ = max(
+                repairs, key=lambda r: (damage[r[0]], -r[0], r[1]))
+            repairs = [(index, down, 1)]
+        edges.extend((state, _moved(state, index, down, down - 1),
+                      multiplicity, True)
+                     for index, down, multiplicity in repairs)
+    edges.sort(key=lambda edge: edge[0])    # states in lexicographic order
+    return start, tuple(edges), frozenset(
+        (source, dest) for source, dest, _, is_repair in edges if is_repair)
 
 
-def heptagon_local_chain(params: ReliabilityParams) -> MarkovChain:
-    """Chain for a heptagon-local group over states (f1, f2, g)."""
-    code = make_code("heptagon-local")
-    chain = MarkovChain()
-    chain.mark_absorbing(DATA_LOSS)
-    lam = params.failure_rate
+@functools.lru_cache(maxsize=64)
+def _group_edges(code_name: str, model: str, repair: str):
+    """:func:`_lumped_edges` of the named code — its canonical-pattern
+    rank tests run once per process however many chains are built."""
+    code = make_code(code_name)
+    if model == "pattern":
+        symmetry = code.symmetry_classes()
+        if len(symmetry) == code.length:
+            check_enumerable(code)     # nothing declared: the subset chain
 
-    def fatal(f1: int, f2: int, g: int) -> bool:
-        if max(f1, f2) >= 4:
-            return True
-        if g and max(f1, f2) >= 3:
-            return True
-        return f1 >= 3 and f2 >= 3
+        def recoverable(state) -> bool:
+            return code.can_recover(_representative(symmetry, state))
+    elif model == "conservative":
+        symmetry, tolerance = code.one_flat_class(), code.fault_tolerance
 
-    assert not fatal(3, 2, 0) and fatal(3, 0, 1) and fatal(3, 3, 0)
-    assert code.fault_tolerance == 3  # keep the chain honest vs the code
-
-    states = [
-        (f1, f2, g)
-        for f1 in range(4) for f2 in range(4) for g in (0, 1)
-        if not fatal(f1, f2, g)
-    ]
-    for f1, f2, g in states:
-        state = (f1, f2, g)
-        # Failures.
-        dest = (f1 + 1, f2, g)
-        chain.add_transition(state, DATA_LOSS if fatal(*dest) else dest,
-                             (7 - f1) * lam)
-        dest = (f1, f2 + 1, g)
-        chain.add_transition(state, DATA_LOSS if fatal(*dest) else dest,
-                             (7 - f2) * lam)
-        if g == 0:
-            dest = (f1, f2, 1)
-            chain.add_transition(state, DATA_LOSS if fatal(*dest) else dest, lam)
-        # Repairs.
-        failed_nodes = f1 + f2 + g
-        if failed_nodes == 0:
-            continue
-        if params.repair == "parallel":
-            if f1 > 0:
-                chain.add_transition(state, (f1 - 1, f2, g), f1 * params.repair_rate)
-            if f2 > 0:
-                chain.add_transition(state, (f1, f2 - 1, g), f2 * params.repair_rate)
-            if g:
-                chain.add_transition(state, (f1, f2, 0), params.repair_rate)
-        else:
-            # One facility; rebuild the most damaged domain first.
-            if f1 >= max(f2, 1) and f1 > 0:
-                chain.add_transition(state, (f1 - 1, f2, g), params.repair_rate)
-            elif f2 > 0:
-                chain.add_transition(state, (f1, f2 - 1, g), params.repair_rate)
-            elif g:
-                chain.add_transition(state, (f1, f2, 0), params.repair_rate)
-    return chain
+        def recoverable(state) -> bool:
+            return state[0][0] <= tolerance
+    else:
+        raise ValueError("model must be 'pattern' or 'conservative'")
+    return _lumped_edges(symmetry, recoverable, repair)
 
 
-#: Memoised per-family aggregate verdict tables, keyed on
-#: ``(n, groups, global_parities)`` — the canonical-mask rank tests run
-#: once per family per process however many chains are built.
-_POLYGON_LOCAL_TABLES: dict[tuple[int, int, int], dict[tuple, bool]] = {}
+def group_model(code_name: str, params: ReliabilityParams,
+                model: str = "pattern") -> GroupModel:
+    """The chain for one redundancy group of the named code.
 
-
-def polygon_local_state_table(n: int, groups: int = 2,
-                              global_parities: int = 2) -> dict[tuple, bool]:
-    """Aggregate-state verdicts for a polygon-local family.
-
-    Maps every state ``(f_1, ..., f_groups, g)`` (failure count per
-    local group, global node down?) to "recoverable?", decided by the
-    exact decodability engine on the state's canonical representative
-    pattern (the first ``f_i`` slots of each group).  Polygon layouts
-    are vertex-transitive, so the verdict is a function of the counts
-    alone; :func:`validate_polygon_local_states` re-derives that claim
-    against every individual mask via the sharded brute force.
+    ``model`` selects "pattern" (exact loss conditions) or
+    "conservative" (loss at tolerance + 1 failures).
     """
-    key = (n, groups, global_parities)
-    table = _POLYGON_LOCAL_TABLES.get(key)
-    if table is not None:
-        return table
-    code = PolygonLocalCode(n, groups=groups,
-                            global_parities=global_parities)
-    table = {}
-    for fs in itertools.product(range(n + 1), repeat=groups):
-        slots = [group * n + slot
-                 for group, count in enumerate(fs)
-                 for slot in range(count)]
-        table[(*fs, 0)] = bool(code.can_recover(slots))
-        table[(*fs, 1)] = bool(code.can_recover(slots + [code.global_slot]))
-    _POLYGON_LOCAL_TABLES[key] = table
-    return table
-
-
-def polygon_local_chain(n: int, params: ReliabilityParams,
-                        groups: int = 2,
-                        global_parities: int = 2) -> MarkovChain:
-    """Chain for any polygon-local group over ``(f_1..f_groups, g)``.
-
-    The generalized pattern chain behind every
-    :class:`~repro.core.PolygonLocalCode` family — for ``n=7,
-    groups=2, global_parities=2`` it reproduces
-    :func:`heptagon_local_chain` transition for transition (asserted in
-    the tests), and for 3+-group families it replaces the brute-force
-    fallback that used to wall at 15 slots.  Serial repair rebuilds the
-    most damaged group first (lowest index on ties), then the global
-    node, matching the heptagon-local policy.
-    """
-    table = polygon_local_state_table(n, groups, global_parities)
+    start, edges, repairs = _group_edges(code_name, model, params.repair)
     chain = MarkovChain()
     chain.mark_absorbing(DATA_LOSS)
-    lam, mu = params.failure_rate, params.repair_rate
-
-    def resolve(state: tuple):
-        return state if table[state] else DATA_LOSS
-
-    for state, recoverable in table.items():
-        if not recoverable:
-            continue
-        *fs, g = state
-        # Failures.
-        for group in range(groups):
-            if fs[group] < n:
-                dest = (*fs[:group], fs[group] + 1, *fs[group + 1:], g)
-                chain.add_transition(state, resolve(dest),
-                                     (n - fs[group]) * lam)
-        if g == 0:
-            chain.add_transition(state, resolve((*fs, 1)), lam)
-        # Repairs.
-        if sum(fs) + g == 0:
-            continue
-        if params.repair == "parallel":
-            for group in range(groups):
-                if fs[group] > 0:
-                    dest = (*fs[:group], fs[group] - 1, *fs[group + 1:], g)
-                    chain.add_transition(state, dest, fs[group] * mu)
-            if g:
-                chain.add_transition(state, (*fs, 0), mu)
-        else:
-            # One facility; rebuild the most damaged group first.
-            worst = max(range(groups), key=lambda group: fs[group])
-            if fs[worst] > 0:
-                dest = (*fs[:worst], fs[worst] - 1, *fs[worst + 1:], g)
-                chain.add_transition(state, dest, mu)
-            elif g:
-                chain.add_transition(state, (*fs, 0), mu)
-    return chain
+    for source, dest, multiplicity, is_repair in edges:
+        rate = params.repair_rate if is_repair else params.failure_rate
+        chain.add_transition(source, dest, multiplicity * rate)
+    return GroupModel(chain, start, repairs)
 
 
-def validate_polygon_local_states(code: PolygonLocalCode, workers=None, *,
-                                  executor=None) -> dict[tuple, bool]:
-    """Check the aggregate table against every individual failure mask.
+def group_chain(code_name: str, params: ReliabilityParams,
+                model: str = "pattern") -> MarkovChain:
+    """:func:`group_model` without the start state."""
+    return group_model(code_name, params, model).chain
+
+
+def validate_lumping(code: Code, workers=None, *,
+                     executor=None) -> dict[tuple, bool]:
+    """Check ``code.symmetry_classes()`` against every failure mask.
 
     Streams the code's full (possibly sharded) recoverability table and
-    asserts each mask's exact verdict equals its aggregate state's
-    canonical verdict — the lumping assumption
-    :func:`polygon_local_chain` rests on.  Returns the state table on
-    success; raises :class:`ValueError` naming the first disagreeing
+    requires each mask's exact verdict to equal the verdict of its
+    lumped state's canonical representative — the claim every pattern
+    chain rests on.  Returns "recoverable?" for every lumped state;
+    raises :class:`ValueError` naming the first disagreeing mask and
     state otherwise.
     """
-    if not isinstance(code, PolygonLocalCode):
-        raise TypeError(f"{code.name} is not a polygon-local code")
-    n, groups = code.n, code.groups
-    table = polygon_local_state_table(n, groups, code.global_parities)
+    symmetry = code.symmetry_classes()
     recoverable = recoverable_mask_table(code, workers, executor=executor)
-    expected = np.empty((n + 1) ** groups * 2, dtype=bool)
-    for state, verdict in table.items():
-        position = 0
-        for count in state[:-1]:
-            position = position * (n + 1) + count
-        expected[position * 2 + state[-1]] = verdict
-    shifts = np.arange(code.length)[None, :]
-    for lo in range(0, 1 << code.length, 1 << 14):
-        hi = min(lo + (1 << 14), 1 << code.length)
-        masks = np.arange(lo, hi, dtype=np.int64)
-        bits = ((masks[:, None] >> shifts) & 1).astype(np.int64)
-        position = np.zeros(len(masks), dtype=np.int64)
-        for group in range(groups):
-            position = position * (n + 1) + \
-                bits[:, group * n:(group + 1) * n].sum(axis=1)
-        position = position * 2 + bits[:, groups * n]
-        disagree = np.nonzero(recoverable[lo:hi] != expected[position])[0]
+    slots = [np.array(cells) for cells in symmetry]    # (cells, size) each
+    sizes = [len(cells[0]) for cells in symmetry]
+    # One positional digit per histogram entry tells states apart.
+    radix = [len(cells) + 1 for cells, size in zip(symmetry, sizes)
+             for _ in range(size)]
+    weights = np.cumprod([1, *radix[:-1]])
+    table: dict[tuple, bool] = {}
+    for lo in range(0, len(recoverable), 1 << 14):
+        masks = np.arange(lo, min(lo + (1 << 14), len(recoverable)),
+                          dtype=np.int64)
+        columns = []
+        for cells, size in zip(slots, sizes):
+            down = sum((masks[:, None] >> cells[None, :, slot]) & 1
+                       for slot in range(size))
+            columns += [(down == j).sum(axis=1) for j in range(1, size + 1)]
+        columns = np.stack(columns, axis=1)
+        _, first, inverse = np.unique(
+            columns @ weights, return_index=True, return_inverse=True)
+        states = []
+        for row in columns[first].tolist():
+            entries = iter(row)
+            state = tuple(tuple(next(entries) for _ in range(size))
+                          for size in sizes)
+            if state not in table:
+                table[state] = bool(
+                    code.can_recover(_representative(symmetry, state)))
+            states.append(state)
+        expected = np.array([table[state] for state in states])[inverse]
+        disagree = np.nonzero(recoverable[lo:lo + len(masks)] != expected)[0]
         if len(disagree):
-            mask = int(masks[disagree[0]])
-            counts = tuple(int(bits[disagree[0],
-                                    group * n:(group + 1) * n].sum())
-                           for group in range(groups))
-            state = (*counts, int(bits[disagree[0], groups * n]))
             raise ValueError(
-                f"{code.name}: aggregation is not exact — failure mask "
-                f"{mask:#x} disagrees with aggregate state {state}")
+                f"{code.name}: lumping is not exact — failure mask "
+                f"{int(masks[disagree[0]]):#x} disagrees with lumped state "
+                f"{states[inverse[disagree[0]]]}")
     return table
-
-
-def conservative_chain(length: int, tolerance: int,
-                       params: ReliabilityParams) -> MarkovChain:
-    """Pattern-blind chain: loss at ``tolerance + 1`` concurrent failures."""
-    chain = MarkovChain()
-    chain.mark_absorbing(DATA_LOSS)
-    lam = params.failure_rate
-    for failed in range(tolerance + 1):
-        fail_rate = (length - failed) * lam
-        dest = DATA_LOSS if failed + 1 > tolerance else failed + 1
-        chain.add_transition(failed, dest, fail_rate)
-        if failed > 0:
-            chain.add_transition(failed, failed - 1,
-                                 params.effective_repair_rate(failed))
-    return chain
 
 
 def brute_force_chain(code: Code, params: ReliabilityParams,
@@ -417,52 +308,3 @@ def brute_force_chain(code: Code, params: ReliabilityParams,
                     else params.repair_rate / len(failed))
             chain.add_transition(failed, failed - {slot}, rate)
     return chain
-
-
-def group_chain(code_name: str, params: ReliabilityParams,
-                model: str = "pattern") -> MarkovChain:
-    """Chain for one redundancy group of the named code.
-
-    ``model`` selects "pattern" (exact loss conditions) or
-    "conservative" (loss at tolerance + 1 failures).
-    """
-    code = make_code(code_name)
-    if model == "conservative":
-        return conservative_chain(code.length, code.fault_tolerance, params)
-    if model != "pattern":
-        raise ValueError("model must be 'pattern' or 'conservative'")
-    from ..core import PolygonCode, RaidMirrorCode, ReplicationCode
-    if isinstance(code, ReplicationCode):
-        return replication_chain(code.replicas, params)
-    if isinstance(code, PolygonCode):
-        return polygon_chain(code.n, params)
-    if isinstance(code, RaidMirrorCode):
-        return raid_mirror_chain(code.data_count, params)
-    if isinstance(code, PolygonLocalCode):
-        # Covers the whole family, heptagon-local included: the
-        # generalized chain reproduces heptagon_local_chain exactly
-        # and lifts 3+-group members off the brute-force fallback.
-        return polygon_local_chain(code.n, params, groups=code.groups,
-                                   global_parities=code.global_parities)
-    # Fallback: exact subset chain for anything small enough.
-    return brute_force_chain(code, params)
-
-
-def initial_state(code_name: str, model: str = "pattern"):
-    """The all-healthy start state of :func:`group_chain`."""
-    if model == "conservative":
-        return 0
-    from ..core import RaidMirrorCode
-    code = make_code(code_name)
-    if isinstance(code, RaidMirrorCode):
-        return (0, 0)
-    if isinstance(code, PolygonLocalCode):
-        # One failure counter per local group plus the global flag —
-        # (0, 0, 0) for the paper's heptagon-local.  (Generic members
-        # used to fall through to 0 here while their chain's states
-        # were frozensets, so their MTTDL query crashed.)
-        return (0,) * (code.groups + 1)
-    if code.length <= MAX_EXACT_LENGTH and not hasattr(code, "replicas") \
-            and not hasattr(code, "n"):
-        return frozenset()
-    return 0

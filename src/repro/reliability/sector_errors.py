@@ -14,15 +14,17 @@ losses, and replication reads a single block.  With realistic
 block-level unrecoverable-read probabilities the 4-failure-tolerant
 codes' MTTDL collapses toward the 3-failure codes' — one plausible
 explanation for the paper's Table 1 placing (10,9) RAID+m within 2x of
-3-rep (see EXPERIMENTS.md).
+3-rep (``results/table1.txt`` and ``results/ablation_uber.txt``;
+ROADMAP item 6).
 
 Model per state of the group chain:
 
 * a state is *critical* when some single further node failure is fatal;
-* each repair transition out of a critical state is split: with
-  probability ``p = 1 - (1 - u)^blocks_read`` the rebuild hits an
-  unreadable block and the chain absorbs, otherwise the repair
-  completes.  ``u`` is the per-block unrecoverable-read probability;
+* each repair transition out of a critical state (the group model
+  knows its repair edges by construction) is split: with probability
+  ``p = 1 - (1 - u)^blocks_read`` the rebuild hits an unreadable block
+  and the chain absorbs, otherwise the repair completes.  ``u`` is the
+  per-block unrecoverable-read probability;
 * non-critical read errors are ignored (the erasure code itself
   absorbs them), which keeps the model slightly optimistic and is the
   standard simplification.
@@ -31,14 +33,15 @@ Model per state of the group chain:
 from __future__ import annotations
 
 from ..core import make_code
-from .markov import MarkovChain
+from .markov import MarkovChain, hours_to_years
 from .models import (
     DATA_LOSS,
+    GroupModel,
     ReliabilityParams,
     group_chain,
-    initial_state,
-    polygon_local_state_table,
+    group_model,
 )
+from .system import group_count
 
 
 def uber_failure_prob(uber_block_prob: float, blocks_read: int) -> float:
@@ -61,79 +64,42 @@ def critical_states(chain: MarkovChain) -> set:
     return critical
 
 
-def _is_repair_transition(source, dest) -> bool:
-    """Heuristic shared by all our chains: repairs reduce the failure count.
-
-    States are either ints (failed counts) or tuples whose component sum
-    tracks failed nodes; every repair strictly decreases that sum, and
-    every failure strictly increases it.
-    """
-    def weight(state) -> int:
-        if isinstance(state, int):
-            return state
-        if isinstance(state, tuple):
-            return sum(state)
-        if isinstance(state, frozenset):
-            return len(state)
-        raise TypeError(f"unrecognised state {state!r}")
-
-    return weight(dest) < weight(source)
-
-
-def add_sector_errors(chain: MarkovChain, uber_block_prob: float,
-                      blocks_read_per_repair: int) -> MarkovChain:
-    """Return a new chain with UBER-split repairs in critical states."""
+def add_sector_errors(model: GroupModel, uber_block_prob: float,
+                      blocks_read_per_repair: int) -> GroupModel:
+    """Return a new model with UBER-split repairs in critical states."""
     p_fail = uber_failure_prob(uber_block_prob, blocks_read_per_repair)
     extended = MarkovChain()
-    for state in chain.absorbing:
+    for state in model.chain.absorbing:
         extended.mark_absorbing(state)
-    critical = critical_states(chain)
-    for source, edges in chain.transitions.items():
-        if source in chain.absorbing:
-            continue
+    critical = critical_states(model.chain)
+    for source, edges in model.chain.transitions.items():
         for rate, dest in edges:
-            is_repair = (dest not in chain.absorbing
-                         and _is_repair_transition(source, dest))
-            if is_repair and source in critical and p_fail > 0:
+            if (source, dest) in model.repairs and source in critical \
+                    and p_fail > 0:
                 extended.add_transition(source, dest, rate * (1 - p_fail))
                 extended.add_transition(source, DATA_LOSS, rate * p_fail)
             else:
                 extended.add_transition(source, dest, rate)
-    return extended
+    return GroupModel(extended, model.start, model.repairs)
 
 
 def _polygon_local_critical_reads(code) -> int:
     """Worst-case blocks a critical polygon-local rebuild reads.
 
-    Walks the family's aggregate state table: in a critical state
-    ``(f_1..f_groups, g)`` the in-flight repair reads every surviving
-    data symbol once (``k - U`` where ``U = sum C(f_i, 2)`` symbols are
-    doubly lost), the XOR parity of each group holding doubly-lost
-    symbols, and — while the global node is alive — the global parity
-    rows.  For the paper's heptagon-local code every critical state
-    lands on exactly ``k = 40`` blocks, the value that used to be
-    hard-coded; for other global-parity counts (and hence for honest
-    UBER chains over generalized families) the two differ, so this is
-    computed from the state structure instead of silently returning
-    ``code.k``.
+    Walks the family's critical states ``((f_1,), .., (f_groups,),
+    (g,))``: the in-flight repair reads every surviving data symbol
+    once (``k - U`` where ``U = sum C(f_i, 2)`` symbols are doubly
+    lost), the XOR parity of each group holding doubly-lost symbols,
+    and — while the global node is alive — the global parity rows.
+    For the paper's heptagon-local code every critical state lands on
+    exactly ``k = 40`` blocks, the value that used to be hard-coded;
+    for other global-parity counts (and hence for honest UBER chains
+    over generalized families) the two differ, so this is computed
+    from the state structure instead of silently returning ``code.k``.
     """
-    table = polygon_local_state_table(code.n, code.groups,
-                                      code.global_parities)
     worst = 0
-    for state, recoverable in table.items():
-        if not recoverable:
-            continue
-        *fs, g = state
-        if sum(fs) + g == 0:
-            continue    # all healthy: nothing in flight to mis-read
-        successors = [
-            (*fs[:group], fs[group] + 1, *fs[group + 1:], g)
-            for group in range(code.groups) if fs[group] < code.n
-        ]
-        if g == 0:
-            successors.append((*fs, 1))
-        if all(table[successor] for successor in successors):
-            continue    # not critical: no single failure is fatal
+    for state in critical_states(group_chain(code.name, ReliabilityParams())):
+        *fs, g = (histogram[0] for histogram in state)
         doubly_lost = sum(count * (count - 1) // 2 for count in fs)
         parity_groups = sum(1 for count in fs if count >= 2)
         reads = (code.k - doubly_lost + parity_groups
@@ -170,13 +136,19 @@ def critical_read_blocks(code_name: str) -> int:
     return code.k
 
 
+def _group_model_with_uber(code_name: str, params: ReliabilityParams,
+                           uber_block_prob: float, model: str) -> GroupModel:
+    return add_sector_errors(group_model(code_name, params, model),
+                             uber_block_prob,
+                             critical_read_blocks(code_name))
+
+
 def group_chain_with_uber(code_name: str, params: ReliabilityParams,
                           uber_block_prob: float,
                           model: str = "pattern") -> MarkovChain:
     """Group chain for ``code_name`` including the UBER loss mode."""
-    base = group_chain(code_name, params, model=model)
-    return add_sector_errors(base, uber_block_prob,
-                             critical_read_blocks(code_name))
+    return _group_model_with_uber(
+        code_name, params, uber_block_prob, model).chain
 
 
 def system_mttdl_years_with_uber(code_name: str, params: ReliabilityParams,
@@ -184,10 +156,6 @@ def system_mttdl_years_with_uber(code_name: str, params: ReliabilityParams,
                                  node_count: int = 25,
                                  model: str = "pattern") -> float:
     """System MTTDL (years) under node failures + unrecoverable reads."""
-    from .markov import hours_to_years
-    from .system import group_count
-
-    chain = group_chain_with_uber(code_name, params, uber_block_prob, model)
-    start = initial_state(code_name, model=model)
-    hours = chain.mean_time_to_absorption(start)
+    hours = _group_model_with_uber(
+        code_name, params, uber_block_prob, model).mttdl_hours()
     return hours_to_years(hours) / group_count(code_name, node_count)

@@ -12,36 +12,15 @@ The paper does not publish its failure/repair rates, so
 :func:`calibrate_mttf` back-solves the node MTTF that pins a chosen
 anchor row (3-rep by default) to the paper's Table 1 value; every other
 row is then predicted by the calibrated environment and compared
-against the paper in EXPERIMENTS.md.
+against the paper in ``results/table1.txt`` (ROADMAP item 6 tracks the
+gap).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..core import make_code
-from .markov import MarkovChain, hours_to_years
-from .models import ReliabilityParams, group_chain, initial_state
-
-
-@dataclass(frozen=True)
-class GroupModel:
-    """A group chain bundled with its start state."""
-
-    chain: MarkovChain
-    start: object
-
-    def mttdl_hours(self) -> float:
-        return self.chain.mean_time_to_absorption(self.start)
-
-
-def group_model(code_name: str, params: ReliabilityParams,
-                model: str = "pattern") -> GroupModel:
-    """Build the redundancy-group chain for ``code_name``."""
-    return GroupModel(
-        chain=group_chain(code_name, params, model=model),
-        start=initial_state(code_name, model=model),
-    )
+from .markov import hours_to_years
+from .models import ReliabilityParams, group_model
 
 
 def group_count(code_name: str, node_count: int) -> int:

@@ -36,7 +36,6 @@ from repro.reliability import (
     simulate_chain_mttd,
     simulate_group_mttd,
 )
-from repro.reliability.models import group_chain, initial_state
 
 ALL_CODES = [
     "2-rep", "3-rep",
@@ -255,11 +254,10 @@ class TestSimulatorsStillAgree:
         assert relative_error(measured, expected) < 0.15
 
     def test_chain_simulation_tracks_solver(self):
-        chain = group_chain("pentagon", self.FAST)
-        expected = chain.mean_time_to_absorption(initial_state("pentagon"))
+        model = group_model("pentagon", self.FAST)
         measured = simulate_chain_mttd(
-            chain, initial_state("pentagon"), np.random.default_rng(5),
-            trials=2000)
+            model.chain, model.start, np.random.default_rng(5), trials=2000)
+        expected = model.mttdl_hours()
         assert relative_error(measured, expected) < 0.1
 
     def test_event_budget_still_enforced(self):

@@ -10,7 +10,7 @@ from repro.reliability import (
     critical_states,
     group_chain,
     group_chain_with_uber,
-    initial_state,
+    group_model,
     system_mttdl_years,
     system_mttdl_years_with_uber,
     uber_failure_prob,
@@ -42,20 +42,20 @@ class TestUberFailureProb:
 class TestCriticalStates:
     def test_replication_critical_at_last_copy(self):
         chain = group_chain("3-rep", PARAMS)
-        assert critical_states(chain) == {2}
+        assert critical_states(chain) == {((2,),)}
 
     def test_polygon_critical_at_two_failures(self):
         chain = group_chain("pentagon", PARAMS)
-        assert critical_states(chain) == {2}
+        assert critical_states(chain) == {((2,),)}
 
     def test_raid_mirror_critical_when_pair_down(self):
         chain = group_chain("(4,3) RAID+m", PARAMS)
         critical = critical_states(chain)
         # Critical states have a pair fully down AND another symbol with
         # a lone copy whose partner's failure would be the second pair.
-        assert all(state[1] == 1 and state[0] >= 1 for state in critical)
-        assert (1, 1) in critical
-        assert (0, 1) not in critical   # no half-failed pair to finish off
+        assert all(fully == 1 and half >= 1 for ((half, fully),) in critical)
+        assert ((1, 1),) in critical
+        assert ((0, 1),) not in critical  # no half-failed pair to finish off
 
     def test_heptagon_local_critical_census(self):
         """A state is critical iff some single further failure is fatal,
@@ -71,14 +71,14 @@ class TestCriticalStates:
             return f1 >= 3 and f2 >= 3
 
         for state in chain.transient_states():
-            f1, f2, g = state
+            (f1,), (f2,), (g,) = state
             next_states = [(f1 + 1, f2, g), (f1, f2 + 1, g)]
             if g == 0:
                 next_states.append((f1, f2, 1))
             expected = any(fatal(*n) for n in next_states)
             assert (state in critical) == expected, state
-        assert (3, 0, 0) in critical
-        assert (0, 0, 0) not in critical
+        assert ((3,), (0,), (0,)) in critical
+        assert ((0,), (0,), (0,)) not in critical
 
 
 class TestCriticalReadBlocks:
@@ -118,11 +118,11 @@ class TestCriticalReadBlocks:
 
 class TestExtendedChains:
     def test_zero_uber_is_identity(self):
-        base = group_chain("pentagon", PARAMS)
+        base = group_model("pentagon", PARAMS)
         extended = add_sector_errors(base, 0.0, 10)
-        start = initial_state("pentagon")
-        assert extended.mean_time_to_absorption(start) == pytest.approx(
-            base.mean_time_to_absorption(start), rel=1e-12)
+        assert extended.start == base.start
+        assert extended.mttdl_hours() == pytest.approx(
+            base.mttdl_hours(), rel=1e-12)
 
     def test_uber_reduces_mttdl(self):
         for code in ("3-rep", "pentagon", "(10,9) RAID+m", "heptagon-local"):
@@ -139,7 +139,7 @@ class TestExtendedChains:
 
     def test_uber_mass_goes_to_data_loss(self):
         chain = group_chain_with_uber("3-rep", PARAMS, 0.5)
-        split = chain.absorption_probability_split(0)
+        split = chain.absorption_probability_split(((0,),))
         assert split[DATA_LOSS] == pytest.approx(1.0)
 
     def test_uber_compresses_the_raid_advantage(self):
@@ -152,11 +152,35 @@ class TestExtendedChains:
 
         assert ratio(1e-3) < 0.35 * ratio(0.0)
 
-    def test_transition_weight_heuristic(self):
-        from repro.reliability.sector_errors import _is_repair_transition
-        assert _is_repair_transition(2, 1)
-        assert not _is_repair_transition(1, 2)
-        assert _is_repair_transition((1, 1), (1, 0))
-        assert _is_repair_transition(frozenset({1, 2}), frozenset({1}))
-        with pytest.raises(TypeError):
-            _is_repair_transition("a", "b")
+    def test_every_critical_repair_is_split(self):
+        """Repair edges are known by construction, not guessed from the
+        state's shape.  RAID+m's doubly-lost-symbol rebuild — the wide
+        read this model exists for — takes one pair half down + one
+        pair fully down to two pairs half down: the number of damaged
+        pairs does not drop, so a weight heuristic misses it and the
+        edge used to leave at the full ``2 * mu``."""
+        u = 1e-3
+        p = uber_failure_prob(u, critical_read_blocks("(4,3) RAID+m"))
+        mu, lam = PARAMS.repair_rate, PARAMS.failure_rate
+        base = group_model("(4,3) RAID+m", PARAMS)
+        source, rebuilt, copied = ((1, 1),), ((2, 0),), ((0, 1),)
+        assert {(source, rebuilt), (source, copied)} <= base.repairs
+        chain = group_chain_with_uber("(4,3) RAID+m", PARAMS, u)
+        assert sorted(chain.transitions[source], key=repr) == sorted([
+            (4 * lam, ((2, 1),)),            # a whole pair loses a half
+            (lam, DATA_LOSS),                # the half pair loses the rest
+            (mu * (1 - p), copied), (mu * p, DATA_LOSS),
+            (2 * mu * (1 - p), rebuilt), (2 * mu * p, DATA_LOSS),
+        ], key=repr)
+        # Out of a non-critical state nothing is split.
+        assert chain.transitions[copied] \
+            == base.chain.transitions[copied]
+        for model in (base, group_model("heptagon-local", PARAMS)):
+            dirty = add_sector_errors(model, u, 9)
+            critical = critical_states(model.chain)
+            for source, dest in model.repairs:
+                rates = [rate for rate, to in model.chain.transitions[source]
+                         if to == dest]
+                kept = [rate for rate, to in dirty.chain.transitions[source]
+                        if to == dest]
+                assert (kept != rates) == (source in critical)
