@@ -11,11 +11,13 @@ allocating unbounded memory.
 On top of the framing sit the async peers every daemon shares:
 
 * :class:`AsyncRpcServer` — one event loop per daemon on its own
-  thread; each accepted connection is a coroutine looping
-  ``recv -> dispatch -> reply`` (RPC mode) or handed whole to a
-  ``connection_handler`` (stream mode, for stateful protocols like the
-  sweep executor's).  Shutdown drains in-flight requests before the
-  loop stops.
+  thread; each accepted connection is a callback protocol doing
+  ``receive in place -> dispatch -> reply`` (RPC mode: one fixed
+  receive buffer per connection that the kernel fills directly, so a
+  pipelined burst of block frames costs no growing buffer and no
+  payload copy) or is handed whole to a ``connection_handler`` (stream
+  mode, for stateful protocols like the sweep executor's).  Shutdown
+  drains in-flight requests before the loop stops.
 * :class:`AsyncRpcClient` / :class:`RpcPool` — lazily-connected,
   reusable client connections whose every call runs under a
   :class:`RetryPolicy` (per-attempt timeout, capped exponential
@@ -23,7 +25,8 @@ On top of the framing sit the async peers every daemon shares:
 
 The sync helpers (:func:`send_frame` / :func:`recv_frame`) remain the
 reference implementation of the wire format; old blocking clients
-interoperate with the async servers byte-for-byte.
+interoperate with the async servers byte-for-byte.  They too receive
+in place (``recv_into`` one exact-size buffer per read).
 
 Trust model: frames are unauthenticated pickle, so expose a listening
 socket only to hosts you would let run arbitrary code (the same trust a
@@ -66,14 +69,18 @@ class ProtocolError(RuntimeError):
 # ----------------------------------------------------------------------
 # Wire format — blocking-socket flavour
 # ----------------------------------------------------------------------
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    chunks = bytearray()
-    while len(chunks) < count:
-        chunk = sock.recv(count - len(chunks))
-        if not chunk:
+def _recv_exact(sock: socket.socket, count: int) -> bytearray:
+    """``count`` bytes, received in place: the kernel fills one
+    exact-size buffer, nothing is appended or copied afterwards."""
+    buffer = bytearray(count)
+    view = memoryview(buffer)
+    filled = 0
+    while filled < count:
+        received = sock.recv_into(view[filled:])
+        if not received:
             raise ConnectionError("peer closed the connection mid-frame")
-        chunks.extend(chunk)
-    return bytes(chunks)
+        filled += received
+    return buffer
 
 
 def _encode_frame(message: tuple) -> bytes:
@@ -85,7 +92,9 @@ def _encode_frame(message: tuple) -> bytes:
     return _HEADER.pack(len(data)) + data
 
 
-def _decode_payload(payload: bytes) -> tuple:
+def _decode_payload(payload) -> tuple:
+    """Unpickle one frame body (any bytes-like: the RPC server hands in
+    a ``memoryview`` of its receive buffer)."""
     message = pickle.loads(payload)
     if not (isinstance(message, tuple) and len(message) == 2):
         raise ProtocolError("frame did not decode to a (kind, data) pair")
@@ -379,17 +388,31 @@ class RpcPool:
 FRAMING_OPS = ("bye",)
 
 
-class _RpcProtocol(asyncio.Protocol):
-    """One RPC-mode connection: frame parsing + dispatch in callbacks.
+#: Per-connection receive buffer of an RPC-mode server connection: a
+#: few 64 KiB block frames' worth, because a client pipelines a node's
+#: ``put``s of a stripe back to back.  A frame that cannot fit is
+#: received into a buffer of its own.
+RECV_BUFFER_BYTES = 256 * 1024
 
-    The hot path never leaves the event loop's I/O callback: frames are
-    accumulated and parsed in ``data_received`` and a sync handler's
-    reply is written straight back from it — no per-request Task, no
-    stream-reader wakeup.  A request only pays for a task when it
-    actually goes async (fault-gate park, ``async def`` handler); while
-    that task owns the connection, reading is paused and any frames
-    already buffered queue behind it so replies keep request order —
-    the same serial-per-connection contract the threaded server had.
+
+class _RpcProtocol(asyncio.BufferedProtocol):
+    """One RPC-mode connection: in-place receive + dispatch in callbacks.
+
+    The hot path never leaves the event loop's I/O callback, and the
+    bytes never leave the buffer the kernel put them in: the loop
+    ``recv_into``s one fixed per-connection buffer (``get_buffer``),
+    ``buffer_updated`` unpickles every complete frame from a
+    ``memoryview`` of it and a sync handler's reply is written
+    straight back — no per-request Task, no stream-reader wakeup, no
+    growing bytearray and no payload copy.  An incomplete tail is moved
+    to the front only when its frame could not complete where it lies;
+    a frame larger than the whole buffer gets an exact-size buffer of
+    its own and is received straight into that.  A request only pays
+    for a task when it actually goes async (fault-gate park, ``async
+    def`` handler); while that task owns the connection, reading is
+    paused and any frames already received queue behind it so replies
+    keep request order — the same serial-per-connection contract the
+    threaded server had.
     """
 
     def __init__(self, server: "AsyncRpcServer"):
@@ -397,13 +420,16 @@ class _RpcProtocol(asyncio.Protocol):
         self.transport = None
         self.peer = None
         self.last_activity = time.monotonic()
-        self._buffer = bytearray()
-        self._need = -1              # payload bytes wanted; -1 = header
+        self._view = memoryview(bytearray(RECV_BUFFER_BYTES))
+        self._start = 0              # first unparsed byte
+        self._end = 0                # one past the last received byte
+        self._large: memoryview | None = None   # an oversized frame's body
+        self._large_filled = 0
         self._queue: deque = deque()
         self._draining = False       # an async request owns reply order
         self._gone = False
 
-    # -- asyncio.Protocol callbacks ------------------------------------
+    # -- asyncio.BufferedProtocol callbacks ----------------------------
     def connection_made(self, transport) -> None:
         self.transport = transport
         self.peer = transport.get_extra_info("peername")
@@ -419,36 +445,66 @@ class _RpcProtocol(asyncio.Protocol):
         self._gone = True
         self.server._connections.discard(self)
 
-    def data_received(self, data: bytes) -> None:
+    def get_buffer(self, sizehint: int) -> memoryview:
+        if self._large is not None:
+            return self._large[self._large_filled:]
+        return self._view[self._end:]
+
+    def buffer_updated(self, nbytes: int) -> None:
         self.last_activity = time.monotonic()
-        buffer = self._buffer
-        buffer += data
-        while not self._gone:
-            if self._need < 0:
-                if len(buffer) < _HEADER.size:
-                    return
-                (length,) = _HEADER.unpack(buffer[:_HEADER.size])
-                del buffer[:_HEADER.size]
-                try:
-                    _check_announced(length)
-                except ProtocolError:
-                    self._drop()
-                    return
-                self._need = length
-            if len(buffer) < self._need:
-                return
-            payload = bytes(buffer[:self._need])
-            del buffer[:self._need]
-            self._need = -1
+        if self._large is not None:
+            self._large_filled += nbytes
+            if self._large_filled == len(self._large):
+                body, self._large = self._large, None
+                self._frame(body)
+            return
+        self._end += nbytes
+        view, start, end = self._view, self._start, self._end
+        while True:
+            need = _HEADER.size      # bytes the frame at ``start`` spans
+            if end - start < need:
+                break
+            (length,) = _HEADER.unpack_from(view, start)
             try:
-                message = _decode_payload(payload)
-            except Exception:
-                self._drop()     # unpicklable garbage or a bad shape
+                _check_announced(length)
+            except ProtocolError:
+                self._drop()
                 return
-            if self._draining:
-                self._queue.append(message)
-            else:
-                self._dispatch(message)
+            need += length
+            if need > len(view):
+                # Will never fit: the rest of this frame is received
+                # into a buffer of exactly its size.
+                have = end - start - _HEADER.size
+                self._large = memoryview(bytearray(length))
+                self._large[:have] = view[start + _HEADER.size:end]
+                self._large_filled = have
+                start = end = 0
+                break
+            if end - start < need:
+                break
+            self._frame(view[start + _HEADER.size:start + need])
+            if self._gone:
+                return
+            start += need
+        if start == end:
+            start = end = 0
+        elif start + need > len(view):
+            # The incomplete frame cannot complete where it lies.
+            view[:end - start] = view[start:end]
+            start, end = 0, end - start
+        self._start, self._end = start, end
+
+    def _frame(self, body: memoryview) -> None:
+        """One complete frame body: decode, then dispatch or queue."""
+        try:
+            message = _decode_payload(body)
+        except Exception:
+            self._drop()         # unpicklable garbage or a bad shape
+            return
+        if self._draining:
+            self._queue.append(message)
+        else:
+            self._dispatch(message)
 
     # -- dispatch ------------------------------------------------------
     def _drop(self) -> None:
@@ -569,8 +625,9 @@ class AsyncRpcServer:
       ``error_marshaller`` (a request that raises never takes the
       daemon down).  ``before_request`` and ``handler`` may be sync or
       async — coroutines are awaited on the loop.  RPC mode is served
-      by a callback :class:`asyncio.Protocol`, not streams: frames are
-      parsed in ``data_received`` and sync handlers answer inline with
+      by a callback :class:`asyncio.BufferedProtocol`, not streams: the
+      loop receives into one fixed buffer per connection, frames are
+      unpickled in place from it and sync handlers answer inline with
       **zero task switches per request** (this is what keeps the async
       daemons at thread-server throughput); only requests that
       actually go async — a fault gate that must park, an ``async

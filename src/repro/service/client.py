@@ -26,6 +26,14 @@ taking degraded-path detours after a repair moved blocks.  The public
 :meth:`StorageClient.stat` always asks the namenode (and refreshes the
 cache); writes and replans invalidate the cached entry.
 
+Everything that talks to several datanodes at once goes through one
+pipelined exchange (:meth:`StorageClient._exchange`): all frames out,
+grouped by datanode, before any reply is read; replies back in order
+per connection; a transport hiccup falls back to the retried per-call
+path for exactly the requests still unanswered.  A stripe's ``put``s,
+a plan's ``get``/``combine`` fetches, a whole stripe of ``read_file``
+and orphan ``delete``s are its four callers.
+
 Reads ask the code for a :class:`~repro.core.repair.ReadPlan` against
 the currently-failed slots and execute it over ``get``/``combine``
 RPCs; any fetch that fails (dead daemon, corrupt block) promotes its
@@ -33,13 +41,17 @@ slot to failed and the read re-plans against the survivors, falling
 back from replica copy to partial-parity reconstruction exactly as the
 paper's degraded-read path prescribes.  Corrupt blocks are also
 reported to the namenode so the checker repairs them ahead of its next
-scrub.
+scrub.  ``read_file`` plans and fetches a stripe's data symbols
+together and re-plans only the symbols whose fetch failed.
 
 Writes are two-phase: ``begin-write`` reserves the name, the client
 places/encodes/stores every stripe (re-placing a stripe on fresh nodes
 when a datanode dies mid-write), and ``commit-write`` publishes the
 whole file atomically — a failed write leaves no partial stripes
-visible, only orphaned blocks that are best-effort deleted.
+visible.  A stripe attempt that fails — a ``put`` unanswered, or the
+two replicas of a symbol reporting different CRCs — deletes every
+block it sent, acknowledged or not, before the stripe is re-placed or
+the write gives up.
 
 One client is **not** thread-safe; give each worker thread its own
 (they are cheap — sockets are opened lazily and pooled per node).
@@ -66,6 +78,8 @@ from .protocol import (
     ServiceUnavailableError,
     WriteFailedError,
     block_tuple,
+    delete_request,
+    put_request,
     transfer_request,
     unmarshal_error,
 )
@@ -93,6 +107,15 @@ class _SlotFailure(Exception):
     def __init__(self, slot: int):
         super().__init__(f"slot {slot} failed")
         self.slot = slot
+
+
+def _casualty(outcome) -> int | None:
+    """The datanode a reply-or-exception says spent its whole retry
+    budget unreachable (:meth:`StorageClient._dn_call` tags the error),
+    if it says so."""
+    if isinstance(outcome, ServiceUnavailableError):
+        return getattr(outcome, "node_id", None)
+    return None
 
 
 class StorageClient:
@@ -290,7 +313,15 @@ class StorageClient:
 
     def _store_stripe(self, name: str, index: int, code: Code,
                       encoded, placed) -> dict:
-        """Place and store one stripe, re-placing around dead nodes."""
+        """Place and store one stripe, re-placing around dead nodes.
+
+        All replicas go out in one :meth:`_exchange`, so each datanode
+        takes its blocks back to back.  An attempt either lands whole
+        — every ``put`` acknowledged, both replicas of every symbol
+        reporting one CRC — or is cleaned up whole: every block of it
+        may have left the client, acknowledged or not, so every block
+        of it is deleted (``delete`` is idempotent).
+        """
         exclude: set[int] = {n for n in self._datanodes
                              if self._suspected(n)}
         payloads = [block.tobytes() for block in encoded]
@@ -302,41 +333,48 @@ class StorageClient:
             stripe = StripeInfo(name, index, code,
                                 tuple(reply["slot_nodes"]))
             self._datanodes.update(reply["datanodes"])
-            here: list[tuple[int, BlockId]] = []
+            attempt = list(stripe.placed_blocks())
+            outcomes = self._exchange(
+                [(node_id, put_request(block, payloads[block.symbol_index]))
+                 for node_id, block in attempt])
             checksums: dict[str, int] = {}
-            try:
-                for node_id, block in stripe.placed_blocks():
-                    put = self._dn_call(
-                        node_id, "put",
-                        {"block": block_tuple(block),
-                         "data": payloads[block.symbol_index]})
-                    here.append((node_id, block))
-                    checksums[str(block.symbol_index)] = int(put["crc"])
-            except ServiceUnavailableError as error:
-                last = error
-                casualty = getattr(error, "node_id", None)
-                if casualty is None:
-                    raise
-                exclude.add(casualty)
-                self._delete_blocks(here)   # orphans on the survivors
-                continue
-            placed.extend(here)
-            return {"slot_nodes": stripe.slot_nodes, "checksums": checksums}
+            failure: Exception | None = None
+            for (node_id, block), put in zip(attempt, outcomes):
+                if isinstance(put, Exception):
+                    failure = put
+                    break
+                crc = int(put["crc"])
+                if checksums.setdefault(str(block.symbol_index),
+                                        crc) != crc:
+                    failure = WriteFailedError(
+                        f"stripe {index} of {name!r}: datanode {node_id} "
+                        f"stored symbol {block.symbol_index} with another "
+                        "CRC than its other replica")
+                    break
+            if failure is None:
+                placed.extend(attempt)
+                return {"slot_nodes": stripe.slot_nodes,
+                        "checksums": checksums}
+            self._delete_blocks(attempt)
+            if _casualty(failure) is None:
+                raise failure
+            last = failure
+            exclude |= set(map(_casualty, outcomes)) - {None}
         raise WriteFailedError(
             f"stripe {index} of {name!r} could not be placed after "
             f"{PLACE_ATTEMPTS} attempts: {last}") from last
 
     def _delete_blocks(self, entries) -> None:
-        """Best-effort orphan cleanup; failures are ignored by design."""
+        """Best-effort orphan cleanup; failures are ignored by design
+        (the namenode's GC sweep reclaims anything this misses).  A
+        suspect node just spent a whole retry budget not answering and
+        is left to that sweep."""
         by_node: dict[int, list] = {}
         for node_id, block in entries:
-            by_node.setdefault(node_id, []).append(block_tuple(block))
-        for node_id, blocks in by_node.items():
-            try:
-                self._dn_call(node_id, "delete", {"blocks": blocks})
-            # lint: allow(exceptions.silent-swallow): best-effort orphan cleanup on an already-failed write; the namenode's GC sweep reclaims anything this misses
-            except Exception:
-                pass
+            if not self._suspected(node_id):
+                by_node.setdefault(node_id, []).append(block_tuple(block))
+        self._exchange([(node_id, delete_request(blocks))
+                        for node_id, blocks in by_node.items()])
 
     def _cleanup_failed_write(self, name: str, placed) -> None:
         self._stat_cache.pop(name, None)
@@ -354,12 +392,52 @@ class StorageClient:
         """Read a whole file, degrading around failures as needed."""
         info = self._stat_for_read(name)
         code = self._code(info["code_name"])
+        symbols = [symbol.index for symbol in code.layout.data_symbols()]
         pieces: list[bytes] = []
         for stripe_index in range(len(info["stripes"])):
-            for symbol in code.layout.data_symbols():
+            fetched = self._prefetch_stripe(info, code, stripe_index,
+                                            symbols)
+            for symbol_index, prefetched in zip(symbols, fetched):
                 pieces.append(self._read_symbol(
-                    info, code, stripe_index, symbol.index).tobytes())
+                    info, code, stripe_index, symbol_index,
+                    prefetched=prefetched).tobytes())
         return b"".join(pieces)[:info["size_bytes"]]
+
+    def _prefetch_stripe(self, info: dict, code: Code, stripe_index: int,
+                         symbols) -> list:
+        """Plan every symbol of ``symbols`` around the current suspects
+        and fetch all the plans' sources in one exchange.
+
+        Returns, per symbol, the ``(plan, outcomes, failed)`` for
+        :meth:`_read_symbol` to start from, or ``None`` where that
+        method should plan for itself as if nothing had been fetched:
+        for every symbol when one of them cannot be planned (the
+        refresh-and-re-plan loop there deals with that), and for a
+        symbol whose fetch ran into a node that an earlier symbol's
+        fetch already found unreachable — read on its own after that
+        one, it would have planned around the node, not into it.
+        """
+        slot_nodes = tuple(info["stripes"][stripe_index])
+        failed = {slot for slot, node in enumerate(slot_nodes)
+                  if self._suspected(node)}
+        try:
+            plans = [code.plan_degraded_read(symbol_index, failed)
+                     for symbol_index in symbols]
+        except UnrecoverableStripeError:
+            return [None] * len(symbols)
+        fetched = iter(self._fetch_pipelined(
+            info["name"], stripe_index,
+            [transfer for plan in plans for transfer in plan.transfers],
+            slot_nodes))
+        prefetched: list = []
+        unreachable: set[int] = set()
+        for plan in plans:
+            outcomes = [next(fetched) for _ in plan.transfers]
+            casualties = set(map(_casualty, outcomes)) - {None}
+            prefetched.append(None if casualties & unreachable
+                              else (plan, outcomes, failed))
+            unreachable |= casualties
+        return prefetched
 
     def read_block(self, name: str, stripe_index: int = 0,
                    symbol_index: int | None = None) -> bytes:
@@ -389,8 +467,8 @@ class StorageClient:
                                  force_degraded=True).tobytes()
 
     def _read_symbol(self, info: dict, code: Code, stripe_index: int,
-                     symbol_index: int,
-                     force_degraded: bool = False) -> np.ndarray:
+                     symbol_index: int, force_degraded: bool = False,
+                     prefetched=None) -> np.ndarray:
         """One symbol, decoding around dead/corrupt/suspect slots.
 
         With ``force_degraded``, as many of the symbol's replica slots
@@ -398,11 +476,19 @@ class StorageClient:
         tolerates on top of the genuinely-failed ones — so a forced
         probe measures reconstruction without ever pushing a wounded
         stripe past its tolerance.
+
+        ``prefetched`` is a first ``(plan, fetch outcomes, failed slots
+        the plan was made around)`` the caller already exchanged along
+        with the rest of the stripe (:meth:`_prefetch_stripe`); it
+        stands in for the first plan and fetch.
         """
         name = info["name"]
         slot_nodes = tuple(info["stripes"][stripe_index])
-        real_failed = {slot for slot, node in enumerate(slot_nodes)
-                       if self._suspected(node)}
+        if prefetched is None:
+            real_failed = {slot for slot, node in enumerate(slot_nodes)
+                           if self._suspected(node)}
+        else:
+            real_failed = set(prefetched[2])
         self.counters["reads"] += 1
         refreshed = False
         while True:
@@ -414,7 +500,12 @@ class StorageClient:
                                 tuple(sorted(failed | {slot})))):
                         failed.add(slot)
             try:
-                plan = code.plan_degraded_read(symbol_index, failed)
+                if prefetched is not None:
+                    plan, outcomes, _ = prefetched
+                    prefetched = None
+                else:
+                    plan, outcomes = code.plan_degraded_read(
+                        symbol_index, failed), None
             except UnrecoverableStripeError as error:
                 if not refreshed:
                     # The checker may have repaired and re-homed slots
@@ -434,7 +525,7 @@ class StorageClient:
                     "them") from error
             try:
                 payload = self._execute_plan(name, stripe_index, plan,
-                                             slot_nodes)
+                                             slot_nodes, outcomes)
             except _SlotFailure as failure:
                 if failure.slot in real_failed:
                     raise ReadFailedError(
@@ -478,26 +569,26 @@ class StorageClient:
     #: mapping the namenode's repairer shares).
     _transfer_request = staticmethod(transfer_request)
 
-    def _fetch_pipelined(self, name: str, stripe_index: int, plan,
-                         slot_nodes) -> list:
-        """Fetch every transfer of a plan, multi-source ones concurrently.
+    def _exchange(self, requests) -> list:
+        """Pipeline ``(node_id, (kind, data))`` requests over the pooled
+        datanode connections; one reply-or-exception per request, in
+        request order.
 
-        The requests go out on all per-datanode connections *before*
-        any reply is read, so a reconstruction waits for the slowest
-        daemon instead of the sum of all of them (``get``/``combine``
-        are idempotent reads, so pipelining is safe).  Any transport
-        hiccup falls back to the per-call retry path for that node's
-        requests, which a single-source plan (nothing to overlap)
-        takes from the start.  Returns one reply-or-exception per
-        transfer, in plan order.
+        Every frame goes out, grouped by datanode, *before* any reply
+        is read, and the replies come back in order per connection: a
+        daemon is woken once for all it was sent and the caller waits
+        for the slowest daemon, not the sum of them.  Only idempotent
+        ops may ride here (``put``/``delete`` overwrite, ``get``/
+        ``combine`` read), because any transport hiccup falls back to
+        the retried :meth:`_dn_call` for exactly the requests still
+        unanswered — the path a lone request, with nothing to overlap,
+        takes from the start.  Once a node has spent that retry budget
+        its remaining requests fail with the same error at once.
         """
-        requests = [self._transfer_request(name, stripe_index, transfer)
-                    for transfer in plan.transfers]
         by_node: dict[int, list[int]] = {}
-        for position, transfer in enumerate(plan.transfers):
-            node_id = slot_nodes[transfer.source_slot]
+        for position, (node_id, _) in enumerate(requests):
             by_node.setdefault(node_id, []).append(position)
-        outcomes: dict[int, object] = {}
+        outcomes: list = [None] * len(requests)
         sent: list[tuple[int, list[int]]] = []
         fallback: list[tuple[int, list[int]]] = []
         for node_id, positions in by_node.items():
@@ -507,8 +598,9 @@ class StorageClient:
             try:
                 sock = self._dn_sock(node_id)
                 for position in positions:
-                    send_frame(sock, requests[position])
-            except (ConnectionError, OSError, EOFError):
+                    send_frame(sock, requests[position][1])
+            except (ConnectionError, OSError, EOFError,
+                    ServiceUnavailableError):
                 self._drop_dn_sock(node_id)
                 fallback.append((node_id, positions))
             else:
@@ -519,9 +611,7 @@ class StorageClient:
                 try:
                     status, payload = recv_frame(sock)
                 except (ConnectionError, OSError, EOFError):
-                    self._drop_dn_sock(node_id)
-                    fallback.append((node_id, positions[index:]))
-                    break
+                    status = None
                 if status == "ok":
                     outcomes[position] = payload
                 elif status == "err":
@@ -531,19 +621,39 @@ class StorageClient:
                     fallback.append((node_id, positions[index:]))
                     break
         for node_id, positions in fallback:
+            down: Exception | None = None
             for position in positions:
-                kind, data = requests[position]
-                try:
-                    outcomes[position] = self._dn_call(node_id, kind, data)
-                except Exception as error:
-                    outcomes[position] = error
-        return [outcomes[position] for position in range(len(requests))]
+                if down is None:
+                    kind, data = requests[position][1]
+                    try:
+                        outcomes[position] = self._dn_call(node_id, kind,
+                                                           data)
+                    except Exception as error:
+                        outcomes[position] = error
+                        if _casualty(error) == node_id:
+                            down = error
+                else:
+                    outcomes[position] = down
+        return outcomes
+
+    def _fetch_pipelined(self, name: str, stripe_index: int, transfers,
+                         slot_nodes) -> list:
+        """Fetch plan transfers in one exchange (``get``/``combine`` at
+        each transfer's source); one reply-or-exception per transfer,
+        in the order given."""
+        return self._exchange(
+            [(slot_nodes[transfer.source_slot],
+              self._transfer_request(name, stripe_index, transfer))
+             for transfer in transfers])
 
     def _execute_plan(self, name: str, stripe_index: int, plan,
-                      slot_nodes) -> np.ndarray:
-        """Fetch all sources, then interpret the plan over the replies."""
-        outcomes = iter(self._fetch_pipelined(name, stripe_index, plan,
-                                              slot_nodes))
+                      slot_nodes, outcomes=None) -> np.ndarray:
+        """Fetch all sources (unless the caller already did), then
+        interpret the plan over the replies."""
+        if outcomes is None:
+            outcomes = self._fetch_pipelined(name, stripe_index,
+                                             plan.transfers, slot_nodes)
+        outcomes = iter(outcomes)
         return execute_read_plan(
             plan, lambda transfer: self._resolve_fetch(
                 name, stripe_index, transfer, slot_nodes, next(outcomes)))

@@ -164,7 +164,6 @@ class DataNodeServer:
         pending = self.faults.arm(data["faults"])
         return {"armed": pending}
 
-    # lint: allow(schema.unused-op): operator/debug surface — reachable over the raw framed call() protocol for manual cluster inspection
     def _op_status(self, data, peer) -> dict:
         del data, peer
         with self._store_lock:

@@ -214,6 +214,16 @@ def block_tuple(block: BlockId) -> tuple[str, int, int]:
     return (block.file_name, block.stripe_index, block.symbol_index)
 
 
+def put_request(block: BlockId, data: bytes) -> tuple[str, dict]:
+    """The datanode request that stores one block."""
+    return ("put", {"block": block_tuple(block), "data": data})
+
+
+def delete_request(blocks: list) -> tuple[str, dict]:
+    """The datanode request that drops ``blocks`` (wire tuples)."""
+    return ("delete", {"blocks": blocks})
+
+
 def transfer_request(name: str, stripe_index: int,
                      transfer) -> tuple[str, dict]:
     """The datanode request one plan transfer maps to.

@@ -10,7 +10,10 @@ import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro import net
 from repro.net import (
     AsyncRpcClient,
     AsyncRpcServer,
@@ -230,3 +233,230 @@ class TestConnectionStorm:
             assert time.monotonic() - start < 5.0
         finally:
             loris.close()
+
+
+# ----------------------------------------------------------------------
+# The in-place receive path: framing equivalence
+# ----------------------------------------------------------------------
+def _frame(message) -> bytes:
+    return net._encode_frame(message)
+
+
+def _replies(raw: bytes) -> list:
+    """Split a byte string of reply frames back into messages."""
+    out, offset = [], 0
+    while offset < len(raw):
+        (length,) = net._HEADER.unpack_from(raw, offset)
+        offset += net._HEADER.size
+        out.append(net._decode_payload(raw[offset:offset + length]))
+        offset += length
+    return out
+
+
+class _RecordingTransport:
+    """What the event loop hands a protocol, minus the socket."""
+
+    def __init__(self):
+        self.written = bytearray()
+        self.closed = False
+
+    def get_extra_info(self, name):
+        return None
+
+    def write(self, data) -> None:
+        self.written += data
+
+    def close(self) -> None:
+        self.closed = True
+
+    abort = close
+
+    def pause_reading(self) -> None:
+        pass
+
+    resume_reading = pause_reading
+
+
+def _feed(server, chunks) -> tuple[list, bool]:
+    """Deliver ``chunks`` to a fresh connection of ``server`` the way
+    the selector loop does — ``get_buffer`` / copy / ``buffer_updated``,
+    one call per chunk (or per buffer-full of one) — and return the
+    replies it wrote and whether it dropped the connection."""
+    async def deliver():
+        protocol = net._RpcProtocol(server)
+        transport = _RecordingTransport()
+        protocol.connection_made(transport)
+        try:
+            for chunk in chunks:
+                offset = 0
+                while offset < len(chunk) and not transport.closed:
+                    buffer = protocol.get_buffer(-1)
+                    assert len(buffer) > 0
+                    count = min(len(buffer), len(chunk) - offset)
+                    buffer[:count] = chunk[offset:offset + count]
+                    protocol.buffer_updated(count)
+                    offset += count
+            deadline = time.monotonic() + 5.0
+            while protocol._draining and time.monotonic() < deadline:
+                await asyncio.sleep(0.001)
+            assert not protocol._draining
+        finally:
+            protocol.connection_lost(None)
+        return _replies(bytes(transport.written)), transport.closed
+    return server.run_coroutine(deliver(), timeout=30.0)
+
+
+def _chunked(stream: bytes, cuts) -> list[bytes]:
+    edges = [0, *sorted(cuts), len(stream)]
+    return [stream[a:b] for a, b in zip(edges, edges[1:]) if b > a]
+
+
+#: Payload shapes that matter to the receive path, against the
+#: 256-byte receive buffer of ``small_buffer_server``: a near-empty
+#: frame, one of ~100 bytes, one whose frame fills the buffer to the
+#: byte, one that cannot fit, then many small ones back to back.
+def _mixed_messages(buffer_bytes: int) -> list[tuple]:
+    exact = next(message for message in
+                 (("echo", b"\x02" * size) for size in range(buffer_bytes))
+                 if len(_frame(message)) == buffer_bytes)
+    return [
+        ("echo", None),
+        ("echo", b"\x01" * 100),
+        exact,
+        ("echo", b"\x03" * (buffer_bytes + 37)),
+        *[("echo", index) for index in range(12)],
+        ("missing", None),
+        ("echo", "last"),
+    ]
+
+
+@pytest.fixture
+def small_buffer_server(monkeypatch):
+    """An echo server whose connections receive into 256 bytes, so a
+    stream of a few hundred bytes crosses every buffer boundary."""
+    monkeypatch.setattr(net, "RECV_BUFFER_BYTES", 256)
+    with AsyncRpcServer(_echo_handler, "127.0.0.1", 0,
+                        error_marshaller=marshal_error,
+                        name="small") as server:
+        yield server
+
+
+class TestInPlaceReceive:
+    """Frames are parsed where the kernel put them; however the bytes
+    are cut up on the way in, the replies are those of one frame per
+    send, in the same order."""
+
+    def test_exactly_full_and_oversized_frames_are_in_the_mix(self):
+        messages = _mixed_messages(256)
+        sizes = [len(_frame(message)) for message in messages]
+        assert 256 in sizes and max(sizes) > 256 and min(sizes) < 32
+
+    def test_every_split_point(self, small_buffer_server):
+        messages = _mixed_messages(256)
+        stream = b"".join(map(_frame, messages))
+        expected, dropped = _feed(small_buffer_server,
+                                  [_frame(m) for m in messages])
+        assert not dropped and len(expected) == len(messages)
+        assert expected[0] == ("ok", None)
+        assert expected[-2][0] == "err"
+        for cut in range(1, len(stream)):
+            assert _feed(small_buffer_server,
+                         [stream[:cut], stream[cut:]]) == (expected, False)
+
+    # One echo server serves every drawn example: it keeps no state
+    # between connections.
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_drawn_chunkings(self, small_buffer_server, data):
+        messages = _mixed_messages(256)
+        stream = b"".join(map(_frame, messages))
+        cuts = data.draw(st.sets(st.integers(1, len(stream) - 1),
+                                 max_size=40))
+        expected, _ = _feed(small_buffer_server, [stream])
+        assert len(expected) == len(messages)
+        assert _feed(small_buffer_server,
+                     _chunked(stream, cuts)) == (expected, False)
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cuts=st.sets(st.integers(1, 700_000), max_size=12))
+    def test_block_sized_frames_over_a_socket(self, echo_server, cuts):
+        """The real buffer and real sockets: a 64 KiB block frame, one
+        larger than the whole receive buffer, small ones around them."""
+        messages = [("echo", 0), ("echo", b"\x5a" * 65536),
+                    ("echo", b"\xa5" * (net.RECV_BUFFER_BYTES + 4096)),
+                    ("echo", b"\x11" * 100), ("echo", 4), ("echo", 5)]
+        stream = b"".join(map(_frame, messages))
+        with socket.create_connection(echo_server.address) as sock:
+            sock.settimeout(10.0)
+            for chunk in _chunked(stream,
+                                  {cut for cut in cuts if cut < len(stream)}):
+                sock.sendall(chunk)
+                time.sleep(0.0005)
+            for _, payload in messages:
+                assert recv_frame(sock) == ("ok", payload)
+
+    def test_pipelined_burst_behind_async_handler_keeps_order(self):
+        async def handler(kind, data, peer):
+            if kind == "slow":
+                await asyncio.sleep(0.05)
+            return data
+
+        def mixed(kind, data, peer):
+            return handler(kind, data, peer) if kind == "slow" else data
+
+        with AsyncRpcServer(mixed, "127.0.0.1", 0, name="order") as server:
+            kinds = ["echo", "slow", "echo", "echo", "slow", "echo"]
+            with socket.create_connection(server.address) as sock:
+                sock.settimeout(10.0)
+                sock.sendall(b"".join(_frame((kind, index))
+                                      for index, kind in enumerate(kinds)))
+                assert [recv_frame(sock) for _ in kinds] == [
+                    ("ok", index) for index in range(len(kinds))]
+
+    def test_pipelined_burst_behind_parked_gate_keeps_order(self):
+        release = threading.Event()
+
+        async def park():
+            while not release.is_set():
+                await asyncio.sleep(0.005)
+
+        def gate(kind, data):
+            return park() if kind == "gated" else None
+
+        with AsyncRpcServer(_echo_handler, "127.0.0.1", 0,
+                            before_request=gate,
+                            error_marshaller=marshal_error,
+                            name="gate") as server:
+            burst = [("echo", 0), ("gated", 1), ("echo", 2), ("echo", 3)]
+            with socket.create_connection(server.address) as sock:
+                sock.sendall(b"".join(map(_frame, burst)))
+                sock.settimeout(5.0)
+                assert recv_frame(sock) == ("ok", 0)
+                sock.settimeout(0.2)
+                with pytest.raises(OSError):    # parked: nothing overtakes
+                    recv_frame(sock)
+                release.set()
+                sock.settimeout(5.0)
+                assert recv_frame(sock)[0] == "err"     # unknown op "gated"
+                assert recv_frame(sock) == ("ok", 2)
+                assert recv_frame(sock) == ("ok", 3)
+
+    @pytest.mark.parametrize("poison", [
+        (net.MAX_FRAME_BYTES + 1).to_bytes(4, "big"),
+        (12).to_bytes(4, "big") + b"not a pickle",
+        _frame(["not", "a", "pair"]),
+        _frame(("bye", None)),
+    ], ids=["over-cap", "garbage", "misshapen", "bye"])
+    def test_poison_drops_the_connection_without_a_reply(self, echo_server,
+                                                         poison):
+        with socket.create_connection(echo_server.address) as sock:
+            sock.settimeout(5.0)
+            sock.sendall(_frame(("echo", "before")) + poison
+                         + _frame(("echo", "after")))
+            assert recv_frame(sock) == ("ok", "before")
+            with pytest.raises((ConnectionError, OSError)):
+                recv_frame(sock)
+        with socket.create_connection(echo_server.address) as sock:
+            assert call(sock, "echo", "fine") == "fine"

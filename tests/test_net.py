@@ -45,6 +45,52 @@ class TestFrames:
         finally:
             b.close()
 
+    def test_eof_inside_the_header_is_connection_error(self):
+        a, b = socket.socketpair()
+        try:
+            a.sendall(b"\x00\x00")
+            a.close()
+            with pytest.raises(ConnectionError):
+                recv_frame(b)
+        finally:
+            b.close()
+
+    def test_stalled_sender_hits_the_socket_timeout(self):
+        a, b = socket.socketpair()
+        try:
+            frame = pickle.dumps(("put", b"\x07" * 4096))
+            a.sendall(len(frame).to_bytes(4, "big") + frame[:100])
+            b.settimeout(0.1)
+            started = time.monotonic()
+            with pytest.raises(socket.timeout):
+                recv_frame(b)
+            assert time.monotonic() - started < 2.0
+        finally:
+            a.close()
+            b.close()
+
+    def test_frame_arriving_in_dribbles_is_reassembled(self):
+        a, b = socket.socketpair()
+        message = ("put", {"data": bytes(range(256)) * 64, "n": 7})
+        frame = pickle.dumps(message)
+        stream = len(frame).to_bytes(4, "big") + frame
+
+        def dribble():
+            for offset in range(0, len(stream), 1000):
+                a.sendall(stream[offset:offset + 1000])
+                time.sleep(0.001)
+
+        sender = threading.Thread(target=dribble)
+        sender.start()
+        try:
+            b.settimeout(5.0)
+            assert recv_frame(b) == message
+        finally:
+            sender.join(timeout=5.0)
+            a.close()
+            b.close()
+        assert not sender.is_alive()
+
     def test_oversized_announcement_rejected(self):
         a, b = socket.socketpair()
         try:

@@ -3,12 +3,14 @@ datanode-side arm, and the checksum substrate it leans on
 (per-block CRCs + typed ``CorruptBlockError`` on the MiniHDFS read
 path)."""
 
+import socket
 import threading
 import time
 
 import numpy as np
 import pytest
 
+import repro.service.client as client_module
 from repro.cluster import (
     BlockId,
     ClusterTopology,
@@ -17,7 +19,10 @@ from repro.cluster import (
     MiniHDFS,
     block_checksum,
 )
-from repro.core import UnrecoverableStripeError
+from repro.cluster.namenode import StripeInfo
+from repro.core import UnrecoverableStripeError, make_code
+from repro.service import RetryPolicy, ServiceCluster, WriteFailedError
+from repro.service.datanode import call
 from repro.service.faults import (
     Fault,
     FaultArm,
@@ -25,6 +30,7 @@ from repro.service.faults import (
     parse_fault,
     parse_fault_plan,
 )
+from repro.service.load import file_payload
 
 
 class TestGrammar:
@@ -215,3 +221,209 @@ class TestChecksumSubstrate:
             fs.datanodes[stripe.slot_nodes[slot]].corrupt(block)
         with pytest.raises(UnrecoverableStripeError):
             fs.read_file("f")
+
+
+# ----------------------------------------------------------------------
+# Pipelined writes and whole-stripe reads against a live cluster
+# ----------------------------------------------------------------------
+#: Tight timings so failure detection fits in test time.
+FAST = dict(block_bytes=2048, silence_timeout=1.2, check_period=0.3,
+            heartbeat_interval=0.3)
+#: A namenode that notices nothing for the length of a test: what the
+#: client does about a dead or corrupt replica is then all its own.
+BLIND = dict(block_bytes=2048, silence_timeout=120.0, check_period=60.0,
+             heartbeat_interval=0.3)
+STRIPE = 9 * 2048
+
+
+def fast_retry(seed=0):
+    return RetryPolicy(attempts=2, timeout=1.0, base_delay=0.05,
+                       max_delay=0.2, seed=seed)
+
+
+def _held_blocks(cluster, node_id: int) -> int:
+    """How many blocks a datanode says it holds, from its own mouth."""
+    address = cluster.namenode._addresses()[node_id]
+    with socket.create_connection(address, timeout=5.0) as sock:
+        return call(sock, "status", {})["blocks"]
+
+
+def _owed_blocks(client) -> dict[int, int]:
+    """How many blocks the committed metadata puts on each datanode."""
+    owed: dict[int, int] = {}
+    for name in client.list_files():
+        info = client.stat(name)
+        code = make_code(info["code_name"])
+        for index, slot_nodes in enumerate(info["stripes"]):
+            stripe = StripeInfo(name, index, code, tuple(slot_nodes))
+            for node_id, _ in stripe.placed_blocks():
+                owed[node_id] = owed.get(node_id, 0) + 1
+    return owed
+
+
+def _after_a_full_sweep(cluster) -> dict:
+    """Status once a checker pass that *started* after now has ended."""
+    target = cluster.status()["checker"]["sweeps"] + 2
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        status = cluster.wait_settled(timeout=30.0, min_wait=0)
+        if status["checker"]["sweeps"] >= target:
+            return status
+        time.sleep(0.1)
+    raise AssertionError("the checker never completed another sweep")
+
+
+def _assert_no_orphans(cluster, client, casualties=()) -> None:
+    status = _after_a_full_sweep(cluster)
+    # Nothing was left for the namenode's GC to find ...
+    assert status["checker"]["gc_blocks"] == 0
+    # ... and every reachable datanode holds exactly what it is owed.
+    owed = _owed_blocks(client)
+    for node_id in range(len(status["datanodes"])):
+        if node_id not in casualties:
+            assert _held_blocks(cluster, node_id) == owed.get(node_id, 0)
+
+
+class TestPipelinedWrites:
+    @pytest.mark.parametrize("action", ["kill", "hang"])
+    def test_casualty_after_some_of_its_puts_is_replaced(self, action):
+        """The datanode answers two of its four puts of a stripe, then
+        dies (or goes silent) with the other two already on the wire."""
+        with ServiceCluster(6, seed=5, **FAST) as cluster:
+            with cluster.client(retry=fast_retry(5)) as client:
+                before = file_payload(5, 0, STRIPE)
+                client.write_file("before", before, "pentagon")
+                cluster.arm_faults(parse_fault_plan(f"{action}:dn3@k=3",
+                                                    seed=5))
+                data = file_payload(5, 1, 3 * STRIPE + 9)
+                info = client.write_file("mw", data, "pentagon")
+                assert info["stripes"] == 4
+                assert client.counters["retries"] >= 1     # it did happen
+                assert client.read_file("mw") == data
+                assert 3 not in {node
+                                 for stripe in client.stat("mw")["stripes"]
+                                 for node in stripe}
+            with cluster.client(retry=fast_retry(6)) as client:
+                cluster.wait_settled(timeout=30.0)
+                assert client.read_file("mw") == data
+                assert client.read_file("before") == before
+                _assert_no_orphans(cluster, client, casualties={3})
+
+    def test_exhausted_placements_fail_clean(self, monkeypatch):
+        monkeypatch.setattr(client_module, "PLACE_ATTEMPTS", 1)
+        with ServiceCluster(6, seed=6, **FAST) as cluster:
+            with cluster.client(retry=fast_retry(6)) as client:
+                client.write_file("before", file_payload(6, 0, STRIPE),
+                                  "pentagon")
+                cluster.arm_faults(parse_fault_plan("kill:dn2@k=2", seed=6))
+                with pytest.raises(WriteFailedError, match="1 attempts"):
+                    client.write_file("doomed",
+                                      file_payload(6, 1, 4 * STRIPE),
+                                      "pentagon")
+                assert client.list_files() == ["before"]
+                with pytest.raises(FileNotFoundError):
+                    client.stat("doomed")
+                cluster.wait_settled(timeout=30.0)
+                _assert_no_orphans(cluster, client, casualties={2})
+
+    def test_replicas_disagreeing_on_the_crc_fail_the_write(self,
+                                                            monkeypatch):
+        """The two replicas of a symbol must report one CRC; if they do
+        not, nothing is committed and nothing is left behind."""
+        real_recv = client_module.recv_frame
+        acks = []
+
+        def one_flipped_crc(sock):
+            status, payload = real_recv(sock)
+            if status == "ok" and set(payload) == {"crc"}:
+                acks.append(payload["crc"])
+                if len(acks) == 7:
+                    payload = {"crc": payload["crc"] ^ 1}
+            return status, payload
+
+        with ServiceCluster(6, seed=8, **FAST) as cluster:
+            with cluster.client(retry=fast_retry(8)) as client:
+                client.write_file("before", file_payload(8, 0, STRIPE),
+                                  "pentagon")
+                monkeypatch.setattr(client_module, "recv_frame",
+                                    one_flipped_crc)
+                with pytest.raises(WriteFailedError, match="CRC"):
+                    client.write_file("torn", file_payload(8, 1, 2 * STRIPE),
+                                      "pentagon")
+                monkeypatch.undo()
+                assert len(acks) == 20          # the whole stripe answered
+                assert client.list_files() == ["before"]
+                _assert_no_orphans(cluster, client)
+                # the name is free again
+                client.write_file("torn", b"second try", "pentagon")
+                assert client.read_file("torn") == b"second try"
+
+
+class TestWholeStripeReads:
+    """``read_file`` fetches a stripe in one exchange; what it counts
+    and reports is what reading the symbols one by one did."""
+
+    def _written(self, cluster, seed):
+        data = file_payload(seed, 0, 2 * STRIPE)
+        with cluster.client(retry=fast_retry(seed)) as client:
+            client.write_file("f", data, "pentagon")
+            stripes = client.stat("f")["stripes"]
+        return data, stripes
+
+    def test_one_datanode_killed(self):
+        with ServiceCluster(6, seed=11, **BLIND) as cluster:
+            data, stripes = self._written(cluster, 11)
+            # Slot 0 is the planned source of four data symbols.
+            victim = stripes[0][0]
+            cluster._procs[victim].kill()
+            cluster._procs[victim].wait()
+            with cluster.client(retry=fast_retry(11)) as client:
+                assert client.read_file("f") == data
+                # One retry budget and one re-plan per stripe that
+                # planned into the dead node before knowing — the first
+                # does, and from then on the node is suspect.
+                assert client.counters["replans"] == 1
+                assert client.counters["retries"] == 1
+                assert client.counters["reads"] == 18
+                assert client.counters["corrupt_reports"] == 0
+                # Suspect now: planned around before the exchange, so
+                # nothing is retried, re-planned or waited for.
+                started = time.monotonic()
+                assert client.read_file("f") == data
+                assert time.monotonic() - started < 0.5
+                assert client.counters["replans"] == 1
+                assert client.counters["retries"] == 1
+
+    def test_hung_datanode_costs_one_timeout_then_none(self):
+        with ServiceCluster(6, seed=12, **BLIND) as cluster:
+            data, stripes = self._written(cluster, 12)
+            victim = stripes[0][0]
+            cluster.arm_faults(parse_fault_plan(f"hang:dn{victim}@k=1",
+                                                seed=12))
+            retry = RetryPolicy(attempts=1, timeout=0.5, base_delay=0.05,
+                                max_delay=0.1)
+            with cluster.client(retry=retry) as client:
+                assert client.read_file("f") == data
+                assert client.counters["replans"] == 1
+                started = time.monotonic()
+                assert client.read_file("f") == data
+                assert time.monotonic() - started < 0.4    # no timeout paid
+                assert client.counters["replans"] == 1
+
+    def test_one_block_corrupted(self):
+        with ServiceCluster(6, seed=13, **BLIND) as cluster:
+            data = file_payload(13, 0, STRIPE)
+            with cluster.client(retry=fast_retry(13)) as client:
+                client.write_file("f", data, "pentagon")
+                # Slot 0's node holds four blocks and nothing else, each
+                # the planned source of a data symbol: whichever one the
+                # seeded fault flips, the read runs into it.
+                victim = client.stat("f")["stripes"][0][0]
+                cluster.arm_faults(parse_fault_plan(
+                    f"corrupt:dn{victim}@k=1", seed=13))
+            with cluster.client(retry=fast_retry(13)) as client:
+                assert client.read_file("f") == data
+                assert client.counters["corrupt_reports"] == 1
+                assert client.counters["replans"] == 1
+                assert client.counters["retries"] == 0
+                assert client.counters["reads"] == 9
