@@ -26,6 +26,7 @@ from ..core import (
     ReadPlan,
     RepairPlan,
     make_code,
+    read_only_view,
     run_plan,
 )
 from ..gf import linear_combine
@@ -147,7 +148,8 @@ class MiniHDFS:
         """:func:`~repro.core.executor.run_plan` over this cluster's nodes.
 
         The transport combines checksum-verified blocks the (live)
-        source DataNode holds; the observer charges each landed
+        source DataNode holds (a plain copy is a read-only view of the
+        stored block); the observer charges each landed
         transfer to the ledger between the ``(source node, destination
         node)`` that ``endpoints(transfer)`` names.
         """
@@ -156,11 +158,11 @@ class MiniHDFS:
             if not self.topology.is_alive(node_id):
                 raise PlanExecutionError(
                     f"plan reads from failed node {node_id}")
-            store = self.datanodes[node_id]
-            return linear_combine(
-                transfer.coefficients,
-                [store.get(stripe.block_id(symbol))
-                 for symbol in transfer.symbols_read])
+            stored = [self.datanodes[node_id].get(stripe.block_id(symbol))
+                      for symbol in transfer.symbols_read]
+            if transfer.plain_copy:
+                return read_only_view(stored[0])
+            return linear_combine(transfer.coefficients, stored)
 
         def charge(transfer, payload) -> None:
             source, dest = endpoints(transfer)

@@ -12,7 +12,7 @@ Public surface:
   in :mod:`repro.core.executor`.
 """
 
-from .code import Code
+from .code import Code, read_only_view
 from .executor import (
     PlanExecutionError,
     execute_read_plan,
@@ -82,4 +82,5 @@ __all__ = [
     "execute_read_plan",
     "verify_repair_plan",
     "PlanExecutionError",
+    "read_only_view",
 ]

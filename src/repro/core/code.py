@@ -26,8 +26,12 @@ Two shared performance engines live here:
   are compiled once into a packed-table
   :class:`~repro.gf.kernels.BatchedLinearMap`, so encoding computes all
   parity symbols in one pass instead of per-symbol, per-coefficient
-  scalar combines; decode weight matrices are compiled the same way and
-  cached per surviving basis.
+  scalar combines.  Decode compiles a kernel over **only the rows that
+  need arithmetic** and returns every data symbol that survived as a
+  read-only zero-copy view of the caller's buffer, the contract
+  ``encode`` has for its data symbols.  What a failure pattern
+  compiles to (that decode, and the two GF eliminations behind the
+  generic planners) lives in one bounded per-code memo: solved once.
 """
 
 from __future__ import annotations
@@ -58,6 +62,20 @@ from .repair import (
     TransferKind,
     UnrecoverableStripeError,
 )
+
+#: Entries the per-code failure-pattern memo keeps (oldest out first);
+#: a planned pattern takes two (basis, weights), a decoded one one.  A
+#: decode's packed tables run ~256 KiB per general column on the numpy
+#: backend; the planners' bases and weight rows are tiny.
+PATTERN_MEMO_ENTRIES = 32
+
+
+def read_only_view(buffer) -> np.ndarray:
+    """``buffer`` as a uint8 array that shares its memory and refuses
+    writes — how a block that needs no arithmetic is handed on."""
+    view = GF256.asarray(buffer).view()
+    view.flags.writeable = False
+    return view
 
 
 class Code(ABC):
@@ -136,8 +154,21 @@ class Code(ABC):
         return BatchedLinearMap(rows) if len(rows) else None
 
     @cached_property
-    def _decode_kernels(self) -> dict[tuple[int, ...], BatchedLinearMap]:
+    def _pattern_memo(self) -> dict:
         return {}
+
+    def _memoised(self, key, solve_pattern):
+        """What a failure pattern compiles to, solved once per code.
+        Entries are immutable (tuples, read-only arrays, kernels that
+        consult the active backend per call), so a hit is as good as new."""
+        memo = self._pattern_memo
+        value = memo.get(key)
+        if value is None:
+            value = solve_pattern()
+            if len(memo) >= PATTERN_MEMO_ENTRIES:
+                memo.pop(next(iter(memo)))
+            memo[key] = value
+        return value
 
     def _checked_buffers(self, data_blocks) -> tuple[list[np.ndarray], int]:
         """Validate one stripe's data blocks; returns (buffers, size)."""
@@ -159,9 +190,7 @@ class Code(ABC):
         parity_rows = iter(parity) if parity is not None else None
         for symbol in self.layout.symbols:
             if symbol.kind is SymbolKind.DATA:
-                view = buffers[next(data_columns)].view()
-                view.flags.writeable = False
-                encoded.append(view)
+                encoded.append(read_only_view(buffers[next(data_columns)]))
             else:
                 encoded.append(next(parity_rows))
         return encoded
@@ -242,47 +271,61 @@ class Code(ABC):
             offset += block_size
         return encoded
 
+    def _compile_decode(self, indices: tuple[int, ...]):
+        """(basis, per data row its basis position or None, kernel).
+
+        Picks ``k`` independent rows (data symbols first, so the inverse
+        stays sparse for systematic codes) and inverts the k x k system;
+        a unit row of the inverse *is* a basis symbol, the rest go into
+        the kernel.
+        """
+        generator = self.layout.generator_matrix()
+        positions = independent_rows(generator[list(indices)], limit=self.k)
+        if len(positions) < self.k:
+            raise SingularMatrixError(
+                f"{self.name}: surviving symbols do not span the data space")
+        basis = tuple(indices[p] for p in positions)
+        weights = invert(generator[list(basis)])   # data = weights @ symbols
+        unit = (np.count_nonzero(weights, axis=1) == 1) & (weights.max(axis=1) == 1)
+        sources = tuple(int(row.argmax()) if survived else None
+                        for row, survived in zip(weights, unit))
+        kernel = None if unit.all() else BatchedLinearMap(weights[~unit])
+        return basis, sources, kernel
+
     def decode_data(self, available: dict[int, np.ndarray]) -> list[np.ndarray]:
         """Recover the ``k`` data buffers from surviving symbol buffers.
 
         ``available`` maps symbol index -> buffer.  Raises
         :class:`~repro.gf.SingularMatrixError` when the surviving symbols
-        do not determine the data.
+        do not determine the data, ``ValueError`` for an index the code
+        does not have.
 
-        The solve happens on the small coefficient matrix only: pick
-        ``k`` independent rows (data symbols first, so the inverse stays
-        sparse for systematic codes), invert the k x k system, then
-        apply the weights to the block buffers through a packed-table
-        kernel cached per surviving basis.  Eliminating over the
-        megabyte-wide buffers directly would be an order of magnitude
-        slower.
+        Data symbols that survived are returned as **read-only zero-copy
+        views** of the caller's buffers, as :meth:`encode` returns its
+        data symbols (copy before mutating either side); the rest are
+        fresh, independently mutable arrays.  The solve happens on the
+        small coefficient matrix, once per surviving-symbol set, and
+        only the rows that need arithmetic go through the packed-table
+        kernel.  Eliminating over the megabyte-wide buffers directly
+        would be an order of magnitude slower.
         """
         if not available:
             raise SingularMatrixError("no symbols available")
-        indices = sorted(available)
-        generator = self.layout.generator_matrix()
-        basis_positions = independent_rows(generator[indices], limit=self.k)
-        if len(basis_positions) < self.k:
-            raise SingularMatrixError(
-                f"{self.name}: surviving symbols do not span the data space"
-            )
-        chosen = tuple(indices[p] for p in basis_positions)
-        kernel = self._decode_kernels.get(chosen)
-        if kernel is None:
-            weights = invert(generator[list(chosen)])   # data = weights @ symbols
-            kernel = BatchedLinearMap(weights)
-            # Bound the cached-kernel count; each kernel's packed
-            # tables run ~256 KiB per general column (scratch buffers
-            # are pooled module-wide in repro.gf.kernels).
-            if len(self._decode_kernels) >= 16:
-                self._decode_kernels.pop(next(iter(self._decode_kernels)))
-            self._decode_kernels[chosen] = kernel
-        buffers = [GF256.asarray(available[i]) for i in chosen]
-        block_size = len(buffers[0])
-        return list(kernel.apply(buffers, block_size))
+        indices = tuple(sorted(available))
+        for index in (indices[0], indices[-1]):
+            if not 0 <= index < self.symbol_count:
+                raise self._no_such("symbol", index, self.symbol_count)
+        basis, sources, kernel = self._memoised(
+            ("decode", indices), lambda: self._compile_decode(indices))
+        buffers, block_size = self._checked_buffers(available[i] for i in basis)
+        solved = iter(kernel.apply(buffers, block_size)
+                      if kernel is not None else ())
+        return [next(solved) if source is None
+                else read_only_view(buffers[source]) for source in sources]
 
     def decode_symbol(self, symbol_index: int, available: dict[int, np.ndarray]) -> np.ndarray:
-        """Reconstruct one coded symbol from surviving symbol buffers."""
+        """Reconstruct one coded symbol from surviving symbol buffers —
+        always a fresh, mutable array, never a view of ``available``."""
         data = self.decode_data(available)
         coefficients = self.layout.symbols[symbol_index].coefficients
         return linear_combine(coefficients, data, length=len(data[0]))
@@ -342,13 +385,22 @@ class Code(ABC):
         failed = [slot for slot in range(self.length) if (mask >> slot) & 1]
         return self._decodable_from_survivors(self.layout.surviving_mask(failed))
 
-    @staticmethod
-    def _slot_mask(failed_slots) -> int:
+    def _no_such(self, kind: str, index, count: int) -> ValueError:
+        return ValueError(f"{self.name}: no {kind} {index} among its {count}")
+
+    def _slot_mask(self, failed_slots) -> int:
+        """Failed-slot bitmask; ``ValueError`` for a slot the code lacks."""
         mask = 0
+        length = self.layout.length
         for slot in failed_slots:
             # int() keeps the shift in arbitrary-precision Python ints
             # even when callers pass numpy integers and slot >= 63.
-            mask |= 1 << int(slot)
+            slot = int(slot)
+            if slot < 0:
+                raise self._no_such("slot", slot, length)
+            mask |= 1 << slot
+        if mask >> length:
+            raise self._no_such("slot", mask.bit_length() - 1, length)
         return mask
 
     def can_recover(self, failed_slots) -> bool:
@@ -560,7 +612,7 @@ class Code(ABC):
                     at_slot=sink,
                     produces_symbol=symbol_index,
                     payload_indices=payload_indices,
-                    coefficients=tuple(int(c) for c in decode_matrix[row]),
+                    coefficients=tuple(decode_matrix[row].tolist()),
                     note=f"solve {layout.symbols[symbol_index].label or symbol_index}",
                 ))
                 # Forward the reconstructed symbol to its other replicas.
@@ -614,7 +666,7 @@ class Code(ABC):
         step = DecodeStep(
             at_slot=dest, produces_symbol=symbol_index,
             payload_indices=tuple(range(len(basis))),
-            coefficients=tuple(int(c) for c in weights[0]),
+            coefficients=tuple(weights[0].tolist()),
             note=f"reconstruct {label}",
         )
         return ReadPlan(self.name, symbol_index, reader_slot, tuple(transfers), (step,),
@@ -625,21 +677,27 @@ class Code(ABC):
     # ------------------------------------------------------------------
     def _independent_surviving_symbols(self, failed: set[int]) -> list[int]:
         """A minimal set of surviving symbols spanning the data space."""
-        surviving = self.layout.surviving_symbols(failed)
-        generator = self.layout.generator_matrix()
-        positions = independent_rows(generator[list(surviving)], limit=self.k)
-        if len(positions) < self.k:
-            raise UnrecoverableStripeError(self.name, failed)
-        return [surviving[p] for p in positions]
+        def eliminate() -> tuple[int, ...]:
+            surviving = self.layout.surviving_symbols(failed)
+            generator = self.layout.generator_matrix()
+            positions = independent_rows(generator[list(surviving)], limit=self.k)
+            if len(positions) < self.k:
+                raise UnrecoverableStripeError(self.name, failed)
+            return tuple(surviving[p] for p in positions)
+
+        return list(self._memoised(("basis", tuple(sorted(failed))), eliminate))
 
     def _decode_weights(self, basis: list[int], targets: list[int]) -> np.ndarray:
         """Rows expressing each target symbol as a combination of basis symbols.
 
         Solving ``G_basis^T w = G_target^T`` yields, for every target, the
-        weight vector ``w`` with ``target = sum_i w_i * basis_i``.
+        weight vector ``w`` with ``target = sum_i w_i * basis_i``
+        (read-only: the array is the memo's own).
         """
-        generator = self.layout.generator_matrix()
-        basis_matrix = generator[basis]          # (b, k)
-        target_matrix = generator[targets]       # (t, k)
-        weights = solve(basis_matrix.T, target_matrix.T)   # (b, t)
-        return weights.T
+        def eliminate() -> np.ndarray:
+            generator = self.layout.generator_matrix()
+            weights = solve(generator[basis].T, generator[targets].T).T   # (t, b)
+            weights.flags.writeable = False
+            return weights
+
+        return self._memoised(("weights", tuple(basis), tuple(targets)), eliminate)

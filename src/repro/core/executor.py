@@ -21,6 +21,10 @@ to a ``fetch(transfer) -> ndarray`` transport:
   partial parities are computed at the source daemon.
 
 A plan proven correct on one transport is therefore correct on all.
+A plain copy (:attr:`~repro.core.repair.Transfer.plain_copy`) costs no
+arithmetic on any of them: the two in-process transports return a
+read-only view of the source block (what a plan recovers may alias the
+stripe it ran against; copy before mutating), the service asks a ``get``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..gf import GF256, linear_combine
-from .code import Code
+from .code import Code, read_only_view
 from .repair import ReadPlan, RepairPlan, Transfer, TransferKind
 
 
@@ -58,7 +62,11 @@ def run_plan(plan, fetch, observe=None):
     payloads: list[np.ndarray] = []
     produced: dict[int, np.ndarray] = {}
     recovered: dict[int, np.ndarray] = {}
-    for transfer in plan.transfers:
+    # transfer index -> the decode steps whose last payload it lands
+    ready: dict[int, list] = {}
+    for step in plan.decode_steps:
+        ready.setdefault(max((0, *step.payload_indices)), []).append(step)
+    for landed, transfer in enumerate(plan.transfers):
         if not transfer.symbols_read:
             raise PlanExecutionError("transfer reads no symbols")
         if transfer.kind is TransferKind.DECODED:
@@ -75,9 +83,8 @@ def run_plan(plan, fetch, observe=None):
         payloads.append(payload)
         if transfer.delivers_symbol is not None:
             recovered[transfer.delivers_symbol] = payload
-        for step in plan.decode_steps:
-            if (step.produces_symbol not in produced
-                    and max(step.payload_indices, default=-1) < len(payloads)):
+        for step in ready.get(landed, ()):
+            if step.produces_symbol not in produced:
                 value = linear_combine(
                     step.coefficients,
                     [payloads[index] for index in step.payload_indices],
@@ -105,12 +112,14 @@ def _memory_fetch(code: Code, blocks: list[np.ndarray], failed: set[int]):
             raise PlanExecutionError(
                 f"transfer sources from failed or undefined slot {transfer.source_slot}"
             )
-        held = set(layout.symbols_on_slot(transfer.source_slot))
+        held = layout.symbols_on_slot(transfer.source_slot)
         for symbol in transfer.symbols_read:
             if symbol not in held:
                 raise PlanExecutionError(
                     f"slot {transfer.source_slot} does not hold symbol {symbol}"
                 )
+        if transfer.plain_copy:
+            return read_only_view(blocks[transfer.symbols_read[0]])
         return linear_combine(transfer.coefficients,
                               [blocks[symbol] for symbol in transfer.symbols_read])
 

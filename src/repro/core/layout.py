@@ -238,7 +238,12 @@ class StripeLayout:
 
     def replicas_alive(self, symbol_index: int,
                        failed_slots: set[int] | frozenset[int]) -> tuple[int, ...]:
-        """Slots that still hold ``symbol_index`` given failures."""
+        """Slots that still hold ``symbol_index`` given failures (every
+        read planner asks this first, so a symbol the code does not
+        have, or a negative index that would wrap, is refused here)."""
+        if not 0 <= symbol_index < self.symbol_count:
+            raise ValueError(f"{self.code_name}: no symbol {symbol_index} "
+                             f"among its {self.symbol_count}")
         failed = set(failed_slots)
         return tuple(
             slot for slot in self.symbols[symbol_index].replicas if slot not in failed

@@ -97,7 +97,7 @@ class PolygonCode(Code):
         a single XOR parity cannot resolve them (cross-checked against
         the generic rank test in the suite).
         """
-        return len(set(failed_slots)) <= 2
+        return self._slot_mask(failed_slots).bit_count() <= 2
 
     #: The complete graph is vertex-transitive.
     symmetry_classes = Code.one_flat_class
@@ -107,13 +107,13 @@ class PolygonCode(Code):
     # ------------------------------------------------------------------
     def plan_node_repair(self, failed_slots) -> RepairPlan:
         failed = tuple(sorted(set(failed_slots)))
+        if not self.can_recover(failed):
+            raise UnrecoverableStripeError(self.name, failed, self.layout.lost_symbols(set(failed)))
         if not failed:
             return RepairPlan(self.name, (), (), (), {})
         if len(failed) == 1:
             return self._plan_single_repair(failed[0])
-        if len(failed) == 2:
-            return self._plan_double_repair(failed[0], failed[1])
-        raise UnrecoverableStripeError(self.name, failed, self.layout.lost_symbols(set(failed)))
+        return self._plan_double_repair(failed[0], failed[1])
 
     def _plan_single_repair(self, failed: int) -> RepairPlan:
         """Repair-by-transfer: each edge symbol survives on its other endpoint."""

@@ -62,11 +62,10 @@ class RaidMirrorCode(Code):
 
     def can_recover(self, failed_slots) -> bool:
         """Closed form: at most one symbol may lose both of its copies."""
-        failed = set(failed_slots)
-        doubly_lost = sum(
-            1 for slot in failed if slot % 2 == 0 and (slot + 1) in failed
-        )
-        return doubly_lost <= 1
+        mask = self._slot_mask(failed_slots)
+        # Bit 2i of ``mask & mask >> 1``: both copies of symbol i are
+        # down; ``4**n // 3`` is the even bits 0b0101...01.
+        return (mask & (mask >> 1) & ((1 << self.length) // 3)).bit_count() <= 1
 
     def symmetry_classes(self):
         """One class of mirror pairs: any pair, and either half of it."""
@@ -85,7 +84,7 @@ class RaidMirrorCode(Code):
             symbol.index for symbol in layout.symbols
             if all(slot in failed_set for slot in symbol.replicas)
         ]
-        if len(doubly_lost) > 1:
+        if not self.can_recover(failed):
             raise UnrecoverableStripeError(self.name, failed, doubly_lost)
         transfers: list[Transfer] = []
         restored: dict[int, tuple[int, ...]] = {}

@@ -68,6 +68,13 @@ class Transfer:
         """Network cost of this transfer, in block units (always 1)."""
         return 1
 
+    @property
+    def plain_copy(self) -> bool:
+        """True when the payload is the stored block itself, so no
+        transport needs arithmetic for it: the in-process ones hand on a
+        read-only view, the service asks for a ``get``, not a ``combine``."""
+        return self.kind is TransferKind.COPY and self.coefficients[0] == 1
+
 
 @dataclass(frozen=True)
 class DecodeStep:

@@ -33,7 +33,7 @@ class ReplicationCode(Code):
 
     def can_recover(self, failed_slots) -> bool:
         """Closed form: the block survives while any replica survives."""
-        return len(set(failed_slots)) < self.replicas
+        return self._slot_mask(failed_slots).bit_count() < self.replicas
 
     #: Every replica is as good as any other.
     symmetry_classes = Code.one_flat_class
@@ -41,9 +41,9 @@ class ReplicationCode(Code):
     def plan_node_repair(self, failed_slots) -> RepairPlan:
         """Copy the block from any surviving replica to each lost slot."""
         failed = tuple(sorted(set(failed_slots)))
-        survivors = [slot for slot in range(self.replicas) if slot not in failed]
-        if not survivors:
+        if not self.can_recover(failed):
             raise UnrecoverableStripeError(self.name, failed, (0,))
+        survivors = [slot for slot in range(self.replicas) if slot not in failed]
         transfers = tuple(
             Transfer(
                 kind=TransferKind.COPY,

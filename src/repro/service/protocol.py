@@ -24,7 +24,7 @@ from __future__ import annotations
 from ..cluster.datanode import BlockNotFoundError, CorruptBlockError
 from ..cluster.namenode import BlockId
 from ..cluster.placement import PlacementError
-from ..core.repair import TransferKind, UnrecoverableStripeError
+from ..core.repair import UnrecoverableStripeError
 from ..net import ProtocolError
 
 #: Bumped on any incompatible message change; both ends carry it in the
@@ -232,8 +232,7 @@ def transfer_request(name: str, stripe_index: int,
     several symbols is a ``combine`` the source daemon computes from
     blocks it holds, so the transfer costs one block on the wire.
     """
-    if (transfer.kind is TransferKind.COPY
-            and transfer.coefficients[0] == 1):
+    if transfer.plain_copy:
         return ("get", {"block": (name, stripe_index,
                                   transfer.symbols_read[0])})
     parts = [((name, stripe_index, symbol), int(coefficient))

@@ -14,7 +14,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -42,6 +42,27 @@ seeds = st.integers(0, 2**31 - 1)
 def make_data(code: Code, seed: int, size: int = 24):
     rng = np.random.default_rng(seed)
     return [rng.integers(0, 256, size, dtype=np.uint8) for _ in range(code.k)]
+
+
+#: (code, failure set) -> (structured, generic) repair blocks: every
+#: tolerated pattern of CODE_NAMES (searched exhaustively) where the
+#: structured planner loses to the decode fallback by more than the
+#: slack — all pentagon-local with the global slot down.  Fixing the
+#: planner is ROADMAP item 7.
+KNOWN_COSTLIER_THAN_GENERIC = {
+    ("pentagon-local", frozenset(failed)): blocks for failed, blocks in [
+        ((0, 2, 10), (29, 27)), ((0, 1, 10), (31, 27)),
+        ((0, 5, 10), (32, 28)), ((0, 6, 10), (30, 28)),
+        ((1, 5, 10), (30, 28)), ((5, 6, 10), (31, 27)),
+        ((5, 7, 10), (29, 27)),
+    ]
+}
+
+
+def assert_repair_bandwidth_at_most_generic(code: Code, failed) -> None:
+    structured = code.plan_node_repair(failed).network_blocks
+    generic = Code.plan_node_repair(code, failed).network_blocks
+    assert structured <= generic + 1   # +1: re-mirror forwarding slack
 
 
 def random_tolerated_failure(code: Code, seed: int) -> set[int]:
@@ -133,9 +154,22 @@ class TestRepairContracts:
         failed = random_tolerated_failure(code, seed)
         if not failed:
             return
-        structured = code.plan_node_repair(failed).network_blocks
-        generic = Code.plan_node_repair(code, failed).network_blocks
-        assert structured <= generic + 1   # +1: re-mirror forwarding slack
+        # The known counterexamples are pinned below; without this the
+        # suite is green only when hypothesis does not draw one.
+        assume((name, frozenset(failed))
+               not in KNOWN_COSTLIER_THAN_GENERIC)
+        assert_repair_bandwidth_at_most_generic(code, failed)
+
+    @pytest.mark.parametrize("name, failed", [
+        pytest.param(name, failed, id=f"{name}-{sorted(failed)}",
+                     marks=pytest.mark.xfail(
+                         strict=True, raises=AssertionError,
+                         reason=f"ROADMAP item 7: structured repair moves "
+                                f"{structured} blocks, generic {generic}"))
+        for (name, failed), (structured, generic)
+        in KNOWN_COSTLIER_THAN_GENERIC.items()])
+    def test_known_plans_costlier_than_generic(self, name, failed):
+        assert_repair_bandwidth_at_most_generic(make_code(name), failed)
 
 
 class TestRecoverabilityConsistency:
