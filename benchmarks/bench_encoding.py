@@ -3,14 +3,16 @@ metric ("encoding duration ... also need[s] to be ascertained").
 
 These are true pytest-benchmark microbenchmarks: the encode path of
 every scheme over one stripe of 1 MiB blocks, plus the GF(2^8) kernels
-underneath.
+underneath and the block checksum every stored block pays.
 """
+
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.core import make_code
-from repro.gf import GF256
+from repro.gf import GF256, crc32
 
 BLOCK_BYTES = 1 << 20
 
@@ -85,3 +87,18 @@ def test_partial_parity_computation(benchmark):
 
     result = benchmark(combine)
     assert len(result) == BLOCK_BYTES
+
+
+@pytest.mark.benchmark(group="crc32")
+@pytest.mark.parametrize("block_bytes", [1 << 16, 1 << 20])
+@pytest.mark.parametrize("checksum", [zlib.crc32, crc32],
+                         ids=["zlib", "repro.gf"])
+def test_crc32_of_a_block(benchmark, checksum, block_bytes):
+    """``repro.gf.crc32`` (the native carry-less-multiply kernel on the
+    native gf-backend, zlib itself on the others) against ``zlib.crc32``
+    on one service block and one 1 MiB block: same number, always."""
+    block = np.random.default_rng(3).integers(0, 256, block_bytes,
+                                              dtype=np.uint8)
+    assert benchmark(checksum, block) == zlib.crc32(block)
+    benchmark.extra_info["gb_per_s"] = (
+        block_bytes / 1e9 / benchmark.stats["mean"])

@@ -9,19 +9,20 @@ Every ``put`` records a CRC-32 of the stored bytes; verified reads
 (:meth:`DataNode.get` with ``verify=True`` — the default on every
 cluster read path) recompute it and raise a typed
 :class:`CorruptBlockError` on mismatch instead of silently serving
-rot.  The storage-service checker loop and the degraded-read fallback
-both key off that exception.  :meth:`DataNode.corrupt` is the matching
-fault hook: it flips stored bytes *without* touching the recorded
-checksum, exactly what a latent sector error looks like from above.
+rot.  The CRC is :func:`repro.gf.crc32` (native kernel or zlib, the
+same number), handed the contiguous arrays the store allocated itself:
+a verify is one call into C.  The storage-service checker loop and the
+degraded-read fallback both key off that exception.
+:meth:`DataNode.corrupt` is the matching fault hook: it flips stored
+bytes *without* touching the recorded checksum, exactly what a latent
+sector error looks like from above.
 """
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 
-from ..gf import GF256
+from ..gf import GF256, crc32
 from .namenode import BlockId
 
 
@@ -40,10 +41,8 @@ class CorruptBlockError(RuntimeError):
 
 
 def block_checksum(data) -> int:
-    """CRC-32 of a block's bytes (the write-time integrity stamp)."""
-    # crc32 reads the array through the buffer protocol — no tobytes()
-    # copy on the per-read verify path.
-    return zlib.crc32(np.ascontiguousarray(GF256.asarray(data)))
+    """CRC-32 of any buffer holding a block (the write-time stamp)."""
+    return crc32(data)
 
 
 class DataNode:
@@ -58,7 +57,7 @@ class DataNode:
         """Store a block; returns the recorded CRC-32."""
         stored = GF256.asarray(data).copy()
         self._blocks[block] = stored
-        crc = block_checksum(stored)
+        crc = crc32(stored)
         self._checksums[block] = crc
         return crc
 
@@ -69,7 +68,7 @@ class DataNode:
             raise BlockNotFoundError(
                 f"node {self.node_id} does not hold {block}"
             ) from None
-        if verify and block_checksum(data) != self._checksums[block]:
+        if verify and crc32(data) != self._checksums[block]:
             raise CorruptBlockError(self.node_id, block)
         return data
 
@@ -88,7 +87,7 @@ class DataNode:
             raise BlockNotFoundError(
                 f"node {self.node_id} does not hold {block}"
             ) from None
-        return block_checksum(self._blocks[block])
+        return crc32(self._blocks[block])
 
     def corrupt(self, block: BlockId, offset: int = 0) -> None:
         """Fault injection: flip one stored byte, keep the checksum.

@@ -63,8 +63,8 @@ from .repair import (
     UnrecoverableStripeError,
 )
 
-#: Entries the per-code failure-pattern memo keeps (oldest out first);
-#: a planned pattern takes two (basis, weights), a decoded one one.  A
+#: Entries the per-code failure-pattern memo keeps (oldest out first):
+#: two per planned pattern (basis, weights), one per decode or read plan.  A
 #: decode's packed tables run ~256 KiB per general column on the numpy
 #: backend; the planners' bases and weight rows are tiny.
 PATTERN_MEMO_ENTRIES = 32
@@ -82,7 +82,7 @@ class Code(ABC):
     """A stripe-structured storage code.
 
     Subclasses must implement :meth:`build_layout` and should override
-    :meth:`plan_node_repair` / :meth:`plan_degraded_read` when the code
+    :meth:`plan_node_repair` / :meth:`_plan_read_uncached` when the code
     admits cheaper repairs than the generic decode-everything fallback.
     """
 
@@ -635,8 +635,18 @@ class Code(ABC):
 
         Returns a zero-transfer plan when the reader holds a live
         replica, a one-copy plan when any replica survives, and a
-        reconstruction plan otherwise.
+        reconstruction plan otherwise.  Plans are frozen, so each is
+        made once per code and kept in the failure-pattern memo;
+        :meth:`_plan_read_uncached` is what subclasses override.
         """
+        failed = tuple(sorted(failed_slots))
+        return self._memoised(
+            ("read", symbol_index, failed, reader_slot),
+            lambda: self._plan_read_uncached(symbol_index, failed, reader_slot))
+
+    def _plan_read_uncached(self, symbol_index: int, failed_slots,
+                            reader_slot: int | None = None) -> ReadPlan:
+        """Generic: a live replica, else decode ``k`` survivors."""
         failed = set(failed_slots)
         layout = self.layout
         alive = layout.replicas_alive(symbol_index, failed)

@@ -202,19 +202,19 @@ class PolygonCode(Code):
         restored = {f1: layout.symbols_on_slot(f1), f2: layout.symbols_on_slot(f2)}
         return RepairPlan(self.name, (f1, f2), tuple(transfers), (decode,), restored)
 
-    def plan_degraded_read(self, symbol_index: int, failed_slots,
-                           reader_slot: int | None = None) -> ReadPlan:
+    def _plan_read_uncached(self, symbol_index: int, failed_slots,
+                            reader_slot: int | None = None) -> ReadPlan:
         """Partial-parity degraded read when both replicas are down."""
         failed = set(failed_slots)
         alive = self.layout.replicas_alive(symbol_index, failed)
         if alive:
-            return super().plan_degraded_read(symbol_index, failed, reader_slot)
+            return super()._plan_read_uncached(symbol_index, failed, reader_slot)
         f1, f2 = self.layout.symbols[symbol_index].replicas
         extra_failures = failed - {f1, f2}
         if extra_failures:
             # Survivor set is damaged too: fall back to the generic solver
             # (which will raise if the pattern is fatal).
-            return super().plan_degraded_read(symbol_index, failed, reader_slot)
+            return super()._plan_read_uncached(symbol_index, failed, reader_slot)
         dest = reader_slot if reader_slot is not None else -1
         reads = self.partial_parity_reads(f1, f2)
         transfers = []

@@ -319,13 +319,13 @@ class PolygonLocalCode(Code):
             ))
         return transfers, decode_steps
 
-    def plan_degraded_read(self, symbol_index: int, failed_slots,
-                           reader_slot: int | None = None) -> ReadPlan:
+    def _plan_read_uncached(self, symbol_index: int, failed_slots,
+                            reader_slot: int | None = None) -> ReadPlan:
         """Degraded reads of group symbols resolve locally when possible."""
         failed = set(failed_slots)
         layout = self.layout
         if layout.replicas_alive(symbol_index, failed):
-            return super().plan_degraded_read(symbol_index, failed, reader_slot)
+            return super()._plan_read_uncached(symbol_index, failed, reader_slot)
         symbol = layout.symbols[symbol_index]
         if symbol.kind is not SymbolKind.GLOBAL_PARITY:
             group = self.group_of_slot(symbol.replicas[0])
@@ -362,7 +362,7 @@ class PolygonLocalCode(Code):
                 return ReadPlan(self.name, symbol_index, reader_slot,
                                 transfers, steps,
                                 note=f"local degraded read in group {tag}")
-        return super().plan_degraded_read(symbol_index, failed, reader_slot)
+        return super()._plan_read_uncached(symbol_index, failed, reader_slot)
 
     # ------------------------------------------------------------------
     # Introspection used by experiments and tests

@@ -126,8 +126,8 @@ class RaidMirrorCode(Code):
             return RepairPlan(self.name, failed, tuple(transfers), (decode,), restored)
         return RepairPlan(self.name, failed, tuple(transfers), (), restored)
 
-    def plan_degraded_read(self, symbol_index: int, failed_slots,
-                           reader_slot: int | None = None) -> ReadPlan:
+    def _plan_read_uncached(self, symbol_index: int, failed_slots,
+                            reader_slot: int | None = None) -> ReadPlan:
         """Degraded read: XOR one copy of each of the other ``k`` symbols.
 
         This is the paper's 9-block repair bandwidth for the (10,9)
@@ -136,7 +136,7 @@ class RaidMirrorCode(Code):
         failed = set(failed_slots)
         alive = self.layout.replicas_alive(symbol_index, failed)
         if alive:
-            return super().plan_degraded_read(symbol_index, failed, reader_slot)
+            return super()._plan_read_uncached(symbol_index, failed, reader_slot)
         layout = self.layout
         dest = reader_slot if reader_slot is not None else -1
         transfers = []

@@ -13,6 +13,7 @@ from .kernels import (
     PACKED_MIN_BYTES,
     BatchedLinearMap,
     active_backend,
+    crc32,
     linear_combine,
     native_available,
     native_error,
@@ -42,6 +43,7 @@ __all__ = [
     "BACKEND_ENV",
     "BACKEND_NAMES",
     "linear_combine",
+    "crc32",
     "set_backend",
     "requested_backend",
     "active_backend",

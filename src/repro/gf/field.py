@@ -183,13 +183,17 @@ class GF256:
 
     @staticmethod
     def xor_reduce(buffers: Iterable[np.ndarray]) -> np.ndarray:
-        """XOR together an iterable of equal-length buffers."""
+        """XOR together an iterable of equal-length buffers into one
+        fresh writeable array (a lone buffer is copied, never aliased)."""
         iterator = iter(buffers)
         try:
             first = GF256.asarray(next(iterator))
         except StopIteration:
             raise ValueError("xor_reduce needs at least one buffer") from None
-        out = first.copy()
+        second = next(iterator, None)
+        if second is None:
+            return first.copy()
+        out = np.bitwise_xor(first, GF256.asarray(second))   # no copy pass
         for buffer in iterator:
             np.bitwise_xor(out, GF256.asarray(buffer), out=out)
         return out

@@ -51,6 +51,9 @@ exhaustively by ``tests/test_perf_paths.py`` and fuzzed by
 ``tests/test_gf_native.py``).  Blocks too small for their backend's
 packed path — or any even-size gate the numpy path fails — fall back
 to the scalar reference transparently, whatever the backend.
+
+The block checksum rides the same seam: :func:`crc32` is the library's
+carry-less-multiply kernel on ``native``, else zlib's — the same 32 bits.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ import os
 import sys
 import threading
 import warnings
+import zlib
 
 import numpy as np
 
@@ -118,13 +122,14 @@ def set_backend(name: str | None) -> None:
     ``$REPRO_GF_BACKEND``, else ``native`` when the extension builds,
     else ``numpy``.  Used by tests and ``perf_snapshot.py --backend``;
     takes effect on the next :meth:`BatchedLinearMap.apply` (dispatch
-    is per call, never baked into a kernel).
+    is per call, never baked into a kernel) and :func:`crc32` (re-bound).
     """
     global _FORCED_BACKEND
     if name is None or name == "auto":
         _FORCED_BACKEND = None
-        return
-    _FORCED_BACKEND = _check_backend_name(name)
+    else:
+        _FORCED_BACKEND = _check_backend_name(name)
+    _native.crc32_binding = None     # the checksum follows the backend
 
 
 def requested_backend() -> str:
@@ -181,6 +186,37 @@ def native_available() -> bool:
 def native_error() -> str | None:
     """Why the native extension is unavailable (``None`` when loaded)."""
     return _native.error()
+
+
+def _bind_crc32():
+    """The native kernel closed over ``ffi.from_buffer``, or zlib's."""
+    kernels = _native.load() if active_backend() == "native" else None
+    if kernels is None:
+        bound = zlib.crc32
+    else:
+        from_buffer, native_crc32 = kernels.ffi.from_buffer, kernels.lib.repro_crc32
+
+        def bound(data, value=0):
+            raw = from_buffer(data)
+            return native_crc32(raw, len(raw), value)
+
+    _native.crc32_binding = bound
+    return bound
+
+
+def crc32(data, value: int = 0) -> int:
+    """``zlib.crc32(data, value)`` for any buffer, bit for bit on every
+    backend: CRCs travel in ``put`` replies, ``commit-write`` and the
+    scrub, and a daemon with no compiler must agree with one that has.
+    Bound on first use, dropped only by :func:`set_backend` /
+    :func:`repro.gf.native.reset`: per block, an environment read, a
+    lock or a ``load()`` cost more than the hashing they select.  What
+    C cannot read in place (a strided array, a list) is gathered."""
+    bound = _native.crc32_binding or _bind_crc32()
+    try:
+        return bound(data, value)
+    except (TypeError, ValueError, BufferError):
+        return bound(np.ascontiguousarray(GF256.asarray(data)), value)
 
 
 class _ScratchCache(threading.local):
@@ -254,12 +290,16 @@ def linear_combine(coefficients, buffers, length: int | None = None) -> np.ndarr
     """Backend-routed drop-in for :meth:`repro.gf.GF256.combine`.
 
     Returns ``sum_i c_i * buf_i`` over GF(2^8) as a fresh uint8 array.
-    On the native backend, blocks of :data:`NATIVE_MIN_BYTES` and up
-    run through a cached one-row :class:`BatchedLinearMap` — the same
-    fused group kernel the encoder uses, 32 bytes per ``vpshufb`` on
-    AVX2 hosts — keyed by the coefficient tuple (the datanode
-    ``combine`` RPC and the repair plans cycle through a handful of
-    coefficient vectors, so the nibble tables are built once each).
+    An all-ones vector — every polygon partial parity, local-parity
+    repair and "XOR partial parities" step — is XORed straight into
+    one new array on any backend (a lone buffer is copied, never
+    aliased).  Otherwise, on the native backend, blocks of
+    :data:`NATIVE_MIN_BYTES` and up run through a cached one-row
+    :class:`BatchedLinearMap` — the same fused group kernel the
+    encoder uses, 32 bytes per ``vpshufb`` on AVX2 hosts — keyed by
+    the coefficient tuple (the datanode ``combine`` RPC and the repair
+    plans cycle through a handful of coefficient vectors, so the
+    nibble tables are built once each).
     Smaller native blocks take one fused C pass (per output byte:
     gather each part's product from its L1-resident 256-byte
     ``MUL_TABLE`` row and XOR — there the per-call table setup of the
@@ -280,6 +320,8 @@ def linear_combine(coefficients, buffers, length: int | None = None) -> np.ndarr
     for coefficient in coefficients:
         if not 0 <= coefficient < 256:
             raise ValueError(f"{coefficient!r} is not an element of GF(256)")
+    if buffers and coefficients.count(1) == len(coefficients):
+        return GF256.xor_reduce(buffers)
     kernels = _native.load() if active_backend() == "native" else None
     if kernels is None or length == 0:
         return GF256.combine(coefficients, buffers, length=length)

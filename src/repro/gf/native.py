@@ -1,6 +1,6 @@
-"""Lazy build/load of the native GF(2^8) kernel library.
+"""Lazy build/load of the native kernel library: GF(2^8) and CRC-32.
 
-The C kernels fuse the gather + XOR + per-row scatter that the numpy
+The GF kernels fuse the gather + XOR + per-row scatter that the numpy
 backend performs as separate full-array passes through scratch
 buffers: one call per row group walks the input blocks once,
 accumulating every output row of the group in registers.
@@ -29,6 +29,15 @@ bytes:
   reference container.  The AVX2 path is selected per call at runtime
   (``__builtin_cpu_supports``), so one compiled library serves any
   x86-64 host; non-x86 hosts use the portable byte-table loop.
+
+The same library carries the block checksum, ``repro_crc32``: zlib's
+CRC-32 (the two chain into each other) by carry-less multiply — four
+128-bit lanes folded 64 bytes per ``pclmulqdq`` round, then one lane
+in 16-byte steps and a Barrett reduction (Intel, "Fast CRC Computation
+for Generic Polynomials Using PCLMULQDQ Instruction"); under 64 bytes,
+the ``len % 16`` tail and hosts without ``pclmul`` take a byte table.
+~4 µs per 64 KiB on the reference container against zlib's 15.4;
+:func:`repro.gf.kernels.crc32` is the one caller.
 
 The extension is built lazily on first use: the C source below is
 compiled with the host's C compiler (``$CC``, else ``cc``/``gcc``/
@@ -64,7 +73,7 @@ import threading
 #: Bumped whenever the C ABI below changes incompatibly; checked
 #: against the loaded library so a stale cached build can never be
 #: called with mismatched signatures.
-ABI_VERSION = 2
+ABI_VERSION = 3
 
 _CDEF = """
 int repro_gf_native_abi(void);
@@ -78,7 +87,19 @@ void repro_gf_combine_u8(const uint8_t **mul_rows,
                          const uint8_t **inputs,
                          size_t nparts, size_t n,
                          uint8_t *out, int accumulate);
+uint32_t repro_crc32(const uint8_t *buf, size_t len, uint32_t crc);
 """
+
+
+def _crc32_table() -> str:
+    """The reflected IEEE CRC-32 byte table, as a C initialiser."""
+    entries = []
+    for byte in range(256):
+        for _ in range(8):
+            byte = (byte >> 1) ^ (0xEDB88320 if byte & 1 else 0)
+        entries.append(f"0x{byte:08x}u")
+    return ",".join(entries)
+
 
 # The scalar loops are specialised per row count (1..4) so the lane
 # scatter unrolls; output rows are always XOR-accumulated (callers
@@ -198,9 +219,76 @@ static int have_avx2(void)
 }}
 
 int repro_gf_simd(void) {{ return have_avx2(); }}
+
+static int have_pclmul(void)
+{{
+    static int cached = -1;
+    if (cached < 0)
+        cached = (__builtin_cpu_supports("pclmul")
+                  && __builtin_cpu_supports("sse4.1")) ? 1 : 0;
+    return cached;
+}}
+
+/* x.lo * k.lo ^ x.hi * k.hi over GF(2)[x]: one 128-bit lane folded
+ * across the distance the constant pair k was derived for. */
+#define CRC_FOLD(x, k) _mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),        \
+                                     _mm_clmulepi64_si128(x, k, 0x11))
+
+/* The inverted CRC state of the whole 16-byte blocks of buf, len >= 64;
+ * the caller finishes len % 16 by table. */
+__attribute__((target("pclmul,sse4.1")))
+static uint32_t crc32_fold(const uint8_t *buf, size_t len, uint32_t crc)
+{{
+    const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+    const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
+    const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);
+    const __m128i poly = _mm_set_epi64x(0x01f7011641, 0x01db710641);
+    const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
+    const __m128i *in = (const __m128i *)buf;
+    __m128i x0 = _mm_xor_si128(_mm_loadu_si128(in), _mm_cvtsi32_si128((int)crc));
+    __m128i x1 = _mm_loadu_si128(in + 1);
+    __m128i x2 = _mm_loadu_si128(in + 2);
+    __m128i x3 = _mm_loadu_si128(in + 3), t;
+    for (in += 4, len -= 64; len >= 64; in += 4, len -= 64) {{
+        x0 = _mm_xor_si128(CRC_FOLD(x0, k1k2), _mm_loadu_si128(in));
+        x1 = _mm_xor_si128(CRC_FOLD(x1, k1k2), _mm_loadu_si128(in + 1));
+        x2 = _mm_xor_si128(CRC_FOLD(x2, k1k2), _mm_loadu_si128(in + 2));
+        x3 = _mm_xor_si128(CRC_FOLD(x3, k1k2), _mm_loadu_si128(in + 3));
+    }}
+    x0 = _mm_xor_si128(CRC_FOLD(x0, k3k4), x1);
+    x0 = _mm_xor_si128(CRC_FOLD(x0, k3k4), x2);
+    x0 = _mm_xor_si128(CRC_FOLD(x0, k3k4), x3);
+    for (; len >= 16; ++in, len -= 16)
+        x0 = _mm_xor_si128(CRC_FOLD(x0, k3k4), _mm_loadu_si128(in));
+    /* 128 -> 64 bits, then 64 -> 32 by Barrett reduction */
+    x0 = _mm_xor_si128(_mm_srli_si128(x0, 8),
+                       _mm_clmulepi64_si128(x0, k3k4, 0x10));
+    x0 = _mm_xor_si128(_mm_srli_si128(x0, 4),
+                       _mm_clmulepi64_si128(_mm_and_si128(x0, low32), k5, 0x00));
+    t = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), poly, 0x10);
+    t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly, 0x00);
+    return (uint32_t)_mm_extract_epi32(_mm_xor_si128(x0, t), 1);
+}}
 #else
 int repro_gf_simd(void) {{ return 0; }}
 #endif
+
+static const uint32_t crc32_bytes[256] = {{{_crc32_table()}}};
+
+uint32_t repro_crc32(const uint8_t *buf, size_t len, uint32_t crc)
+{{
+    crc = ~crc;
+#ifdef REPRO_GF_AVX2
+    if (len >= 64 && have_pclmul()) {{
+        crc = crc32_fold(buf, len, crc);
+        buf += len & ~(size_t)15;
+        len &= 15;
+    }}
+#endif
+    for (; len; --len)
+        crc = (crc >> 8) ^ crc32_bytes[(crc ^ *buf++) & 0xff];
+    return ~crc;
+}}
 
 void repro_gf_apply_group(const uint32_t **byte_tables,
                           const uint8_t *nib_tables,
@@ -255,6 +343,10 @@ _LOADED: NativeKernels | None = None
 _ERROR: str | None = None
 _ATTEMPTED = False
 
+#: What :func:`repro.gf.kernels.crc32` bound against this load outcome
+#: (``lib.repro_crc32`` in a closure, or zlib's); :func:`reset` drops it.
+crc32_binding = None
+
 
 def sanitize_profile() -> tuple[str, ...]:
     """Sanitizers requested via ``$REPRO_NATIVE_SANITIZE``.
@@ -307,11 +399,6 @@ def _compilers() -> list[str]:
 def _build_library(so_path: pathlib.Path) -> str | None:
     """Compile the shared library; returns an error string on failure."""
     cache_dir = so_path.parent
-    source_path = cache_dir / f"{so_path.stem}.c"
-    try:
-        source_path.write_text(_SOURCE)
-    except OSError as exc:
-        return f"cannot write C source to {cache_dir}: {exc}"
     last_error = "no C compiler candidates"
     sanitize = sanitize_profile()
     sanitize_flags = ([f"-fsanitize={','.join(sanitize)}",
@@ -319,10 +406,13 @@ def _build_library(so_path: pathlib.Path) -> str | None:
                       if sanitize else [])
     for compiler in _compilers():
         tmp = cache_dir / f".{so_path.name}.{os.getpid()}.tmp"
+        # Source on stdin: a .c file shared in the cache gets truncated
+        # by one racing builder while another's compiler is reading it.
         command = [compiler, "-O3", "-std=gnu99", "-fPIC", "-shared",
-                   *sanitize_flags, str(source_path), "-o", str(tmp)]
+                   *sanitize_flags, "-x", "c", "-", "-o", str(tmp)]
         try:
-            result = subprocess.run(command, capture_output=True, text=True,
+            result = subprocess.run(command, input=_SOURCE,
+                                    capture_output=True, text=True,
                                     timeout=120)
         except FileNotFoundError:
             last_error = f"compiler {compiler!r} not found"
@@ -407,8 +497,9 @@ def simd_active() -> bool:
 
 def reset() -> None:
     """Forget the cached load outcome (tests simulate missing compilers)."""
-    global _LOADED, _ERROR, _ATTEMPTED
+    global _LOADED, _ERROR, _ATTEMPTED, crc32_binding
     with _LOCK:
         _LOADED = None
         _ERROR = None
         _ATTEMPTED = False
+        crc32_binding = None

@@ -127,9 +127,12 @@ class DataNodeServer:
     def _op_put(self, data, peer) -> dict:
         del peer
         block = block_from_tuple(data["block"])
+        try:
+            payload = np.frombuffer(data["data"], dtype=np.uint8)
+        except TypeError as error:
+            raise ProtocolError(f"put data: {error}") from None
         with self._store_lock:
-            crc = self.store.put(block, np.frombuffer(data["data"],
-                                                      dtype=np.uint8))
+            crc = self.store.put(block, payload)
         return {"crc": crc}
 
     def _op_get(self, data, peer) -> dict:
@@ -185,17 +188,25 @@ class DataNodeServer:
         coefficients: list[int] = []
         buffers: list[np.ndarray] = []
         with self._store_lock:
-            for entry, coefficient in parts:
-                coefficients.append(int(coefficient))
-                buffers.append(
-                    self.store.get(block_from_tuple(entry), verify=True))
+            try:
+                for entry, coefficient in parts:
+                    if type(coefficient) is not int:
+                        raise ProtocolError(
+                            f"combine coefficient {coefficient!r}: not an int")
+                    coefficients.append(coefficient)
+                    buffers.append(
+                        self.store.get(block_from_tuple(entry), verify=True))
+            except (TypeError, ValueError):
+                raise ProtocolError(
+                    "combine parts are (block, coefficient) pairs") from None
         if not buffers:
             raise ProtocolError("combine of zero blocks")
-        # One fused backend-routed pass, outside the lock: the store
-        # never mutates an array in place (put/corrupt swap in fresh
-        # arrays), so the snapshot taken under the lock stays
-        # consistent — and a first-use native-kernel build (subprocess
-        # compile) cannot stall every other block op on this node.
+        # Every source was CRC-verified by its ``get``.  The arithmetic
+        # runs outside the lock on the arrays themselves, not copies:
+        # the store never mutates one in place (put/corrupt swap in
+        # fresh arrays).  An all-ones vector — every polygon partial
+        # parity — is a plain XOR; anything else takes the backend's
+        # kernel, whose first-use build must not stall this node.
         return linear_combine(coefficients, buffers)
 
     def _checksums(self, entries) -> dict:

@@ -206,7 +206,17 @@ def dispatch(server, ops: dict, kind: str, data, peer) -> object:
 
 
 def block_from_tuple(data) -> BlockId:
-    return BlockId(str(data[0]), int(data[1]), int(data[2]))
+    """The :class:`BlockId` a wire ``(str, int, int)`` names; anything
+    else is refused, not coerced (``0.9``, ``"0"``, ``True``: not 0)."""
+    try:
+        name, stripe_index, symbol_index = data
+    except (TypeError, ValueError):
+        name = stripe_index = symbol_index = None
+    if not (type(name) is str and type(stripe_index) is int
+            and type(symbol_index) is int):
+        raise ProtocolError(
+            f"block id must be (str name, int stripe, int symbol): {data!r}")
+    return BlockId(name, stripe_index, symbol_index)
 
 
 def block_tuple(block: BlockId) -> tuple[str, int, int]:

@@ -8,21 +8,28 @@ pins down the backend-selection contract (``REPRO_GF_BACKEND``,
 :func:`set_backend`, warn-once degradation when native is requested
 but unavailable); and covers the satellite fixes that ride along
 (bounded thread-local scratch, the fused :func:`linear_combine`
-drop-in).
+drop-in and its multiply-free all-ones route).  The block checksum
+lives in the same library, so it is held here too — and so runs under
+the sanitizers: :func:`repro.gf.crc32` against ``zlib.crc32`` bit for
+bit, which of the two a process has bound, and that no verify was lost
+on the way from the store to the kernel.
 
 Everything here passes on a host with no C compiler: tests that need
 the built library are skipped, and the rest exercise exactly the
 degraded path such a host runs.
 """
 
+import socket
 import threading
 import warnings
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import BlockId, CorruptBlockError, DataNode
 from repro.core import make_code
 from repro.core.registry import available_codes
 from repro.gf import (
@@ -31,9 +38,12 @@ from repro.gf import (
     NATIVE_MIN_BYTES,
     PACKED_MIN_BYTES,
     BatchedLinearMap,
+    crc32,
     linear_combine,
 )
 from repro.gf import kernels, native
+from repro.service.datanode import DataNodeServer, call
+from repro.service.namenode import NameNodeServer
 
 NATIVE = native.load() is not None
 needs_native = pytest.mark.skipif(
@@ -44,6 +54,10 @@ needs_native = pytest.mark.skipif(
 def _restore_backend():
     yield
     kernels.set_backend(None)
+
+
+#: Every backend this host can run (native only where it built).
+BACKENDS = ["native", "numpy", "scalar"] if NATIVE else ["numpy", "scalar"]
 
 
 def random_case(seed, m, k, size):
@@ -275,6 +289,184 @@ class TestLinearCombine:
         with pytest.raises(ValueError, match="element"):
             linear_combine([256], [np.zeros(4, np.uint8)])
         assert len(linear_combine([], [], length=9)) == 9
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("length", [0, 1, 31, 2047, 2048, 65536, 65537])
+    def test_all_ones_is_an_xor(self, backend, length):
+        kernels.set_backend(backend)
+        rng = np.random.default_rng(length)
+        pool = [rng.integers(0, 256, length, dtype=np.uint8)
+                for _ in range(6)]
+        for buffer in pool[::2]:            # PR 21's read-only views
+            buffer.flags.writeable = False
+        for nparts in range(1, 7):
+            buffers = pool[:nparts]
+            got = linear_combine([1] * nparts, buffers)
+            assert np.array_equal(
+                got, GF256.combine([1] * nparts, buffers, length=length))
+            assert got.dtype == np.uint8 and got.flags.writeable
+            assert not any(np.shares_memory(got, b) for b in buffers)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_all_ones_passes_the_same_validation(self, backend):
+        kernels.set_backend(backend)
+        four, five = np.zeros(4, np.uint8), np.zeros(5, np.uint8)
+        with pytest.raises(ValueError, match="mismatch"):
+            linear_combine([1, 1], [four])
+        with pytest.raises(ValueError, match="length"):
+            linear_combine([1, 1], [four, five])
+        with pytest.raises(ValueError, match="length"):
+            linear_combine([1], [four], length=5)
+        with pytest.raises(ValueError, match="element"):
+            linear_combine([1, 1, 256], [four] * 3)
+        assert not linear_combine([], [], length=9).any()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("coefficients", [[1, 1, 2], [0, 1, 1], [1, 0],
+                                              [True, 1.0, 1]])
+    def test_any_other_vector_takes_the_old_route(self, backend,
+                                                  coefficients):
+        kernels.set_backend(backend)
+        rng = np.random.default_rng(7)
+        buffers = [rng.integers(0, 256, NATIVE_MIN_BYTES + 3, dtype=np.uint8)
+                   for _ in coefficients]
+        assert np.array_equal(
+            linear_combine(coefficients, buffers),
+            GF256.combine([int(c) for c in coefficients], buffers))
+
+
+#: One pool of random bytes every checksum case slices from.
+CRC_POOL = np.random.default_rng(32).integers(
+    0, 256, (1 << 20) + 64, dtype=np.uint8)
+CRC_LENGTHS = st.one_of(
+    st.integers(0, 300),
+    st.sampled_from([4095, 4096, 4097, 65535, 65536, 65537, 1 << 20]))
+
+
+class TestCrc32:
+    """``crc32`` is ``zlib.crc32``, bit for bit, whatever it is bound to."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @settings(max_examples=120, deadline=None)
+    @given(length=CRC_LENGTHS, offset=st.integers(0, 15),
+           start=st.sampled_from([0, 1, 0xDEADBEEF, 0xFFFFFFFF]),
+           split=st.floats(0, 1))
+    def test_matches_zlib(self, backend, length, offset, start, split):
+        kernels.set_backend(backend)
+        window = CRC_POOL[offset:offset + length]    # unaligned loads
+        want = zlib.crc32(window, start)
+        assert crc32(window, start) == want
+        cut = int(split * length)                    # chaining
+        assert crc32(window[cut:], crc32(window[:cut], start)) == want
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_any_buffer(self, backend):
+        kernels.set_backend(backend)
+        window = CRC_POOL[3:3 + 4099]
+        want = zlib.crc32(window.tobytes())
+        read_only = window.view()
+        read_only.flags.writeable = False
+        strided = CRC_POOL[3:3 + 2 * 4099:2]
+        for data in (window.tobytes(), bytearray(window),
+                     memoryview(window.tobytes()), window, read_only):
+            assert crc32(data) == want
+        assert not strided.flags.c_contiguous
+        assert crc32(strided) == zlib.crc32(strided.tobytes())
+        assert crc32(list(window[:70])) == zlib.crc32(window[:70])
+        assert crc32(b"") == 0 and crc32(b"", 7) == 7
+        with pytest.raises(TypeError):
+            crc32(None)
+
+    @needs_native
+    def test_binding_follows_the_backend(self):
+        kernels.set_backend("native")
+        crc32(b"x")
+        assert native.crc32_binding is not zlib.crc32
+        kernels.set_backend("numpy")
+        assert native.crc32_binding is None          # dropped ...
+        assert crc32(b"x") == zlib.crc32(b"x")
+        assert native.crc32_binding is zlib.crc32    # ... and re-bound
+        kernels.set_backend(None)
+        crc32(b"x")
+        assert (native.crc32_binding is zlib.crc32) == (
+            kernels.active_backend() != "native")
+
+    def test_without_the_native_library_it_is_zlib(self, monkeypatch):
+        window = CRC_POOL[1:1 + 65537]
+        before = crc32(window, 9)
+        monkeypatch.setattr(native, "_load_uncached",
+                            lambda: (None, "no compiler (simulated)"))
+        native.reset()
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        try:
+            assert native.crc32_binding is None
+            assert crc32(window, 9) == before == zlib.crc32(window, 9)
+            assert native.crc32_binding is zlib.crc32
+        finally:
+            native.reset()
+
+    def test_a_call_is_bound_not_resolved(self, monkeypatch):
+        """The per-block path: no environment read, no ``load()``."""
+        kernels.set_backend(None)
+        crc32(b"warm")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("crc32 resolved its backend per call")
+
+        monkeypatch.setattr(kernels, "active_backend", refuse)
+        monkeypatch.setattr(native, "load", refuse)
+        node = DataNode(0)
+        block = BlockId("f", 0, 0)
+        assert node.put(block, CRC_POOL[:4096]) == zlib.crc32(CRC_POOL[:4096])
+        node.get(block)
+        assert node.current_checksum(block) == node.checksum(block)
+
+
+class TestNoVerifyWasDropped:
+    """A flipped byte anywhere — first lane, the 64-byte fold boundary,
+    the 16-byte steps, the table tail — is seen by every verify."""
+
+    LENGTH = 4096 + 21
+    OFFSETS = [0, 63, 64, LENGTH - 17, LENGTH - 1]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("offset", OFFSETS)
+    def test_store(self, backend, offset):
+        kernels.set_backend(backend)
+        node = DataNode(3)
+        block = BlockId("f", 0, 0)
+        stamp = node.put(block, CRC_POOL[:self.LENGTH])
+        assert stamp == zlib.crc32(CRC_POOL[:self.LENGTH])
+        assert node.current_checksum(block) == stamp
+        node.corrupt(block, offset)
+        with pytest.raises(CorruptBlockError):
+            node.get(block)
+        assert node.current_checksum(block) != stamp == node.checksum(block)
+        assert node.get(block, verify=False)[offset] \
+            == CRC_POOL[offset] ^ 0xFF
+
+    @pytest.mark.parametrize("offset", OFFSETS)
+    def test_live_datanode(self, offset):
+        with NameNodeServer(check_period=30.0) as namenode, \
+                DataNodeServer(0, namenode.address) as datanode, \
+                socket.create_connection(datanode.address) as sock:
+            payload = CRC_POOL[:self.LENGTH].tobytes()
+            for symbol in (0, 1):
+                reply = call(sock, "put", {"block": ("f", 0, symbol),
+                                           "data": payload})
+                assert reply["crc"] == zlib.crc32(payload)
+            parts = [(("f", 0, 0), 1), (("f", 0, 1), 1)]
+            assert not any(call(sock, "combine", {"parts": parts})["data"])
+            datanode.store.corrupt(BlockId("f", 0, 1), offset)
+            assert call(sock, "get", {"block": ("f", 0, 0)})["data"] == payload
+            for kind, data in (("get", {"block": ("f", 0, 1)}),
+                               ("combine", {"parts": parts}),
+                               ("combine", {"parts": [(("f", 0, 1), 7)]})):
+                with pytest.raises(CorruptBlockError) as caught:
+                    call(sock, kind, data)
+                assert caught.value.code == "corrupt"
+            scrub = call(sock, "checksums", {"blocks": [("f", 0, 1)]})
+            assert scrub["checksums"][("f", 0, 1)] != zlib.crc32(payload)
 
 
 class TestScratchCache:

@@ -133,6 +133,73 @@ def test_malformed_request_is_a_typed_bad_request(daemons, service, kind):
             sock, kind.replace("-", "_"), full)
 
 
+BLOCK, OTHER = ("f", 0, 0), ("f", 0, 1)
+
+
+@pytest.fixture(scope="module")
+def stored_blocks(daemons):
+    sock = daemons["datanode"]
+    for block in (BLOCK, OTHER):
+        call(sock, "put", {"block": block, "data": bytes(range(64))})
+    return sock
+
+
+@pytest.mark.parametrize("kind,data", [
+    # a coefficient is an int: nothing is truncated or parsed into one
+    ("combine", {"parts": [(BLOCK, 1.9), (OTHER, 1)]}),
+    ("combine", {"parts": [(BLOCK, "1"), (OTHER, True)]}),
+    ("combine", {"parts": [(BLOCK, 1), (OTHER, 1.2)]}),
+    # a block id is (str, int, int): ("f", 0.9, 0) is not block ("f", 0, 0)
+    ("get", {"block": ("f", 0.9, 0)}),
+    ("get", {"block": ("f", "0", 0)}),
+    ("get", {"block": ("f", 0, 0.5)}),
+    ("get", {"block": ("f", True, 0)}),
+    ("get", {"block": (b"f", 0, 0)}),
+    ("get", {"block": ("f", 0)}),
+    ("get", {"block": "f00"}),
+    ("put", {"block": ("f", 0.9, 0), "data": b"x"}),
+    ("delete", {"blocks": [("f", 0.0, 0)]}),
+    ("checksums", {"blocks": [BLOCK, ("f", "0", 0)]}),
+    # a part is a (block, coefficient) pair
+    ("combine", {"parts": [("f", 1)]}),
+    ("combine", {"parts": "xx"}),
+    ("combine", {"parts": [(BLOCK,)]}),
+    ("combine", {"parts": [(BLOCK, 1, 1)]}),
+    ("combine", {"parts": 7}),
+    ("combine", {"parts": []}),
+    # block data is bytes-like
+    ("put", {"block": BLOCK, "data": "a str"}),
+    ("put", {"block": BLOCK, "data": None}),
+    ("put", {"block": BLOCK, "data": 7}),
+])
+def test_datanode_refuses_what_it_used_to_coerce(stored_blocks, kind, data):
+    bad_request(stored_blocks, kind, data)
+    # ... and nothing was stored, dropped or served on the way
+    assert call(stored_blocks, "get", {"block": BLOCK})["data"] \
+        == bytes(range(64))
+
+
+@pytest.mark.parametrize("coefficients", [(256, 1), (1, -1)])
+def test_an_out_of_range_coefficient_is_still_a_value_error(
+        stored_blocks, coefficients):
+    parts = list(zip((BLOCK, OTHER), coefficients))
+    with pytest.raises(ValueError) as caught:
+        call(stored_blocks, "combine", {"parts": parts})
+    assert caught.value.code == "value"
+
+
+def test_well_formed_requests_are_untouched(stored_blocks):
+    assert not any(call(stored_blocks, "combine",
+                        {"parts": [(BLOCK, 1), (OTHER, 1)]})["data"])
+    assert call(stored_blocks, "combine",
+                {"parts": [[list(BLOCK), 3]]})["data"] \
+        == call(stored_blocks, "combine", {"parts": [(BLOCK, 3)]})["data"]
+    assert call(stored_blocks, "put",
+                {"block": BLOCK, "data": bytearray(range(64))}) \
+        == call(stored_blocks, "put",
+                {"block": BLOCK, "data": bytes(range(64))})
+
+
 @pytest.fixture
 def namenode_with_a_file():
     """A namenode holding one committed one-stripe pentagon file ``f``
@@ -161,6 +228,13 @@ def repair_backlog(namenode):
                                    ("f", 0, -1), ("f", 0, 10)])
 def test_report_corrupt_outside_the_file_is_a_bad_request(
         namenode_with_a_file, block):
+    namenode, sock = namenode_with_a_file
+    bad_request(sock, "report-corrupt", {"block": block, "node_id": 0})
+    assert repair_backlog(namenode) == (0, 0)
+
+
+@pytest.mark.parametrize("block", [("f", 0.9, 0), ("f", "0", 0), ("f", 0)])
+def test_report_corrupt_of_a_malformed_block_id(namenode_with_a_file, block):
     namenode, sock = namenode_with_a_file
     bad_request(sock, "report-corrupt", {"block": block, "node_id": 0})
     assert repair_backlog(namenode) == (0, 0)

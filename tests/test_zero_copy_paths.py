@@ -11,6 +11,7 @@ here as the arbiter):
   failure set up to its tolerance (a seeded sample for the large ones);
 * the per-code failure-pattern memo is bounded, evicts, and never lets
   one caller's mutation reach the next (planners stay pure functions);
+  a read plan answered from it equals the one the planner would make;
 * a plain-copy transfer is a read-only view on the in-memory and
   MiniHDFS transports: identical recovered bytes, and nothing a plan
   returns lets the caller write into the stripe or a DataNode's store.
@@ -26,6 +27,7 @@ import pytest
 from repro.cluster import ClusterTopology, MiniHDFS, RoundRobinPlacement
 from repro.core import (
     Code,
+    UnrecoverableStripeError,
     available_codes,
     execute_read_plan,
     execute_repair_plan,
@@ -197,10 +199,54 @@ class TestPatternMemo:
             assert Code.plan_node_repair(code, failed) == Code.plan_node_repair(
                 make_code(code_name), failed)
             for symbol in code.layout.lost_symbols(failed):
-                read = Code.plan_degraded_read(code, symbol, failed)
-                assert read == Code.plan_degraded_read(code, symbol, failed)
-                assert read == Code.plan_degraded_read(
+                read = Code._plan_read_uncached(code, symbol, failed)
+                assert read == Code._plan_read_uncached(code, symbol, failed)
+                assert read == Code._plan_read_uncached(
                     make_code(code_name), symbol, failed)
+
+    @pytest.mark.parametrize("code_name", available_codes())
+    def test_memoised_read_plans_are_the_planners_own(self, code_name):
+        code, fresh = make_code(code_name), make_code(code_name)
+        for failed in failure_sets(code, 24):
+            live = next(slot for slot in range(code.length)
+                        if slot not in failed)
+            readers = [None, live, *failed[:1]]
+            for symbol in range(code.symbol_count):
+                for reader in readers:
+                    want = fresh._plan_read_uncached(symbol, failed, reader)
+                    for _ in range(2):      # a miss, then (usually) a hit
+                        assert code.plan_degraded_read(
+                            symbol, set(failed), reader) == want
+            assert len(code._pattern_memo) <= PATTERN_MEMO_ENTRIES
+
+    def test_an_unreadable_symbol_is_refused_on_every_call(self):
+        code = make_code("pentagon")
+        failed = {0, 1, 2}                  # one past the tolerance
+        lost = code.layout.lost_symbols(failed)[0]
+        for _ in range(3):
+            with pytest.raises(UnrecoverableStripeError):
+                code.plan_degraded_read(lost, failed)
+        assert not any(key[0] == "read" for key in code._pattern_memo)
+
+    def test_more_read_plans_than_the_bound(self):
+        code = make_code("heptagon-local")
+        data, encoded = stripe(code, 64)
+        assert code.symbol_count > PATTERN_MEMO_ENTRIES
+        available = {i: encoded[i]
+                     for i in code.layout.surviving_symbols({0, 1})}
+        before = [out.copy() for out in code.decode_data(available)]
+        for _ in range(2):                  # a scan evicts all it planned
+            for symbol in range(code.symbol_count):
+                plan = code.plan_degraded_read(symbol, {0, 1})
+                assert plan == code._plan_read_uncached(symbol, {0, 1})
+                assert execute_read_plan(
+                    code, encoded, plan, {0, 1}).tobytes() \
+                    == encoded[symbol].tobytes()
+            assert len(code._pattern_memo) <= PATTERN_MEMO_ENTRIES
+        for out, want, block in zip(code.decode_data(available), before,
+                                    data):
+            assert np.array_equal(out, want)
+            assert np.array_equal(out, block)
 
     def test_callers_cannot_reach_the_cached_solutions(self):
         code = make_code("rs(14,10)")
