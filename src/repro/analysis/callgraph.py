@@ -11,8 +11,8 @@ gives every checker whole-program context:
 * **Per-function summaries** (:class:`FunctionInfo`) — locks acquired
   (class-qualified tokens, sync vs asyncio, what was already held),
   calls made (with the lock context at the call site), ``await``
-  presence, exceptions raised, and payload-parameter key reads
-  (``data["k"]`` / ``data.get("k")``) for the wire-schema checker.
+  presence, and payload-parameter key reads (``data["k"]`` /
+  ``data.get("k")``) for the wire-schema checker.
   Nested defs and lambdas are folded into the enclosing function under
   their definition-site locks, matching the lock checker's model (in
   this codebase closures run where they are made).
@@ -22,11 +22,14 @@ gives every checker whole-program context:
   aliases.  Resolution is deliberately best-effort: an unresolved call
   contributes nothing, so every derived fact stays a *may* fact on the
   resolved subgraph, never a speculative one.
-* **Fixpoint closures** — :meth:`CallGraph.transitive_locks` and
-  :meth:`CallGraph.transitive_raises` propagate summaries over the
-  graph until stable (cycles are fine), and
-  :meth:`CallGraph.payload_keys` follows a payload dict forwarded
-  whole into helpers.
+* **Fixpoint closures** — :meth:`CallGraph.transitive_locks`
+  propagates lock summaries over the graph until stable (cycles are
+  fine), and :meth:`CallGraph.payload_keys` follows a payload dict
+  forwarded whole into helpers.
+
+Exception flow is not modelled: the typed errors an RPC op may answer
+are declared in ``service/protocol.py``'s op tables and checked on
+every reply at run time.
 
 Checkers share one graph per lint run via :func:`get_callgraph`,
 which memoises on the :class:`~.core.Project` instance.
@@ -35,7 +38,7 @@ which memoises on the :class:`~.core.Project` instance.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .core import Project, SourceFile, dotted_name, string_literal
 
@@ -74,24 +77,6 @@ def lock_token(expr: ast.AST) -> str | None:
     return None
 
 
-def _handler_types(handlers: list) -> tuple[str, ...]:
-    """Exception type names caught by a try's handlers, as written.
-    A bare ``except:`` becomes ``BaseException`` (a catch-all)."""
-    out: list[str] = []
-    for handler in handlers:
-        if handler.type is None:
-            out.append("BaseException")
-        elif isinstance(handler.type, ast.Tuple):
-            out.extend(name for name in
-                       (dotted_name(e) for e in handler.type.elts)
-                       if name)
-        else:
-            name = dotted_name(handler.type)
-            if name:
-                out.append(name)
-    return tuple(out)
-
-
 def qualify_token(token: str, cls: str | None) -> str:
     """``self._meta`` inside ``class NameNodeServer`` ->
     ``NameNodeServer._meta`` so the ordering graph never aliases two
@@ -122,18 +107,6 @@ class CallSite:
     # bare parameter names forwarded whole: (positional index, param)
     forwarded: tuple[tuple[int, str], ...] = ()
     callee: str | None = None       # resolved qualname (filled at build)
-    # exception types of enclosing try/except handlers at this site
-    caught: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class RaiseSite:
-    """One ``raise X(...)`` with the raw dotted type name."""
-
-    type_name: str
-    line: int
-    # exception types of enclosing try/except handlers at this site
-    caught: tuple[str, ...] = ()
 
 
 @dataclass
@@ -151,7 +124,6 @@ class FunctionInfo:
     node: ast.AST
     acquisitions: list[Acquisition] = field(default_factory=list)
     calls: list[CallSite] = field(default_factory=list)
-    raises: list[RaiseSite] = field(default_factory=list)
     awaits: bool = False
     # payload reads: param -> key -> (required, first line)
     reads: dict[str, dict[str, tuple[bool, int]]] = field(
@@ -192,18 +164,18 @@ class _Summarizer:
 
     def walk_body(self, body: list[ast.stmt]) -> None:
         for stmt in body:
-            self._walk(stmt, (), awaited=False, caught=())
+            self._walk(stmt, (), awaited=False)
 
     def _walk(self, node: ast.AST,
               held: tuple[tuple[str, bool], ...],
-              awaited: bool, caught: tuple[str, ...]) -> None:
+              awaited: bool) -> None:
         fn = self.fn
         if isinstance(node, (ast.With, ast.AsyncWith)):
             is_sync = isinstance(node, ast.With)
             tokens: list[tuple[str, bool]] = []
             for item in node.items:
                 # the with-expression evaluates *before* the lock holds
-                self._walk(item.context_expr, held, awaited, caught)
+                self._walk(item.context_expr, held, awaited)
                 token = lock_token(item.context_expr)
                 if token is not None:
                     token = qualify_token(token, fn.cls)
@@ -214,25 +186,11 @@ class _Summarizer:
                     tokens.append((token, is_sync))
             inner = held + tuple(tokens)
             for stmt in node.body:
-                self._walk(stmt, inner, False, caught)
-            return
-        if isinstance(node, ast.Try) or (
-                hasattr(ast, "TryStar")
-                and isinstance(node, ast.TryStar)):
-            handled = caught + _handler_types(node.handlers)
-            for stmt in node.body:
-                self._walk(stmt, held, False, handled)
-            # handlers/orelse/finalbody run outside the handlers'
-            # protection
-            for handler in node.handlers:
-                for stmt in handler.body:
-                    self._walk(stmt, held, False, caught)
-            for stmt in [*node.orelse, *node.finalbody]:
-                self._walk(stmt, held, False, caught)
+                self._walk(stmt, inner, False)
             return
         if isinstance(node, ast.Await):
             fn.awaits = True
-            self._walk(node.value, held, True, caught)
+            self._walk(node.value, held, True)
             return
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.Lambda)):
@@ -240,26 +198,18 @@ class _Summarizer:
             # locks
             body = node.body if isinstance(node.body, list) else [node.body]
             for stmt in body:
-                self._walk(stmt, held, False, caught=())
+                self._walk(stmt, held, False)
             return
-        if isinstance(node, ast.Raise) and node.exc is not None:
-            target = node.exc
-            if isinstance(target, ast.Call):
-                target = target.func
-            name = dotted_name(target)
-            if name:
-                fn.raises.append(RaiseSite(name, node.lineno, caught))
         if isinstance(node, ast.Call):
-            self._record_call(node, held, awaited, caught)
+            self._record_call(node, held, awaited)
         if isinstance(node, ast.Subscript):
             self._record_read(node)
         for child in ast.iter_child_nodes(node):
-            self._walk(child, held, awaited, caught)
+            self._walk(child, held, awaited)
 
     def _record_call(self, node: ast.Call,
                      held: tuple[tuple[str, bool], ...],
-                     awaited: bool,
-                     caught: tuple[str, ...]) -> None:
+                     awaited: bool) -> None:
         fn = self.fn
         raw = dotted_name(node.func)
         forwarded = tuple(
@@ -268,7 +218,7 @@ class _Summarizer:
         fn.calls.append(CallSite(
             node.lineno, raw,
             tuple((qualify_token(t, fn.cls), s) for t, s in held),
-            awaited, forwarded, caught=caught))
+            awaited, forwarded))
         # payload.get("key") reads
         func = node.func
         if (isinstance(func, ast.Attribute) and func.attr == "get"
@@ -314,8 +264,6 @@ class CallGraph:
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
         self._locks_closure: dict[str, frozenset[str]] | None = None
-        self._raises_closure: dict[
-            str, frozenset[tuple[str, str, int]]] | None = None
         self._keys_memo: dict[tuple[str, str],
                               dict[str, tuple[bool, int]]] = {}
         for entry in project.all_files():
@@ -408,11 +356,8 @@ class CallGraph:
 
     def _resolve_calls(self) -> None:
         for info in self.functions.values():
-            info.calls = [
-                CallSite(c.line, c.raw, c.held, c.awaited, c.forwarded,
-                         self.resolve_call(c.raw, info), c.caught)
-                for c in info.calls
-            ]
+            info.calls = [replace(c, callee=self.resolve_call(c.raw, info))
+                          for c in info.calls]
 
     def resolve_call(self, raw: str, fn: FunctionInfo) -> str | None:
         """Qualified name of the function ``raw`` refers to, if known."""
@@ -490,74 +435,13 @@ class CallGraph:
                     queue.append(resolved)
         return None
 
-    def resolve_type(self, raw: str, module: str) -> str:
-        """Best-effort qualified name for an exception type as written
-        (falls back to the raw name so builtins stay matchable)."""
-        mod = self.modules.get(module)
-        if mod is None:
-            return raw
-        parts = raw.split(".")
-        head, rest = parts[0], parts[1:]
-        if not rest:
-            if head in mod.classes:
-                return mod.classes[head].qualname
-            target = mod.imports.get(head)
-            if target is not None:
-                return self._chase_class(target)
-            return raw
-        target = mod.imports.get(head)
-        if target is not None:
-            return self._chase_class(".".join([target, *rest]))
-        return raw
-
-    def _chase_class(self, target: str) -> str:
-        for _ in range(_REEXPORT_HOPS):
-            if target in self.classes:
-                return target
-            module, _, name = target.rpartition(".")
-            mod = self.modules.get(module)
-            if mod is None:
-                return target
-            if name in mod.classes:
-                return mod.classes[name].qualname
-            nxt = mod.imports.get(name)
-            if nxt is None or nxt == target:
-                return target
-            target = nxt
-        return target
-
-    def class_bases(self, class_qualname: str) -> tuple[str, ...]:
-        """Resolved base-class names (qualified where repo-known)."""
-        cls = self.classes.get(class_qualname)
-        if cls is None:
-            return ()
-        out = []
-        for base in cls.bases:
-            out.append(self.resolve_type(base, cls.module))
-        return tuple(out)
-
     # -- fixpoint closures ---------------------------------------------
 
     def transitive_locks(self) -> dict[str, frozenset[str]]:
         """Function -> every lock token it may acquire, transitively."""
-        if self._locks_closure is None:
-            self._locks_closure = self._closure(
-                lambda fn: {a.token for a in fn.acquisitions})
-        return self._locks_closure
-
-    def transitive_raises(
-            self) -> dict[str, frozenset[tuple[str, str, int]]]:
-        """Function -> reachable raise sites ``(type, rel, line)``,
-        with the type resolved through the raising module's imports."""
-        if self._raises_closure is None:
-            self._raises_closure = self._closure(
-                lambda fn: {(self.resolve_type(site.type_name, fn.module),
-                             fn.rel, site.line)
-                            for site in fn.raises})
-        return self._raises_closure
-
-    def _closure(self, extract) -> dict[str, frozenset]:
-        result = {qual: set(extract(fn))
+        if self._locks_closure is not None:
+            return self._locks_closure
+        result = {qual: {a.token for a in fn.acquisitions}
                   for qual, fn in self.functions.items()}
         changed = True
         while changed:
@@ -570,7 +454,9 @@ class CallGraph:
                         mine |= result.get(call.callee, set())
                 if len(mine) != before:
                     changed = True
-        return {qual: frozenset(items) for qual, items in result.items()}
+        self._locks_closure = {qual: frozenset(items)
+                               for qual, items in result.items()}
+        return self._locks_closure
 
     def acquire_chain(self, start: str, token: str) -> list[str]:
         """Shortest call chain from ``start`` to a function that

@@ -3,12 +3,13 @@ declared op tables.
 
 The service's wire surface is declared once, as pure literals:
 ``NAMENODE_OPS`` / ``DATANODE_OPS`` in ``service/protocol.py`` (op ->
-required request keys, optional request keys, reply keys), ``FRAMES``
-in ``experiments/distributed.py`` (frame kind -> payload shape) and
-``FRAMING_OPS`` in ``repro/net.py``.  The daemons dispatch from the op
-tables at run time (``protocol.dispatch``); this checker reads the
-same literals with :func:`ast.literal_eval` — scanned trees are never
-imported — and cross-checks everything that has to agree with them:
+required request keys, optional request keys, reply keys, error codes),
+``FRAMES`` in ``experiments/distributed.py`` (frame kind -> payload
+shape) and ``FRAMING_OPS`` in ``repro/net.py``.  The daemons dispatch
+from the op tables at run time (``protocol.dispatch``); this checker
+reads the same literals with :func:`ast.literal_eval` — scanned trees
+are never imported — and cross-checks everything that has to agree
+with them:
 
 * every ``_op_<kind>`` handler body: the ``data["k"]`` /
   ``data.get("k")`` reads (followed through helpers the payload is
@@ -79,6 +80,7 @@ class _Op:
     required: tuple = ()
     optional: tuple = ()
     reply: tuple | None = None          # None: the reply is not a dict
+    errors: tuple = ()                  # wire codes besides the implicit
     used: bool = False
 
     def as_dict(self) -> dict:
@@ -89,7 +91,7 @@ class _Op:
                         "required": sorted(self.reply), "complete": True}
         return {"request": {"required": sorted(self.required),
                             "optional": sorted(self.optional)},
-                "response": response}
+                "response": response, "errors": sorted(self.errors)}
 
 
 @dataclass

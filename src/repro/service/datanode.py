@@ -42,12 +42,13 @@ from ..net import (
     recv_frame,
     send_frame,
 )
-from .faults import FaultArm
+from .faults import Fault, FaultArm
 from .protocol import (
     DATANODE_OPS,
     SERVICE_VERSION,
     block_from_tuple,
     dispatch,
+    expect,
     marshal_error,
     unmarshal_error,
 )
@@ -155,7 +156,7 @@ class DataNodeServer:
         del peer
         dropped = 0
         with self._store_lock:
-            for entry in data["blocks"]:
+            for entry in expect("blocks", data["blocks"], list, tuple):
                 block = block_from_tuple(entry)
                 if self.store.has(block):
                     self.store.drop(block)
@@ -164,8 +165,12 @@ class DataNodeServer:
 
     def _op_fault(self, data, peer) -> dict:
         del peer
-        pending = self.faults.arm(data["faults"])
-        return {"armed": pending}
+        faults = expect("faults", data["faults"], list, tuple)
+        if not all(isinstance(fault, Fault) for fault in faults):
+            # armed, a stray value would kill the fault ticker and
+            # every later request would trip over it
+            raise ProtocolError("faults must all be Fault specs")
+        return {"armed": self.faults.arm(faults)}
 
     def _op_status(self, data, peer) -> dict:
         del data, peer
@@ -222,7 +227,8 @@ class DataNodeServer:
                 targets = [(b, (b.file_name, b.stripe_index, b.symbol_index))
                            for b in self.store.block_ids()]
             else:
-                targets = [(block_from_tuple(e), tuple(e)) for e in entries]
+                targets = [(block_from_tuple(e), tuple(e))
+                           for e in expect("blocks", entries, list, tuple)]
             for block, key in targets:
                 out[key] = (self.store.current_checksum(block)
                             if self.store.has(block) else None)

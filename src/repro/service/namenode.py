@@ -71,6 +71,7 @@ from .protocol import (
     block_from_tuple,
     block_tuple,
     dispatch,
+    expect,
     marshal_error,
     transfer_request,
     unmarshal_error,
@@ -169,15 +170,16 @@ class NameNodeServer:
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
-    def _code(self, code_name: str) -> Code:
+    def _code(self, code_name) -> Code:
+        expect("code_name", code_name, str)
         with self._meta:
             if code_name not in self._codes:
                 try:
                     self._codes[code_name] = make_code(code_name)
-                except KeyError as exc:
-                    # the registry's KeyError is not in _ERROR_CODES;
-                    # untranslated it would cross the wire as a
-                    # generic 'internal' error instead of bad-request
+                except (KeyError, ValueError) as exc:
+                    # an unknown name, or a family's parameters out of
+                    # range ("rs(1,2)"): the client's mistake, and no
+                    # op that names a code declares either error
                     raise ProtocolError(
                         f"unknown code name {code_name!r}: "
                         f"{exc.args[0] if exc.args else exc}") from exc
@@ -223,12 +225,21 @@ class NameNodeServer:
     # -- datanode-facing ----------------------------------------------
     def _op_dn_register(self, data, peer) -> dict:
         del peer
-        if data["version"] != SERVICE_VERSION:
+        version = data["version"]
+        if type(version) is not int or version != SERVICE_VERSION:
             raise ProtocolError(
-                f"datanode speaks service version {data['version']}, "
+                f"datanode speaks service version {version!r}, "
                 f"namenode speaks {SERVICE_VERSION}")
-        node_id = int(data["node_id"])
-        address = (str(data["address"][0]), int(data["address"][1]))
+        node_id = expect("node_id", data["node_id"], int)
+        try:
+            host, port = data["address"]
+        except (TypeError, ValueError):
+            host = port = None
+        if node_id < 0 or type(host) is not str or type(port) is not int:
+            raise ProtocolError(
+                f"dn-register needs node_id >= 0 and a (str host, int "
+                f"port) address: {node_id}, {data['address']!r}")
+        address = (host, port)
         with self._meta:
             record = self._datanodes.get(node_id)
             if record is None:
@@ -241,14 +252,15 @@ class NameNodeServer:
 
     def _op_dn_heartbeat(self, data, peer) -> dict:
         del peer
-        node_id = int(data["node_id"])
+        node_id = expect("node_id", data["node_id"], int)
+        blocks = expect("blocks", data.get("blocks", 0), int)
         with self._meta:
             record = self._datanodes.get(node_id)
             if record is None:
                 raise ProtocolError(
                     f"heartbeat from unregistered datanode {node_id}")
             record.last_beat = time.monotonic()
-            record.blocks = int(data.get("blocks", 0))
+            record.blocks = blocks
         return {}
 
     # -- client-facing: namespace -------------------------------------
@@ -263,7 +275,7 @@ class NameNodeServer:
 
     def _op_stat(self, data, peer) -> dict:
         del peer
-        name = str(data["name"])
+        name = expect("name", data["name"], str)
         with self._meta:
             info = self._namespace.file(name)
             stripes = [tuple(stripe.slot_nodes) for stripe in info.stripes]
@@ -277,8 +289,8 @@ class NameNodeServer:
 
     def _op_begin_write(self, data, peer) -> dict:
         del peer
-        name = str(data["name"])
-        code = self._code(str(data["code_name"]))
+        name = expect("name", data["name"], str)
+        code = self._code(data["code_name"])
         alive = self._alive_ids()
         if len(alive) < code.length:
             raise WriteRefusedError(
@@ -296,8 +308,11 @@ class NameNodeServer:
 
     def _op_place_stripe(self, data, peer) -> dict:
         del peer
-        code = self._code(str(data["code_name"]))
-        exclude = set(data.get("exclude") or ())
+        code = self._code(data["code_name"])
+        exclude = expect("exclude", data.get("exclude", ()), list, tuple)
+        if not all(type(node_id) is int for node_id in exclude):
+            raise ProtocolError(f"exclude lists int node ids: {exclude!r}")
+        exclude = set(exclude)
         eligible = [n for n in self._alive_ids() if n not in exclude]
         if len(eligible) < code.length:
             raise WriteRefusedError(
@@ -333,24 +348,32 @@ class NameNodeServer:
 
     def _op_commit_write(self, data, peer) -> dict:
         del peer
-        name = str(data["name"])
-        code = self._code(str(data["code_name"]))
-        info = FileInfo(name=name, code_name=str(data["code_name"]),
-                        size_bytes=int(data["size_bytes"]),
-                        block_bytes=self.block_bytes)
+        name = expect("name", data["name"], str)
+        code = self._code(data["code_name"])
+        size_bytes = expect("size_bytes", data["size_bytes"], int)
+        records = expect("stripes", data["stripes"], list, tuple)
+        if size_bytes < 0:
+            raise ProtocolError(f"size_bytes must be >= 0: {size_bytes}")
+        info = FileInfo(name=name, code_name=data["code_name"],
+                        size_bytes=size_bytes, block_bytes=self.block_bytes)
+        symbols = {str(symbol) for symbol in range(code.layout.symbol_count)}
         checksums: dict[BlockId, int] = {}
-        for index, stripe_record in enumerate(data["stripes"]):
-            stripe = StripeInfo(name, index, code,
-                                tuple(int(n)
-                                      for n in stripe_record["slot_nodes"]))
-            for symbol_text, crc in stripe_record["checksums"].items():
-                symbol = int(symbol_text)
-                checksums[stripe.block_id(symbol)] = int(crc)
-            if len(stripe_record["checksums"]) != code.layout.symbol_count:
+        for index, record in enumerate(records):
+            nodes = crcs = None
+            if type(record) is dict:
+                nodes, crcs = record.get("slot_nodes"), record.get("checksums")
+            if not (type(nodes) in (list, tuple) and type(crcs) is dict
+                    and all(type(node_id) is int for node_id in nodes)
+                    and len(set(nodes)) == len(nodes) == code.length
+                    and crcs.keys() == symbols
+                    and all(type(crc) is int for crc in crcs.values())):
                 raise ProtocolError(
-                    f"stripe {index} commits "
-                    f"{len(stripe_record['checksums'])} checksums; "
-                    f"{code.name} has {code.layout.symbol_count} symbols")
+                    f"stripe {index} needs {code.length} distinct int "
+                    f"slot_nodes and an int checksum per {code.name} "
+                    f"symbol '0'..'{len(symbols) - 1}'")
+            stripe = StripeInfo(name, index, code, tuple(nodes))
+            checksums.update((stripe.block_id(int(symbol)), crc)
+                             for symbol, crc in crcs.items())
             info.stripes.append(stripe)
         with self._meta:
             if name not in self._pending:
@@ -364,7 +387,7 @@ class NameNodeServer:
 
     def _op_abort_write(self, data, peer) -> dict:
         del peer
-        name = str(data["name"])
+        name = expect("name", data["name"], str)
         with self._meta:
             existed = self._pending.pop(name, None) is not None
         return {"aborted": existed}
@@ -374,13 +397,14 @@ class NameNodeServer:
         rather than waiting for the next scrub."""
         del peer
         block = block_from_tuple(data["block"])
+        node_id = expect("node_id", data["node_id"], int)
         key = (block.file_name, block.stripe_index)
         with self._meta:
             try:
                 stripe = self._namespace.stripe_of(block)
             except IndexError as exc:
                 raise ProtocolError(f"report-corrupt: {exc}") from exc
-            slot = stripe.slot_of_node(int(data["node_id"]))
+            slot = stripe.slot_of_node(node_id)
             if slot is not None:
                 self._damaged.setdefault(key, set()).add(slot)
                 self._enqueue_repair(key)

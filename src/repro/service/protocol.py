@@ -2,17 +2,20 @@
 
 Every request is one :mod:`repro.net` frame ``(kind, data)``; every
 response is ``("ok", payload)`` or ``("err", (code, message, details))``.
-Which kinds exist, which keys a request may carry and which keys every
-reply has is stated once, in :data:`NAMENODE_OPS` / :data:`DATANODE_OPS`
-below: both daemons answer through :func:`dispatch`, which holds every
-live frame to the table, ``repro lint`` holds every handler body and
-call site to it, and ``docs/wire_schema.json`` is its JSON rendering.
+Which kinds exist, which keys a request may carry, which keys every
+reply has and which typed errors it may answer with is stated once, in
+:data:`NAMENODE_OPS` / :data:`DATANODE_OPS` below: both daemons answer
+through :func:`dispatch`, which holds every live frame and every error
+reply to the table, ``repro lint`` holds every handler body and call
+site to it, and ``docs/wire_schema.json`` is its JSON rendering.
 Adding an op is one table line plus one ``_op_<kind>`` method.
 
 The error tuple round-trips typed exceptions across the wire: a
 namenode that refuses a write raises :class:`WriteRefusedError` locally,
 the server marshals it, and the client re-raises the same type — so
-callers catch semantically, never by string-matching messages.
+callers catch semantically, never by string-matching messages.  An
+error the op does not declare leaves as ``service``: a defect of the
+daemon, named in the message, never a code the client must guess at.
 
 Transport errors (refused connections, timeouts, EOF mid-frame) are
 *not* part of this mapping; the client's retry policy owns those and
@@ -24,7 +27,6 @@ from __future__ import annotations
 from ..cluster.datanode import BlockNotFoundError, CorruptBlockError
 from ..cluster.namenode import BlockId
 from ..cluster.placement import PlacementError
-from ..core.repair import UnrecoverableStripeError
 from ..net import ProtocolError
 
 #: Bumped on any incompatible message change; both ends carry it in the
@@ -33,46 +35,52 @@ SERVICE_VERSION = 1
 
 
 #: The namenode's wire surface: op -> (required request keys, optional
-#: request keys, keys every reply carries; ``None`` = the reply is not a
-#: dict).  Pure literals — the lint reads them without importing.
+#: request keys, keys every reply carries or ``None`` when the reply is
+#: not a dict, the :data:`_ERROR_CODES` the handler may answer with).
+#: ``bad-request`` and ``service`` are implicit for every op: dispatch
+#: raises both itself.  Pure literals — the lint reads them without
+#: importing.
 NAMENODE_OPS = {
     # datanode-facing
     "dn-register": (("node_id", "address", "version"), (),
-                    ("node_id", "block_bytes", "version")),
-    "dn-heartbeat": (("node_id",), ("blocks",), ()),
+                    ("node_id", "block_bytes", "version"), ()),
+    "dn-heartbeat": (("node_id",), ("blocks",), (), ()),
     # client-facing: namespace
-    "locations": ((), (), ("datanodes", "alive")),
-    "list": ((), (), None),
+    "locations": ((), (), ("datanodes", "alive"), ()),
+    "list": ((), (), None, ()),
     "stat": (("name",), (),
              ("name", "code_name", "size_bytes", "block_bytes", "stripes",
-              "datanodes", "alive")),
+              "datanodes", "alive"), ("not-found",)),
     # client-facing: two-phase writes
-    "begin-write": (("name", "code_name"), (), ("block_bytes",)),
+    "begin-write": (("name", "code_name"), (), ("block_bytes",),
+                    ("write-refused", "exists")),
     "place-stripe": (("code_name",), ("exclude",),
-                     ("slot_nodes", "datanodes")),
+                     ("slot_nodes", "datanodes"),
+                     ("write-refused", "placement")),
     "commit-write": (("name", "code_name", "size_bytes", "stripes"), (),
-                     ("stripes",)),
-    "abort-write": (("name",), (), ("aborted",)),
-    "report-corrupt": (("block", "node_id"), (), ()),
+                     ("stripes",), ()),
+    "abort-write": (("name",), (), ("aborted",), ()),
+    "report-corrupt": (("block", "node_id"), (), (), ("not-found",)),
     # operator-facing
     "status": ((), (),
                ("version", "block_bytes", "datanodes", "alive", "files",
-                "pending_writes", "stripes", "repair", "checker")),
-    "shutdown": ((), (), ()),
+                "pending_writes", "stripes", "repair", "checker"), ()),
+    "shutdown": ((), (), (), ()),
 }
 
 #: The datanode's wire surface, same shape as :data:`NAMENODE_OPS`.
 DATANODE_OPS = {
-    "put": (("block", "data"), (), ("crc",)),
-    "get": (("block",), (), ("data", "crc")),
-    "combine": (("parts",), (), ("data",)),
-    "checksums": ((), ("blocks",), ("checksums",)),
-    "delete": (("blocks",), (), ("dropped",)),
-    "fault": (("faults",), (), ("armed",)),
+    "put": (("block", "data"), (), ("crc",), ()),
+    "get": (("block",), (), ("data", "crc"), ("block-not-found", "corrupt")),
+    "combine": (("parts",), (), ("data",),
+                ("block-not-found", "corrupt", "value")),
+    "checksums": ((), ("blocks",), ("checksums",), ()),
+    "delete": (("blocks",), (), ("dropped",), ()),
+    "fault": (("faults",), (), ("armed",), ()),
     "status": ((), (),
                ("node_id", "version", "blocks", "used_bytes", "requests",
-                "faults")),
-    "shutdown": ((), (), ("node_id",)),
+                "faults"), ()),
+    "shutdown": ((), (), ("node_id",), ()),
 }
 
 
@@ -101,23 +109,33 @@ class WriteFailedError(ServiceError):
     file name is free again and no partial stripes are visible)."""
 
 
-#: code string <-> exception type, for marshalling across the wire.
+#: code string <-> exception type, for marshalling across the wire: the
+#: codes the op tables declare, plus the two every op may answer.  The
+#: client's own failures (:class:`ReadFailedError`, ...) never cross it.
 _ERROR_CODES: dict[str, type] = {
     "service": ServiceError,
     "write-refused": WriteRefusedError,
-    "write-failed": WriteFailedError,
-    "read-failed": ReadFailedError,
-    "unavailable": ServiceUnavailableError,
     "not-found": FileNotFoundError,
     "exists": FileExistsError,
     "block-not-found": BlockNotFoundError,
     "corrupt": CorruptBlockError,
-    "unrecoverable": UnrecoverableStripeError,
     "placement": PlacementError,
     "bad-request": ProtocolError,
     "value": ValueError,
 }
 _CODE_OF_TYPE = {cls: code for code, cls in _ERROR_CODES.items()}
+
+#: The codes every op may answer without declaring them.
+_IMPLICIT_CODES = ("bad-request", "service")
+
+
+def error_code(error: Exception) -> str:
+    """The wire code of ``error``: its nearest type in the MRO that
+    :data:`_ERROR_CODES` maps, ``internal`` when none is."""
+    for cls in type(error).__mro__:
+        if cls in _CODE_OF_TYPE:
+            return _CODE_OF_TYPE[cls]
+    return "internal"
 
 
 def marshal_error(error: Exception) -> tuple[str, str, dict]:
@@ -127,20 +145,18 @@ def marshal_error(error: Exception) -> tuple[str, str, dict]:
     if isinstance(error, CorruptBlockError):
         details = {"node_id": error.node_id,
                    "block": block_tuple(error.block)}
-    for cls in type(error).__mro__:
-        if cls in _CODE_OF_TYPE:
-            return _CODE_OF_TYPE[cls], str(error), details
-    return "internal", f"{type(error).__name__}: {error}", details
+    code = error_code(error)
+    if code == "internal":
+        return code, f"{type(error).__name__}: {error}", details
+    return code, str(error), details
 
 
 def unmarshal_error(code: str, message: str, details: dict) -> Exception:
     """Rebuild the typed exception a peer marshalled.
 
     Every returned exception carries a ``.code`` attribute with the wire
-    code, so callers can also dispatch on it uniformly (the structured
-    constructors of e.g. :class:`UnrecoverableStripeError` cannot be
-    rebuilt from a message alone and come back as plain
-    :class:`ServiceError` with the right code).
+    code, so callers can also dispatch on it uniformly (a code this end
+    does not know comes back as plain :class:`ServiceError`).
     """
     error: Exception
     if code == "corrupt" and "block" in details:
@@ -148,7 +164,7 @@ def unmarshal_error(code: str, message: str, details: dict) -> Exception:
                                   BlockId(*details["block"]))
     else:
         cls = _ERROR_CODES.get(code)
-        if cls is None or cls is UnrecoverableStripeError:
+        if cls is None:
             error = ServiceError(f"[{code}] {message}")
         else:
             try:
@@ -168,13 +184,15 @@ def dispatch(server, ops: dict, kind: str, data, peer) -> object:
     sees a typed ``bad-request``, never a handler's ``KeyError``.  The
     handler is looked up per request, so a method replaced on the class
     after construction (the benchmark's span recorder) is what runs.
-    A reply without its declared keys is this daemon's defect and goes
-    out as a :class:`ServiceError`, not as the client's mistake.
+    A reply without its declared keys, and an error whose code the op
+    does not declare (an ``internal`` one included), are this daemon's
+    defect and go out as a :class:`ServiceError`, not as the client's
+    mistake.
     """
     spec = ops.get(kind)
     if spec is None:
         raise ProtocolError(f"unknown request {kind!r}")
-    required, optional, reply_keys = spec
+    required, optional, reply_keys, errors = spec
     present = 0
     if isinstance(data, dict):
         for key in data:
@@ -192,7 +210,15 @@ def dispatch(server, ops: dict, kind: str, data, peer) -> object:
         raise ProtocolError(
             f"request {kind!r} is missing required key(s) "
             f"{', '.join(missing)}")
-    reply = getattr(server, "_op_" + kind.replace("-", "_"))(data, peer)
+    try:
+        reply = getattr(server, "_op_" + kind.replace("-", "_"))(data, peer)
+    except Exception as error:
+        code = error_code(error)
+        if code in errors or code in _IMPLICIT_CODES:
+            raise
+        raise ServiceError(
+            f"{kind!r} answered undeclared error {code!r} "
+            f"({type(error).__name__}: {error})") from error
     if reply_keys is not None:
         if not isinstance(reply, dict):
             raise ServiceError(
@@ -203,6 +229,17 @@ def dispatch(server, ops: dict, kind: str, data, peer) -> object:
                 raise ServiceError(
                     f"reply to {kind!r} lacks declared key {key!r}")
     return reply
+
+
+def expect(what: str, value, *types: type):
+    """``value`` when its type is exactly one of ``types``; anything else
+    is refused, not coerced (``True`` is not ``1``, ``7`` is not
+    ``"7"``)."""
+    if type(value) not in types:
+        raise ProtocolError(
+            f"{what} must be {' or '.join(t.__name__ for t in types)}, "
+            f"got {type(value).__name__}")
+    return value
 
 
 def block_from_tuple(data) -> BlockId:

@@ -1,6 +1,6 @@
 """The interprocedural core: symbol resolution across modules and
-re-exports, method lookup through bases, transitive lock/raise
-closures, and payload-key propagation through forwarded dicts."""
+re-exports, method lookup through bases, the transitive lock closure,
+and payload-key propagation through forwarded dicts."""
 
 from __future__ import annotations
 
@@ -146,36 +146,6 @@ class TestClosures:
                                     "Daemon._io_lock")
         assert chain == ["pkg.daemon.Daemon.outer",
                          "pkg.daemon.Daemon.inner"]
-
-    def test_transitive_raises_and_catch_filter(self, tmp_path):
-        graph = build(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/err.py": """\
-                class AppError(Exception):
-                    pass
-            """,
-            "pkg/work.py": """\
-                from .err import AppError
-
-                def deep():
-                    raise AppError("boom")
-
-                def propagates():
-                    return deep()
-
-                def catches():
-                    try:
-                        return deep()
-                    except AppError:
-                        return None
-            """,
-        })
-        raises = graph.transitive_raises()
-        types = {t for t, _, _ in raises["pkg.work.propagates"]}
-        assert "pkg.err.AppError" in types
-        # the try/except around the call filters the propagated raise
-        caught_sites = graph.functions["pkg.work.catches"].calls
-        assert any("AppError" in c.caught for c in caught_sites)
 
     def test_lock_token_shapes(self, tmp_path):
         graph = build(tmp_path, {

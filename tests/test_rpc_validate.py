@@ -1,12 +1,15 @@
 """The always-on wire contract: ``protocol.dispatch`` holds every
-request and reply to the declared op table, and both live daemons
-answer any malformed request — for every op they declare — with a typed
-``bad-request``, never an opaque ``internal`` error."""
+request, reply and error reply to the declared op table; both live
+daemons answer any malformed request — for every op and every key they
+declare — with a typed ``bad-request``, never an opaque ``internal``
+or ``service`` error; and every error code an op declares is provoked
+over the wire."""
 
 from __future__ import annotations
 
 import ast
 import inspect
+import itertools
 import socket
 
 import pytest
@@ -18,16 +21,21 @@ from repro.service.namenode import NameNodeServer
 from repro.service.protocol import (DATANODE_OPS, NAMENODE_OPS,
                                     ServiceError, dispatch)
 
+SERVICES = {"namenode": NAMENODE_OPS, "datanode": DATANODE_OPS}
+
 OPS = {
-    "stat": (("name",), ("verbose",), ("size",)),
-    "list": ((), (), None),
+    "stat": (("name",), ("verbose",), ("size",), ("not-found",)),
+    "list": ((), (), None, ()),
 }
 
 
 class FakeServer:
     reply = {"size": 7}
+    error: Exception | None = None
 
     def _op_stat(self, data, peer):
+        if self.error is not None:
+            raise self.error
         return self.reply
 
     def _op_list(self, data, peer):
@@ -86,18 +94,64 @@ class TestDispatch:
         assert tables == {"NAMENODE_OPS": NAMENODE_OPS,
                           "DATANODE_OPS": DATANODE_OPS}
 
+    def test_declared_error_passes_through_unchanged(self):
+        server = FakeServer()
+        server.error = FileNotFoundError("f")
+        with pytest.raises(FileNotFoundError) as caught:
+            dispatch(server, OPS, "stat", {"name": "f"}, None)
+        assert caught.value is server.error
+
+    @pytest.mark.parametrize("error", [ProtocolError("bad key"),
+                                       ServiceError("broken")])
+    def test_implicit_codes_pass_through_unchanged(self, error):
+        server = FakeServer()
+        server.error = error
+        with pytest.raises(type(error)) as caught:
+            dispatch(server, OPS, "stat", {"name": "f"}, None)
+        assert caught.value is error
+
+    @pytest.mark.parametrize("error,code", [
+        (FileExistsError("f"), "exists"),           # typed, undeclared
+        (protocol.WriteRefusedError("no"), "write-refused"),
+        (KeyError("name"), "internal"),             # untyped
+    ])
+    def test_undeclared_error_leaves_as_service(self, error, code):
+        server = FakeServer()
+        server.error = error
+        with pytest.raises(ServiceError) as caught:
+            dispatch(server, OPS, "stat", {"name": "f"}, None)
+        assert type(caught.value) is ServiceError
+        assert protocol.marshal_error(caught.value)[0] == "service"
+        message = str(caught.value)
+        assert "'stat'" in message and repr(code) in message
+        assert type(error).__name__ in message
+        assert caught.value.__cause__ is error
+
+
+def test_every_declared_code_is_a_wire_code_and_every_wire_code_declared():
+    declared = {code for ops in SERVICES.values()
+                for *_, errors in ops.values() for code in errors}
+    implicit = {"bad-request", "service"}
+    assert not declared & implicit
+    assert declared | implicit == set(protocol._ERROR_CODES)
+
 
 @pytest.fixture(scope="module")
-def daemons():
-    namenode = NameNodeServer(check_period=30.0)
+def servers():
+    namenode = NameNodeServer(check_period=3600.0)
     datanode = DataNodeServer(0, namenode.address)
-    socks = {"namenode": socket.create_connection(namenode.address),
-             "datanode": socket.create_connection(datanode.address)}
+    yield {"namenode": namenode, "datanode": datanode}
+    datanode.close()
+    namenode.close()
+
+
+@pytest.fixture(scope="module")
+def daemons(servers):
+    socks = {service: socket.create_connection(server.address)
+             for service, server in servers.items()}
     yield socks
     for sock in socks.values():
         sock.close()
-    datanode.close()
-    namenode.close()
 
 
 def bad_request(sock, kind, data):
@@ -107,15 +161,22 @@ def bad_request(sock, kind, data):
     return str(caught.value)
 
 
+def outcome(sock, kind, data) -> str:
+    """``ok``, or the wire code of the typed error the daemon answered."""
+    try:
+        call(sock, kind, data)
+    except Exception as error:
+        if not hasattr(error, "code"):
+            raise                   # a transport failure, not a reply
+        return error.code
+    return "ok"
+
+
 @pytest.mark.parametrize("service,kind", [
-    (service, kind)
-    for service, ops in (("namenode", NAMENODE_OPS),
-                         ("datanode", DATANODE_OPS))
-    for kind in ops])
+    (service, kind) for service, ops in SERVICES.items() for kind in ops])
 def test_malformed_request_is_a_typed_bad_request(daemons, service, kind):
     sock = daemons[service]
-    ops = NAMENODE_OPS if service == "namenode" else DATANODE_OPS
-    required = ops[kind][0]
+    required = SERVICES[service][kind][0]
     full = dict.fromkeys(required)
     for dropped in required:
         partial = {key: None for key in required if key != dropped}
@@ -207,16 +268,25 @@ def namenode_with_a_file():
     kicked."""
     with NameNodeServer(check_period=30.0) as namenode:
         with socket.create_connection(namenode.address) as sock:
-            for node_id in range(5):
-                call(sock, "dn-register",
-                     {"node_id": node_id, "address": ("127.0.0.1", 1),
-                      "version": protocol.SERVICE_VERSION})
+            register(sock, range(5))
             call(sock, "begin-write", {"name": "f", "code_name": "pentagon"})
-            call(sock, "commit-write",
-                 {"name": "f", "code_name": "pentagon", "size_bytes": 9,
-                  "stripes": [{"slot_nodes": (0, 1, 2, 3, 4),
-                               "checksums": {str(s): 0 for s in range(10)}}]})
+            call(sock, "commit-write", commit_request("f", range(5)))
             yield namenode, sock
+
+
+def register(sock, node_ids, address=("127.0.0.1", 1)) -> None:
+    """Register datanodes by hand (fake ones: nothing dials them)."""
+    for node_id in node_ids:
+        call(sock, "dn-register",
+             {"node_id": node_id, "address": address,
+              "version": protocol.SERVICE_VERSION})
+
+
+def commit_request(name: str, nodes) -> dict:
+    """The ``commit-write`` of a one-stripe pentagon file on ``nodes``."""
+    return {"name": name, "code_name": "pentagon", "size_bytes": 9,
+            "stripes": [{"slot_nodes": tuple(nodes),
+                         "checksums": {str(s): 0 for s in range(10)}}]}
 
 
 def repair_backlog(namenode):
@@ -249,3 +319,173 @@ def test_report_corrupt_unknown_file_and_stale_node(namenode_with_a_file):
     assert call(sock, "report-corrupt",
                 {"block": ("f", 0, 0), "node_id": 9}) == {}
     assert repair_backlog(namenode) == (0, 0)
+
+
+# ----------------------------------------------------------------------
+# Type-confused values, every declared key of every op
+# ----------------------------------------------------------------------
+FUZZ_VALUES = [None, 7, -1, 1.5, True, "x", b"xx", [], {}, ["a", 1]]
+
+
+class Live:
+    """Sockets to the shared datanode, to a namenode of its own holding
+    fake (never dialled) datanodes 1-5 and one committed pentagon file
+    ``f`` on them, and to a rack-mapped namenode whose one mapped node
+    cannot hold a stripe; blocks and names made to order."""
+
+    def __init__(self, datanode, socks):
+        self.datanode = datanode
+        self.socks = socks
+        self._serial = itertools.count()
+
+    def fresh(self, prefix: str) -> str:
+        return f"{prefix}-{next(self._serial)}"
+
+    def stored(self) -> tuple:
+        """A block the datanode holds, its wire id."""
+        block = (self.fresh("stored"), 0, 0)
+        call(self.socks["datanode"], "put", {"block": block, "data": b"ok"})
+        return block
+
+    def rotten(self) -> tuple:
+        """A block the datanode holds whose bytes fail their CRC."""
+        block = self.stored()
+        with self.datanode._store_lock:
+            self.datanode.store.corrupt(protocol.block_from_tuple(block))
+        return block
+
+    def well_formed(self, kind: str) -> dict:
+        """A request ``kind`` answers ``ok``, after any setup it needs."""
+        name = self.fresh("fuzz")
+        if kind == "commit-write":
+            call(self.socks["namenode"], "begin-write",
+                 {"name": name, "code_name": "pentagon"})
+        block = self.stored() if kind in (
+            "get", "combine", "checksums", "delete") else None
+        return {
+            "dn-register": {"node_id": 6, "address": ("127.0.0.1", 1),
+                            "version": protocol.SERVICE_VERSION},
+            "dn-heartbeat": {"node_id": 1, "blocks": 1},
+            "stat": {"name": "f"},
+            "begin-write": {"name": name, "code_name": "pentagon"},
+            "place-stripe": {"code_name": "pentagon", "exclude": []},
+            "commit-write": commit_request(name, range(1, 6)),
+            "abort-write": {"name": name},
+            "report-corrupt": {"block": ("f", 0, 0), "node_id": 0},
+            "put": {"block": (name, 0, 0), "data": b"ok"},
+            "get": {"block": block},
+            "combine": {"parts": [(block, 1)]},
+            "checksums": {"blocks": [block]},
+            "delete": {"blocks": [block]},
+            "fault": {"faults": []},
+        }[kind]
+
+
+@pytest.fixture(scope="module")
+def live(servers, daemons):
+    # Not the datanode's own namenode: a sweep there (``report-corrupt``
+    # kicks one) would collect every test block as an orphan.  The fake
+    # datanodes never beat, so silence must not kill them mid-module.
+    quiet = {"check_period": 3600.0, "silence_timeout": 600.0}
+    with (NameNodeServer(**quiet) as namenode,
+          NameNodeServer(**quiet, rack_map={0: 0}) as racked_namenode,
+          socket.create_connection(namenode.address) as nn,
+          socket.create_connection(racked_namenode.address) as racked):
+        register(nn, range(1, 6))
+        call(nn, "begin-write", {"name": "f", "code_name": "pentagon"})
+        call(nn, "commit-write", commit_request("f", range(1, 6)))
+        register(racked, range(5))
+        yield Live(servers["datanode"],
+                   {"namenode": nn, "datanode": daemons["datanode"],
+                    "racked": racked})
+
+
+@pytest.mark.parametrize("service,kind,key", [
+    (service, kind, key) for service, ops in SERVICES.items()
+    for kind, (required, optional, _, _) in ops.items()
+    for key in required + optional])
+def test_a_type_confused_value_is_a_bad_request(live, service, kind, key):
+    """Every declared key × values of the wrong type or range, the other
+    keys well-formed: the reply is ``ok`` or a code the op declares,
+    never ``internal`` or ``service``, and the daemon keeps serving."""
+    sock = live.socks[service]
+    allowed = {"ok", "bad-request", *SERVICES[service][kind][3]}
+    assert outcome(sock, kind, live.well_formed(kind)) == "ok"
+    answers = {repr(value): outcome(sock, kind,
+                                    {**live.well_formed(kind), key: value})
+               for value in FUZZ_VALUES}
+    assert set(answers.values()) <= allowed, answers
+    # still serving; for dn-register this also moves node 6 back from
+    # host "a", so no sweep ever resolves that name
+    assert outcome(sock, kind, live.well_formed(kind)) == "ok"
+    assert call(sock, "status", None)["version"] == protocol.SERVICE_VERSION
+    assert live.datanode.faults._ticker.is_alive()
+
+
+@pytest.mark.parametrize("code_name", ["rs(1,2)", "0-rep", "no-such-code"])
+def test_a_code_name_the_registry_refuses_is_a_bad_request(live, code_name):
+    for kind in ("begin-write", "place-stripe"):
+        assert outcome(live.socks["namenode"], kind,
+                       {**live.well_formed(kind), "code_name": code_name}) \
+            == "bad-request"
+
+
+def test_a_malformed_fault_request_arms_nothing(live):
+    """Armed, a stray value kills the fault ticker, and every later
+    data-path request trips over it."""
+    sock = live.socks["datanode"]
+    pending = call(sock, "status", None)["faults"]["pending"]
+    for faults in (["x"], [{"action": "nope"}], "x", None, 7):
+        bad_request(sock, "fault", {"faults": faults})
+    assert call(sock, "status", None)["faults"]["pending"] == pending
+    assert live.datanode.faults._ticker.is_alive()
+    block = live.stored()
+    assert call(sock, "get", {"block": block})["data"] == b"ok"
+    assert call(sock, "fault", {"faults": []})["armed"] == len(pending)
+
+
+# ----------------------------------------------------------------------
+# Every declared error code, provoked once over the wire
+# ----------------------------------------------------------------------
+MISSING = ("no-such-file", 0, 0)
+
+#: (service, op, code) -> (socket to send on, request payload)
+PROVOKE = {
+    ("namenode", "stat", "not-found"):
+        ("namenode", lambda live: {"name": "no-such-file"}),
+    ("namenode", "begin-write", "write-refused"):   # 14 nodes; 7 at most
+        ("namenode", lambda live: {"name": live.fresh("big"),
+                                   "code_name": "rs(14,10)"}),
+    ("namenode", "begin-write", "exists"):
+        ("namenode", lambda live: {"name": "f", "code_name": "pentagon"}),
+    ("namenode", "place-stripe", "write-refused"):
+        ("namenode", lambda live: {"code_name": "rs(14,10)"}),
+    ("namenode", "place-stripe", "placement"):
+        ("racked", lambda live: {"code_name": "pentagon"}),
+    ("namenode", "report-corrupt", "not-found"):
+        ("namenode", lambda live: {"block": MISSING, "node_id": 0}),
+    ("datanode", "get", "block-not-found"):
+        ("datanode", lambda live: {"block": MISSING}),
+    ("datanode", "get", "corrupt"):
+        ("datanode", lambda live: {"block": live.rotten()}),
+    ("datanode", "combine", "block-not-found"):
+        ("datanode", lambda live: {"parts": [(live.stored(), 1),
+                                             (MISSING, 1)]}),
+    ("datanode", "combine", "corrupt"):
+        ("datanode", lambda live: {"parts": [(live.rotten(), 3)]}),
+    ("datanode", "combine", "value"):
+        ("datanode", lambda live: {"parts": [(live.stored(), 256)]}),
+}
+
+
+def test_every_declared_code_has_a_provoking_case():
+    declared = {(service, kind, code)
+                for service, ops in SERVICES.items()
+                for kind, (*_, errors) in ops.items() for code in errors}
+    assert set(PROVOKE) == declared
+
+
+@pytest.mark.parametrize("service,kind,code", sorted(PROVOKE))
+def test_a_declared_code_crosses_the_wire(live, service, kind, code):
+    target, payload = PROVOKE[service, kind, code]
+    assert outcome(live.socks[target], kind, payload(live)) == code
