@@ -16,11 +16,13 @@ Quick start::
     plan = code.plan_node_repair([0, 1])
     assert plan.network_blocks == 10          # the paper's Section 2.1 count
     assert verify_repair_plan(code, blocks, plan)
+
+Importing the package loads none of its subpackages; import the one
+you use, as above.  A datanode daemon thus never loads the experiment
+stack or scipy.
 """
 
 __version__ = "1.0.0"
-
-from . import cluster, core, experiments, gf, mapreduce, reliability, scheduling, workloads
 
 __all__ = [
     "core",

@@ -73,6 +73,15 @@ see ``docs/linting.md``)::
 Exit status is nonzero when any unwaived finding remains — CI runs it
 as a hard gate, plus a drift check that ``docs/wire_schema.json``
 matches the op tables declared in ``service/protocol.py``.
+
+Imports
+-------
+
+Each handler imports what it runs (HOST:PORT parsing included: the
+transport imports numpy), and :func:`build_parser` imports no
+experiment module.  So ``repro datanode``, one per daemon
+:class:`~repro.service.ServiceCluster` spawns, never loads scipy or
+the sweep engine, and ``repro lint`` loads no numpy.
 """
 
 from __future__ import annotations
@@ -81,29 +90,10 @@ import argparse
 import pathlib
 import sys
 
-from .experiments import (
-    ablations,
-    families,
-    fig3,
-    fig4,
-    fig5,
-    render_figure,
-    render_table,
-    repair_bandwidth,
-    table1,
-)
-from .experiments.distributed import (
-    HEARTBEAT_TIMEOUT,
-    DistributedExecutor,
-    ProtocolError,
-    parse_hostport,
-    run_worker,
-)
-
 
 def run_lint_cmd(args: argparse.Namespace) -> None:
-    # imported lazily: `repro lint` must work (and stay cheap) even
-    # when numpy-heavy experiment modules would be slow to import
+    # analysis/ imports no numpy, so `repro lint` loads neither numpy
+    # nor the experiment stack
     from . import analysis
 
     if args.rules:
@@ -177,6 +167,8 @@ def _print_checks(checks: dict[str, bool]) -> None:
 
 
 def run_table1(args: argparse.Namespace) -> None:
+    from .experiments import render_table, table1
+
     result = table1.build_table1(workers=args.workers)
     print(render_table(table1.Table1Result.HEADERS, result.as_rows(),
                        title="Table 1 (25-node system, calibrated)"))
@@ -194,6 +186,8 @@ def run_table1(args: argparse.Namespace) -> None:
 
 
 def run_fig3(args: argparse.Namespace) -> None:
+    from .experiments import fig3, render_figure
+
     if args.mu:
         panels = {f"mu={args.mu}": fig3.locality_panel(
             args.mu, trials=args.trials, workers=args.workers)}
@@ -205,6 +199,8 @@ def run_fig3(args: argparse.Namespace) -> None:
 
 
 def run_fig4(args: argparse.Namespace) -> None:
+    from .experiments import fig4, render_figure
+
     panels = fig4.figure4(runs=args.runs, workers=args.workers)
     for name in ("job_time", "traffic", "locality"):
         print(f"\n=== Fig. 4 {name} ===")
@@ -213,6 +209,8 @@ def run_fig4(args: argparse.Namespace) -> None:
 
 
 def run_fig5(args: argparse.Namespace) -> None:
+    from .experiments import fig5, render_figure
+
     panels = fig5.figure5(runs=args.runs, workers=args.workers)
     for name in ("traffic", "locality"):
         print(f"\n=== Fig. 5 {name} ===")
@@ -221,6 +219,8 @@ def run_fig5(args: argparse.Namespace) -> None:
 
 
 def run_repair(args: argparse.Namespace) -> None:
+    from .experiments import render_table, repair_bandwidth
+
     measurements = repair_bandwidth.measure_all(workers=args.workers)
     print(render_table(repair_bandwidth.HEADERS,
                        [m.as_list() for m in measurements],
@@ -229,13 +229,18 @@ def run_repair(args: argparse.Namespace) -> None:
 
 
 def run_families(args: argparse.Namespace) -> None:
+    from .experiments import families, render_table
+
     result = families.build_families(
         codes=tuple(args.codes) if args.codes else families.FAMILY_CODES,
-        node_count=args.node_count, uber_block_prob=args.uber,
+        node_count=(families.NODE_COUNT if args.node_count is None
+                    else args.node_count),
+        uber_block_prob=(families.DEFAULT_UBER if args.uber is None
+                         else args.uber),
         workers=args.workers)
     print(render_table(
         families.FamiliesResult.HEADERS, result.as_rows(),
-        title=(f"Polygon-local families ({args.node_count}-node system, "
+        title=(f"Polygon-local families ({result.node_count}-node system, "
                f"UBER {result.uber_block_prob:g}/block)")))
     mttf = result.params.node_mttf_hours / 8766.0
     print(f"\ncalibrated node MTTF: {mttf:.1f} years "
@@ -244,6 +249,8 @@ def run_families(args: argparse.Namespace) -> None:
 
 
 def run_ablations(args: argparse.Namespace) -> None:
+    from .experiments import ablations, render_figure, render_table
+
     print(render_figure(ablations.delay_sensitivity(trials=args.trials,
                                                     workers=args.workers)))
     print()
@@ -283,6 +290,7 @@ def run_serve(args: argparse.Namespace) -> None:
 
 
 def run_datanode_cmd(args: argparse.Namespace) -> None:
+    from .net import parse_hostport
     from .service import run_datanode
 
     host, port = parse_hostport(args.namenode)
@@ -297,6 +305,7 @@ def run_load_cmd(args: argparse.Namespace) -> None:
     import json
     from pathlib import Path
 
+    from .net import parse_hostport
     from .service import ServiceCluster, parse_fault_plan, run_load
 
     plan = (parse_fault_plan(args.faults, seed=args.seed)
@@ -343,6 +352,9 @@ def run_load_cmd(args: argparse.Namespace) -> None:
 
 
 def run_worker_cmd(args: argparse.Namespace) -> None:
+    from .experiments.distributed import run_worker
+    from .net import ProtocolError, parse_hostport
+
     host, port = parse_hostport(args.address)
     try:
         units = run_worker(
@@ -414,18 +426,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_families = sub.add_parser(
         "families", help="polygon-local family sweep (2- and 3-group "
                          "variants, MTTDL with and without UBER)")
+    # Defaults are filled in by run_families, so the parser never
+    # imports the experiment stack; the help names the constants.
     p_families.add_argument(
         "--codes", nargs="+", default=None, metavar="NAME",
-        help="registry names to sweep (default: "
-             + ", ".join(families.FAMILY_CODES) + ")")
-    p_families.add_argument("--uber", type=float,
-                            default=families.DEFAULT_UBER,
+        help="registry names to sweep (default: families.FAMILY_CODES)")
+    p_families.add_argument("--uber", type=float, default=None,
                             help="per-block unrecoverable-read "
-                                 "probability (default %(default)g)")
-    p_families.add_argument("--node-count", type=int,
-                            default=families.NODE_COUNT,
-                            help="system size in nodes "
-                                 "(default %(default)s)")
+                                 "probability (default: "
+                                 "families.DEFAULT_UBER)")
+    p_families.add_argument("--node-count", type=int, default=None,
+                            help="system size in nodes (default: "
+                                 "families.NODE_COUNT)")
     add_workers(p_families)
 
     p_ablate = sub.add_parser("ablations", help="design-knob sweeps")
@@ -586,6 +598,8 @@ def _worker_count(text: str) -> int:
 
 def _hostport(text: str) -> str:
     """argparse type validating HOST:PORT addresses (kept as a string)."""
+    from .net import parse_hostport
+
     try:
         parse_hostport(text)
     except ValueError as exc:
@@ -610,6 +624,8 @@ def _heartbeat_interval(text: str) -> float:
     """argparse type for ``--heartbeat``: must fit the coordinator's
     silence budget, or every long unit would be declared hung and
     requeued forever."""
+    from .experiments.distributed import HEARTBEAT_TIMEOUT
+
     try:
         value = float(text)
     except ValueError:
@@ -634,6 +650,9 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --workers and --distributed are mutually exclusive",
               file=sys.stderr)
         return 2
+    from .experiments.distributed import DistributedExecutor
+    from .net import parse_hostport
+
     host, port = parse_hostport(address)
     with DistributedExecutor(host, port) as executor:
         bound_host, bound_port = executor.address

@@ -69,6 +69,39 @@ class TestCli:
         assert args.node_count == 30
         assert args.codes == ["pentagon-local"]
 
+    @staticmethod
+    def spy_on_build(monkeypatch, argv):
+        """The keyword arguments ``main(argv)`` hands build_families."""
+        seen = {}
+
+        class Stop(Exception):
+            pass
+
+        def spy(*args, **kwargs):
+            assert not args
+            seen.update(kwargs)
+            raise Stop
+
+        monkeypatch.setattr(families, "build_families", spy)
+        with pytest.raises(Stop):
+            main(argv)
+        return seen
+
+    def test_defaults_are_the_module_constants(self, monkeypatch):
+        """The parser imports no experiment module, so run_families
+        fills in the defaults: exactly the module's constants."""
+        seen = self.spy_on_build(monkeypatch, ["families"])
+        assert seen["codes"] is families.FAMILY_CODES
+        assert seen["uber_block_prob"] == families.DEFAULT_UBER == 1e-4
+        assert seen["node_count"] == families.NODE_COUNT == 50
+        assert seen["workers"] is None
+
+    def test_explicit_zero_uber_is_kept(self, monkeypatch):
+        seen = self.spy_on_build(
+            monkeypatch, ["families", "--uber", "0", "--node-count", "30"])
+        assert seen["uber_block_prob"] == 0.0
+        assert seen["node_count"] == 30
+
     def test_families_accepts_distributed(self):
         args = build_parser().parse_args(
             ["families", "--distributed", "127.0.0.1:0"])
