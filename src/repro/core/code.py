@@ -63,11 +63,35 @@ from .repair import (
     UnrecoverableStripeError,
 )
 
-#: Entries the per-code failure-pattern memo keeps (oldest out first):
-#: two per planned pattern (basis, weights), one per decode or read plan.  A
-#: decode's packed tables run ~256 KiB per general column on the numpy
-#: backend; the planners' bases and weight rows are tiny.
+#: Decode kernels the per-code pattern memo keeps (oldest out first): one
+#: per surviving-symbol set, ~256 KiB per general column on the numpy
+#: backend.
 PATTERN_MEMO_ENTRIES = 32
+
+#: The plan memo keeps this many entries per symbol of the code: a read
+#: plan and its decode weights for every symbol, under two failure
+#: patterns or readers at once, with room for the bases and repair plans.
+PLAN_MEMO_PER_SYMBOL = 4
+
+
+class BoundedMemo(dict):
+    """A dict that keeps at most ``bound`` entries, oldest out first.
+    Entries are immutable (tuples, frozen plans, read-only arrays,
+    kernels that consult the active backend per call), so a hit is as
+    good as new; a solve that raises caches nothing."""
+
+    def __init__(self, bound: int) -> None:
+        super().__init__()
+        self.bound = bound
+
+    def solve(self, key, solve_pattern):
+        value = self.get(key)
+        if value is None:
+            value = solve_pattern()
+            if len(self) >= self.bound:
+                self.pop(next(iter(self)))
+            self[key] = value
+        return value
 
 
 def read_only_view(buffer) -> np.ndarray:
@@ -82,7 +106,7 @@ class Code(ABC):
     """A stripe-structured storage code.
 
     Subclasses must implement :meth:`build_layout` and should override
-    :meth:`plan_node_repair` / :meth:`_plan_read_uncached` when the code
+    :meth:`_plan_repair_uncached` / :meth:`_plan_read_uncached` when the code
     admits cheaper repairs than the generic decode-everything fallback.
     """
 
@@ -154,21 +178,18 @@ class Code(ABC):
         return BatchedLinearMap(rows) if len(rows) else None
 
     @cached_property
-    def _pattern_memo(self) -> dict:
-        return {}
+    def _pattern_memo(self) -> BoundedMemo:
+        """Decode kernels, one per surviving-symbol set."""
+        return BoundedMemo(PATTERN_MEMO_ENTRIES)
 
-    def _memoised(self, key, solve_pattern):
-        """What a failure pattern compiles to, solved once per code.
-        Entries are immutable (tuples, read-only arrays, kernels that
-        consult the active backend per call), so a hit is as good as new."""
-        memo = self._pattern_memo
-        value = memo.get(key)
-        if value is None:
-            value = solve_pattern()
-            if len(memo) >= PATTERN_MEMO_ENTRIES:
-                memo.pop(next(iter(memo)))
-            memo[key] = value
-        return value
+    @cached_property
+    def _plan_memo(self) -> BoundedMemo:
+        """Read and repair plans and what the planners solve for them
+        (bases, decode weights), sized to the code: a whole-file read
+        plans every symbol, and must neither cycle this memo nor evict
+        a decode kernel."""
+        return BoundedMemo(max(PATTERN_MEMO_ENTRIES,
+                               PLAN_MEMO_PER_SYMBOL * self.symbol_count))
 
     def _checked_buffers(self, data_blocks) -> tuple[list[np.ndarray], int]:
         """Validate one stripe's data blocks; returns (buffers, size)."""
@@ -315,7 +336,7 @@ class Code(ABC):
         for index in (indices[0], indices[-1]):
             if not 0 <= index < self.symbol_count:
                 raise self._no_such("symbol", index, self.symbol_count)
-        basis, sources, kernel = self._memoised(
+        basis, sources, kernel = self._pattern_memo.solve(
             ("decode", indices), lambda: self._compile_decode(indices))
         buffers, block_size = self._checked_buffers(available[i] for i in basis)
         solved = iter(kernel.apply(buffers, block_size)
@@ -556,6 +577,16 @@ class Code(ABC):
     # Repair planning (generic fallbacks; subclasses override)
     # ------------------------------------------------------------------
     def plan_node_repair(self, failed_slots) -> RepairPlan:
+        """Plan the repair of ``failed_slots`` (any order, repeats
+        ignored).  Plans are frozen, so each is made once per code and
+        kept in the plan memo; :meth:`_plan_repair_uncached` is what
+        subclasses override.  A pattern past repair raises
+        :class:`UnrecoverableStripeError` on every call."""
+        failed = tuple(sorted(set(failed_slots)))
+        return self._plan_memo.solve(
+            ("repair", failed), lambda: self._plan_repair_uncached(failed))
+
+    def _plan_repair_uncached(self, failed: tuple[int, ...]) -> RepairPlan:
         """Generic repair: copy singly-lost symbols, decode the rest.
 
         The fallback reads ``k`` independent surviving symbols to one
@@ -563,7 +594,6 @@ class Code(ABC):
         re-mirrors.  Structured codes override this with their cheaper
         repair-by-transfer / partial-parity plans.
         """
-        failed = tuple(sorted(set(failed_slots)))
         if not failed:
             return RepairPlan(self.name, (), (), (), {})
         if not self.can_recover(failed):
@@ -636,11 +666,11 @@ class Code(ABC):
         Returns a zero-transfer plan when the reader holds a live
         replica, a one-copy plan when any replica survives, and a
         reconstruction plan otherwise.  Plans are frozen, so each is
-        made once per code and kept in the failure-pattern memo;
+        made once per code and kept in the plan memo;
         :meth:`_plan_read_uncached` is what subclasses override.
         """
         failed = tuple(sorted(failed_slots))
-        return self._memoised(
+        return self._plan_memo.solve(
             ("read", symbol_index, failed, reader_slot),
             lambda: self._plan_read_uncached(symbol_index, failed, reader_slot))
 
@@ -695,7 +725,8 @@ class Code(ABC):
                 raise UnrecoverableStripeError(self.name, failed)
             return tuple(surviving[p] for p in positions)
 
-        return list(self._memoised(("basis", tuple(sorted(failed))), eliminate))
+        return list(self._plan_memo.solve(("basis", tuple(sorted(failed))),
+                                          eliminate))
 
     def _decode_weights(self, basis: list[int], targets: list[int]) -> np.ndarray:
         """Rows expressing each target symbol as a combination of basis symbols.
@@ -710,4 +741,5 @@ class Code(ABC):
             weights.flags.writeable = False
             return weights
 
-        return self._memoised(("weights", tuple(basis), tuple(targets)), eliminate)
+        return self._plan_memo.solve(("weights", tuple(basis), tuple(targets)),
+                                     eliminate)

@@ -105,8 +105,7 @@ class PolygonCode(Code):
     # ------------------------------------------------------------------
     # Structured repair
     # ------------------------------------------------------------------
-    def plan_node_repair(self, failed_slots) -> RepairPlan:
-        failed = tuple(sorted(set(failed_slots)))
+    def _plan_repair_uncached(self, failed: tuple[int, ...]) -> RepairPlan:
         if not self.can_recover(failed):
             raise UnrecoverableStripeError(self.name, failed, self.layout.lost_symbols(set(failed)))
         if not failed:

@@ -194,8 +194,7 @@ class PolygonLocalCode(Code):
         }
         return transfers, decode_steps, restored
 
-    def plan_node_repair(self, failed_slots) -> RepairPlan:
-        failed = tuple(sorted(set(failed_slots)))
+    def _plan_repair_uncached(self, failed: tuple[int, ...]) -> RepairPlan:
         if not failed:
             return RepairPlan(self.name, (), (), (), {})
         if not self.can_recover(failed):
@@ -205,7 +204,7 @@ class PolygonLocalCode(Code):
         if any(len(slots) > 2 for slots in per_group):
             # A group lost a triangle (or worse): needs the global
             # equations; the generic GF solver plan handles it exactly.
-            return super().plan_node_repair(failed)
+            return super()._plan_repair_uncached(failed)
 
         transfers: list[Transfer] = []
         decode_steps: list[DecodeStep] = []

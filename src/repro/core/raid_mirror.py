@@ -74,8 +74,7 @@ class RaidMirrorCode(Code):
     # ------------------------------------------------------------------
     # Structured repair
     # ------------------------------------------------------------------
-    def plan_node_repair(self, failed_slots) -> RepairPlan:
-        failed = tuple(sorted(set(failed_slots)))
+    def _plan_repair_uncached(self, failed: tuple[int, ...]) -> RepairPlan:
         if not failed:
             return RepairPlan(self.name, (), (), (), {})
         failed_set = set(failed)

@@ -20,7 +20,9 @@ charged to the network ledger, and the storage service's datanode
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 
 class TransferKind(enum.Enum):
@@ -103,16 +105,27 @@ class RepairPlan:
         transfers: every network transfer, in execution order.
         decode_steps: solves performed at replacement nodes after their
             input transfers land.
-        restored: mapping ``slot -> tuple of symbol indices`` put back on
-            each replacement node (must equal the layout's slot map for a
-            full repair).
+        restored: read-only mapping ``slot -> tuple of symbol indices``
+            put back on each replacement node (must equal the layout's
+            slot map for a full repair).  Read-only because a code hands
+            the same memoised plan to every caller.
     """
 
     code_name: str
     failed_slots: tuple[int, ...]
     transfers: tuple[Transfer, ...]
     decode_steps: tuple[DecodeStep, ...] = ()
-    restored: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    restored: Mapping[int, tuple[int, ...]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "restored",
+                           MappingProxyType(dict(self.restored)))
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle; rebuild from a plain dict.
+        return (type(self), (self.code_name, self.failed_slots,
+                             self.transfers, self.decode_steps,
+                             dict(self.restored)))
 
     @property
     def network_blocks(self) -> int:

@@ -38,9 +38,8 @@ class ReplicationCode(Code):
     #: Every replica is as good as any other.
     symmetry_classes = Code.one_flat_class
 
-    def plan_node_repair(self, failed_slots) -> RepairPlan:
+    def _plan_repair_uncached(self, failed: tuple[int, ...]) -> RepairPlan:
         """Copy the block from any surviving replica to each lost slot."""
-        failed = tuple(sorted(set(failed_slots)))
         if not self.can_recover(failed):
             raise UnrecoverableStripeError(self.name, failed, (0,))
         survivors = [slot for slot in range(self.replicas) if slot not in failed]

@@ -25,14 +25,16 @@ Three execution **backends** implement the same map:
 
 ``native``
     A small C library (:mod:`repro.gf.native`, built lazily with the
-    host compiler, loaded through cffi) that fuses the gather, the XOR
-    accumulation and the per-row lane scatter into one pass per row
-    group — no scratch buffers, no per-pass numpy dispatch.  Instead
-    of the 64K-entry tables (several MiB per kernel — fine for numpy,
-    whose per-gather dispatch cost dominates, but cache-hostile for a
-    C loop) it uses L1-resident 256-entry per-byte tables, plus
-    16-entry nibble tables feeding an AVX2 ``vpshufb`` path on x86-64
-    (see :mod:`repro.gf.native` for the measurements).  The default
+    host compiler, loaded through cffi) that takes the whole matrix as
+    a per-(row, column) op table — skip, XOR or multiply — and makes
+    one pass per group of four output rows: each input chunk is loaded
+    once, folded into every row's register accumulator, and each
+    output byte is stored once.  Coefficient-1 columns ride the same
+    loads as the multiplies, so there is no separate XOR stage or
+    zero fill.  The multiply is one ``vgf2p8affineqb`` per 64 bytes on
+    GFNI + AVX-512BW hosts, two ``vpshufb`` nibble lookups per 32 bytes
+    on AVX2 hosts, and a ``MUL_TABLE`` byte gather elsewhere (see
+    :mod:`repro.gf.native` for the tiers and their rates).  The default
     whenever it builds, and the only packed path for odd-sized blocks.
 ``numpy``
     The vectorised ``np.take`` + XOR passes over the 64K-entry tables
@@ -44,7 +46,7 @@ Three execution **backends** implement the same map:
 Selection: ``REPRO_GF_BACKEND`` (``auto``/``native``/``numpy``/
 ``scalar``) or :func:`set_backend`; :func:`active_backend` reports the
 resolved choice.  All three are **bit-identical**: every table —
-64K-entry, per-byte, nibble — is gathered from the same
+64K-entry, per-byte, nibble, GFNI bit matrix — is derived from the same
 :data:`repro.gf.tables.MUL_TABLE` products, so each output byte is the
 same XOR of the same product bytes on every path (asserted
 exhaustively by ``tests/test_perf_paths.py`` and fuzzed by
@@ -76,21 +78,13 @@ from .tables import MUL_TABLE
 PACKED_MIN_BYTES = 1 << 16
 
 #: Blocks at least this large take the fused C path on the native
-#: backend.  Its per-group tables are tiny (1 KiB + 128 B per column)
-#: so the floor is only the per-call cffi overhead (a few µs), far
-#: below the numpy gate — 4 KiB service blocks ride the C loop.
+#: backend.  It builds no per-matrix tables, so the floor is only the
+#: per-call cffi overhead (a few µs), far below the numpy gate — 4 KiB
+#: service blocks ride the C loop.
 NATIVE_MIN_BYTES = 1 << 11
 
-#: Output rows packed per lookup table (two input bytes each).
+#: Output rows packed per numpy lookup table (two input bytes each).
 _GROUP_ROWS = 4
-
-#: One-row :class:`BatchedLinearMap` per coefficient tuple, reused by
-#: :func:`linear_combine` so repeated combines (the datanode ``combine``
-#: RPC, repair partial parities) pay the nibble-table build once.  The
-#: cap only guards against a pathological caller cycling through
-#: unbounded coefficient vectors; real codes use a few dozen.
-_COMBINE_MAPS: dict[tuple[int, ...], "BatchedLinearMap"] = {}
-_COMBINE_MAP_LIMIT = 256
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
@@ -168,8 +162,8 @@ def active_backend() -> str:
 def packed_threshold() -> int:
     """Smallest block size the active backend's packed path accepts.
 
-    ``NATIVE_MIN_BYTES`` when the native library is in play (its tiny
-    per-group tables amortise almost immediately), else
+    ``NATIVE_MIN_BYTES`` when the native library is in play (it builds
+    no tables, so only the call is left to amortise), else
     ``PACKED_MIN_BYTES``.  Callers that gate a kernel route on block
     width (:func:`repro.gf.linalg.matmul`) use this so the native
     backend also accelerates mid-sized products.
@@ -289,23 +283,19 @@ def _u16_view(buffer: np.ndarray) -> np.ndarray:
 def linear_combine(coefficients, buffers, length: int | None = None) -> np.ndarray:
     """Backend-routed drop-in for :meth:`repro.gf.GF256.combine`.
 
-    Returns ``sum_i c_i * buf_i`` over GF(2^8) as a fresh uint8 array.
-    An all-ones vector — every polygon partial parity, local-parity
-    repair and "XOR partial parities" step — is XORed straight into
-    one new array on any backend (a lone buffer is copied, never
-    aliased).  Otherwise, on the native backend, blocks of
-    :data:`NATIVE_MIN_BYTES` and up run through a cached one-row
-    :class:`BatchedLinearMap` — the same fused group kernel the
-    encoder uses, 32 bytes per ``vpshufb`` on AVX2 hosts — keyed by
-    the coefficient tuple (the datanode ``combine`` RPC and the repair
-    plans cycle through a handful of coefficient vectors, so the
-    nibble tables are built once each).
-    Smaller native blocks take one fused C pass (per output byte:
-    gather each part's product from its L1-resident 256-byte
-    ``MUL_TABLE`` row and XOR — there the per-call table setup of the
-    batched route costs more than it saves); other backends delegate
-    to :meth:`GF256.combine` unchanged.  Results are bit-identical on
-    every route, for any length.
+    Returns ``sum_i c_i * buf_i`` over GF(2^8) as a fresh uint8 array
+    (a lone buffer is copied, never aliased).  An all-ones vector —
+    every polygon partial parity, local-parity repair and "XOR partial
+    parities" step — is XORed into one new array by numpy on any
+    backend.  Any other vector, on the native backend, is one pass of
+    the kernel :class:`BatchedLinearMap` runs, with the coefficients as
+    its one-row op table; elsewhere it goes to :meth:`GF256.combine`.
+    Results are bit-identical on every route, for any length.
+
+    The XOR stays in numpy because its callers combine 2–4 blocks of
+    64 KiB, where one C pass saves less than the cffi call costs a
+    daemon that runs it cold between requests: routed native, the
+    ``svc_degraded`` benchmark spent ~10 % more CPU per read.
     """
     coefficients = [int(c) for c in coefficients]
     buffers = [GF256.asarray(b) for b in buffers]
@@ -315,38 +305,32 @@ def linear_combine(coefficients, buffers, length: int | None = None) -> np.ndarr
         if not buffers:
             raise ValueError("cannot infer output length from empty input")
         length = len(buffers[0])
-    if any(len(b) != length for b in buffers):
-        raise ValueError("buffers must share a common length")
-    for coefficient in coefficients:
-        if not 0 <= coefficient < 256:
-            raise ValueError(f"{coefficient!r} is not an element of GF(256)")
+    for buffer in buffers:
+        if len(buffer) != length:
+            raise ValueError("buffers must share a common length")
+    try:
+        ops = bytes(coefficients)
+    except ValueError:
+        bad = next(c for c in coefficients if not 0 <= c < 256)
+        raise ValueError(f"{bad!r} is not an element of GF(256)") from None
     if buffers and coefficients.count(1) == len(coefficients):
         return GF256.xor_reduce(buffers)
-    kernels = _native.load() if active_backend() == "native" else None
-    if kernels is None or length == 0:
-        return GF256.combine(coefficients, buffers, length=length)
-    if length >= NATIVE_MIN_BYTES:
-        key = tuple(coefficients)
-        combine_map = _COMBINE_MAPS.get(key)
-        if combine_map is None:
-            if len(_COMBINE_MAPS) >= _COMBINE_MAP_LIMIT:
-                _COMBINE_MAPS.clear()
-            combine_map = _COMBINE_MAPS[key] = BatchedLinearMap([list(key)])
-        return combine_map.apply(buffers, block_size=length)[0]
-    parts = [(c, np.ascontiguousarray(b))
-             for c, b in zip(coefficients, buffers) if c != 0]
-    if not parts:
-        return np.zeros(length, dtype=np.uint8)
-    ffi, lib = kernels.ffi, kernels.lib
-    out = np.empty(length, dtype=np.uint8)
-    keepalive = [ffi.from_buffer(buffer) for _, buffer in parts]
-    row_ptrs = ffi.new("const uint8_t *[]", [
-        ffi.cast("const uint8_t *", ffi.from_buffer(MUL_TABLE[c]))
-        for c, _ in parts])
-    input_ptrs = ffi.new("const uint8_t *[]", [
-        ffi.cast("const uint8_t *", raw) for raw in keepalive])
-    lib.repro_gf_combine_u8(row_ptrs, input_ptrs, len(parts), length,
-                            ffi.cast("uint8_t *", ffi.from_buffer(out)), 0)
+    if length and active_backend() == "native":
+        return _apply_native(_native.load(), ops, 1, buffers, length)[0]
+    return GF256.combine(coefficients, buffers, length=length)
+
+
+def _apply_native(kernels, ops: bytes, nrows: int, buffers,
+                  length: int) -> np.ndarray:
+    """``ops @ stack(buffers)`` in one native call; ``ops`` is the
+    ``(nrows, len(buffers))`` op table, row-major."""
+    from_buffer = kernels.ffi.from_buffer
+    out = np.empty((nrows, length), dtype=np.uint8)
+    kernels.lib.repro_gf_apply(      # cffi passes the list as a C array
+        ops, [from_buffer("uint8_t[]", buffer if buffer.flags.c_contiguous
+                          else np.ascontiguousarray(buffer))
+              for buffer in buffers],
+        len(buffers), length, from_buffer("uint8_t[]", out), nrows)
     return out
 
 
@@ -394,9 +378,9 @@ class BatchedLinearMap:
                 ones = np.setdiff1d(ones, packed, assume_unique=True)
             self._xor_columns.append(ones)
         self._tables: dict[int, list[tuple[int, np.ndarray]]] = {}
-        #: Per group: cffi pointers to the byte/nibble tables the C
-        #: loops consume (+ keepalives pinning the backing arrays).
-        self._native_plans: dict[int, tuple[object, object, list]] = {}
+        #: The native op table: the matrix over its live columns only.
+        self._live_columns = np.nonzero(matrix.any(axis=0))[0].tolist()
+        self._native_ops = matrix[:, self._live_columns].tobytes()
 
     # ------------------------------------------------------------------
     def _tables_for(self, group_index: int) -> list[tuple[int, np.ndarray]]:
@@ -409,43 +393,6 @@ class BatchedLinearMap:
                 for j in columns
             ]
             self._tables[group_index] = cached
-        return cached
-
-    def _native_plan_for(self, group_index: int,
-                         ffi) -> tuple[object, object, list]:
-        """Byte + nibble tables for one row group, as cffi pointers.
-
-        Per packed column: a 256-entry ``uint32`` table whose byte
-        lanes are the group rows' products of one input byte, and per
-        (column, row) the 16 low-/high-nibble products for the SIMD
-        path.  All entries are gathers from ``MUL_TABLE`` — the same
-        products the 64K-entry numpy tables pack — so the C loops
-        XOR exactly the bytes the other backends do.
-        """
-        cached = self._native_plans.get(group_index)
-        if cached is None:
-            members, columns, _ = self._groups[group_index]
-            byte_tables: list[np.ndarray] = []
-            nib = np.empty((len(columns), len(members), 2, 16),
-                           dtype=np.uint8)
-            for position, j in enumerate(columns):
-                table = np.zeros(256, dtype=np.uint32)
-                for lane, r in enumerate(members):
-                    products = MUL_TABLE[int(self.rows[r, j])]
-                    table |= products.astype(np.uint32) << np.uint32(8 * lane)
-                    nib[position, lane, 0] = products[:16]
-                    nib[position, lane, 1] = products[::16]
-                byte_tables.append(table)
-            keepalive: list = [ffi.from_buffer(t) for t in byte_tables]
-            keepalive.append(ffi.from_buffer(nib))
-            keepalive.extend((byte_tables, nib))
-            table_ptrs = ffi.new("const uint32_t *[]", [
-                ffi.cast("const uint32_t *", raw)
-                for raw in keepalive[:len(byte_tables)]])
-            nib_ptr = ffi.cast("const uint8_t *",
-                               keepalive[len(byte_tables)])
-            cached = self._native_plans[group_index] = (
-                table_ptrs, nib_ptr, keepalive)
         return cached
 
     def _apply_scalar(self, buffers: list[np.ndarray], block_size: int) -> np.ndarray:
@@ -486,48 +433,6 @@ class BatchedLinearMap:
                     np.copyto(row, halves)
                     filled[r] = True
 
-    def _apply_groups_native(self, kernels, buffers: list[np.ndarray],
-                             out: np.ndarray, filled: list[bool],
-                             block_size: int) -> None:
-        """One fused C call per row group: gather + XOR + lane scatter.
-
-        The C loop reads each input byte once, accumulates every group
-        row's product in registers and XORs straight into the output
-        rows — the scratch-buffer traffic and repeated full-array
-        passes of the numpy path disappear (and on AVX2 hosts the bulk
-        runs 32 bytes per ``vpshufb``).  Rows the XOR stage has not
-        touched are zero-filled first so the C side can accumulate
-        unconditionally.
-        """
-        ffi, lib = kernels.ffi, kernels.lib
-        contiguous: dict[int, object] = {}
-        for group_index, (members, columns, _) in enumerate(self._groups):
-            if columns.size == 0:
-                continue
-            table_ptrs, nib_ptr, _keep = self._native_plan_for(
-                group_index, ffi)
-            input_raws = []
-            for j in columns:
-                raw = contiguous.get(int(j))
-                if raw is None:
-                    buffer = buffers[j]
-                    if not buffer.flags.c_contiguous:
-                        buffer = np.ascontiguousarray(buffer)
-                    raw = contiguous[int(j)] = ffi.from_buffer(buffer)
-                input_raws.append(raw)
-            input_ptrs = ffi.new("const uint8_t *[]", [
-                ffi.cast("const uint8_t *", raw) for raw in input_raws])
-            for r in members:
-                if not filled[r]:
-                    out[r] = 0
-                    filled[r] = True
-            out_raws = [ffi.from_buffer(out[r]) for r in members]
-            out_ptrs = ffi.new("uint8_t *[]", [
-                ffi.cast("uint8_t *", raw) for raw in out_raws])
-            lib.repro_gf_apply_group(table_ptrs, nib_ptr, input_ptrs,
-                                     len(input_raws), block_size,
-                                     out_ptrs, len(members))
-
     def apply(self, buffers, block_size: int | None = None) -> np.ndarray:
         """Return ``rows @ stack(buffers)`` as an ``(m, block_size)`` array."""
         buffers = [GF256.asarray(b) for b in buffers]
@@ -542,9 +447,11 @@ class BatchedLinearMap:
             raise ValueError("buffers must share a common length")
         backend = self._backend if self._backend is not None else active_backend()
         kernels = _native.load() if backend == "native" else None
-        native_ok = kernels is not None and block_size >= NATIVE_MIN_BYTES
-        if not native_ok and (
-                backend == "scalar" or not _LITTLE_ENDIAN or block_size % 2
+        if kernels is not None and block_size >= NATIVE_MIN_BYTES:
+            return _apply_native(kernels, self._native_ops, self.m,
+                                 [buffers[j] for j in self._live_columns],
+                                 block_size)
+        if (backend == "scalar" or not _LITTLE_ENDIAN or block_size % 2
                 or block_size < PACKED_MIN_BYTES):
             return self._apply_scalar(buffers, block_size)
 
@@ -558,12 +465,7 @@ class BatchedLinearMap:
                 else:
                     np.copyto(row, buffers[j])
                     filled[r] = True
-        if self._groups:
-            if native_ok:
-                self._apply_groups_native(kernels, buffers, out, filled,
-                                          block_size)
-            else:
-                self._apply_groups_numpy(buffers, out, filled, block_size)
+        self._apply_groups_numpy(buffers, out, filled, block_size)
         for r, done in enumerate(filled):
             if not done:
                 out[r] = 0

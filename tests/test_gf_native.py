@@ -510,10 +510,136 @@ class TestScratchCache:
             assert np.array_equal(result, expected)
 
 
+#: Each kernel tier's own entry point in the library, next to the
+#: dispatcher (``repro_gf_apply``) that picks the best one the CPU runs.
+TIER_ENTRY_POINTS = {"portable": "repro_gf_apply_portable",
+                     "avx2": "repro_gf_apply_avx2",
+                     "gfni-avx512": "repro_gf_apply_gfni"}
+
+
+def tier_param(tier):
+    """``tier``, skipped with the reason where this host cannot run it."""
+    host = native.simd_tier() if NATIVE else None
+    runs = host is not None and (
+        native.TIERS.index(host) >= native.TIERS.index(tier))
+    reason = (f"the {tier} tier needs a CPU (and compiler) this host lacks: "
+              f"it runs {host}" if host else
+              f"native GF kernels unavailable: {native.error()}")
+    return pytest.param(tier, marks=pytest.mark.skipif(not runs,
+                                                        reason=reason))
+
+
+TIER_PARAMS = [tier_param(tier) for tier in native.TIERS]
+
+#: Lengths around every step and tail of every tier: 8-byte words, 32-
+#: and 64-byte vectors, 256-byte GFNI steps, odd sizes.
+TIER_LENGTHS = [0, 1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 127, 128, 129, 191,
+                192, 255, 256, 257, 383, 511, 512, 513, 1000, 4096 + 67]
+
+
+def run_tier(tier, rows, buffers, offset=0):
+    """``rows @ stack(buffers)`` through one tier's entry point, every
+    input ``offset`` bytes past a fresh allocation."""
+    kernels_ = native.load()
+    ffi = kernels_.ffi
+    rows = np.ascontiguousarray(rows, dtype=np.uint8)
+    length = len(buffers[0]) if buffers else 0
+    shifted = []
+    for buffer in buffers:
+        backing = np.empty(length + offset, dtype=np.uint8)
+        backing[offset:] = buffer
+        shifted.append(backing[offset:])
+    inputs = [ffi.from_buffer("uint8_t[]", buffer) for buffer in shifted]
+    out = np.empty((len(rows), length), dtype=np.uint8)
+    getattr(kernels_.lib, TIER_ENTRY_POINTS[tier])(
+        rows.tobytes(), ffi.new("const uint8_t *[]", inputs), len(inputs),
+        length, ffi.from_buffer("uint8_t[]", out), len(rows))
+    return out
+
+
+def mixed_rows(rng, m, k):
+    """A matrix of 0s, 1s and general coefficients, about a third each."""
+    kinds = rng.integers(0, 3, (m, k))
+    general = rng.integers(2, 256, (m, k))
+    return np.where(kinds == 2, general, kinds).astype(np.uint8)
+
+
+def reference(rows, buffers, length):
+    """The scalar and numpy backends, which must agree first."""
+    scalar = BatchedLinearMap(rows, backend="scalar").apply(
+        buffers, block_size=length)
+    numpy_ = BatchedLinearMap(rows, backend="numpy").apply(
+        buffers, block_size=length)
+    assert np.array_equal(numpy_, scalar)
+    return scalar
+
+
+class TestEveryTier:
+    """Each kernel tier, called directly, against numpy and scalar."""
+
+    @pytest.mark.parametrize("tier", TIER_PARAMS)
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 9),
+           k=st.integers(1, 12), length=st.sampled_from(TIER_LENGTHS),
+           offset=st.integers(0, 63))
+    def test_mixed_matrices(self, tier, seed, m, k, length, offset):
+        rng = np.random.default_rng(seed)
+        rows = mixed_rows(rng, m, k)
+        buffers = [rng.integers(0, 256, length, dtype=np.uint8)
+                   for _ in range(k)]
+        assert np.array_equal(run_tier(tier, rows, buffers, offset),
+                              reference(rows, buffers, length))
+
+    @pytest.mark.parametrize("tier", TIER_PARAMS)
+    @pytest.mark.parametrize("code_name", available_codes())
+    def test_registry_parity_rows_and_decode_kernels(self, tier, code_name):
+        code = make_code(code_name)
+        _, parity = code._parity_rows
+        failed = set(range(code.fault_tolerance))
+        indices = tuple(code.layout.surviving_symbols(failed))
+        _, _, kernel = code._compile_decode(indices)
+        matrices = [rows for rows in (parity, kernel and kernel.rows)
+                    if rows is not None and len(rows)]
+        rng = np.random.default_rng(len(code_name))
+        length = 4096 + 67
+        for rows in matrices:
+            buffers = [rng.integers(0, 256, length, dtype=np.uint8)
+                       for _ in range(rows.shape[1])]
+            assert np.array_equal(run_tier(tier, rows, buffers, offset=5),
+                                  reference(rows, buffers, length))
+
+    @pytest.mark.parametrize("tier", TIER_PARAMS)
+    def test_more_rows_than_one_pass_holds(self, tier):
+        rng = np.random.default_rng(11)
+        rows = mixed_rows(rng, 13, 6)
+        rows[5] = 0                          # a row that reads nothing
+        rows[:, 2] = 0                       # a column no row reads
+        buffers = [rng.integers(0, 256, 300, dtype=np.uint8)
+                   for _ in range(6)]
+        out = run_tier(tier, rows, buffers)
+        assert np.array_equal(out, reference(rows, buffers, 300))
+        assert not out[5].any()
+
+    @pytest.mark.parametrize("tier", TIER_PARAMS)
+    def test_no_columns_is_all_zeros(self, tier):
+        kernels_ = native.load()
+        ffi = kernels_.ffi
+        out = np.full((2, 77), 0xAB, dtype=np.uint8)
+        getattr(kernels_.lib, TIER_ENTRY_POINTS[tier])(
+            b"", ffi.new("const uint8_t *[]", 0), 0, 77,
+            ffi.from_buffer("uint8_t[]", out), 2)
+        assert not out.any()
+
+
 @needs_native
 class TestNativeDiagnostics:
     def test_simd_flag_is_bool(self):
         assert isinstance(native.simd_active(), bool)
+
+    def test_tier_is_named_and_agrees_with_the_flag(self):
+        tier = native.simd_tier()
+        assert tier in native.TIERS
+        assert native.simd_active() == (tier != "portable")
 
     def test_abi_version_checked(self):
         assert native.load().lib.repro_gf_native_abi() == native.ABI_VERSION

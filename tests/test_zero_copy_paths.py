@@ -9,9 +9,11 @@ here as the arbiter):
   same bytes as pushing the whole inverse through one kernel, on the
   native, numpy and scalar backends, for every registry code and every
   failure set up to its tolerance (a seeded sample for the large ones);
-* the per-code failure-pattern memo is bounded, evicts, and never lets
-  one caller's mutation reach the next (planners stay pure functions);
-  a read plan answered from it equals the one the planner would make;
+* the per-code memos — decode kernels in one, read and repair plans in
+  another sized to the code — are bounded, evict, and never let one
+  caller's mutation reach the next (planners stay pure functions); a
+  plan answered from them equals the one the planner would make, and a
+  whole-file read plans each symbol once;
 * a plain-copy transfer is a read-only view on the in-memory and
   MiniHDFS transports: identical recovered bytes, and nothing a plan
   returns lets the caller write into the stripe or a DataNode's store.
@@ -19,6 +21,7 @@ here as the arbiter):
 Plus the indices that do not exist, which the memo must never cache.
 """
 
+import pickle
 from itertools import combinations
 
 import numpy as np
@@ -194,10 +197,8 @@ class TestPatternMemo:
         for failed in failure_sets(code, 12):
             if not failed:
                 continue
-            repair = Code.plan_node_repair(code, failed)
-            repair.restored.clear()
-            assert Code.plan_node_repair(code, failed) == Code.plan_node_repair(
-                make_code(code_name), failed)
+            assert Code._plan_repair_uncached(code, failed) == \
+                Code._plan_repair_uncached(make_code(code_name), failed)
             for symbol in code.layout.lost_symbols(failed):
                 read = Code._plan_read_uncached(code, symbol, failed)
                 assert read == Code._plan_read_uncached(code, symbol, failed)
@@ -217,7 +218,25 @@ class TestPatternMemo:
                     for _ in range(2):      # a miss, then (usually) a hit
                         assert code.plan_degraded_read(
                             symbol, set(failed), reader) == want
-            assert len(code._pattern_memo) <= PATTERN_MEMO_ENTRIES
+            assert len(code._plan_memo) <= code._plan_memo.bound
+
+    @pytest.mark.parametrize("code_name", available_codes())
+    def test_memoised_repair_plans_are_the_planners_own(self, code_name):
+        code, fresh = make_code(code_name), make_code(code_name)
+        for failed in failure_sets(code, 24):
+            want = fresh._plan_repair_uncached(failed)
+            plan = code.plan_node_repair(reversed(failed))
+            assert plan == want
+            assert code.plan_node_repair(list(failed) * 2) is plan
+        assert len(code._plan_memo) <= code._plan_memo.bound
+
+    def test_an_unrepairable_pattern_is_refused_on_every_call(self):
+        code = make_code("heptagon-local")
+        failed = (0, 1, 2, code.global_slot)
+        for _ in range(3):
+            with pytest.raises(UnrecoverableStripeError):
+                code.plan_node_repair(failed)
+        assert ("repair", failed) not in code._plan_memo
 
     def test_an_unreadable_symbol_is_refused_on_every_call(self):
         code = make_code("pentagon")
@@ -226,27 +245,57 @@ class TestPatternMemo:
         for _ in range(3):
             with pytest.raises(UnrecoverableStripeError):
                 code.plan_degraded_read(lost, failed)
-        assert not any(key[0] == "read" for key in code._pattern_memo)
+        assert not any(key[0] == "read" for key in code._plan_memo)
 
     def test_more_read_plans_than_the_bound(self):
         code = make_code("heptagon-local")
         data, encoded = stripe(code, 64)
-        assert code.symbol_count > PATTERN_MEMO_ENTRIES
         available = {i: encoded[i]
                      for i in code.layout.surviving_symbols({0, 1})}
         before = [out.copy() for out in code.decode_data(available)]
-        for _ in range(2):                  # a scan evicts all it planned
-            for symbol in range(code.symbol_count):
-                plan = code.plan_degraded_read(symbol, {0, 1})
-                assert plan == code._plan_read_uncached(symbol, {0, 1})
-                assert execute_read_plan(
-                    code, encoded, plan, {0, 1}).tobytes() \
-                    == encoded[symbol].tobytes()
-            assert len(code._pattern_memo) <= PATTERN_MEMO_ENTRIES
+        patterns = list(combinations(range(code.length), 2))[:6]
+        planned = code.symbol_count * len(patterns)
+        assert planned > code._plan_memo.bound
+        for _ in range(2):                  # a scan evicts what it planned
+            for failed in patterns:
+                for symbol in range(code.symbol_count):
+                    plan = code.plan_degraded_read(symbol, failed)
+                    assert plan == code._plan_read_uncached(symbol, failed)
+                    assert execute_read_plan(
+                        code, encoded, plan, failed).tobytes() \
+                        == encoded[symbol].tobytes()
+                assert len(code._plan_memo) <= code._plan_memo.bound
+        assert len(code._pattern_memo) == 1      # the kernel stays
         for out, want, block in zip(code.decode_data(available), before,
                                     data):
             assert np.array_equal(out, want)
             assert np.array_equal(out, block)
+
+    def test_a_whole_file_read_plans_each_symbol_once(self, monkeypatch):
+        """Every symbol of a > 32-symbol code fits the plan memo, and
+        planning it leaves the decode kernels alone."""
+        code, fs, data, placed = single_failure_cluster("heptagon-local")
+        assert code.symbol_count > PATTERN_MEMO_ENTRIES
+        code = placed.code
+        fs.fail_node(placed.slot_nodes[0], permanent=True)
+        failed = {0}
+        _, encoded = stripe(code, 32)
+        code.decode_data({i: encoded[i]
+                          for i in code.layout.surviving_symbols(failed)})
+        kernels_before = list(code._pattern_memo)
+        planned = []
+        plan_read = code._plan_read_uncached
+
+        def counted(symbol, *args):
+            planned.append(symbol)
+            return plan_read(symbol, *args)
+
+        monkeypatch.setattr(code, "_plan_read_uncached", counted)
+        for _ in range(2):
+            assert fs.read_file("f") == data
+        assert sorted(planned) == sorted(symbol.index for symbol
+                                         in code.layout.data_symbols())
+        assert list(code._pattern_memo) == kernels_before
 
     def test_callers_cannot_reach_the_cached_solutions(self):
         code = make_code("rs(14,10)")
@@ -262,6 +311,22 @@ class TestPatternMemo:
             weights[0, 0] = 7
         with pytest.raises(ValueError, match="read-only"):
             weights[:] = 0
+
+    @pytest.mark.parametrize("code_name", available_codes())
+    def test_callers_cannot_reach_the_cached_repair_plans(self, code_name):
+        code = make_code(code_name)
+        for failed in failure_sets(code, 12):
+            if not failed:
+                continue
+            plan = code.plan_node_repair(failed)
+            expected = dict(plan.restored)
+            with pytest.raises(TypeError):
+                plan.restored[failed[0]] = ()
+            with pytest.raises(AttributeError):
+                plan.restored.clear()
+            again = code.plan_node_repair(failed)
+            assert again is plan and dict(again.restored) == expected
+            assert pickle.loads(pickle.dumps(plan)) == plan
 
 
 def single_failure_cluster(code_name, block=32):
