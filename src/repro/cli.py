@@ -77,11 +77,11 @@ matches the op tables declared in ``service/protocol.py``.
 Imports
 -------
 
-Each handler imports what it runs (HOST:PORT parsing included: the
-transport imports numpy), and :func:`build_parser` imports no
-experiment module.  So ``repro datanode``, one per daemon
-:class:`~repro.service.ServiceCluster` spawns, never loads scipy or
-the sweep engine, and ``repro lint`` loads no numpy.
+Each handler imports what it runs, and :func:`build_parser` imports
+no experiment module.  So ``repro datanode``, one per daemon
+:class:`~repro.service.ServiceCluster` spawns, loads neither numpy,
+scipy, the coding stack nor the sweep engine, and ``repro lint``
+loads no numpy.
 """
 
 from __future__ import annotations

@@ -1,43 +1,36 @@
 """DataNode: per-node physical block storage.
 
 Stores actual block bytes in memory keyed by
-:class:`~repro.cluster.namenode.BlockId`, so every repair plan and
+:class:`~repro.cluster.blocks.BlockId`, so every repair plan and
 degraded read in the examples and integration tests moves real data
 that can be checked bit-for-bit.
+
+A block is held as one immutable ``bytes`` object.  ``put`` keeps a
+``bytes`` payload as it is — the datanode daemon stores the very object
+its frame decoder made, with no copy — and copies any other buffer
+once; ``get`` hands back the stored object, which nobody can write
+through.  :class:`~repro.cluster.filesystem.MiniHDFS` wraps what it
+reads in a zero-copy ``np.frombuffer`` view.  The module imports
+nothing beyond :mod:`repro.cluster.blocks` and the checksum, so a
+daemon serving blocks loads no numpy and no coding stack.
 
 Every ``put`` records a CRC-32 of the stored bytes; verified reads
 (:meth:`DataNode.get` with ``verify=True`` — the default on every
 cluster read path) recompute it and raise a typed
 :class:`CorruptBlockError` on mismatch instead of silently serving
 rot.  The CRC is :func:`repro.gf.crc32` (native kernel or zlib, the
-same number), handed the contiguous arrays the store allocated itself:
-a verify is one call into C.  The storage-service checker loop and the
-degraded-read fallback both key off that exception.
-:meth:`DataNode.corrupt` is the matching fault hook: it flips stored
-bytes *without* touching the recorded checksum, exactly what a latent
-sector error looks like from above.
+same number), handed the stored ``bytes``: a verify is one call into
+C.  The storage-service checker loop and the degraded-read fallback
+both key off that exception.  :meth:`DataNode.corrupt` is the matching
+fault hook: it swaps in a copy with one byte flipped *without*
+touching the recorded checksum, exactly what a latent sector error
+looks like from above.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..gf import GF256, crc32
-from .namenode import BlockId
-
-
-class BlockNotFoundError(KeyError):
-    """Raised when a node is asked for a block it does not hold."""
-
-
-class CorruptBlockError(RuntimeError):
-    """A block's bytes no longer match its write-time checksum."""
-
-    def __init__(self, node_id: int, block: BlockId):
-        super().__init__(f"node {node_id}: block {block} failed its "
-                         "checksum (stored bytes are corrupt)")
-        self.node_id = node_id
-        self.block = block
+from ..gf.native import crc32
+from .blocks import BlockId, BlockNotFoundError, CorruptBlockError
 
 
 def block_checksum(data) -> int:
@@ -50,18 +43,23 @@ class DataNode:
 
     def __init__(self, node_id: int):
         self.node_id = node_id
-        self._blocks: dict[BlockId, np.ndarray] = {}
+        self._blocks: dict[BlockId, bytes] = {}
         self._checksums: dict[BlockId, int] = {}
 
     def put(self, block: BlockId, data) -> int:
-        """Store a block; returns the recorded CRC-32."""
-        stored = GF256.asarray(data).copy()
+        """Store a block; returns the recorded CRC-32.
+
+        A ``bytes`` payload is kept as it is; any other buffer (a
+        ``bytearray``, ``memoryview``, ndarray row) is copied once.
+        """
+        stored = data if isinstance(data, bytes) else memoryview(data).tobytes()
         self._blocks[block] = stored
         crc = crc32(stored)
         self._checksums[block] = crc
         return crc
 
-    def get(self, block: BlockId, verify: bool = True) -> np.ndarray:
+    def get(self, block: BlockId, verify: bool = True) -> bytes:
+        """The stored bytes themselves (immutable, so never a copy)."""
         try:
             data = self._blocks[block]
         except KeyError:
@@ -95,7 +93,8 @@ class DataNode:
         The next verified read of the block raises
         :class:`CorruptBlockError`, and a checksum scrub sees the
         mismatch — exactly the silent-corruption scenario the checker
-        loop exists for.
+        loop exists for.  The flipped copy replaces the stored object,
+        so bytes already handed out stay as they were.
         """
         if block not in self._blocks:
             raise BlockNotFoundError(
@@ -104,9 +103,9 @@ class DataNode:
         data = self._blocks[block]
         if not len(data):
             return
-        writable = data.copy()
-        writable[offset % len(writable)] ^= 0xFF
-        self._blocks[block] = writable
+        flipped = bytearray(data)
+        flipped[offset % len(flipped)] ^= 0xFF
+        self._blocks[block] = bytes(flipped)
 
     def has(self, block: BlockId) -> bool:
         return block in self._blocks

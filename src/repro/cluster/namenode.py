@@ -22,18 +22,7 @@ from dataclasses import dataclass, field, replace
 
 from ..core import Code, RepairPlan, UnrecoverableStripeError
 from ..core.polygon_local import PolygonLocalCode
-
-
-@dataclass(frozen=True)
-class BlockId:
-    """Globally unique identifier of one coded symbol of one stripe."""
-
-    file_name: str
-    stripe_index: int
-    symbol_index: int
-
-    def __str__(self) -> str:
-        return f"{self.file_name}#{self.stripe_index}:{self.symbol_index}"
+from .blocks import BlockId
 
 
 @dataclass

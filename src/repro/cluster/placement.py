@@ -21,11 +21,8 @@ import numpy as np
 
 from ..core import Code
 from ..core.polygon_local import PolygonLocalCode
+from .blocks import PlacementError
 from .topology import ClusterTopology
-
-
-class PlacementError(RuntimeError):
-    """Raised when a stripe cannot be placed on the available nodes."""
 
 
 def rack_slot_groups(slot_nodes, topology: ClusterTopology) -> dict[int, tuple[int, ...]]:

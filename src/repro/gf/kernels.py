@@ -46,8 +46,9 @@ Three execution **backends** implement the same map:
 Selection: ``REPRO_GF_BACKEND`` (``auto``/``native``/``numpy``/
 ``scalar``) or :func:`set_backend`; :func:`active_backend` reports the
 resolved choice.  All three are **bit-identical**: every table —
-64K-entry, per-byte, nibble, GFNI bit matrix — is derived from the same
-:data:`repro.gf.tables.MUL_TABLE` products, so each output byte is the
+64K-entry, per-byte, nibble, GFNI bit matrix — holds the
+:data:`repro.gf.tables.MUL_TABLE` products (the C library builds its
+own from the field polynomial, pinned equal), so each output byte is the
 same XOR of the same product bytes on every path (asserted
 exhaustively by ``tests/test_perf_paths.py`` and fuzzed by
 ``tests/test_gf_native.py``).  Blocks too small for their backend's
@@ -56,20 +57,27 @@ to the scalar reference transparently, whatever the backend.
 
 The block checksum rides the same seam: :func:`crc32` is the library's
 carry-less-multiply kernel on ``native``, else zlib's — the same 32 bits.
+It and the backend choice live in :mod:`repro.gf.native`, which imports
+no numpy (a datanode runs on them alone), and are re-exported here.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import threading
-import warnings
-import zlib
 
 import numpy as np
 
 from . import native as _native
 from .field import GF256
+from .native import (
+    BACKEND_ENV,
+    BACKEND_NAMES,
+    active_backend,
+    crc32,
+    requested_backend,
+    set_backend,
+)
 from .tables import MUL_TABLE
 
 #: Blocks smaller than this take the scalar path on the numpy backend:
@@ -87,76 +95,6 @@ NATIVE_MIN_BYTES = 1 << 11
 _GROUP_ROWS = 4
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
-
-#: Environment variable selecting the execution backend.
-BACKEND_ENV = "REPRO_GF_BACKEND"
-
-#: Valid backend names (``auto`` resolves to the best available).
-BACKEND_NAMES = ("auto", "native", "numpy", "scalar")
-
-#: Process-wide override installed by :func:`set_backend` (takes
-#: precedence over the environment).
-_FORCED_BACKEND: str | None = None
-
-_FALLBACK_WARNED = False
-
-
-def _check_backend_name(name: str) -> str:
-    if name not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown GF backend {name!r}; expected one of "
-            f"{', '.join(BACKEND_NAMES)}")
-    return name
-
-
-def set_backend(name: str | None) -> None:
-    """Force the kernel backend for this process.
-
-    ``None`` (or ``"auto"``) restores the default resolution order:
-    ``$REPRO_GF_BACKEND``, else ``native`` when the extension builds,
-    else ``numpy``.  Used by tests and ``perf_snapshot.py --backend``;
-    takes effect on the next :meth:`BatchedLinearMap.apply` (dispatch
-    is per call, never baked into a kernel) and :func:`crc32` (re-bound).
-    """
-    global _FORCED_BACKEND
-    if name is None or name == "auto":
-        _FORCED_BACKEND = None
-    else:
-        _FORCED_BACKEND = _check_backend_name(name)
-    _native.crc32_binding = None     # the checksum follows the backend
-
-
-def requested_backend() -> str:
-    """The configured backend before availability resolution."""
-    if _FORCED_BACKEND is not None:
-        return _FORCED_BACKEND
-    env = os.environ.get(BACKEND_ENV, "").strip().lower()
-    if env:
-        return _check_backend_name(env)
-    return "auto"
-
-
-def active_backend() -> str:
-    """The backend new kernel applications will actually run on.
-
-    ``native``/``auto`` requests degrade to ``numpy`` when the
-    extension cannot be built (one warning when native was explicitly
-    requested; silent for ``auto``).  The first call may trigger the
-    lazy native build.
-    """
-    global _FALLBACK_WARNED
-    requested = requested_backend()
-    if requested in ("numpy", "scalar"):
-        return requested
-    if _native.load() is not None:
-        return "native"
-    if requested == "native" and not _FALLBACK_WARNED:
-        _FALLBACK_WARNED = True
-        warnings.warn(
-            f"{BACKEND_ENV}=native requested but the native GF kernels "
-            f"are unavailable ({_native.error()}); falling back to the "
-            f"numpy backend", RuntimeWarning, stacklevel=2)
-    return "numpy"
 
 
 def packed_threshold() -> int:
@@ -180,37 +118,6 @@ def native_available() -> bool:
 def native_error() -> str | None:
     """Why the native extension is unavailable (``None`` when loaded)."""
     return _native.error()
-
-
-def _bind_crc32():
-    """The native kernel closed over ``ffi.from_buffer``, or zlib's."""
-    kernels = _native.load() if active_backend() == "native" else None
-    if kernels is None:
-        bound = zlib.crc32
-    else:
-        from_buffer, native_crc32 = kernels.ffi.from_buffer, kernels.lib.repro_crc32
-
-        def bound(data, value=0):
-            raw = from_buffer(data)
-            return native_crc32(raw, len(raw), value)
-
-    _native.crc32_binding = bound
-    return bound
-
-
-def crc32(data, value: int = 0) -> int:
-    """``zlib.crc32(data, value)`` for any buffer, bit for bit on every
-    backend: CRCs travel in ``put`` replies, ``commit-write`` and the
-    scrub, and a daemon with no compiler must agree with one that has.
-    Bound on first use, dropped only by :func:`set_backend` /
-    :func:`repro.gf.native.reset`: per block, an environment read, a
-    lock or a ``load()`` cost more than the hashing they select.  What
-    C cannot read in place (a strided array, a list) is gathered."""
-    bound = _native.crc32_binding or _bind_crc32()
-    try:
-        return bound(data, value)
-    except (TypeError, ValueError, BufferError):
-        return bound(np.ascontiguousarray(GF256.asarray(data)), value)
 
 
 class _ScratchCache(threading.local):
@@ -324,13 +231,10 @@ def _apply_native(kernels, ops: bytes, nrows: int, buffers,
                   length: int) -> np.ndarray:
     """``ops @ stack(buffers)`` in one native call; ``ops`` is the
     ``(nrows, len(buffers))`` op table, row-major."""
-    from_buffer = kernels.ffi.from_buffer
     out = np.empty((nrows, length), dtype=np.uint8)
-    kernels.lib.repro_gf_apply(      # cffi passes the list as a C array
-        ops, [from_buffer("uint8_t[]", buffer if buffer.flags.c_contiguous
-                          else np.ascontiguousarray(buffer))
-              for buffer in buffers],
-        len(buffers), length, from_buffer("uint8_t[]", out), nrows)
+    kernels.apply(ops, [buffer if buffer.flags.c_contiguous
+                        else np.ascontiguousarray(buffer)
+                        for buffer in buffers], length, out, nrows)
     return out
 
 
@@ -352,7 +256,7 @@ class BatchedLinearMap:
         if matrix.ndim != 2:
             raise ValueError("expected a 2-D coefficient matrix")
         if backend is not None and backend != "auto":
-            _check_backend_name(backend)
+            _native._check_backend_name(backend)
         self._backend = None if backend == "auto" else backend
         self.rows = matrix
         self.m, self.k = matrix.shape

@@ -1,4 +1,4 @@
-"""Lazy build/load of the native kernel library: GF(2^8) and CRC-32.
+"""The native kernel library (GF(2^8) and CRC-32) and the backend seam.
 
 One GF entry point, ``repro_gf_apply``, computes ``ops @ stack(inputs)``
 for an ``(nrows, ncols)`` op table: 0 skips a column, 1 XORs it in,
@@ -35,10 +35,13 @@ at 1 MiB blocks on a 2-vCPU Intel Xeon (GFNI, AVX-512) with gcc 12:
 
 An XOR-only row (20 x 1 MiB) runs at ~21 GB/s on either SIMD tier,
 against ~15 GB/s for numpy's pass-per-buffer loop.  ``repro_gf_init``
-copies :data:`repro.gf.tables.MUL_TABLE` once at load, and derives
-the nibble and bit-matrix tables from it, so every tier XORs the
-bytes the other backends do.  Tiers the compiler cannot target are left
-out by a preprocessor guard; the library still builds.
+builds the product table once at load, by shift-and-add modulo the
+field polynomial 0x11D (the products :data:`repro.gf.tables.MUL_TABLE`
+holds, which ``tests/test_gf_native.py`` pins through every tier), and
+derives the nibble and bit-matrix tables from it, so every tier XORs
+the bytes the other backends do and loading the library needs no
+numpy.  Tiers the compiler cannot target are left out by a
+preprocessor guard; the library still builds.
 
 The same library carries the block checksum, ``repro_crc32``: zlib's
 CRC-32 (the two chain into each other) by carry-less multiply — four
@@ -47,7 +50,17 @@ in 16-byte steps and a Barrett reduction (Intel, "Fast CRC Computation
 for Generic Polynomials Using PCLMULQDQ Instruction"); under 64 bytes,
 the ``len % 16`` tail and hosts without ``pclmul`` take a byte table.
 ~4 µs per 64 KiB on the reference container against zlib's 15.4;
-:func:`repro.gf.kernels.crc32` is the one caller.
+:func:`crc32` below is the one caller.
+
+This module is also the backend seam, and it imports no numpy: the
+backend choice (``REPRO_GF_BACKEND``, :func:`set_backend`,
+:func:`active_backend`), the block checksum :func:`crc32` and the
+datanode's partial parity :func:`combine` live here, so a datanode
+daemon runs on the library without loading numpy or the coding stack.
+:mod:`repro.gf.kernels` re-exports the first three.  Each of the two
+per-block functions is bound on first use — the library's entry point
+closed over ``ffi.from_buffer``, or the numpy-side fallback — and the
+binding is dropped by :func:`set_backend` and :func:`reset`.
 
 The extension is built lazily on first use: the C source below is
 compiled with the host's C compiler (``$CC``, else ``cc``/``gcc``/
@@ -79,11 +92,13 @@ import pathlib
 import subprocess
 import tempfile
 import threading
+import warnings
+import zlib
 
 #: Bumped whenever the C ABI below changes incompatibly; checked
 #: against the loaded library so a stale cached build can never be
 #: called with mismatched signatures.
-ABI_VERSION = 4
+ABI_VERSION = 5
 
 #: What ``repro_gf_simd_tier()`` answers, by value.
 TIERS = ("portable", "avx2", "gfni-avx512")
@@ -94,7 +109,7 @@ TIERS = ("portable", "avx2", "gfni-avx512")
 # (nrows, n) C-contiguous output array it overwrites.
 _CDEF = """
 int repro_gf_native_abi(void);
-void repro_gf_init(const uint8_t *mul_table);
+void repro_gf_init(void);
 int repro_gf_simd_tier(void);
 void repro_gf_apply(const uint8_t *ops, const uint8_t **inputs,
                     size_t ncols, size_t n, uint8_t *out, size_t nrows);
@@ -135,16 +150,30 @@ _SOURCE = f"""
 int repro_gf_native_abi(void) {{ return {ABI_VERSION}; }}
 
 /* Per coefficient c: MUL_TABLE[c], the products of the 16 low then the
- * 16 high nibbles, and the 8x8 bit matrix of x -> c * x.  Copied and
- * derived once from the caller's MUL_TABLE by repro_gf_init, before any
- * kernel runs, so every tier XORs the bytes the other backends do. */
+ * 16 high nibbles, and the 8x8 bit matrix of x -> c * x.  Built once by
+ * repro_gf_init, before any kernel runs, so every tier XORs the bytes
+ * the other backends do. */
 static uint8_t gf_mul[256][256];
 static uint8_t gf_nib[256][32];
 static uint64_t gf_bits[256];
 
-void repro_gf_init(const uint8_t *mul_table)
+/* The field polynomial x^8 + x^4 + x^3 + x^2 + 1 (repro.gf.tables). */
+#define GF_POLY 0x11D
+
+void repro_gf_init(void)
 {{
-    memcpy(gf_mul, mul_table, sizeof gf_mul);
+    for (unsigned c = 0; c < 256; ++c)
+        for (unsigned x = 0; x < 256; ++x) {{
+            unsigned a = c, product = 0;
+            for (unsigned b = x; b; b >>= 1) {{      /* shift and add */
+                if (b & 1)
+                    product ^= a;
+                a <<= 1;
+                if (a & 0x100)
+                    a ^= GF_POLY;
+            }}
+            gf_mul[c][x] = (uint8_t)product;
+        }}
     for (int c = 0; c < 256; ++c) {{
         uint64_t bits = 0;
         for (int x = 0; x < 16; ++x) {{
@@ -558,11 +587,30 @@ uint32_t repro_crc32(const uint8_t *buf, size_t len, uint32_t crc)
 
 
 class NativeKernels:
-    """Handle on the loaded library: ``.ffi`` and ``.lib``."""
+    """Handle on the loaded library: ``.ffi``, ``.lib`` and ``.apply``.
+
+    ``apply(ops, inputs, length, out, nrows=1)`` writes
+    ``ops @ stack(inputs)`` — the ``(nrows, len(inputs))`` op table,
+    row-major — into ``out`` as ``nrows`` rows of ``length`` bytes, in
+    one call of ``repro_gf_apply``.  ``inputs`` are C-contiguous buffers
+    of at least ``length`` bytes, ``out`` a writable one of ``nrows *
+    length``; nothing is checked.  It is the one Python call path into
+    the GF kernels: :class:`repro.gf.kernels.BatchedLinearMap`,
+    :func:`repro.gf.kernels.linear_combine` and :func:`combine` all
+    run on it.
+    """
 
     def __init__(self, ffi, lib) -> None:
         self.ffi = ffi
         self.lib = lib
+        from_buffer, gf_apply = ffi.from_buffer, lib.repro_gf_apply
+
+        def apply(ops, inputs, length, out, nrows=1):
+            gf_apply(ops, [from_buffer("uint8_t[]", data) for data in inputs],
+                     len(inputs), length, from_buffer("uint8_t[]", out),
+                     nrows)
+
+        self.apply = apply
 
 
 _LOCK = threading.Lock()
@@ -570,9 +618,22 @@ _LOADED: NativeKernels | None = None
 _ERROR: str | None = None
 _ATTEMPTED = False
 
-#: What :func:`repro.gf.kernels.crc32` bound against this load outcome
-#: (``lib.repro_crc32`` in a closure, or zlib's); :func:`reset` drops it.
+#: What :func:`crc32` and :func:`combine` bound against this load
+#: outcome and backend; :func:`set_backend` and :func:`reset` drop them.
 crc32_binding = None
+combine_binding = None
+
+#: Environment variable selecting the execution backend.
+BACKEND_ENV = "REPRO_GF_BACKEND"
+
+#: Valid backend names (``auto`` resolves to the best available).
+BACKEND_NAMES = ("auto", "native", "numpy", "scalar")
+
+#: Process-wide override installed by :func:`set_backend` (takes
+#: precedence over the environment).
+_FORCED_BACKEND: str | None = None
+
+_FALLBACK_WARNED = False
 
 
 def sanitize_profile() -> tuple[str, ...]:
@@ -688,8 +749,7 @@ def _load_uncached() -> tuple[NativeKernels | None, str | None]:
         if lib.repro_gf_native_abi() != ABI_VERSION:
             errors.append(f"{so_path}: ABI mismatch")
             continue
-        from .tables import MUL_TABLE
-        lib.repro_gf_init(ffi.from_buffer(MUL_TABLE))
+        lib.repro_gf_init()
         return NativeKernels(ffi, lib), None
     return None, "; ".join(errors) or "no usable cache directory"
 
@@ -732,9 +792,153 @@ def simd_active() -> bool:
 
 def reset() -> None:
     """Forget the cached load outcome (tests simulate missing compilers)."""
-    global _LOADED, _ERROR, _ATTEMPTED, crc32_binding
+    global _LOADED, _ERROR, _ATTEMPTED, crc32_binding, combine_binding
     with _LOCK:
         _LOADED = None
         _ERROR = None
         _ATTEMPTED = False
-        crc32_binding = None
+        crc32_binding = combine_binding = None
+
+
+# ----------------------------------------------------------------------
+# Backend choice
+# ----------------------------------------------------------------------
+def _check_backend_name(name: str) -> str:
+    if name not in BACKEND_NAMES:
+        raise ValueError(
+            f"unknown GF backend {name!r}; expected one of "
+            f"{', '.join(BACKEND_NAMES)}")
+    return name
+
+
+def set_backend(name: str | None) -> None:
+    """Force the kernel backend for this process.
+
+    ``None`` (or ``"auto"``) restores the default resolution order:
+    ``$REPRO_GF_BACKEND``, else ``native`` when the extension builds,
+    else ``numpy``.  Used by tests and ``perf_snapshot.py --backend``;
+    takes effect on the next kernel application (dispatch is per call,
+    never baked into a kernel), :func:`crc32` and :func:`combine`
+    (re-bound).
+    """
+    global _FORCED_BACKEND, crc32_binding, combine_binding
+    if name is None or name == "auto":
+        _FORCED_BACKEND = None
+    else:
+        _FORCED_BACKEND = _check_backend_name(name)
+    crc32_binding = combine_binding = None   # they follow the backend
+
+
+def requested_backend() -> str:
+    """The configured backend before availability resolution."""
+    if _FORCED_BACKEND is not None:
+        return _FORCED_BACKEND
+    env = os.environ.get(BACKEND_ENV, "").strip().lower()
+    if env:
+        return _check_backend_name(env)
+    return "auto"
+
+
+def active_backend() -> str:
+    """The backend new kernel applications will actually run on.
+
+    ``native``/``auto`` requests degrade to ``numpy`` when the
+    extension cannot be built (one warning when native was explicitly
+    requested; silent for ``auto``).  The first call may trigger the
+    lazy native build.
+    """
+    global _FALLBACK_WARNED
+    requested = requested_backend()
+    if requested in ("numpy", "scalar"):
+        return requested
+    if load() is not None:
+        return "native"
+    if requested == "native" and not _FALLBACK_WARNED:
+        _FALLBACK_WARNED = True
+        warnings.warn(
+            f"{BACKEND_ENV}=native requested but the native GF kernels "
+            f"are unavailable ({error()}); falling back to the "
+            f"numpy backend", RuntimeWarning, stacklevel=2)
+    return "numpy"
+
+
+# ----------------------------------------------------------------------
+# The two per-block functions a datanode runs
+# ----------------------------------------------------------------------
+def _bind_crc32():
+    """The native kernel closed over ``ffi.from_buffer``, or zlib's."""
+    global crc32_binding
+    kernels = load() if active_backend() == "native" else None
+    if kernels is None:
+        bound = zlib.crc32
+    else:
+        from_buffer, native_crc32 = kernels.ffi.from_buffer, kernels.lib.repro_crc32
+
+        def bound(data, value=0):
+            raw = from_buffer(data)
+            return native_crc32(raw, len(raw), value)
+
+    crc32_binding = bound
+    return bound
+
+
+def crc32(data, value: int = 0) -> int:
+    """``zlib.crc32(data, value)`` for any buffer, bit for bit on every
+    backend: CRCs travel in ``put`` replies, ``commit-write`` and the
+    scrub, and a daemon with no compiler must agree with one that has.
+    Bound on first use, dropped only by :func:`set_backend` /
+    :func:`reset`: per block, an environment read, a lock or a
+    ``load()`` cost more than the hashing they select.  What C cannot
+    read in place (a strided array, a list) is gathered by numpy."""
+    bound = crc32_binding or _bind_crc32()
+    try:
+        return bound(data, value)
+    except (TypeError, ValueError, BufferError):
+        import numpy as np
+
+        from .field import GF256
+        return bound(np.ascontiguousarray(GF256.asarray(data)), value)
+
+
+def _bind_combine():
+    """One native pass into a ``bytearray`` on the native backend, else
+    :func:`repro.gf.kernels.linear_combine` (numpy, imported here)."""
+    global combine_binding
+    kernels = load() if active_backend() == "native" else None
+    if kernels is None:
+        from .kernels import linear_combine
+
+        def bound(coefficients, blocks):
+            return linear_combine(coefficients, blocks).tobytes()
+    else:
+        apply = kernels.apply
+
+        def bound(coefficients, blocks):
+            length = len(blocks[0]) if blocks else 0
+            if len(coefficients) != len(blocks):
+                raise ValueError("coefficient/buffer count mismatch")
+            if any(len(block) != length for block in blocks):
+                raise ValueError("buffers must share a common length")
+            out = bytearray(length)
+            apply(coefficients, blocks, length, out)
+            return bytes(out)
+
+    combine_binding = bound
+    return bound
+
+
+def combine(coefficients: bytes, blocks) -> bytes:
+    """``sum_i c_i * block_i`` over GF(2^8) as new ``bytes``: a
+    datanode's partial parity.
+
+    ``coefficients`` is the one-row op table (one field element per
+    block, as ``bytes``); ``blocks`` are equal-length ``bytes`` (any
+    C-contiguous byte buffer).  On the native backend every vector,
+    all-ones included, is one call of the op-table entry point, inputs
+    read in place.  Elsewhere it is :func:`repro.gf.kernels.linear_combine`,
+    imported on the first call: the only way numpy enters a datanode's
+    data path.
+    Bound like :func:`crc32`.
+    """
+    bound = combine_binding or _bind_combine()
+    return bound(coefficients, blocks)

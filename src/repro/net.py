@@ -44,8 +44,6 @@ import threading
 import time
 from collections import deque
 
-import numpy as np
-
 #: Frame length prefix: 4-byte big-endian payload size.
 _HEADER = struct.Struct(">I")
 
@@ -270,10 +268,19 @@ class RetryPolicy:
         self.base_delay = base_delay
         self.max_delay = max_delay
         self.jitter = jitter
-        self._rng = np.random.default_rng(seed)
+        self._seed = seed
+        self._rng = None
 
     def delay(self, attempt: int) -> float:
-        """Backoff before retry ``attempt`` (1-based, capped, jittered)."""
+        """Backoff before retry ``attempt`` (1-based, capped, jittered).
+
+        The jitter generator is made at the first retry, so a process
+        whose calls never retry (a datanode's heartbeat loop) never
+        imports numpy."""
+        if self._rng is None:
+            import numpy as np
+
+            self._rng = np.random.default_rng(self._seed)
         return backoff_delay(attempt, self.base_delay, self.max_delay,
                              jitter=self.jitter, rng=self._rng)
 
@@ -304,8 +311,8 @@ class AsyncRpcClient:
         self._turn = asyncio.Lock()
 
     async def _connect(self) -> AsyncConnection:
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(*self.address), self.retry.timeout)
+        async with asyncio.timeout(self.retry.timeout):
+            reader, writer = await asyncio.open_connection(*self.address)
         return AsyncConnection(reader, writer)
 
     async def _round_trip(self, kind: str, data) -> tuple:
@@ -325,8 +332,11 @@ class AsyncRpcClient:
         async with self._turn:
             for attempt in range(1, retry.attempts + 1):
                 try:
-                    reply = await asyncio.wait_for(
-                        self._round_trip(kind, data), retry.timeout)
+                    # In this task, not a wait_for Task: no Task per call,
+                    # and no 3.11 cancel race leaving an exception nobody
+                    # retrieves when the caller is cancelled mid-dial.
+                    async with asyncio.timeout(retry.timeout):
+                        reply = await self._round_trip(kind, data)
                 except (ConnectionError, OSError, EOFError,
                         asyncio.TimeoutError) as exc:
                     last = exc

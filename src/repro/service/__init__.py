@@ -8,39 +8,40 @@ datanodes, deterministic fault injection, and a background checker
 that detects and repairs damage through the same
 :meth:`~repro.core.code.Code.plan_node_repair` plans the bandwidth
 tables are built on.
+
+Importing the package loads none of its modules: each name below is
+imported from its module on first access (PEP 562), so a datanode
+daemon never loads the client, the namenode or the load generator.
 """
 
-from .client import RetryPolicy, StorageClient
-from .cluster import ServiceCluster
-from .datanode import DataNodeServer, run_datanode
-from .faults import Fault, FaultPlan, parse_fault, parse_fault_plan
-from .load import run_load
-from .namenode import NameNodeServer
-from .protocol import (
-    SERVICE_VERSION,
-    ReadFailedError,
-    ServiceError,
-    ServiceUnavailableError,
-    WriteFailedError,
-    WriteRefusedError,
-)
+from importlib import import_module
 
-__all__ = [
-    "SERVICE_VERSION",
-    "DataNodeServer",
-    "Fault",
-    "FaultPlan",
-    "NameNodeServer",
-    "ReadFailedError",
-    "RetryPolicy",
-    "ServiceCluster",
-    "ServiceError",
-    "ServiceUnavailableError",
-    "StorageClient",
-    "WriteFailedError",
-    "WriteRefusedError",
-    "parse_fault",
-    "parse_fault_plan",
-    "run_datanode",
-    "run_load",
-]
+#: Public name -> the module of this package that defines it.
+_EXPORTS = {
+    "RetryPolicy": "client",
+    "StorageClient": "client",
+    "ServiceCluster": "cluster",
+    "DataNodeServer": "datanode",
+    "run_datanode": "datanode",
+    "Fault": "faults",
+    "FaultPlan": "faults",
+    "parse_fault": "faults",
+    "parse_fault_plan": "faults",
+    "run_load": "load",
+    "NameNodeServer": "namenode",
+    **dict.fromkeys(
+        ("SERVICE_VERSION", "ReadFailedError", "ServiceError",
+         "ServiceUnavailableError", "WriteFailedError", "WriteRefusedError"),
+        "protocol"),
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -8,10 +8,13 @@ their request keys and their reply keys are declared in
 reached through :func:`~.protocol.dispatch`.  The data path serves
 
 * ``put`` / ``get`` — store / verified-read one block (every ``get``
-  recomputes the CRC and answers a typed ``corrupt`` error on rot);
+  recomputes the CRC and answers a typed ``corrupt`` error on rot).
+  A block is kept as the ``bytes`` object the frame decoder made and
+  a ``get`` replies with that same object: no copy on either side;
 * ``combine`` — GF(2^8)-combine several locally held blocks into one
   payload (the repair plans' partial parities, computed at the source
-  so a combine costs one block of network, not several);
+  so a combine costs one block of network, not several) — one call of
+  the native op-table kernel, :func:`repro.gf.native.combine`;
 * ``checksums`` — current CRCs for a block list, or the full inventory
   when the list is ``None`` (the checker's scrub + orphan GC);
 * ``delete`` — drop orphaned blocks after an aborted write or a GC
@@ -21,6 +24,12 @@ Every data-path request first passes the :class:`~.faults.FaultArm`
 hook, so an armed plan can kill, hang, slow or corrupt this daemon at
 a precise request count or time — and a hung daemon also stops
 heartbeating, exactly like the real failure it models.
+
+A daemon is a byte store behind a socket and imports no more: the
+transport, the protocol tables, the fault hooks, the block store and
+the native GF library.  It loads neither numpy nor the coding stack
+(``tests/test_import_footprint.py`` pins the list); only a ``combine``
+on a host without the native library imports numpy, on first use.
 """
 
 from __future__ import annotations
@@ -29,10 +38,8 @@ import asyncio
 import socket
 import threading
 
-import numpy as np
-
 from ..cluster.datanode import DataNode
-from ..gf import linear_combine
+from ..gf.native import combine
 from ..net import (
     AsyncRpcClient,
     AsyncRpcServer,
@@ -128,8 +135,9 @@ class DataNodeServer:
     def _op_put(self, data, peer) -> dict:
         del peer
         block = block_from_tuple(data["block"])
+        payload = data["data"]
         try:
-            payload = np.frombuffer(data["data"], dtype=np.uint8)
+            memoryview(payload)
         except TypeError as error:
             raise ProtocolError(f"put data: {error}") from None
         with self._store_lock:
@@ -142,11 +150,11 @@ class DataNodeServer:
         with self._store_lock:
             payload = self.store.get(block, verify=True)
             crc = self.store.checksum(block)
-        return {"data": payload.tobytes(), "crc": crc}
+        return {"data": payload, "crc": crc}
 
     def _op_combine(self, data, peer) -> dict:
         del peer
-        return {"data": self._combine(data["parts"]).tobytes()}
+        return {"data": self._combine(data["parts"])}
 
     def _op_checksums(self, data, peer) -> dict:
         del peer
@@ -188,10 +196,10 @@ class DataNodeServer:
         self._shutdown.set()
         return {"node_id": self.node_id}
 
-    def _combine(self, parts) -> np.ndarray:
+    def _combine(self, parts) -> bytes:
         """GF-combine locally held blocks: the partial-parity hot path."""
         coefficients: list[int] = []
-        buffers: list[np.ndarray] = []
+        buffers: list[bytes] = []
         with self._store_lock:
             try:
                 for entry, coefficient in parts:
@@ -206,13 +214,16 @@ class DataNodeServer:
                     "combine parts are (block, coefficient) pairs") from None
         if not buffers:
             raise ProtocolError("combine of zero blocks")
+        try:
+            ops = bytes(coefficients)
+        except ValueError:
+            bad = next(c for c in coefficients if not 0 <= c < 256)
+            raise ValueError(f"{bad!r} is not an element of GF(256)") from None
         # Every source was CRC-verified by its ``get``.  The arithmetic
-        # runs outside the lock on the arrays themselves, not copies:
-        # the store never mutates one in place (put/corrupt swap in
-        # fresh arrays).  An all-ones vector — every polygon partial
-        # parity — is a plain XOR; anything else takes the backend's
-        # kernel, whose first-use build must not stall this node.
-        return linear_combine(coefficients, buffers)
+        # runs outside the lock on the stored ``bytes`` themselves,
+        # which nothing can mutate (put/corrupt swap in new objects):
+        # one native pass for any vector, all-ones included.
+        return combine(ops, buffers)
 
     def _checksums(self, entries) -> dict:
         """Current CRCs (recomputed — what a disk scrub would see).

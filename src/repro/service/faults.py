@@ -15,9 +15,11 @@ after arming.  Plans parse from compact CLI strings::
 Determinism: ``random`` targets and the corrupted block are drawn from
 ``numpy`` generators seeded by ``(seed, fault index)``, so the same
 plan + seed + cluster always injects the same faults at the same
-triggers.  Trigger *evaluation* happens datanode-side
-(:class:`FaultArm`): request counts are exact, time triggers fire from
-a ticker thread so a kill lands even on an idle daemon.
+triggers.  numpy is imported at the first draw, so a datanode that
+never resolves a target or corrupts a block does not load it.  Trigger
+*evaluation* happens datanode-side (:class:`FaultArm`): request counts
+are exact, time triggers fire from a ticker thread so a kill lands even
+on an idle daemon.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ import signal
 import threading
 import time
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 ACTIONS = ("kill", "hang", "slow", "corrupt")
 
@@ -96,6 +96,8 @@ class FaultPlan:
         bound: dict[int, list[Fault]] = {}
         for index, fault in enumerate(self.faults):
             if fault.target is None:
+                import numpy as np
+
                 rng = np.random.default_rng((self.seed, index))
                 target = int(node_ids[rng.integers(len(node_ids))])
                 fault = replace(fault, target=target)
@@ -336,6 +338,8 @@ class FaultArm:
                                        b.symbol_index))
         if not blocks:
             return
+        import numpy as np
+
         rng = np.random.default_rng((self._seed, index))
         block = blocks[int(rng.integers(len(blocks)))]
         self._store.corrupt(block, offset=int(rng.integers(1 << 16)))

@@ -478,9 +478,9 @@ class NameNodeServer:
     async def _checker_loop(self) -> None:
         while not self._closed.is_set():
             try:
-                await asyncio.wait_for(self._kick.wait(),
-                                       timeout=self.check_period)
-            except asyncio.TimeoutError:
+                async with asyncio.timeout(self.check_period):
+                    await self._kick.wait()
+            except TimeoutError:
                 pass
             self._kick.clear()
             if self._closed.is_set():

@@ -24,9 +24,12 @@ surfaces :class:`ServiceUnavailableError` once its budget is spent.
 
 from __future__ import annotations
 
-from ..cluster.datanode import BlockNotFoundError, CorruptBlockError
-from ..cluster.namenode import BlockId
-from ..cluster.placement import PlacementError
+from ..cluster.blocks import (
+    BlockId,
+    BlockNotFoundError,
+    CorruptBlockError,
+    PlacementError,
+)
 from ..net import ProtocolError
 
 #: Bumped on any incompatible message change; both ends carry it in the

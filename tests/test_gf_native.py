@@ -112,7 +112,7 @@ class TestFallback:
         monkeypatch.setattr(native, "_load_uncached",
                             lambda: (None, "no compiler (simulated)"))
         native.reset()
-        monkeypatch.setattr(kernels, "_FALLBACK_WARNED", False)
+        monkeypatch.setattr(native, "_FALLBACK_WARNED", False)
         try:
             kernels.set_backend("native")
             with pytest.warns(RuntimeWarning, match="no compiler"):
@@ -619,6 +619,18 @@ class TestEveryTier:
         out = run_tier(tier, rows, buffers)
         assert np.array_equal(out, reference(rows, buffers, 300))
         assert not out[5].any()
+
+    @pytest.mark.parametrize("tier", TIER_PARAMS)
+    @pytest.mark.parametrize("repeat", [1, 9])      # word loop; packed
+    def test_the_library_builds_mul_table(self, tier, repeat):
+        """The library seeds its products from the field polynomial, not
+        from numpy's table: row ``c`` of a one-column map is ``c * x``
+        for every byte ``x``, exactly ``MUL_TABLE[c]``."""
+        from repro.gf import MUL_TABLE
+        column = np.tile(np.arange(256, dtype=np.uint8), repeat)
+        out = run_tier(tier, np.arange(256, dtype=np.uint8)[:, None],
+                       [column])
+        assert np.array_equal(out, np.tile(MUL_TABLE, repeat))
 
     @pytest.mark.parametrize("tier", TIER_PARAMS)
     def test_no_columns_is_all_zeros(self, tier):

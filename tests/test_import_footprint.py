@@ -4,7 +4,9 @@ Every case runs a fresh interpreter and asserts on ``sys.modules``
 after the import or call under test, never on a timing.  A datanode
 daemon, the argument parser every ``python -m repro`` process builds,
 and ``repro lint`` must not pay for scipy or the experiment stack;
-the paper-suite pass must.
+the paper-suite pass must.  A datanode is a byte store behind a
+socket: it loads neither numpy nor the coding stack, not even after
+serving ``put``, ``get`` and ``combine`` on the native backend.
 """
 
 import json
@@ -23,9 +25,49 @@ EXPERIMENT_STACK = ("scipy", "repro.experiments", "repro.reliability",
                     "repro.workloads", "repro.analysis")
 
 
-def loaded_modules(code: str) -> set[str]:
+#: What a datanode may not load: the coding stack, numpy, and the
+#: parts of the cluster and the service a block store does not run.
+DATANODE_NEVER = ("numpy", "repro.core", "repro.cluster.filesystem",
+                  "repro.cluster.namenode", "repro.cluster.placement",
+                  "repro.service.client", "repro.service.namenode",
+                  "repro.service.load")
+
+#: The ``repro`` modules a datanode process (the CLI included) loads at
+#: most: repro, cli, net, the service package with datanode, faults and
+#: protocol, the cluster package with blocks and datanode, and the gf
+#: package with native.  There were 39 before the lazy packages.
+DATANODE_REPRO_MODULES = 12
+
+#: A datanode serving the data path in process: a stub namenode that
+#: accepts registration and heartbeats, then put, get and combine
+#: (a general vector and an all-ones one) over a real socket.
+SERVE_ON_NATIVE = r"""
+import socket
+import repro.cli
+from repro.gf import native
+from repro.net import AsyncRpcServer
+from repro.service.datanode import DataNodeServer, call
+
+assert native.active_backend() == "native", native.error()
+stub = AsyncRpcServer(lambda kind, data, peer: {
+    "node_id": 0, "block_bytes": 4096, "version": 1}, name="stub")
+with DataNodeServer(0, stub.address, heartbeat_interval=0.05) as daemon, \
+        socket.create_connection(daemon.address) as sock:
+    for symbol in range(3):
+        call(sock, "put", {"block": ("f", 0, symbol),
+                           "data": bytes([symbol + 1]) * 4096})
+    assert call(sock, "get", {"block": ("f", 0, 1)})["data"] == b"\x02" * 4096
+    parts = [(("f", 0, symbol), 1) for symbol in range(3)]
+    assert call(sock, "combine", {"parts": parts})["data"] == b"\x00" * 4096
+    parts = [(("f", 0, 0), 2), (("f", 0, 2), 1)]
+    assert call(sock, "combine", {"parts": parts})["data"] == b"\x01" * 4096
+stub.close()
+"""
+
+
+def loaded_modules(code: str, **env_overrides: str) -> set[str]:
     """``sys.modules`` of a fresh interpreter after running ``code``."""
-    env = dict(os.environ)
+    env = dict(os.environ, **env_overrides)
     parts = [str(SRC_DIR)]
     if env.get("PYTHONPATH"):
         parts.append(env["PYTHONPATH"])
@@ -55,6 +97,24 @@ def test_bare_package_loads_no_subpackage():
 ], ids=["datanode", "build_parser"])
 def test_daemon_and_parser_skip_the_experiment_stack(code):
     assert under(loaded_modules(code), *EXPERIMENT_STACK) == []
+
+
+def test_datanode_loads_no_numpy_and_no_coding_stack():
+    modules = loaded_modules("import repro.service.datanode")
+    assert under(modules, *DATANODE_NEVER) == []
+
+
+def test_a_serving_datanode_still_loads_no_numpy():
+    """``put``, ``get`` and both kinds of ``combine`` on the native
+    backend; only a host without the library imports numpy (lazily, in
+    :func:`repro.gf.native.combine`)."""
+    from repro.gf import native
+    if native.load() is None:
+        pytest.skip(f"native GF kernels unavailable: {native.error()}")
+    modules = loaded_modules(SERVE_ON_NATIVE, REPRO_GF_BACKEND="native")
+    assert under(modules, *DATANODE_NEVER) == []
+    assert len(under(modules, "repro")) <= DATANODE_REPRO_MODULES, (
+        under(modules, "repro"))
 
 
 def test_lint_rules_loads_no_numpy():

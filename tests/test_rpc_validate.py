@@ -232,6 +232,8 @@ def stored_blocks(daemons):
     ("put", {"block": BLOCK, "data": "a str"}),
     ("put", {"block": BLOCK, "data": None}),
     ("put", {"block": BLOCK, "data": 7}),
+    ("put", {"block": BLOCK, "data": 3.5}),
+    ("put", {"block": BLOCK, "data": [1, 2]}),
 ])
 def test_datanode_refuses_what_it_used_to_coerce(stored_blocks, kind, data):
     bad_request(stored_blocks, kind, data)

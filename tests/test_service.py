@@ -4,13 +4,16 @@ subprocesses over loopback sockets.  Covers the acceptance scenario
 checker repairs and re-homes every lost block) plus the two-phase
 write guarantees and the checker's corruption scrub."""
 
+import gc
 import socket
 import time
 
 import pytest
 
 from repro.service import (
+    SERVICE_VERSION,
     FaultPlan,
+    NameNodeServer,
     RetryPolicy,
     ServiceCluster,
     StorageClient,
@@ -321,3 +324,37 @@ class TestRackAwarePlacement:
                 assert not set(cluster.namenode._alive_ids()) & {4, 5}
                 assert client.read_file("rr") == data
                 assert client.read_file("rrep") == rep
+
+
+class TestNamenodeCloseMidDial:
+    """Closing a namenode while its checker dials datanodes that never
+    answer leaves nothing behind for the loop's exception handler: the
+    RPC timeouts run in the checker's own task, so a cancel cannot
+    strand a finished inner task whose exception nobody retrieves."""
+
+    @pytest.mark.parametrize("dead", ["refused", "silent"])
+    def test_no_unretrieved_task_exception(self, dead):
+        seen: list[dict] = []
+        silent = socket.create_server(("127.0.0.1", 0))  # never accepts
+        refused = socket.create_server(("127.0.0.1", 0))
+        refused_address = refused.getsockname()[:2]
+        refused.close()                                  # nothing listens
+        address = (silent.getsockname()[:2] if dead == "silent"
+                   else refused_address)
+        try:
+            for _ in range(4):
+                namenode = NameNodeServer(check_period=0.01, rpc_timeout=0.2,
+                                          silence_timeout=60.0)
+                namenode.server.loop.set_exception_handler(
+                    lambda loop, context: seen.append(context))
+                with socket.create_connection(namenode.address) as sock:
+                    for node_id in range(3):
+                        call(sock, "dn-register",
+                             {"node_id": node_id, "address": address,
+                              "version": SERVICE_VERSION})
+                time.sleep(0.15)            # the checker is mid-dial
+                namenode.close()
+                gc.collect()                # unretrieved tasks report here
+        finally:
+            silent.close()
+        assert seen == []

@@ -124,7 +124,7 @@ def test_minihdfs_and_the_daemon_order_end_in_the_same_state(code_name):
         for mine, theirs in zip(nodes, fs.datanodes):
             assert set(mine.block_ids()) == set(theirs.block_ids())
             for block in mine.block_ids():
-                assert np.array_equal(mine.get(block), theirs.get(block))
+                assert mine.get(block) == theirs.get(block)
 
 
 class TestChooseTargets:

@@ -340,8 +340,8 @@ def single_failure_cluster(code_name, block=32):
 
 
 def stored_arrays(fs):
-    return [array for node in fs.datanodes
-            for array in node._blocks.values()]
+    return [np.frombuffer(block, dtype=np.uint8) for node in fs.datanodes
+            for block in node._blocks.values()]
 
 
 def assert_no_way_in(payloads, owned):
@@ -420,8 +420,9 @@ class TestPlainCopiesAreViews:
             assert moved == fs.ledger.total_bytes("repair") == (
                 plan.network_blocks * fs.block_bytes)
             assert fs.verify_file("f", data)
-            for stored in stored_arrays(fs):
-                assert stored.flags.writeable and stored.base is None
+            # every block put back is its own immutable object
+            assert all(type(block) is bytes for node in fs.datanodes
+                       for block in node._blocks.values())
             if replacement is not None:
                 fs.restore_node(victim)
                 spare = victim
