@@ -52,6 +52,16 @@ the ``len % 16`` tail and hosts without ``pclmul`` take a byte table.
 ~4 µs per 64 KiB on the reference container against zlib's 15.4;
 :func:`crc32` below is the one caller.
 
+It also carries the group simulator's event loop, ``repro_sim_group``:
+:func:`repro.reliability.simulate.simulate_group_mttd_total` runs its
+reference Python loop there for codes of up to 24 slots.  The loop
+stops, resumably, whenever it needs the next block of random variates
+or the verdict of a failed-slot mask it has not seen; the Python side
+supplies both, so the C loop consumes the Python loop's stream and
+returns the same float.  The build turns off FMA contraction
+(``-ffp-contract=off``) so no sum rounds differently, and the loop
+sits outside every ``target(...)`` attribute.
+
 This module is also the backend seam, and it imports no numpy: the
 backend choice (``REPRO_GF_BACKEND``, :func:`set_backend`,
 :func:`active_backend`), the block checksum :func:`crc32` and the
@@ -81,7 +91,8 @@ the same file via an atomic rename.
 ``-fsanitize=address,undefined -fno-omit-frame-pointer`` instead (see
 :func:`sanitize_profile`); the sanitize set is part of the cache key,
 so instrumented and plain builds coexist.  CI runs the
-``tests/test_gf_native.py`` fuzz suite under that profile.
+``tests/test_gf_native.py`` fuzz suite and the group simulator's
+``tests/test_group_simulation.py`` under that profile.
 """
 
 from __future__ import annotations
@@ -98,10 +109,33 @@ import zlib
 #: Bumped whenever the C ABI below changes incompatibly; checked
 #: against the loaded library so a stale cached build can never be
 #: called with mismatched signatures.
-ABI_VERSION = 5
+ABI_VERSION = 6
 
 #: What ``repro_gf_simd_tier()`` answers, by value.
 TIERS = ("portable", "avx2", "gfni-avx512")
+
+# The group simulator's resumable state, shared by the cdef and the C
+# source.  ``repro_sim_group`` answers one of the statuses: every trial
+# is done, it needs the next variate block (``cursor == block``), it
+# needs the verdict of ``mask``, or the event budget ran out.
+_SIM_DECLS = """
+enum {
+    REPRO_SIM_DONE, REPRO_SIM_NEED_BLOCK, REPRO_SIM_NEED_VERDICT,
+    REPRO_SIM_BUDGET
+};
+typedef struct {
+    int64_t trial;          /* trials finished */
+    int64_t events;         /* events walked, all trials */
+    int64_t cursor;         /* next unread variate of the blocks */
+    double clock;           /* this trial's time so far */
+    double total;           /* summed absorption time of finished trials */
+    uint32_t mask;          /* failed slots */
+    int32_t down;           /* failed slot count */
+    int32_t pending;        /* 1: the verdict of mask is still to read */
+    int32_t live[32];       /* the live slots, in swap-remove order */
+    int32_t downs[32];      /* the failed slots, likewise */
+} repro_sim_state;
+"""
 
 # Every apply entry point takes the same arguments: an (nrows, ncols)
 # op table (0 skips the column, 1 XORs it in, anything else multiplies
@@ -121,6 +155,12 @@ void repro_gf_apply_avx2(const uint8_t *ops, const uint8_t **inputs,
 void repro_gf_apply_gfni(const uint8_t *ops, const uint8_t **inputs,
                          size_t ncols, size_t n, uint8_t *out, size_t nrows);
 uint32_t repro_crc32(const uint8_t *buf, size_t len, uint32_t crc);
+""" + _SIM_DECLS + """
+int repro_sim_group(repro_sim_state *s, int32_t length, int64_t trials,
+                    double lam, double mu, int32_t parallel,
+                    int64_t max_events, const int8_t *verdicts,
+                    const double *holding, const double *chooser,
+                    const double *picker, int64_t block);
 """
 
 
@@ -146,7 +186,7 @@ _SOURCE = f"""
 #include <stddef.h>
 #include <stdlib.h>
 #include <string.h>
-
+{_SIM_DECLS}
 int repro_gf_native_abi(void) {{ return {ABI_VERSION}; }}
 
 /* Per coefficient c: MUL_TABLE[c], the products of the 16 low then the
@@ -583,6 +623,60 @@ uint32_t repro_crc32(const uint8_t *buf, size_t len, uint32_t crc)
         crc = (crc >> 8) ^ crc32_bytes[(crc ^ *buf++) & 0xff];
     return ~crc;
 }}
+
+/* The group simulator's event loop: the reference loop in
+ * repro.reliability.simulate, operation for operation (the build turns
+ * FMA contraction off), so the same variates give the same total.  It
+ * stops, resumably, for the caller's next variate block or the verdict
+ * of s->mask; the verdict table holds 0 (not known yet), 1 (the code
+ * recovers) or 2 (data lost) per failed-slot mask. */
+int repro_sim_group(repro_sim_state *s, int32_t length, int64_t trials,
+                    double lam, double mu, int32_t parallel,
+                    int64_t max_events, const int8_t *verdicts,
+                    const double *holding, const double *chooser,
+                    const double *picker, int64_t block)
+{{
+    for (;;) {{
+        if (s->pending) {{
+            int8_t verdict = verdicts[s->mask];
+            if (verdict == 0)
+                return REPRO_SIM_NEED_VERDICT;
+            s->pending = 0;
+            if (verdict == 2) {{                     /* data lost */
+                s->total += s->clock;
+                if (++s->trial == trials)
+                    return REPRO_SIM_DONE;
+                s->clock = 0.0;                     /* all slots live again */
+                s->mask = 0;
+                s->down = 0;
+                for (int32_t slot = 0; slot < length; ++slot)
+                    s->live[slot] = slot;
+            }}
+        }}
+        if (s->cursor == block)
+            return REPRO_SIM_NEED_BLOCK;
+        if (++s->events > max_events)
+            return REPRO_SIM_BUDGET;
+        double fail = (double)(length - s->down) * lam;
+        double out = fail + (parallel ? (double)s->down * mu
+                                      : s->down ? mu : 0.0);
+        s->clock += holding[s->cursor] / out;
+        double pick = picker[s->cursor];
+        if (chooser[s->cursor++] * out < fail) {{   /* a live slot fails */
+            int32_t live = length - s->down;
+            int32_t i = (int32_t)(pick * live), slot = s->live[i];
+            s->live[i] = s->live[live - 1];
+            s->downs[s->down++] = slot;
+            s->mask |= (uint32_t)1 << slot;
+            s->pending = 1;
+        }} else {{                                    /* a failed one returns */
+            int32_t i = (int32_t)(pick * s->down), slot = s->downs[i];
+            s->downs[i] = s->downs[--s->down];
+            s->live[length - s->down - 1] = slot;
+            s->mask &= ~((uint32_t)1 << slot);
+        }}
+    }}
+}}
 """
 
 
@@ -696,7 +790,10 @@ def _build_library(so_path: pathlib.Path) -> str | None:
         tmp = cache_dir / f".{so_path.name}.{os.getpid()}.tmp"
         # Source on stdin: a .c file shared in the cache gets truncated
         # by one racing builder while another's compiler is reading it.
+        # No FMA contraction: the group simulator's sums must round as
+        # the Python reference loop's do.
         command = [compiler, "-O2", "-std=gnu99", "-fPIC", "-shared",
+                   "-ffp-contract=off",
                    *sanitize_flags, "-x", "c", "-", "-o", str(tmp)]
         try:
             result = subprocess.run(command, input=_SOURCE,

@@ -16,16 +16,26 @@ Both are used at accelerated failure rates (MTTF within ~100x of MTTR)
 where absorption happens quickly; the analytic chains then extrapolate
 to realistic rates.
 
-Both simulators run **all trials as one batched event stream**: every
-round advances every still-active trial by one exponential event with
-vectorised sampling, and absorbed trials are compacted out.  Fatality
-checks resolve through the shared decodability engine — a lazily filled
-verdict table over failed-slot bitmasks, so steady-state rounds never
-leave numpy.  The estimators are unchanged (identical event-rate
-algebra, exponential holding times and uniform victim selection); only
-the order in which random variates are drawn differs from the retired
-one-event-at-a-time loops, so results agree statistically under any
-fixed seed rather than bit-for-bit.
+:func:`simulate_chain_mttd` runs all trials as one batched event
+stream: every round advances every still-active trial by one
+exponential event with vectorised sampling, and absorbed trials are
+compacted out.
+
+:func:`simulate_group_mttd` is one scalar event loop over every trial.
+A trial starts with all slots live and walks events until the code
+cannot recover.  Each event takes three variates, from blocks drawn in
+the order holding time, fail-or-repair chooser, victim picker.  The
+victim is a uniform choice by swap-remove from the trial's list of
+live (or failed) slots.  Verdicts are looked up by failed-slot bitmask
+and filled lazily from the code's own ``can_recover``.  Where the
+native library is loaded and the code has at most
+:data:`_VERDICT_TABLE_MAX_LENGTH` slots, the loop runs in C
+(``repro_sim_group`` in :mod:`repro.gf.native`) over a dense verdict
+table; the Python loop below is the reference, and the two return the
+same float from the same seed.  The estimator is the one the batched
+rounds before it used; only the order in which variates are drawn
+differs, so results agree with those rounds statistically, not bit for
+bit.
 
 :func:`simulate_group_mttd_total` is the sweep-engine shard entry
 point: it returns the *summed* absorption time so independently seeded
@@ -37,16 +47,16 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import Code
+from ..gf import native
 from .markov import MarkovChain
 from .models import ReliabilityParams
 
-#: Largest code length for which group simulation keeps a dense
-#: bitmask -> verdict table (2**length int8 entries).
+#: Largest code length the native loop runs: its verdict table is dense
+#: (2**length int8 entries, one per failed-slot mask).
 _VERDICT_TABLE_MAX_LENGTH = 24
 
-#: Below this many still-active trials the batched round overhead
-#: exceeds the work, so the last stragglers drain in a scalar loop.
-_TAIL_ACTIVE_TRIALS = 24
+#: Events per variate block.
+_BLOCK = 4096
 
 
 def _compile_chain(chain: MarkovChain):
@@ -80,6 +90,8 @@ def _compile_chain(chain: MarkovChain):
 def simulate_chain_mttd(chain: MarkovChain, start, rng: np.random.Generator,
                         trials: int = 1000, max_events: int = 10_000_000) -> float:
     """Mean absorption time of ``chain`` from ``start`` by simulation."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
     if start in chain.absorbing:
         return 0.0
     index, out_rate, cumulative, dest, absorbing = _compile_chain(chain)
@@ -108,20 +120,12 @@ def simulate_chain_mttd(chain: MarkovChain, start, rng: np.random.Generator,
     return total / trials
 
 
-def _nth_member_slot(mask: int, rank: int, length: int) -> int:
-    """The ``rank``-th (0-based) set bit of ``mask`` below ``length``."""
-    for slot in range(length):
-        if (mask >> slot) & 1:
-            if rank == 0:
-                return slot
-            rank -= 1
-    raise ValueError("rank exceeds population of mask")
-
-
 def simulate_group_mttd(code: Code, params: ReliabilityParams,
                         rng: np.random.Generator, trials: int = 500,
                         max_events: int = 10_000_000) -> float:
     """Mean time to data loss of one group by node-level simulation."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
     total = simulate_group_mttd_total(code, params, rng, trials, max_events)
     return total / trials
 
@@ -136,128 +140,107 @@ def simulate_group_mttd_total(code: Code, params: ReliabilityParams,
     ``stable_seed(experiment, cell, shard)``.  Shards merge *exactly*:
     the cell mean is ``sum(shard totals) / sum(shard trials)``, and
     because every shard re-derives its stream from its own key the
-    merged value is bit-identical for any worker count.
+    merged value is bit-identical for any worker count.  An empty shard
+    sums to 0.0.
     """
+    if trials < 0:
+        raise ValueError("trial count must be non-negative")
+    if trials == 0:
+        return 0.0
+    loop = (_native_loop if code.length <= _VERDICT_TABLE_MAX_LENGTH
+            and native.active_backend() == "native" else _python_loop)
+    return loop(code, params, rng, trials, max_events)
+
+
+def _draw(rng: np.random.Generator):
+    """The next block: holding times, choosers and pickers, in that order."""
+    return (rng.exponential(size=_BLOCK), rng.random(_BLOCK),
+            rng.random(_BLOCK))
+
+
+def _python_loop(code: Code, params: ReliabilityParams,
+                 rng: np.random.Generator, trials: int,
+                 max_events: int) -> float:
+    """The reference event loop; any code length."""
     lam, mu = params.failure_rate, params.repair_rate
-    length = code.length
     parallel = params.repair == "parallel"
-    dense = length <= _VERDICT_TABLE_MAX_LENGTH
-    #: Codes wider than an int64 bitmask track failures only through
-    #: the boolean matrix; everything else also keeps mask ints.
-    wide = length > 63
-    verdicts = np.full(1 << length, -1, dtype=np.int8) if dense else None
-
-    def fatal_verdicts(masks: np.ndarray) -> np.ndarray:
-        """Vectorised data-loss lookup for failed-slot bitmasks."""
-        if dense:
-            known = verdicts[masks]
-            missing = np.unique(masks[known < 0])
-            if missing.size:
-                verdicts[missing] = code.can_recover_masks(missing)
-                known = verdicts[masks]
-            return known == 0
-        return ~code.can_recover_masks(masks)
-
-    failed = np.zeros((trials, length), dtype=bool)
-    mask = np.zeros(trials, dtype=np.int64)
-    count = np.zeros(trials, dtype=np.int64)
-    elapsed = np.zeros(trials, dtype=np.float64)
-    all_rows = np.arange(trials)
+    length = code.length
+    verdicts: dict[int, bool] = {}
     total = 0.0
     events = 0
-    while mask.size > _TAIL_ACTIVE_TRIALS:
-        active = mask.size
-        events += active
-        if events > max_events:
-            raise RuntimeError("simulation exceeded the event budget")
-        fail_rate = (length - count) * lam
-        out_rate = fail_rate + (count * mu if parallel else (count > 0) * mu)
-        elapsed += rng.exponential(1.0 / out_rate)
-        is_fail = rng.random(active) * out_rate < fail_rate
-        # Pick a uniform victim: the r-th live slot for failures, the
-        # r-th failed slot for repairs, via one cumulative-count scan
-        # (``failed ^ True`` flips the pool to the live slots).
-        pool = failed ^ is_fail[:, None]
-        pool_size = np.where(is_fail, length - count, count)
-        rank = (rng.random(active) * pool_size).astype(np.int32)
-        cumulative = pool.cumsum(axis=1, dtype=np.int32)
-        slot = (cumulative <= rank[:, None]).sum(axis=1)
-        failed[all_rows[:active], slot] ^= True
-        if not wide:
-            mask ^= np.int64(1) << slot
-        count += np.where(is_fail, 1, -1)
-        # Fatality checks only for failure events: repairs shrink the
-        # failure set and can never lose data, so querying them would
-        # just burn rank tests and cache entries.
-        dead = np.zeros(active, dtype=bool)
-        fail_rows = np.nonzero(is_fail)[0]
-        if fail_rows.size:
-            if wide:
-                dead[fail_rows] = [
-                    not code.can_recover(np.nonzero(failed[row])[0])
-                    for row in fail_rows
-                ]
-            else:
-                dead[fail_rows] = fatal_verdicts(mask[fail_rows])
-        if dead.any():
-            total += float(elapsed[dead].sum())
-            keep = ~dead
-            failed = failed[keep]
-            mask = mask[keep]
-            count = count[keep]
-            elapsed = elapsed[keep]
-    # Scalar drain: with only a handful of stragglers the per-round
-    # numpy overhead dominates, so finish them one event at a time
-    # against the (by now warm) verdict table, consuming random
-    # variates from pre-drawn blocks.
-    block = 1024
-    holding = scales = ranks = None
-    cursor = block
-    for row in range(mask.size):
-        # Rebuilt from the boolean row: Python ints are wide enough
-        # for any code length.
-        trial_mask = sum(1 << int(s) for s in np.nonzero(failed[row])[0])
-        down = int(count[row])
-        clock = float(elapsed[row])
+    cursor = _BLOCK
+    for _ in range(trials):
+        live = list(range(length))
+        down: list[int] = []
+        mask = 0
+        clock = 0.0
         while True:
+            if cursor == _BLOCK:
+                holding, choosers, pickers = (
+                    block.tolist() for block in _draw(rng))
+                cursor = 0
             events += 1
             if events > max_events:
                 raise RuntimeError("simulation exceeded the event budget")
-            if cursor == block:
-                holding = rng.exponential(size=block).tolist()
-                scales = rng.random(block).tolist()
-                ranks = rng.random(block).tolist()
-                cursor = 0
-            fail_rate = (length - down) * lam
-            out_rate = fail_rate + (down * mu if parallel
-                                    else (mu if down else 0.0))
+            failed = len(down)
+            fail_rate = (length - failed) * lam
+            out_rate = fail_rate + (failed * mu if parallel
+                                    else (mu if failed else 0.0))
             clock += holding[cursor] / out_rate
-            chooser = scales[cursor]
-            picker = ranks[cursor]
+            chooser, picker = choosers[cursor], pickers[cursor]
             cursor += 1
             if chooser * out_rate < fail_rate:
-                rank = int(picker * (length - down))
-                live = ((1 << length) - 1) & ~trial_mask
-                trial_mask |= 1 << _nth_member_slot(live, rank, length)
-                down += 1
-                if dense:
-                    verdict = int(verdicts[trial_mask])
-                    if verdict < 0:
-                        verdict = int(code.can_recover(
-                            [s for s in range(length)
-                             if (trial_mask >> s) & 1]))
-                        verdicts[trial_mask] = verdict
-                    if verdict == 0:
-                        break
-                elif not code.can_recover(
-                        [s for s in range(length) if (trial_mask >> s) & 1]):
+                i = int(picker * len(live))
+                slot = live[i]
+                live[i] = live[-1]
+                live.pop()
+                down.append(slot)
+                mask |= 1 << slot
+                verdict = verdicts.get(mask)
+                if verdict is None:
+                    verdict = verdicts[mask] = code.can_recover(down)
+                if not verdict:
                     break
             else:
-                rank = int(picker * down)
-                trial_mask &= ~(1 << _nth_member_slot(trial_mask, rank, length))
-                down -= 1
+                i = int(picker * failed)
+                slot = down[i]
+                down[i] = down[-1]
+                down.pop()
+                live.append(slot)
+                mask ^= 1 << slot
         total += clock
     return total
+
+
+def _native_loop(code: Code, params: ReliabilityParams,
+                 rng: np.random.Generator, trials: int,
+                 max_events: int) -> float:
+    """:func:`_python_loop` in C: this side draws the blocks and fills
+    the verdicts the C loop stops for."""
+    kernels = native.load()
+    ffi, lib = kernels.ffi, kernels.lib
+    length = code.length
+    state = ffi.new("repro_sim_state *")
+    state.live[0:length] = list(range(length))
+    state.cursor = _BLOCK
+    verdicts = np.zeros(1 << length, dtype=np.int8)   # 0: not known yet
+    table = ffi.from_buffer("int8_t[]", verdicts)
+    blocks = (ffi.NULL,) * 3
+    arguments = (length, trials, params.failure_rate, params.repair_rate,
+                 params.repair == "parallel", max_events, table)
+    while True:
+        status = lib.repro_sim_group(state, *arguments, *blocks, _BLOCK)
+        if status == lib.REPRO_SIM_DONE:
+            return state.total
+        if status == lib.REPRO_SIM_NEED_BLOCK:
+            blocks = tuple(ffi.from_buffer("double[]", block)
+                           for block in _draw(rng))
+            state.cursor = 0
+        elif status == lib.REPRO_SIM_NEED_VERDICT:
+            survives = code.can_recover(list(state.downs[0:state.down]))
+            verdicts[state.mask] = 1 if survives else 2
+        else:
+            raise RuntimeError("simulation exceeded the event budget")
 
 
 def relative_error(measured: float, expected: float) -> float:

@@ -35,6 +35,7 @@ from repro.reliability import (
     relative_error,
     simulate_chain_mttd,
     simulate_group_mttd,
+    simulate_group_mttd_total,
 )
 
 ALL_CODES = [
@@ -266,3 +267,21 @@ class TestSimulatorsStillAgree:
                 make_code("heptagon-local"),
                 ReliabilityParams(node_mttf_hours=1e9, node_mttr_hours=1.0),
                 np.random.default_rng(6), trials=50, max_events=1000)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_mean_entry_points_reject_empty_trial_counts(self, trials):
+        model = group_model("pentagon", self.FAST)
+        with pytest.raises(ValueError):
+            simulate_group_mttd(make_code("pentagon"), self.FAST,
+                                np.random.default_rng(7), trials=trials)
+        with pytest.raises(ValueError):
+            simulate_chain_mttd(model.chain, model.start,
+                                np.random.default_rng(7), trials=trials)
+
+    def test_shard_entry_point_sums_an_empty_shard_to_zero(self):
+        code = make_code("pentagon")
+        assert simulate_group_mttd_total(
+            code, self.FAST, np.random.default_rng(8), trials=0) == 0.0
+        with pytest.raises(ValueError):
+            simulate_group_mttd_total(
+                code, self.FAST, np.random.default_rng(8), trials=-3)
