@@ -7,9 +7,7 @@ Usage::
 Produces ``results/BENCH_<YYYY-MM-DD>[_NAME].json`` with encode/decode
 throughput, Monte-Carlo simulation wall time, decodability-engine
 timings, serial-vs-sharded exact-reliability mask enumeration, end-to-end
-sweep wall-clock at 1 vs 4 workers, a distributed-sweep section
-(coordinator + loopback `repro worker` subprocesses), and a storage
-service section (`service_s`: sustained read IOPS plus normal and
+sweep wall-clock at 1 vs 4 workers, and a storage service section (`service_s`: sustained read IOPS plus normal and
 degraded read latency percentiles against a live namenode + datanode
 cluster, healthy and under a kill-one-datanode fault plan), so the perf
 trajectory is tracked PR over PR (commit
@@ -36,11 +34,9 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import pathlib
 import platform
 import statistics
-import subprocess
 import sys
 import time
 
@@ -74,7 +70,7 @@ def median_seconds(fn, repeats: int = 5) -> float:
 
 
 #: Section name -> does the full snapshot include it by default.
-SECTIONS = ("core", "mask_enum", "sweep", "distributed", "service")
+SECTIONS = ("core", "mask_enum", "sweep", "service")
 
 
 def snapshot(sections: tuple[str, ...] = SECTIONS) -> dict:
@@ -95,8 +91,6 @@ def snapshot(sections: tuple[str, ...] = SECTIONS) -> dict:
         record["mask_enum_s"] = mask_enum_benchmark()
     if "sweep" in sections:
         record["sweep_s"] = sweep_benchmark()
-    if "distributed" in sections:
-        record["distributed_s"] = distributed_benchmark()
     if "service" in sections:
         record["service_s"] = service_benchmark()
     return record
@@ -304,70 +298,6 @@ def sweep_benchmark(workers: int = 4, repeats: int = 3) -> dict:
             f"workers_{workers}": round(parallel, 3),
             "speedup": round(serial / parallel, 2),
         }
-    return out
-
-
-def distributed_benchmark(workers: int = 2, repeats: int = 3) -> dict:
-    """Distributed-sweep wall-clock: coordinator + loopback workers.
-
-    Times the same fig3 mu=4 panel as ``sweep_benchmark``, executed by
-    a ``DistributedExecutor`` with ``workers`` local ``repro worker``
-    subprocesses over loopback, next to its serial wall-clock, and
-    records that the outputs stayed bit-identical.  On a single host
-    this mostly measures protocol + pickling overhead on top of the
-    same saturated CPUs (compare against ``cpu_parallel_capacity``);
-    point the workers at other machines and the identical setup scales
-    with the added hardware.
-    """
-    from repro.experiments.distributed import DistributedExecutor
-
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    parts = [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    env["PYTHONPATH"] = os.pathsep.join(parts)
-    out: dict = {"workers": workers}
-    procs: list[subprocess.Popen] = []
-    try:
-        with DistributedExecutor() as executor:
-            host, port = executor.address
-            procs = [
-                subprocess.Popen(
-                    [sys.executable, "-m", "repro", "worker",
-                     f"{host}:{port}", "--retries", "30"],
-                    env=env)
-                for _ in range(workers)
-            ]
-            executor.wait_for_workers(workers, timeout=120)
-
-            def run(target):
-                return fig3.locality_panel(4, trials=30, workers=target)
-
-            serial_reference = run(1)        # also warms every cache
-            distributed_result = run(executor)
-            out["bit_identical"] = (serial_reference.points()
-                                    == distributed_result.points())
-            serial_times, distributed_times = [], []
-            for _ in range(repeats):
-                start = time.perf_counter()
-                run(1)
-                serial_times.append(time.perf_counter() - start)
-                start = time.perf_counter()
-                run(executor)
-                distributed_times.append(time.perf_counter() - start)
-            serial = statistics.median(serial_times)
-            distributed = statistics.median(distributed_times)
-            out["fig3_mu4"] = {
-                "workers_1": round(serial, 3),
-                f"distributed_{workers}": round(distributed, 3),
-                "speedup": round(serial / distributed, 2),
-            }
-    finally:
-        for proc in procs:
-            try:
-                proc.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
     return out
 
 

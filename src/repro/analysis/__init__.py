@@ -2,8 +2,8 @@
 
 ``repro lint`` runs AST checkers that encode the invariants the rest
 of the system depends on — determinism by construction, picklability
-across the executor seam, service lock discipline, the declared wire
-surface, and RPC errors never swallowed silently.  The
+into the sweep engine's fork pool, service lock discipline, the
+declared wire surface, and RPC errors never swallowed silently.  The
 cross-function rules ride a project-wide call graph
 (:mod:`repro.analysis.callgraph`).  See :mod:`repro.analysis.core`
 for the framework and the waiver syntax, ``docs/linting.md`` for the

@@ -2,9 +2,8 @@
 
 The repo rests on invariants that ordinary tests only trip by luck:
 determinism by construction (every RNG derives from ``stable_seed``),
-picklability of everything that crosses the Serial/Pooled/Distributed
-executor seam, the service daemons' lock discipline, and a declared
-wire surface.  Each invariant gets an AST checker
+picklability of everything the sweep engine ships to its fork pool,
+the service daemons' lock discipline, and a declared wire surface.  Each invariant gets an AST checker
 (:mod:`.determinism`, :mod:`.picklability`, :mod:`.locks`,
 :mod:`.schema`); this module is the machinery they share.
 

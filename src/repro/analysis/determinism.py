@@ -3,11 +3,11 @@ seed-sensitive code.
 
 The engine's contract (PR 2) is determinism *by construction*: every
 trial re-derives its RNG from ``stable_seed(experiment, cell, trial)``,
-which is what makes ``workers=1 == workers=N`` bit-exact and lets the
-distributed executor reassign units from dead workers without changing
-results.  One ``random.random()`` or ``np.random.seed()`` anywhere in
-an experiment, simulator, scheduler or fault plan silently breaks that
-— and nothing fails until someone diffs two runs.
+which is what makes ``workers=1 == workers=N`` bit-exact and lets a
+broken pool's batch be rerun without changing results.  One
+``random.random()`` or ``np.random.seed()`` anywhere in an experiment,
+simulator, scheduler or fault plan silently breaks that — and nothing
+fails until someone diffs two runs.
 
 Rules
 -----

@@ -1,12 +1,9 @@
-"""Lock-discipline checker for the service daemons and the
-distributed executor.
+"""Lock-discipline checker for the service daemons and their RPC core.
 
 The storage service (PR 5) keeps its invariants with a small set of
 locks — ``NameNodeServer._meta`` (RLock over namespace + liveness),
 per-stripe locks from ``_stripe_lock(key)``, ``DataNodeServer._store_lock``,
-``FaultArm._lock`` — and the distributed executor serializes its state
-under a ``Condition`` (``DistributedExecutor._state``) and per-socket
-``send_lock``s.  Two classes of bug hide from tests here: a *blocking*
+``FaultArm._lock``.  Two classes of bug hide from tests here: a *blocking*
 call (socket I/O, RPC round-trip, sleep, subprocess wait) made while
 holding a lock turns one slow peer into a stalled daemon; and two
 functions acquiring the same pair of locks in opposite orders is a
@@ -63,8 +60,7 @@ Rules
     sees plus the ``run_coroutine`` bridge, which the blocking-call
     rule covers.)
 
-Scope: ``service/``, ``experiments/distributed.py`` and
-``repro/net.py``.  Nested functions defined inside a ``with`` block
+Scope: ``service/`` and ``repro/net.py``.  Nested functions defined inside a ``with`` block
 are analysed as running under that lock (in this codebase they are
 called there — e.g. the ``fetch`` closure handed to the repair
 planner).
@@ -80,7 +76,7 @@ from .callgraph import (CallGraph, CallSite, FunctionInfo, get_callgraph,
 from .core import Checker, Finding, Project, SourceFile, dotted_name, register
 
 SCOPE_SEGMENTS = ("service/",)
-SCOPE_FILES = ("experiments/distributed.py", "repro/net.py")
+SCOPE_FILES = ("repro/net.py",)
 
 #: Attribute calls that block (socket I/O, subprocess, sleeps, joins).
 BLOCKING_ATTRS = {"recv", "recv_into", "recv_frame", "send", "sendall",

@@ -1,11 +1,10 @@
-"""Picklability checker: nothing unpicklable crosses the executor seam.
+"""Picklability checker: nothing unpicklable crosses a process boundary.
 
-Everything handed to the sweep engine travels by pickle: ``Cell``
-specs are shipped to fork pools (`PooledExecutor`) and over TCP to
-remote workers (`DistributedExecutor`).  Lambdas and nested functions
-(closures) pickle by *qualified name*, so they fail at dispatch time —
-and only when a pooled/distributed run first touches them, which is
-exactly when a failure is most expensive.  ``Cell.__post_init__``
+Everything handed to the sweep engine travels by pickle: every
+``Cell``'s work units are shipped to the engine's fork pool.  Lambdas
+and nested functions (closures) pickle by *qualified name*, so they
+fail at dispatch time — and only when a pooled run first touches them,
+which is exactly when a failure is most expensive.  ``Cell.__post_init__``
 rejects ``<lambda>``/``<locals>`` at construction time; this checker
 moves the same contract to lint time, and extends it to raw executor
 submission sites the runtime check cannot see.
@@ -69,7 +68,7 @@ class PicklabilityChecker(Checker):
             "(Cell fn, run_cells, pool/executor submission)",
         "picklability.nested-callable":
             "function defined inside another function passed across "
-            "the executor seam; closures pickle by qualname and fail "
+            "a process boundary; closures pickle by qualname and fail "
             "at dispatch time",
     }
 

@@ -1,11 +1,10 @@
-"""Wire-surface checker: hold handlers, call sites and frames to the
-declared op tables.
+"""Wire-surface checker: hold handlers and call sites to the declared
+op tables.
 
 The service's wire surface is declared once, as pure literals:
 ``NAMENODE_OPS`` / ``DATANODE_OPS`` in ``service/protocol.py`` (op ->
-required request keys, optional request keys, reply keys, error codes),
-``FRAMES`` in ``experiments/distributed.py`` (frame kind -> payload
-shape) and ``FRAMING_OPS`` in ``repro/net.py``.  The daemons dispatch
+required request keys, optional request keys, reply keys, error codes)
+and ``FRAMING_OPS`` in ``repro/net.py``.  The daemons dispatch
 from the op tables at run time (``protocol.dispatch``); this checker
 reads the same literals with :func:`ast.literal_eval` — scanned trees
 are never imported — and cross-checks everything that has to agree
@@ -20,20 +19,17 @@ with them:
   carries the required keys and no undeclared ones, reads of the reply
   stay within the declared reply keys, and every declared op is sent
   from somewhere (tests count as senders);
-* the distributed executor's frames: sends, dispatch arms, tuple
-  unpacks and ``f(*data)`` star-calls agree with ``FRAMES``;
 * the committed rendering ``docs/wire_schema.json`` (regenerate with
   ``repro lint --emit-schema``) — CI fails on drift.
 
 Rules
 -----
-``schema.unknown-op``       kind sent or frame kind handled that is undeclared
-``schema.unused-op``        declared op or frame kind that nothing sends
+``schema.unknown-op``       kind sent that is undeclared
+``schema.unused-op``        declared op that nothing sends
 ``schema.declaration``      op table and ``_op_*`` handlers disagree
 ``schema.missing-key``      call site omits a key the op requires
 ``schema.unknown-key``      call site passes a key the op does not declare
 ``schema.unknown-reply-key`` caller reads a reply key the op does not declare
-``schema.frame-shape``      distributed frame at odds with its declared shape
 ``schema.artifact-drift``   docs/wire_schema.json is stale
 ``schema.artifact-missing`` docs/wire_schema.json has not been generated
 """
@@ -45,9 +41,8 @@ import json
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .callgraph import CallGraph, FunctionInfo, get_callgraph
-from .core import (Checker, Finding, Project, dotted_name, register,
-                   string_literal)
+from .callgraph import CallGraph, get_callgraph
+from .core import Checker, Finding, Project, register, string_literal
 
 #: Wire-schema artifact version; bump on incompatible format changes.
 WIRE_SCHEMA_VERSION = 1
@@ -56,7 +51,6 @@ WIRE_SCHEMA_VERSION = 1
 ARTIFACT_REL = "docs/wire_schema.json"
 
 _PROTOCOL_FILE = "service/protocol.py"
-_FRAMES_FILE = "experiments/distributed.py"
 
 #: service -> (its table in service/protocol.py, the file whose
 #: classes carry its ``_op_*`` handlers)
@@ -94,42 +88,6 @@ class _Op:
                 "response": response, "errors": sorted(self.errors)}
 
 
-@dataclass
-class FrameShape:
-    """Declared payload shape of one distributed frame kind."""
-
-    kind: str                           # "tuple" | "dict" | "none"
-    arity: int = 0
-    keys: tuple[str, ...] = ()
-    line: int = 0
-    sent: bool = False
-    handled: bool = False
-
-    @classmethod
-    def declared(cls, shape, line: int) -> "FrameShape":
-        """From a ``FRAMES`` value: ``None``, a tuple arity, or the
-        key names of a dict."""
-        if shape is None:
-            return cls("none", line=line)
-        if isinstance(shape, int):
-            return cls("tuple", arity=shape, line=line)
-        return cls("dict", keys=tuple(shape), line=line)
-
-    def as_dict(self) -> dict:
-        if self.kind == "tuple":
-            return {"kind": "tuple", "arity": self.arity}
-        if self.kind == "dict":
-            return {"kind": "dict", "keys": sorted(self.keys)}
-        return {"kind": "none"}
-
-    def __str__(self) -> str:
-        if self.kind == "tuple":
-            return f"a {self.arity}-tuple"
-        if self.kind == "dict":
-            return f"a dict with keys {', '.join(sorted(self.keys))}"
-        return "None"
-
-
 class _Declared:
     """Every table the loaded files declare; a table whose file is not
     in view (a partial scan) is ``None`` and its checks are skipped."""
@@ -147,11 +105,6 @@ class _Declared:
         self.framing: dict[str, _Op] = {
             kind: _Op("framing", kind, rel, line)
             for kind, _, line in rows or ()}
-        self.frames_rel, rows = self._load(project, _FRAMES_FILE,
-                                           "FRAMES", dict)
-        self.frames: dict[str, FrameShape] | None = None if rows is None \
-            else {kind: FrameShape.declared(shape, line)
-                  for kind, shape, line in rows}
 
     def _load(self, project: Project, suffix: str, name: str, kind: type
               ) -> tuple[str, list[tuple[str, object, int]] | None]:
@@ -196,8 +149,7 @@ class _Declared:
 
     def ready(self) -> bool:
         """Every table the artifact renders is in view."""
-        return (self.frames is not None
-                and None not in self.services.values())
+        return None not in self.services.values()
 
 
 # ---------------------------------------------------------------------------
@@ -416,218 +368,6 @@ def _check_reply_reads(graph: CallGraph, declared: _Declared
 
 
 # ---------------------------------------------------------------------------
-# Distributed frames
-# ---------------------------------------------------------------------------
-
-def _kind_compare(test: ast.AST) -> tuple[str, str] | None:
-    """``("==", kind)`` / ``("!=", kind)`` for ``kind <op> "lit"``."""
-    if not (isinstance(test, ast.Compare)
-            and isinstance(test.left, ast.Name)
-            and test.left.id == "kind" and len(test.ops) == 1):
-        return None
-    literal = string_literal(test.comparators[0])
-    if literal is None:
-        return None
-    if isinstance(test.ops[0], ast.Eq):
-        return "==", literal
-    if isinstance(test.ops[0], ast.NotEq):
-        return "!=", literal
-    return None
-
-
-def _frame_kinds(expr: ast.expr, fn: FunctionInfo
-                 ) -> list[tuple[str, ast.expr]]:
-    """``(kind, payload expr)`` pairs one frame argument can carry.
-    A frame is a 2-tuple ``(kind, payload)``; a variable is chased to
-    its tuple assignments (a worker's ``reply`` is ``("result", ...)``
-    on one branch and ``("error", ...)`` on the other)."""
-    if (isinstance(expr, ast.Tuple) and len(expr.elts) == 2):
-        kind = string_literal(expr.elts[0])
-        return [(kind, expr.elts[1])] if kind is not None else []
-    if isinstance(expr, ast.Name):
-        out: list[tuple[str, ast.expr]] = []
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if (isinstance(target, ast.Name)
-                            and target.id == expr.id):
-                        out.extend(_frame_kinds(node.value, fn))
-        return out
-    return []
-
-
-def _fits(payload: ast.expr, shape: FrameShape) -> bool:
-    """Whether a literal payload expression has the declared shape
-    (anything that is not a literal is not judged)."""
-    if isinstance(payload, ast.Tuple):
-        return shape.kind == "tuple" and len(payload.elts) == shape.arity
-    if isinstance(payload, ast.Dict):
-        keys = _dict_literal_keys(payload)
-        return keys is None or (shape.kind == "dict"
-                                and keys == set(shape.keys))
-    if isinstance(payload, ast.Constant) and payload.value is None:
-        return shape.kind == "none"
-    return True
-
-
-def _check_frames(graph: CallGraph, declared: _Declared
-                  ) -> Iterable[Finding]:
-    """Sends, dispatch arms and payload unpacks in the distributed
-    executor against ``FRAMES`` (both ends live in the one module)."""
-    frames = declared.frames
-    if frames is None:
-        return
-    undeclared = ("frame kind {!r} is {} but FRAMES does not declare it")
-    for fn in sorted(graph.functions.values(),
-                     key=lambda f: (f.rel, f.line)):
-        if not fn.rel.endswith(_FRAMES_FILE):
-            continue
-        for node in ast.walk(fn.node):
-            compare = _kind_compare(node)
-            if compare is not None:
-                if compare[1] in frames:
-                    frames[compare[1]].handled = True
-                else:
-                    yield Finding("schema.unknown-op", fn.rel, node.lineno,
-                                  undeclared.format(compare[1], "handled"))
-            if not isinstance(node, ast.Call):
-                continue
-            raw = dotted_name(node.func)
-            head, _, attr = raw.rpartition(".")
-            if attr == "send_frame" and len(node.args) >= 2:
-                frame = node.args[1]    # send_frame(sock, frame)
-            elif attr == "send" and head and len(node.args) == 1:
-                frame = node.args[0]    # conn.send(frame)
-            else:
-                continue
-            for kind, payload in _frame_kinds(frame, fn):
-                shape = frames.get(kind)
-                if shape is None:
-                    yield Finding("schema.unknown-op", fn.rel, node.lineno,
-                                  undeclared.format(kind, "sent"))
-                    continue
-                shape.sent = True
-                if not _fits(payload, shape):
-                    yield Finding(
-                        "schema.frame-shape", fn.rel, node.lineno,
-                        f"frame {kind!r} is declared {shape} "
-                        f"(FRAMES, line {shape.line}) but sent with a "
-                        f"different payload here")
-        payload_vars = _payload_vars(fn)
-        if payload_vars:
-            yield from _scan_receive_block(fn.node.body, None, fn,
-                                           payload_vars, frames, graph)
-    for kind, shape in frames.items():
-        if not (shape.sent and shape.handled):
-            yield Finding(
-                "schema.unused-op", declared.frames_rel, shape.line,
-                f"frame kind {kind!r} is declared but never "
-                f"{'handled' if shape.sent else 'sent'}")
-
-
-def _payload_vars(fn: FunctionInfo) -> set[str]:
-    """Names bound as the payload half of a ``kind, data`` unpack."""
-    out: set[str] = set()
-    for node in ast.walk(fn.node):
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            targets = [node.target]
-        else:
-            continue
-        for target in targets:
-            if (isinstance(target, ast.Tuple)
-                    and len(target.elts) == 2
-                    and all(isinstance(e, ast.Name)
-                            for e in target.elts)
-                    and target.elts[0].id == "kind"):
-                out.add(target.elts[1].id)
-    return out
-
-
-def _scan_receive_block(stmts: list[ast.stmt], kind: str | None,
-                        fn: FunctionInfo, payload_vars: set[str],
-                        shapes: dict[str, FrameShape],
-                        graph: CallGraph) -> Iterable[Finding]:
-    for index, stmt in enumerate(stmts):
-        if isinstance(stmt, ast.If):
-            compare = _kind_compare(stmt.test)
-            if compare is not None and compare[0] == "==":
-                yield from _scan_receive_block(
-                    stmt.body, compare[1], fn, payload_vars, shapes,
-                    graph)
-                yield from _scan_receive_block(
-                    stmt.orelse, kind, fn, payload_vars, shapes, graph)
-                continue
-            if (compare is not None and compare[0] == "!="
-                    and stmt.body
-                    and isinstance(stmt.body[-1],
-                                   (ast.Raise, ast.Return,
-                                    ast.Continue, ast.Break))):
-                # guard style: everything after runs with kind == lit
-                yield from _scan_receive_block(
-                    stmt.body, kind, fn, payload_vars, shapes, graph)
-                yield from _scan_receive_block(
-                    stmts[index + 1:], compare[1], fn, payload_vars,
-                    shapes, graph)
-                return
-        if kind is not None:
-            yield from _check_receive_statement(
-                stmt, kind, fn, payload_vars, shapes, graph)
-        for body in (getattr(stmt, "body", None),
-                     getattr(stmt, "orelse", None),
-                     getattr(stmt, "finalbody", None)):
-            if isinstance(body, list) and not isinstance(stmt, ast.If):
-                yield from _scan_receive_block(
-                    body, kind, fn, payload_vars, shapes, graph)
-        for handler in getattr(stmt, "handlers", []) or []:
-            yield from _scan_receive_block(
-                handler.body, kind, fn, payload_vars, shapes, graph)
-
-
-def _check_receive_statement(stmt: ast.stmt, kind: str,
-                             fn: FunctionInfo, payload_vars: set[str],
-                             shapes: dict[str, FrameShape],
-                             graph: CallGraph) -> Iterable[Finding]:
-    shape = shapes.get(kind)
-    if shape is None:
-        return
-    if isinstance(stmt, ast.Assign):
-        for target in stmt.targets:
-            if (isinstance(target, ast.Tuple)
-                    and isinstance(stmt.value, ast.Name)
-                    and stmt.value.id in payload_vars
-                    and (shape.kind != "tuple"
-                         or len(target.elts) != shape.arity)):
-                yield Finding(
-                    "schema.frame-shape", fn.rel, stmt.lineno,
-                    f"frame {kind!r} is declared {shape} (FRAMES, "
-                    f"line {shape.line}) but unpacked as a "
-                    f"{len(target.elts)}-tuple")
-    for node in ast.walk(stmt):
-        if not isinstance(node, ast.Call):
-            continue
-        starred = [arg for arg in node.args
-                   if isinstance(arg, ast.Starred)
-                   and isinstance(arg.value, ast.Name)
-                   and arg.value.id in payload_vars]
-        if not starred:
-            continue
-        callee = graph.resolve_call(dotted_name(node.func), fn)
-        target = graph.functions.get(callee) if callee else None
-        if target is None:
-            continue
-        fixed = len(node.args) - 1      # positionals before *data
-        expected = len(target.params) - fixed
-        if shape.kind == "tuple" and expected != shape.arity:
-            yield Finding(
-                "schema.frame-shape", fn.rel, node.lineno,
-                f"frame {kind!r} is declared {shape} (FRAMES, line "
-                f"{shape.line}) but {target.name}() takes {expected} "
-                f"payload argument(s)")
-
-
-# ---------------------------------------------------------------------------
 # The artifact
 # ---------------------------------------------------------------------------
 
@@ -638,8 +378,6 @@ def _render(declared: _Declared) -> dict:
             service: {kind: op.as_dict()
                       for kind, op in sorted((table or {}).items())}
             for service, table in declared.services.items()},
-        "frames": {kind: shape.as_dict() for kind, shape
-                   in sorted((declared.frames or {}).items())},
     }
 
 
@@ -660,11 +398,11 @@ class WireSchemaChecker(Checker):
     name = "schema"
     rules = {
         "schema.unknown-op":
-            "op or frame kind sent (or a frame kind handled) that no "
-            "table declares; dispatch answers it with bad-request",
+            "op sent that no table declares; dispatch answers it with "
+            "bad-request",
         "schema.unused-op":
-            "declared op or frame kind that no call site in src/tests "
-            "ever sends; dead surface or a lost caller",
+            "declared op that no call site in src/tests ever sends; "
+            "dead surface or a lost caller",
         "schema.declaration":
             "op table and _op_* handlers disagree: undeclared key "
             "read, required key never read, op without handler, "
@@ -678,9 +416,6 @@ class WireSchemaChecker(Checker):
         "schema.unknown-reply-key":
             "caller reads a reply key absent from the declared reply "
             "keys of every op the variable can carry",
-        "schema.frame-shape":
-            "distributed frame sent or consumed with a payload shape "
-            "other than the one FRAMES declares",
         "schema.artifact-drift":
             "docs/wire_schema.json no longer matches the declared "
             "tables; regenerate with `repro lint --emit-schema`",
@@ -697,7 +432,6 @@ class WireSchemaChecker(Checker):
         findings.extend(_check_call_sites(project, declared))
         findings.extend(_unused_ops(declared))
         findings.extend(_check_reply_reads(graph, declared))
-        findings.extend(_check_frames(graph, declared))
         findings.extend(self._check_artifact(project, declared))
         return findings
 

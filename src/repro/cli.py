@@ -24,22 +24,6 @@ re-derives its random stream from ``stable_seed(experiment, cell,
 trial)``, never from shared state (see
 :mod:`repro.experiments.engine`).
 
-Distributed runs
-----------------
-
-When one host is saturated, the same sweeps fan out across machines::
-
-    # coordinator (any subcommand)
-    python -m repro fig3 --mu 4 --distributed 0.0.0.0:7571
-
-    # on each worker host
-    python -m repro worker COORDINATOR:7571 --retries 30
-
-``--distributed HOST:PORT`` starts a socket coordinator and blocks
-until at least one ``repro worker`` connects; workers may join or die
-at any point mid-sweep and the results are still bit-identical to a
-serial run (see :mod:`repro.experiments.distributed`).
-
 Storage service
 ---------------
 
@@ -351,25 +335,6 @@ def run_load_cmd(args: argparse.Namespace) -> None:
         raise SystemExit(1)
 
 
-def run_worker_cmd(args: argparse.Namespace) -> None:
-    from .experiments.distributed import run_worker
-    from .net import ProtocolError, parse_hostport
-
-    host, port = parse_hostport(args.address)
-    try:
-        units = run_worker(
-            host, port,
-            heartbeat_interval=args.heartbeat,
-            reconnect_attempts=args.retries,
-            log=lambda message: print(f"[worker] {message}", flush=True),
-        )
-    except (ConnectionError, OSError, ProtocolError) as exc:
-        print(f"[worker] giving up on {host}:{port}: "
-              f"{type(exc).__name__}: {exc}", file=sys.stderr, flush=True)
-        raise SystemExit(1) from None
-    print(f"[worker] done: served {units} unit(s)", flush=True)
-
-
 def run_all(args: argparse.Namespace) -> None:
     run_table1(args)
     run_fig3(args)
@@ -392,12 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="fan sweep cells out over N local processes (0: one per "
                  "CPU; default: $REPRO_WORKERS or serial); results are "
                  "bit-identical for any worker count")
-        p.add_argument(
-            "--distributed", type=_hostport, default=None,
-            metavar="HOST:PORT",
-            help="coordinate the sweep over remote `repro worker "
-                 "HOST:PORT` processes instead of local ones (port 0 "
-                 "picks a free port); results stay bit-identical")
 
     p_table1 = sub.add_parser("table1",
                               help="storage overhead / length / MTTDL")
@@ -540,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument(
         "--emit-schema", nargs="?", const="", default=None,
         metavar="PATH",
-        help="render the declared op and frame tables as the wire "
+        help="render the declared op tables as the wire "
              "schema, write it to PATH (default: docs/wire_schema.json) "
              "and exit")
     p_lint.add_argument("--rules", action="store_true",
@@ -548,21 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument(
         "--checker", action="append", default=None, metavar="NAME",
         help="run only this checker (repeatable; default: all)")
-
-    p_worker = sub.add_parser(
-        "worker", help="serve sweep units to a distributed coordinator")
-    p_worker.add_argument(
-        "address", type=_hostport, metavar="HOST:PORT",
-        help="coordinator address (the `--distributed` value of the "
-             "driving subcommand)")
-    p_worker.add_argument(
-        "--retries", type=int, default=0, metavar="N",
-        help="retry a refused or lost connection up to N times, 1s "
-             "apart (lets workers start before their coordinator)")
-    p_worker.add_argument(
-        "--heartbeat", type=_heartbeat_interval, default=2.0,
-        metavar="SECONDS",
-        help="heartbeat interval while computing a unit")
     return parser
 
 
@@ -575,7 +519,6 @@ HANDLERS = {
     "families": run_families,
     "ablations": run_ablations,
     "all": run_all,
-    "worker": run_worker_cmd,
     "serve": run_serve,
     "datanode": run_datanode_cmd,
     "load": run_load_cmd,
@@ -620,52 +563,9 @@ def _racks(text: str) -> list[int]:
     return sizes
 
 
-def _heartbeat_interval(text: str) -> float:
-    """argparse type for ``--heartbeat``: must fit the coordinator's
-    silence budget, or every long unit would be declared hung and
-    requeued forever."""
-    from .experiments.distributed import HEARTBEAT_TIMEOUT
-
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a number of seconds") from None
-    if not 0 < value < HEARTBEAT_TIMEOUT:
-        raise argparse.ArgumentTypeError(
-            f"heartbeat interval must be in (0, {HEARTBEAT_TIMEOUT:.0f}) "
-            "seconds — the coordinator drops a connection silent for "
-            f"{HEARTBEAT_TIMEOUT:.0f}s")
-    return value
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handler = HANDLERS[args.command]
-    address = getattr(args, "distributed", None)
-    if address is None:
-        handler(args)
-        return 0
-    if args.workers is not None:
-        print("error: --workers and --distributed are mutually exclusive",
-              file=sys.stderr)
-        return 2
-    from .experiments.distributed import DistributedExecutor
-    from .net import parse_hostport
-
-    host, port = parse_hostport(address)
-    with DistributedExecutor(host, port) as executor:
-        bound_host, bound_port = executor.address
-        print(f"[distributed] coordinator on {bound_host}:{bound_port}; "
-              f"start workers with: python -m repro worker "
-              f"{bound_host}:{bound_port}", flush=True)
-        executor.wait_for_workers(1)
-        print(f"[distributed] {executor.worker_count} worker(s) connected",
-              flush=True)
-        # Experiment builders thread their ``workers`` argument straight
-        # into run_cells, which accepts an Executor in its place.
-        args.workers = executor
-        handler(args)
+    HANDLERS[args.command](args)
     return 0
 
 

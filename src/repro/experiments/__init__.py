@@ -19,18 +19,13 @@ the benchmark suite prints them via :mod:`repro.experiments.report`.
 Every sweep runs on the declarative engine
 (:mod:`repro.experiments.engine`): experiments declare grids of
 :class:`~repro.experiments.engine.Cell` specs and the engine executes
-them through a pluggable :class:`~repro.experiments.engine.Executor` —
-serially, over cached multiprocessing pools (``workers=N`` on every
-builder, ``--workers`` on the CLI, ``REPRO_WORKERS`` in the
-environment), or across machines via the socket coordinator in
-:mod:`repro.experiments.distributed` (``--distributed HOST:PORT`` plus
-``repro worker`` processes) — with bit-identical results whichever
-executor runs the units.
+them serially or over a cached local process pool (``workers=N`` on
+every builder, ``--workers`` on the CLI, ``REPRO_WORKERS`` in the
+environment) — with bit-identical results at any worker count.
 """
 
 from . import (
     ablations,
-    distributed,
     families,
     fig2,
     fig3,
@@ -40,13 +35,9 @@ from . import (
     table1,
     transient,
 )
-from .distributed import DistributedExecutor, run_worker
 from .engine import (
     Cell,
     CellExecutionError,
-    Executor,
-    PooledExecutor,
-    SerialExecutor,
     resolve_workers,
     run_cells,
     run_keyed,
@@ -57,15 +48,9 @@ from .runner import CellStats, FigureResult, Series, average_over_trials, trial_
 __all__ = [
     "Cell",
     "CellExecutionError",
-    "Executor",
-    "SerialExecutor",
-    "PooledExecutor",
-    "DistributedExecutor",
-    "run_worker",
     "run_cells",
     "run_keyed",
     "resolve_workers",
-    "distributed",
     "table1",
     "families",
     "fig2",

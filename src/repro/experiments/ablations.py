@@ -26,7 +26,7 @@ import numpy as np
 from ..core import make_code
 from ..scheduling import DelayScheduler
 from ..workloads import workload_for_load
-from .engine import Cell, Executor, run_cells
+from .engine import Cell, run_cells
 from .runner import CellStats, FigureResult, Series
 
 
@@ -109,7 +109,7 @@ def degraded_job_sweep(codes=("pentagon", "heptagon", "(10,9) RAID+m"),
                        load: float = 75.0, node_count: int = 25,
                        slots_per_node: int = 4,
                        block_mb: int = 128,
-                       workers: int | Executor | None = None) -> list[dict[str, object]]:
+                       workers: int | None = None) -> list[dict[str, object]]:
     """Extra network GB a job pays when a fraction of its blocks need
     on-the-fly reconstruction (both replicas transiently down)."""
     from ..scheduling import tasks_for_load
@@ -129,7 +129,7 @@ def delay_sensitivity(code_name: str = "pentagon", load: float = 100.0,
                       slots_per_node: int = 2, node_count: int = 25,
                       skip_levels=(0, 5, 12, 25, 50, 100),
                       trials: int = 20,
-                      workers: int | Executor | None = None) -> FigureResult:
+                      workers: int | None = None) -> FigureResult:
     """Locality as a function of the delay scheduler's skip budget."""
     result = FigureResult(
         title=f"Delay-scheduler patience vs locality ({code_name}, "
@@ -153,7 +153,7 @@ def delay_sensitivity(code_name: str = "pentagon", load: float = 100.0,
 def slots_crossover(code_name: str = "pentagon", load: float = 100.0,
                     node_count: int = 25, slot_range=(1, 2, 3, 4, 6, 8),
                     trials: int = 20,
-                    workers: int | Executor | None = None) -> FigureResult:
+                    workers: int | None = None) -> FigureResult:
     """Locality gap to 2-rep as map slots grow (the paper's main thesis)."""
     result = FigureResult(
         title=f"Locality vs map slots at {load:.0f}% load",
@@ -180,7 +180,7 @@ def slots_crossover(code_name: str = "pentagon", load: float = 100.0,
 def heptagon_local_equivalence(load: float = 100.0, slots_per_node: int = 4,
                                node_count: int = 25,
                                trials: int = 30,
-                               workers: int | Executor | None = None) -> dict[str, CellStats]:
+                               workers: int | None = None) -> dict[str, CellStats]:
     """Section 3.2: heptagon-local locality equals plain heptagon's."""
     codes = ("heptagon", "heptagon-local")
     cells = [

@@ -1,4 +1,4 @@
-"""Declarative sweep engine: cell grids fanned out over executors.
+"""Declarative sweep engine: cell grids run serially or on a local pool.
 
 Every figure/table in :mod:`repro.experiments` is a sweep over
 (code, scheduler, load, ...) cells, each cell either a single
@@ -7,14 +7,9 @@ this engine each module ran its own hand-rolled loop — single-process
 by construction, and numpy holds the GIL on the ``take``/``xor`` hot
 paths, so threads cannot help.  The engine turns the sweep into *data*:
 an experiment declares a grid of self-describing :class:`Cell` specs
-and :func:`run_cells` executes them through a pluggable
-:class:`Executor`:
-
-* :class:`SerialExecutor` — in-process, the reference semantics;
-* :class:`PooledExecutor` — a cached local process pool with chunked
-  dispatch, broken-pool eviction and retry (see below);
-* ``DistributedExecutor`` (:mod:`repro.experiments.distributed`) —
-  remote worker processes over TCP.
+and :func:`run_cells` executes them — in-process at ``workers=1`` (the
+reference semantics), otherwise over a cached local process pool with
+chunked dispatch, broken-pool eviction and retry (see below).
 
 Determinism is by construction, not by convention:
 
@@ -23,16 +18,15 @@ Determinism is by construction, not by convention:
   shared between cells, trials or worker processes;
 * trial sharding (``shard_trials``) splits a cell's trial *range* into
   work units whose boundaries depend only on the cell spec, never on
-  the executor; merged values are ordered by trial index, so every
+  the worker count; merged values are ordered by trial index, so every
   shard layout produces bit-identical results;
 * single-call cells (``trials=None``) are pure functions of their
   pickled args.
 
-Consequently ``workers=1``, ``workers=N`` and a distributed run all
-agree exactly, and any individual cell can be re-run in isolation
-(:meth:`Cell.run`) and reproduce its sweep value — both properties are
-asserted for every ported experiment in ``tests/test_engine.py`` and
-over real sockets in ``tests/test_distributed.py``.
+Consequently ``workers=1`` and ``workers=N`` agree exactly, and any
+individual cell can be re-run in isolation (:meth:`Cell.run`) and
+reproduce its sweep value — both properties are asserted for every
+ported experiment in ``tests/test_engine.py``.
 
 Failure paths are hardened:
 
@@ -41,13 +35,12 @@ Failure paths are hardened:
 * a pool whose worker process dies (OOM-killed, segfault) is
   terminated and evicted from the cache, and the batch retries on a
   fresh pool — after a second pool death it degrades to in-process
-  serial execution rather than hanging or poisoning later sweeps;
-* a dead *distributed* worker's in-flight units are reassigned (see
-  :mod:`repro.experiments.distributed`).
+  serial execution rather than hanging or poisoning later sweeps.
 
 Worker resolution: an explicit ``workers`` argument wins; otherwise the
 ``REPRO_WORKERS`` environment variable; otherwise serial.  ``workers=0``
-means "one per CPU"; negative counts are rejected.
+means one per CPU this process may run on; negative counts are
+rejected.
 """
 
 from __future__ import annotations
@@ -70,7 +63,7 @@ WORKERS_ENV = "REPRO_WORKERS"
 #: which would otherwise swamp sub-second sweeps.  Safe to reuse
 #: because work units reach workers as pickled ``(fn, args, seeds,
 #: range, owner)`` tuples; no parent state leaks.  A pool whose worker
-#: dies is evicted by :class:`PooledExecutor`, so a crash never
+#: dies is evicted by :func:`_run_batch`, so a crash never
 #: poisons later sweeps at the same worker count.
 _POOLS: dict[int, ProcessPoolExecutor] = {}
 
@@ -79,7 +72,7 @@ class CellExecutionError(RuntimeError):
     """A cell's ``fn`` raised; the message names the owning cell.
 
     Raised in place of the original exception so a failure in a
-    thousand-cell sweep — possibly on a remote worker — still says
+    thousand-cell sweep — possibly in a pool worker — still says
     *which* ``(experiment, key)`` to re-run in isolation.  The
     original exception is chained as ``__cause__`` when the failure
     happened in-process.
@@ -184,10 +177,11 @@ class Cell:
 def resolve_workers(workers: int | None = None) -> int:
     """Effective worker count: argument, else ``REPRO_WORKERS``, else 1.
 
-    ``0`` means one worker per CPU.  Negative counts and non-integer
-    environment values are rejected loudly — they used to be silently
-    treated as "one per CPU", drifting from the CLI's documented
-    contract.
+    ``0`` means one worker per CPU this process may run on (its
+    affinity set, so a ``taskset``-pinned run is not oversubscribed).
+    Negative counts and non-integer environment values are rejected
+    loudly — they used to be silently treated as "one per CPU",
+    drifting from the CLI's documented contract.
     """
     if workers is None:
         env = os.environ.get(WORKERS_ENV, "").strip()
@@ -208,7 +202,10 @@ def resolve_workers(workers: int | None = None) -> int:
             f"{source}: worker count must be >= 0 (0 means one per CPU)"
         )
     if workers == 0:
-        return os.cpu_count() or 1
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:      # pragma: no cover - no affinity API
+            return os.cpu_count() or 1
     return workers
 
 
@@ -217,7 +214,7 @@ def _plan_units(cells: Sequence[Cell]) -> list[tuple[int, int, int]]:
 
     Boundaries are a pure function of the cell specs, so the unit list
     — and therefore every merged result — is identical for any
-    executor.
+    worker count.
     """
     units: list[tuple[int, int, int]] = []
     for index, cell in enumerate(cells):
@@ -279,30 +276,9 @@ def _evict_pool(workers: int) -> None:
         pool.shutdown(wait=False, cancel_futures=True)
 
 
-class Executor:
-    """Pluggable strategy executing a batch of work-unit payloads.
-
-    :meth:`run` receives the payload list planned by :func:`run_cells`
-    (each payload a picklable ``Cell.unit_payload`` tuple) and must
-    return the per-unit outputs aligned with the inputs.  Because unit
-    semantics live entirely in the payload, *where* an executor runs
-    them — in-process, a local pool, remote machines — cannot change
-    the merged results.
-    """
-
-    def run(self, payloads: list) -> list:
-        raise NotImplementedError
-
-
-class SerialExecutor(Executor):
-    """Run every unit in-process; the reference semantics."""
-
-    def run(self, payloads: list) -> list:
-        return [_run_unit(payload) for payload in payloads]
-
-
-class PooledExecutor(Executor):
-    """Fan units out over a cached local process pool.
+def _run_batch(payloads: list, workers: int) -> list:
+    """Run work-unit payloads in order: in-process at one worker (or
+    one unit), otherwise over the cached pool of ``workers`` processes.
 
     Failure containment: a :class:`CellExecutionError` is the cell's
     own bug and propagates untouched, but any *infrastructure* failure
@@ -312,81 +288,44 @@ class PooledExecutor(Executor):
     deterministic crasher then surfaces its real error instead of a
     broken-pool message.
     """
-
-    def __init__(self, workers: int):
-        if workers < 1:
-            raise ValueError("PooledExecutor needs at least one worker")
-        self.workers = workers
-
-    def run(self, payloads: list) -> list:
-        if self.workers == 1 or len(payloads) == 1:
-            return SerialExecutor().run(payloads)
+    if workers > 1 and len(payloads) > 1:
         # The pool is cached at the *requested* count (idle workers are
         # harmless; a second pool per batch size would not be).
-        effective = min(self.workers, len(payloads))
+        effective = min(workers, len(payloads))
         chunksize = max(1, len(payloads) // (effective * 4))
         for _ in range(2):
-            pool = _pool(self.workers)
+            pool = _pool(workers)
             try:
                 return list(pool.map(_run_unit, payloads,
                                      chunksize=chunksize))
             except CellExecutionError:
                 raise
             except Exception as exc:
-                _evict_pool(self.workers)
+                _evict_pool(workers)
                 warnings.warn(
-                    f"worker pool ({self.workers} processes) broke with "
+                    f"worker pool ({workers} processes) broke with "
                     f"{type(exc).__name__}: {exc}; evicted the cached "
                     "pool and retrying the batch",
                     RuntimeWarning, stacklevel=2)
-        return SerialExecutor().run(payloads)
+    return [_run_unit(payload) for payload in payloads]
 
 
-#: Shared serial strategy (stateless, so one instance suffices).
-_SERIAL = SerialExecutor()
-
-
-def _resolve_executor(workers, executor: Executor | None) -> Executor:
-    """Pick the executor: explicit object, else derived from ``workers``.
-
-    ``workers`` may itself be an :class:`Executor` instance — the CLI
-    threads ``--distributed`` coordinators through the experiment
-    builders' existing ``workers`` parameter.
-    """
-    if executor is not None:
-        if not isinstance(executor, Executor):
-            raise TypeError(
-                f"executor must be an Executor instance, got "
-                f"{type(executor).__name__}; pass worker counts via "
-                "the workers argument"
-            )
-        return executor
-    if isinstance(workers, Executor):
-        return workers
-    count = resolve_workers(workers)
-    return _SERIAL if count == 1 else PooledExecutor(count)
-
-
-def run_cells(cells: Iterable[Cell],
-              workers: int | Executor | None = None, *,
-              executor: Executor | None = None) -> list:
+def run_cells(cells: Iterable[Cell], workers: int | None = None) -> list:
     """Run every cell; returns results aligned with the input order.
 
-    ``workers`` picks a built-in executor (serial at 1, pooled above);
-    passing an :class:`Executor` — either as ``executor=`` or directly
-    as ``workers`` — substitutes any other strategy, e.g. the
-    socket-based ``DistributedExecutor``.  Whatever runs the units,
-    the merged results are bit-identical (asserted by the engine's
-    test suite for every ported experiment).
+    ``workers`` follows :func:`resolve_workers`: serial at 1, the
+    cached local pool above.  The merged results are bit-identical at
+    any worker count (asserted by the engine's test suite for every
+    ported experiment).
     """
     cells = list(cells)
     if not cells:
         return []
     units = _plan_units(cells)
     payloads = [cells[index].unit_payload(lo, hi) for index, lo, hi in units]
-    outputs = _resolve_executor(workers, executor).run(payloads)
+    outputs = _run_batch(payloads, resolve_workers(workers))
     # Merge: units were planned in cell order with ascending trial
-    # ranges and executors preserve order, so grouping by cell index
+    # ranges and the batch keeps order, so grouping by cell index
     # concatenates each cell's values in trial order.
     results: list = [None] * len(cells)
     pending: dict[int, list] = {}
@@ -401,9 +340,7 @@ def run_cells(cells: Iterable[Cell],
     return results
 
 
-def run_keyed(cells: Iterable[Cell],
-              workers: int | Executor | None = None, *,
-              executor: Executor | None = None) -> dict:
+def run_keyed(cells: Iterable[Cell], workers: int | None = None) -> dict:
     """:func:`run_cells`, returned as ``{cell.key: result}``.
 
     Keys must be unique across the batch (duplicate keys are a spec
@@ -416,6 +353,4 @@ def run_keyed(cells: Iterable[Cell],
             raise ValueError(f"duplicate cell key {cell.key!r}")
         seen.add(cell.key)
     return {cell.key: result
-            for cell, result in zip(cells,
-                                    run_cells(cells, workers,
-                                              executor=executor))}
+            for cell, result in zip(cells, run_cells(cells, workers))}

@@ -12,9 +12,9 @@ pattern MTTDL again with UBER sector errors folded in
 that punishes exactly the wide critical rebuilds these codes rely on.
 
 Every row is one single-call engine cell keyed by the registry name,
-so the sweep fans out over ``--workers`` / ``--distributed`` like any
-other experiment and is bit-identical for any executor (each cell is a
-pure function of ``(code_name, params, node_count, uber)``).
+so the sweep fans out over ``--workers`` like any other experiment and
+is bit-identical at any worker count (each cell is a pure function of
+``(code_name, params, node_count, uber)``).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from ..reliability import (
     system_mttdl_years,
     system_mttdl_years_with_uber,
 )
-from .engine import Cell, Executor, run_cells
+from .engine import Cell, run_cells
 
 #: The default line-up: the paper's heptagon-local plus the 2- and
 #: 3-group pentagon variants and the 3-group heptagon variant (22
@@ -135,7 +135,7 @@ def build_families(codes: tuple[str, ...] = FAMILY_CODES,
                    target_years: float = CALIBRATION_TARGET_YEARS,
                    params: ReliabilityParams | None = None,
                    uber_block_prob: float = DEFAULT_UBER,
-                   workers: int | Executor | None = None) -> FamiliesResult:
+                   workers: int | None = None) -> FamiliesResult:
     """Sweep the polygon-local family line-up.
 
     Pass ``params`` to skip calibration; otherwise the node MTTF is

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..core import make_code
 from ..workloads import generate_tasks
-from .engine import Cell, Executor, run_cells
+from .engine import Cell, run_cells
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def census(code_name: str, task_count: int = 45, node_count: int = 25,
 
 def figure2(codes=("pentagon", "heptagon", "2-rep", "3-rep"),
             task_count: int = 45, node_count: int = 25,
-            workers: int | Executor | None = None) -> list[BipartiteCensus]:
+            workers: int | None = None) -> list[BipartiteCensus]:
     cells = [Cell(experiment="fig2", key=(code_name,), fn=census,
                   args=(code_name, task_count, node_count))
              for code_name in codes]

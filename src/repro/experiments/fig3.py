@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from ..scheduling import make_scheduler
 from ..workloads import workload_for_load
-from .engine import Cell, Executor, run_cells
+from .engine import Cell, run_cells
 from .runner import CellStats, FigureResult, Series
 
 #: Cluster size used throughout the paper's simulation section.
@@ -64,7 +64,7 @@ def _cell(code_name: str, scheduler_name: str, load: float,
 
 def locality_cell(code_name: str, scheduler_name: str, load: float,
                   slots_per_node: int, node_count: int = NODE_COUNT,
-                  trials: int = 30, workers: int | Executor | None = None) -> CellStats:
+                  trials: int = 30, workers: int | None = None) -> CellStats:
     """Mean data locality (%) for one (code, scheduler, load, mu) cell."""
     cell = _cell(code_name, scheduler_name, load, slots_per_node,
                  node_count, trials)
@@ -77,7 +77,7 @@ def locality_panel(slots_per_node: int,
                    loads: tuple[float, ...] = LOADS,
                    node_count: int = NODE_COUNT,
                    trials: int = 30,
-                   workers: int | Executor | None = None) -> FigureResult:
+                   workers: int | None = None) -> FigureResult:
     """One Fig. 3 panel: locality vs load for every (code, scheduler) pair."""
     result = FigureResult(
         title=f"Fig. 3 panel (mu={slots_per_node} map slots/node, "
@@ -107,7 +107,7 @@ def peeling_panel(slots_per_node: int = 4,
                   loads: tuple[float, ...] = LOADS,
                   node_count: int = NODE_COUNT,
                   trials: int = 30,
-                  workers: int | Executor | None = None) -> FigureResult:
+                  workers: int | None = None) -> FigureResult:
     """Fig. 3's fourth panel: peeling vs DS vs MM at mu = 4."""
     return locality_panel(
         slots_per_node, codes=codes,
@@ -117,7 +117,7 @@ def peeling_panel(slots_per_node: int = 4,
 
 
 def full_figure(trials: int = 30,
-                workers: int | Executor | None = None) -> dict[str, FigureResult]:
+                workers: int | None = None) -> dict[str, FigureResult]:
     """All four Fig. 3 panels keyed by their paper captions."""
     return {
         "mu=2": locality_panel(2, trials=trials, workers=workers),

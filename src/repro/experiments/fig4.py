@@ -19,7 +19,7 @@ from __future__ import annotations
 import statistics
 
 from ..mapreduce import MRSimConfig, run_terasort_once, setup1
-from .engine import Cell, Executor, run_cells
+from .engine import Cell, run_cells
 from .runner import CellStats, FigureResult, Series
 
 #: Load grid of Fig. 4 (the paper plots 50-100 %).
@@ -38,7 +38,7 @@ def terasort_trial(rng, code_name: str, load: float,
 
 def terasort_sweep(config: MRSimConfig, codes: tuple[str, ...],
                    loads: tuple[float, ...], runs: int, seed_tag: str,
-                   workers: int | Executor | None = None) -> dict[str, FigureResult]:
+                   workers: int | None = None) -> dict[str, FigureResult]:
     """Run the Terasort grid once; returns the three figure panels.
 
     The grid fans out over the engine: one cell per (code, load), each
@@ -85,7 +85,7 @@ def terasort_sweep(config: MRSimConfig, codes: tuple[str, ...],
 
 
 def figure4(runs: int = 10, config: MRSimConfig | None = None,
-            workers: int | Executor | None = None) -> dict[str, FigureResult]:
+            workers: int | None = None) -> dict[str, FigureResult]:
     """All three Fig. 4 panels."""
     return terasort_sweep(config if config is not None else setup1(),
                           CODES, LOADS, runs, seed_tag="fig4",

@@ -14,7 +14,6 @@ until the highest loads.
 from __future__ import annotations
 
 from ..mapreduce import MRSimConfig, setup2
-from .engine import Executor
 from .fig4 import terasort_sweep
 from .runner import FigureResult
 
@@ -26,7 +25,7 @@ CODES = ("3-rep", "2-rep", "pentagon")
 
 
 def figure5(runs: int = 10, config: MRSimConfig | None = None,
-            workers: int | Executor | None = None) -> dict[str, FigureResult]:
+            workers: int | None = None) -> dict[str, FigureResult]:
     """Both Fig. 5 panels (job time is computed too, but not plotted
     in the paper; it is included for completeness)."""
     return terasort_sweep(config if config is not None else setup2(),

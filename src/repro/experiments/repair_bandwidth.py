@@ -23,7 +23,7 @@ import numpy as np
 
 from ..cluster import ClusterTopology, MiniHDFS, RoundRobinPlacement
 from ..core import compute_metrics, make_code
-from .engine import Cell, Executor, run_cells
+from .engine import Cell, run_cells
 
 BLOCK_BYTES = 1024
 
@@ -98,7 +98,7 @@ def measure_code(code_name: str) -> RepairMeasurement:
 
 def measure_all(codes=("pentagon", "heptagon", "(10,9) RAID+m",
                        "2-rep", "3-rep", "rs(14,10)"),
-                workers: int | Executor | None = None) -> list[RepairMeasurement]:
+                workers: int | None = None) -> list[RepairMeasurement]:
     """Measure every code; one single-call engine cell per code.
 
     Each cell builds its own MiniHDFS with fixed seeds, so results are

@@ -112,7 +112,7 @@ class FigureResult:
         """Flatten to comparable ``(label, xs, ys, spreads)`` tuples.
 
         The canonical way to assert two regenerations of a figure are
-        bit-identical — used by the engine/distributed test suites and
+        bit-identical — used by the engine's test suite and
         the perf snapshot's ``bit_identical`` check.
         """
         return [(entry.label, list(entry.xs), list(entry.ys),

@@ -22,7 +22,7 @@ from ..reliability import (
     simulate_group_mttd_total,
     system_mttdl_years,
 )
-from .engine import Cell, Executor, run_cells
+from .engine import Cell, run_cells
 from .runner import trial_rng
 
 #: The paper's Table 1 MTTDL column (years), used for comparison output.
@@ -110,7 +110,7 @@ def table1_row(code_name: str, params: ReliabilityParams,
 def build_table1(node_count: int = NODE_COUNT,
                  target_years: float = CALIBRATION_TARGET_YEARS,
                  params: ReliabilityParams | None = None,
-                 workers: int | Executor | None = None) -> Table1Result:
+                 workers: int | None = None) -> Table1Result:
     """Regenerate Table 1.
 
     Pass ``params`` to skip calibration and use explicit rates.
@@ -170,7 +170,7 @@ def mc_shard_total(code_name: str, params: ReliabilityParams,
 def monte_carlo_validation(codes: tuple[str, ...] = MC_CODES,
                            params: ReliabilityParams = MC_PARAMS,
                            trials: int = 600, shard_trials: int = 150,
-                           workers: int | Executor | None = None) -> list[MCValidationRow]:
+                           workers: int | None = None) -> list[MCValidationRow]:
     """Validate each code's analytic chain against sharded simulation.
 
     Each code's ``trials`` Monte-Carlo trials split into independently

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import compute_metrics, make_code
-from .engine import Cell, Executor, run_cells
+from .engine import Cell, run_cells
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ def timeout_cell(code_name: str, timeout: float, model: TransientModel,
 def timeout_sweep(codes=("2-rep", "pentagon", "heptagon", "rs(14,10)"),
                   timeouts=(0.25, 1.0, 4.0), model: TransientModel | None = None,
                   seed: int = 0,
-                  workers: int | Executor | None = None) -> list[TimeoutOutcome]:
+                  workers: int | None = None) -> list[TimeoutOutcome]:
     """The repair-avoidance table: every (code, timeout) cell.
 
     The same outage stream (same seed) is replayed for every code so

@@ -1,23 +1,20 @@
 """The shared RPC layer: framed wire protocol + asyncio client/server.
 
-One wire format serves the whole repo: the distributed sweep executor
-(:mod:`repro.experiments.distributed`) and the storage service daemons
-(:mod:`repro.service`).  Every message is a 4-byte big-endian payload
-length followed by the pickled ``(kind, data)`` tuple.  Truncated,
-oversized or misshapen frames raise :class:`ProtocolError` (or
-``ConnectionError`` for a mid-frame EOF) instead of hanging or
-allocating unbounded memory.
+One wire format serves the storage service daemons
+(:mod:`repro.service`) and their clients.  Every message is a 4-byte
+big-endian payload length followed by the pickled ``(kind, data)``
+tuple.  Truncated, oversized or misshapen frames raise
+:class:`ProtocolError` (or ``ConnectionError`` for a mid-frame EOF)
+instead of hanging or allocating unbounded memory.
 
 On top of the framing sit the async peers every daemon shares:
 
 * :class:`AsyncRpcServer` — one event loop per daemon on its own
   thread; each accepted connection is a callback protocol doing
-  ``receive in place -> dispatch -> reply`` (RPC mode: one fixed
-  receive buffer per connection that the kernel fills directly, so a
-  pipelined burst of block frames costs no growing buffer and no
-  payload copy) or is handed whole to a ``connection_handler`` (stream
-  mode, for stateful protocols like the sweep executor's).  Shutdown
-  drains in-flight requests before the loop stops.
+  ``receive in place -> dispatch -> reply`` (one fixed receive buffer
+  per connection that the kernel fills directly, so a pipelined burst
+  of block frames costs no growing buffer and no payload copy).
+  Shutdown drains in-flight requests before the loop stops.
 * :class:`AsyncRpcClient` / :class:`RpcPool` — lazily-connected,
   reusable client connections whose every call runs under a
   :class:`RetryPolicy` (per-attempt timeout, capped exponential
@@ -151,14 +148,12 @@ async def async_recv_frame(reader: asyncio.StreamReader) -> tuple:
 
 
 class AsyncConnection:
-    """One framed peer over an asyncio stream pair."""
+    """One framed client connection over an asyncio stream pair."""
 
     def __init__(self, reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter):
         self._reader = reader
         self._writer = writer
-        self.peer = writer.get_extra_info("peername")
-        self.last_activity = time.monotonic()
         sock = writer.get_extra_info("socket")
         if sock is not None:
             try:
@@ -167,27 +162,10 @@ class AsyncConnection:
                 pass
 
     async def recv(self) -> tuple:
-        frame = await async_recv_frame(self._reader)
-        self.last_activity = time.monotonic()
-        return frame
+        return await async_recv_frame(self._reader)
 
     async def send(self, message: tuple) -> None:
         await async_send_frame(self._writer, message)
-        self.last_activity = time.monotonic()
-
-    def abort(self) -> None:
-        """Tear the transport down immediately (idle-watchdog path);
-        any coroutine parked in :meth:`recv` wakes with an error."""
-        transport = self._writer.transport
-        if transport is not None:
-            transport.abort()
-
-    def shut(self) -> None:
-        """Start a graceful close without awaiting it (shutdown path)."""
-        try:
-            self._writer.close()
-        except (ConnectionError, OSError):
-            pass
 
     async def close(self) -> None:
         try:
@@ -201,8 +179,8 @@ class AsyncConnection:
 # Address / backoff helpers
 # ----------------------------------------------------------------------
 def parse_hostport(text: str) -> tuple[str, int]:
-    """Parse ``HOST:PORT`` (as taken by ``--distributed``, ``worker``,
-    ``serve``, ``datanode`` and ``load``)."""
+    """Parse ``HOST:PORT`` (as taken by ``serve``, ``datanode`` and
+    ``load``)."""
     host, sep, port_text = text.rpartition(":")
     if not sep or not host:
         raise ValueError(f"{text!r} is not a HOST:PORT address")
@@ -238,7 +216,7 @@ class RetryPolicy:
 
     The class attributes are the shared operational constants every
     networked caller derives from, so the storage client's suspect TTL
-    and the sweep worker's reconnect pacing cannot drift apart.
+    and a datanode's reconnect pacing live in one place.
     """
 
     #: How long an unreachable datanode stays on a client's suspect
@@ -251,9 +229,8 @@ class RetryPolicy:
     #: long reads keep paying degraded-path detours after a repair
     #: re-homed blocks.
     METADATA_TTL = 1.0
-    #: Long-lived peers (sweep workers, heartbeat loops) reconnecting
-    #: to a daemon pace themselves between these bounds.
-    RECONNECT_BASE_DELAY = 1.0
+    #: Long-lived peers (a datanode's heartbeat loop) reconnecting to a
+    #: daemon back off up to this bound.
     RECONNECT_MAX_DELAY = 5.0
 
     def __init__(self, *, attempts: int = 3, timeout: float = 2.0,
@@ -549,9 +526,7 @@ class _RpcProtocol(asyncio.BufferedProtocol):
                 self.transport.pause_reading()
             except RuntimeError:
                 pass
-        task = server.loop.create_task(self._drain(out))
-        server._conn_tasks.add(task)
-        task.add_done_callback(server._conn_tasks.discard)
+        server._track(server.loop.create_task(self._drain(out)))
 
     def _process(self, kind: str, data):
         """One request -> a reply tuple (sync fast path) or a coroutine
@@ -627,25 +602,20 @@ class _RpcProtocol(asyncio.BufferedProtocol):
 class AsyncRpcServer:
     """One event loop + listener on a dedicated thread, per daemon.
 
-    Two dispatch modes, exactly one of which must be given:
-
-    * ``handler(kind, data, peer)`` — RPC mode: each connection runs
-      ``recv -> before_request -> handler -> reply``; handler
-      exceptions are marshalled into ``("err", ...)`` frames via
-      ``error_marshaller`` (a request that raises never takes the
-      daemon down).  ``before_request`` and ``handler`` may be sync or
-      async — coroutines are awaited on the loop.  RPC mode is served
-      by a callback :class:`asyncio.BufferedProtocol`, not streams: the
-      loop receives into one fixed buffer per connection, frames are
-      unpickled in place from it and sync handlers answer inline with
-      **zero task switches per request** (this is what keeps the async
-      daemons at thread-server throughput); only requests that
-      actually go async — a fault gate that must park, an ``async
-      def`` handler — pay for a task, and the connection queues
-      subsequent frames behind it so replies stay in request order.
-    * ``connection_handler(conn)`` — stream mode: the coroutine owns
-      the whole connection (the sweep coordinator's stateful
-      worker-session protocol lives here).
+    Each connection runs ``recv -> before_request -> handler(kind,
+    data, peer) -> reply``; handler exceptions are marshalled into
+    ``("err", ...)`` frames via ``error_marshaller`` (a request that
+    raises never takes the daemon down).  ``before_request`` and
+    ``handler`` may be sync or async — coroutines are awaited on the
+    loop.  Connections are served by a callback
+    :class:`asyncio.BufferedProtocol`, not streams: the loop receives
+    into one fixed buffer per connection, frames are unpickled in place
+    from it and sync handlers answer inline with **zero task switches
+    per request** (this is what keeps the async daemons at
+    thread-server throughput); only requests that actually go async — a
+    fault gate that must park, an ``async def`` handler — pay for a
+    task, and the connection queues subsequent frames behind it so
+    replies stay in request order.
 
     The daemon-facing surface is thread-friendly: construction binds
     the port and starts the loop, :meth:`run_coroutine` bridges sync
@@ -654,16 +624,12 @@ class AsyncRpcServer:
     requests before stopping the loop.
     """
 
-    def __init__(self, handler=None, host: str = "127.0.0.1",
-                 port: int = 0, *, connection_handler=None,
-                 before_request=None, error_marshaller=None,
+    def __init__(self, handler, host: str = "127.0.0.1",
+                 port: int = 0, *, before_request=None,
+                 error_marshaller=None,
                  idle_timeout: float = IDLE_TIMEOUT,
                  drain_timeout: float = 5.0, name: str = "rpc"):
-        if (handler is None) == (connection_handler is None):
-            raise ValueError(
-                "exactly one of handler/connection_handler is required")
         self._handler = handler
-        self._connection_handler = connection_handler
         self._before_request = before_request
         self._marshal = error_marshaller or self._default_marshal
         self._idle_timeout = idle_timeout
@@ -673,9 +639,8 @@ class AsyncRpcServer:
         self._closing = False
         self._closed = False
         self._close_lock = threading.Lock()
-        self._connections: set[AsyncConnection] = set()
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._aux_tasks: set[asyncio.Task] = set()
+        self._connections: set[_RpcProtocol] = set()
+        self._tasks: set[asyncio.Task] = set()
         self._shutdown_callbacks: list = []
         self.loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
@@ -706,17 +671,9 @@ class AsyncRpcServer:
             self.loop.close()
 
     async def _start(self, host: str, port: int) -> tuple[str, int]:
-        if self._connection_handler is not None:
-            # Stream mode: the handler coroutine owns the connection.
-            self._server = await asyncio.start_server(
-                self._on_connection, host, port)
-        else:
-            # RPC mode: callback protocol, no streams on the hot path.
-            self._server = await self.loop.create_server(
-                lambda: _RpcProtocol(self), host, port)
-        watchdog = self.loop.create_task(self._idle_watchdog())
-        self._aux_tasks.add(watchdog)
-        watchdog.add_done_callback(self._aux_tasks.discard)
+        self._server = await self.loop.create_server(
+            lambda: _RpcProtocol(self), host, port)
+        self._track(self.loop.create_task(self._idle_watchdog()))
         return self._server.sockets[0].getsockname()[:2]
 
     async def _idle_watchdog(self) -> None:
@@ -743,11 +700,13 @@ class AsyncRpcServer:
 
     def spawn(self, coro) -> None:
         """Launch a background task on the loop (heartbeats, sweeps)."""
-        def _create() -> None:
-            task = self.loop.create_task(coro)
-            self._aux_tasks.add(task)
-            task.add_done_callback(self._aux_tasks.discard)
-        self.loop.call_soon_threadsafe(_create)
+        self.loop.call_soon_threadsafe(
+            lambda: self._track(self.loop.create_task(coro)))
+
+    def _track(self, task: asyncio.Task) -> None:
+        """Hold ``task`` until it finishes; :meth:`close` cancels it."""
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
     def wake(self, event: asyncio.Event) -> None:
         """Set an asyncio event from a foreign thread."""
@@ -758,51 +717,23 @@ class AsyncRpcServer:
         self._shutdown_callbacks.append(coro_fn)
 
     # ------------------------------------------------------------------
-    # Serving
-    # ------------------------------------------------------------------
-    async def _on_connection(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        conn = AsyncConnection(reader, writer)
-        self._connections.add(conn)
-        try:
-            try:
-                await self._connection_handler(conn)
-            finally:
-                self._connections.discard(conn)
-                self._conn_tasks.discard(task)
-                await conn.close()
-        except asyncio.CancelledError:
-            # Shutdown cancels connection tasks; swallowing the cancel
-            # here keeps the streams-module done-callback from logging
-            # it as a crash.
-            pass
-
-    # ------------------------------------------------------------------
     # Shutdown
     # ------------------------------------------------------------------
     async def _shutdown(self) -> None:
         self._closing = True
         self._server.close()
-        # Drain: in-flight requests finish (stream-mode handlers are
-        # expected to exit on their own once told to close); idle
-        # connections parked in recv are simply cancelled, like the
-        # threaded server dropped them.
+        # Drain: in-flight requests finish; idle connections parked in
+        # recv are simply cancelled, like the threaded server dropped
+        # them.
         deadline = self.loop.time() + self._drain_timeout
-        while self.loop.time() < deadline:
-            if self._connection_handler is not None:
-                if not self._conn_tasks:
-                    break
-            elif self._busy == 0:
-                break
+        while self.loop.time() < deadline and self._busy:
             await asyncio.sleep(0.02)
         for callback in self._shutdown_callbacks:
             try:
                 await callback()
             except Exception:
                 pass
-        for task in list(self._conn_tasks) + list(self._aux_tasks):
+        for task in list(self._tasks):
             task.cancel()
         # Remaining connections are idle (the drain above waited out
         # in-flight work): close them gracefully so any reply bytes

@@ -10,9 +10,8 @@ families start at 16.
 This module splits the mask range into contiguous shards, each
 expressed as a self-describing
 :class:`~repro.experiments.engine.Cell`, so the enumeration runs
-through the same pluggable executor seam as every sweep — serial,
-``--workers N`` process pools, or ``--distributed`` socket workers.
-Three properties make the split safe:
+through the same engine as every sweep — serially or on the
+``--workers N`` process pool.  Three properties make the split safe:
 
 * verdicts are **exact** (rank tests / closed forms, no randomness),
   so any shard layout merges bit-identically;
@@ -62,10 +61,9 @@ _MAX_SHARDS = 256
 #: (fork start-up ~0.025 s) on the reference container: 2**14 6 ms vs
 #: 36 ms, 2**15 15 vs 42, 2**16 93 vs 83, 2**17 37-173 vs 44-136
 #: (family-dependent, wins and losses), 2**18 69 vs 85, and from 2**19
-#: every family measured wins (250-750 ms vs 100-380).  Explicit
-#: :class:`~repro.experiments.engine.Executor` instances (socket
-#: coordinators, pre-warmed pools) bypass the heuristic — the caller
-#: already paid the start-up cost — as does ``serial_below=0``.
+#: every family measured wins (250-750 ms vs 100-380).  Only
+#: ``serial_below=0`` bypasses the heuristic (the benchmark passes it
+#: to time the sharding machinery itself).
 AUTO_SERIAL_MASKS = 1 << 19
 
 
@@ -88,8 +86,8 @@ def shard_ranges(length: int, shard_masks: int | None = None) -> list[tuple[int,
     """Contiguous ``(lo, hi)`` mask ranges covering ``[0, 2**length)``.
 
     Boundaries depend only on ``length`` (and an explicit
-    ``shard_masks`` override), never on the executor, so the cell grid
-    is identical however the enumeration is run.
+    ``shard_masks`` override), never on the worker count, so the cell
+    grid is identical however the enumeration is run.
     """
     total = 1 << length
     if shard_masks is None:
@@ -100,8 +98,8 @@ def shard_ranges(length: int, shard_masks: int | None = None) -> list[tuple[int,
             for lo in range(0, total, shard_masks)]
 
 
-#: Per-process code cache for shard workers.  Pool and socket workers
-#: serve many shards of one enumeration, and building a code's layout
+#: Per-process code cache for shard workers.  A pool worker serves
+#: many shards of one enumeration, and building a code's layout
 #: (0.2-1.5 ms) costs as much as a 1024-mask shard's verdicts
 #: (0.3-1.5 ms): rebuilding per shard measured 1.5x (``rs(17,13)``) to
 #: 2.4x (``heptagon-local``) slower on two workers.
@@ -120,8 +118,8 @@ def _shard_code(code_name: str) -> Code:
 def mask_shard_bits(code_name: str, lo: int, hi: int) -> bytes:
     """Packed recoverability verdicts for masks ``[lo, hi)`` (cell fn).
 
-    Top-level and picklable: the shard travels to pool or socket
-    workers as ``(code_name, lo, hi)`` and the code is rebuilt from the
+    Top-level and picklable: the shard travels to a pool worker as
+    ``(code_name, lo, hi)`` and the code is rebuilt from the
     registry there — which is why ``make_code(code.name)`` must
     round-trip for every constructible family.  Bit-packing keeps a
     2**22-mask table at 512 KiB on the wire instead of 4 MiB.
@@ -140,38 +138,34 @@ def _unpack_shards(shards: list[tuple[int, int]], payloads: list[bytes],
     return table
 
 
-def recoverable_mask_table(code: Code, workers=None, *, executor=None,
+def recoverable_mask_table(code: Code, workers: int | None = None, *,
                            shard_masks: int | None = None,
                            serial_below: int | None = None) -> np.ndarray:
     """The full ``(2**length,)`` recoverability table of ``code``.
 
-    ``workers`` / ``executor`` follow the
-    :func:`~repro.experiments.engine.run_cells` contract (``workers``
-    may be a worker count, ``None`` for ``$REPRO_WORKERS``-or-serial,
-    or an :class:`~repro.experiments.engine.Executor` such as the
-    socket coordinator).  Serial runs stay in-process; fanned-out runs
-    shard the range over the engine.  The merged table is bit-identical
-    whichever path ran it.
+    ``workers`` follows the :func:`~repro.experiments.engine.run_cells`
+    contract (a worker count, or ``None`` for
+    ``$REPRO_WORKERS``-or-serial).  Serial runs stay in-process;
+    fanned-out runs shard the range over the engine.  The merged table
+    is bit-identical whichever path ran it.
 
-    Worker-count requests for enumerations smaller than
-    ``serial_below`` masks (default :data:`AUTO_SERIAL_MASKS`) run
-    serially regardless of the count — pool spin-up dwarfs the work at
-    those sizes.  Pass ``serial_below=0`` to force sharding (the
-    benchmark does, to measure the machinery itself), or hand in a
-    live ``Executor``, which is always honoured.
+    Enumerations smaller than ``serial_below`` masks (default
+    :data:`AUTO_SERIAL_MASKS`) run serially whatever the worker count —
+    pool spin-up dwarfs the work at those sizes.  Pass
+    ``serial_below=0`` to force sharding (the benchmark does, to
+    measure the machinery itself).
     """
     check_enumerable(code)
     # Engine import is deferred: repro.experiments imports
     # repro.reliability at package level, so a module-level import here
     # would be circular.
-    from ..experiments.engine import Cell, Executor, resolve_workers, run_cells
+    from ..experiments.engine import Cell, resolve_workers, run_cells
 
     total = 1 << code.length
     if serial_below is None:
         serial_below = AUTO_SERIAL_MASKS
-    if executor is None and not isinstance(workers, Executor):
-        if resolve_workers(workers) == 1 or total < serial_below:
-            return code.mask_range_verdicts(0, total)
+    if resolve_workers(workers) == 1 or total < serial_below:
+        return code.mask_range_verdicts(0, total)
     try:
         rebuilt = make_code(code.name)
     except (KeyError, ValueError) as exc:
@@ -191,5 +185,5 @@ def recoverable_mask_table(code: Code, workers=None, *, executor=None,
              fn=mask_shard_bits, args=(code.name, lo, hi))
         for lo, hi in shards
     ]
-    payloads = run_cells(cells, workers, executor=executor)
+    payloads = run_cells(cells, workers)
     return _unpack_shards(shards, payloads, total)

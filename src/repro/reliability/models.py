@@ -211,8 +211,8 @@ def group_chain(code_name: str, params: ReliabilityParams,
     return group_model(code_name, params, model).chain
 
 
-def validate_lumping(code: Code, workers=None, *,
-                     executor=None) -> dict[tuple, bool]:
+def validate_lumping(code: Code,
+                     workers: int | None = None) -> dict[tuple, bool]:
     """Check ``code.symmetry_classes()`` against every failure mask.
 
     Streams the code's full (possibly sharded) recoverability table and
@@ -223,7 +223,7 @@ def validate_lumping(code: Code, workers=None, *,
     state otherwise.
     """
     symmetry = code.symmetry_classes()
-    recoverable = recoverable_mask_table(code, workers, executor=executor)
+    recoverable = recoverable_mask_table(code, workers)
     slots = [np.array(cells) for cells in symmetry]    # (cells, size) each
     sizes = [len(cells[0]) for cells in symmetry]
     # One positional digit per histogram entry tells states apart.
@@ -262,16 +262,15 @@ def validate_lumping(code: Code, workers=None, *,
 
 
 def brute_force_chain(code: Code, params: ReliabilityParams,
-                      workers=None, *, executor=None) -> MarkovChain:
+                      workers: int | None = None) -> MarkovChain:
     """Exact chain over all failure subsets of one group (validation).
 
     Exponential in code length.  All ``2**length`` recoverability
     verdicts come from the sharded exact-reliability engine
     (:func:`repro.reliability.mask_enum.recoverable_mask_table`):
-    serially in-process by default, or fanned out over pool / socket
-    workers via ``workers=`` / ``executor=`` exactly like any sweep —
-    the merged table (and therefore the chain) is bit-identical
-    whichever executor ran the shards.  Codes longer than
+    serially in-process by default, or fanned out over the process pool
+    via ``workers=`` exactly like any sweep — the merged table (and
+    therefore the chain) is bit-identical at any worker count.  Codes longer than
     :data:`~repro.reliability.mask_enum.MAX_EXACT_LENGTH` slots raise
     a :class:`ValueError` naming the code and its length.
     """
@@ -280,7 +279,7 @@ def brute_force_chain(code: Code, params: ReliabilityParams,
     chain.mark_absorbing(DATA_LOSS)
     lam = params.failure_rate
     slots = range(code.length)
-    recoverable = recoverable_mask_table(code, workers, executor=executor)
+    recoverable = recoverable_mask_table(code, workers)
     # States exist only for recoverable masks; build their frozensets
     # lazily (fatal masks all collapse into the DATA_LOSS state).
     subsets: dict[int, frozenset[int]] = {}

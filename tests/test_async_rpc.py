@@ -4,7 +4,6 @@ consolidated retry constants, and daemon behaviour under connection
 storms and a slow-loris client."""
 
 import asyncio
-import inspect
 import socket
 import threading
 import time
@@ -129,14 +128,6 @@ class TestRetryPolicyConsolidation:
     def test_client_suspect_ttl_derives_from_policy(self):
         from repro.service import client as client_mod
         assert client_mod.SUSPECT_TTL == RetryPolicy.SUSPECT_TTL
-
-    def test_worker_reconnect_constants_derive_from_policy(self):
-        from repro.experiments import distributed
-        assert (distributed.RECONNECT_MAX_DELAY
-                == RetryPolicy.RECONNECT_MAX_DELAY)
-        sig = inspect.signature(distributed.run_worker)
-        assert (sig.parameters["reconnect_delay"].default
-                == RetryPolicy.RECONNECT_BASE_DELAY)
 
     def test_async_client_gives_up_with_attempt_count(self):
         async def go():

@@ -10,6 +10,10 @@ from repro.cli import build_parser, main
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
+#: Every subcommand that runs a sweep and so takes ``--workers``.
+SWEEP_COMMANDS = ("table1", "fig3", "fig4", "fig5", "repair", "families",
+                  "ablations", "all")
+
 
 class TestParser:
     def test_requires_command(self):
@@ -36,39 +40,34 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig3", "--workers", "many"])
 
-    def test_worker_subcommand(self):
+    @pytest.mark.parametrize("command", SWEEP_COMMANDS)
+    def test_every_sweep_subcommand_takes_a_worker_count(self, command):
+        assert build_parser().parse_args([command]).workers is None
+        args = build_parser().parse_args([command, "--workers", "2"])
+        assert args.workers == 2
+
+    @pytest.mark.parametrize("command", SWEEP_COMMANDS)
+    def test_no_sweep_subcommand_takes_a_coordinator_address(self, command):
+        """Sweeps run serially or on a local pool; there is no socket
+        coordinator to point them at."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--distributed", "h:1"])
+
+    def test_there_is_no_sweep_worker_subcommand(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["worker", "h:1"])
+
+    def test_address_validation(self):
+        """A malformed HOST:PORT fails at the parser, not as a
+        traceback mid-run."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["datanode", "--node-id", "1", "--namenode", "localhost"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["load", "localhost:http"])
         args = build_parser().parse_args(
-            ["worker", "127.0.0.1:7571", "--retries", "3"])
-        assert args.command == "worker"
-        assert args.address == "127.0.0.1:7571"
-        assert args.retries == 3
-
-    def test_address_and_heartbeat_validation(self):
-        """Malformed HOST:PORT or an out-of-budget heartbeat interval
-        fail at the parser, not as a traceback mid-run."""
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig3", "--distributed", "localhost"])
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["worker", "localhost"])
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["worker", "h:1", "--heartbeat", "45"])
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["worker", "h:1", "--heartbeat", "0"])
-        args = build_parser().parse_args(["worker", "h:1",
-                                          "--heartbeat", "0.5"])
-        assert args.heartbeat == 0.5
-
-    def test_every_sweep_subcommand_accepts_distributed(self):
-        for command in ("table1", "fig3", "fig4", "fig5", "repair",
-                        "families", "ablations", "all"):
-            args = build_parser().parse_args(
-                [command, "--distributed", "127.0.0.1:0"])
-            assert args.distributed == "127.0.0.1:0"
-
-    def test_workers_and_distributed_are_mutually_exclusive(self, capsys):
-        assert main(["fig3", "--workers", "2",
-                     "--distributed", "127.0.0.1:0"]) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
+            ["datanode", "--node-id", "1", "--namenode", "h:1"])
+        assert args.namenode == "h:1"
 
 
 class TestCommands:

@@ -23,9 +23,6 @@ from repro.experiments import engine
 from repro.experiments.engine import (
     Cell,
     CellExecutionError,
-    Executor,
-    PooledExecutor,
-    SerialExecutor,
     resolve_workers,
     run_cells,
     run_keyed,
@@ -139,7 +136,16 @@ class TestEngineInfrastructure:
         monkeypatch.setenv("REPRO_WORKERS", "5")
         assert resolve_workers(None) == 5
         assert resolve_workers(2) == 2
-        assert resolve_workers(0) == (os.cpu_count() or 1)
+        assert resolve_workers(0) == len(os.sched_getaffinity(0))
+
+    def test_zero_workers_counts_only_the_cpus_this_process_may_use(
+            self, monkeypatch):
+        """A ``taskset``-pinned run must not oversubscribe its CPU."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert resolve_workers(0) == 1
+        monkeypatch.setenv("REPRO_WORKERS", "0")
+        assert resolve_workers(None) == 1
 
     def test_resolve_workers_rejects_bad_counts(self, monkeypatch):
         """CLI help, env var and resolve_workers agree: >= 0, 0 per CPU."""
@@ -153,49 +159,53 @@ class TestEngineInfrastructure:
             resolve_workers(None)
 
 
-class RecordingExecutor(Executor):
-    """Test double: runs in-process, remembers every batch it was given."""
+class TestWorkerCounts:
+    """``workers`` is a plain count: serial at 1, the cached pool above,
+    and the same merged results at every count and shard layout."""
 
-    def __init__(self):
-        self.batches = []
+    @pytest.mark.parametrize("shard_trials", [None, 1, 4, 9])
+    @pytest.mark.parametrize("workers", [1, 2, WORKERS])
+    def test_every_count_and_shard_layout_matches_the_manual_loop(
+            self, workers, shard_trials):
+        cells = [Cell(experiment="t", key=(i,), fn=draw_trial,
+                      args=(float(i + 1),), trials=9,
+                      shard_trials=shard_trials) for i in range(3)]
+        expected = [CellStats.from_values(
+            [(i + 1) * float(trial_rng("t", i, trial).random())
+             for trial in range(9)]) for i in range(3)]
+        assert run_cells(cells, workers=workers) == expected
 
-    def run(self, payloads):
-        self.batches.append(list(payloads))
-        return [engine._run_unit(payload) for payload in payloads]
+    def test_a_single_unit_batch_starts_no_pool(self):
+        """One work unit runs in-process whatever the count asks for."""
+        engine._evict_pool(3)
+        cell = Cell(experiment="t", key=("a",), fn=draw_trial, args=(1.0,),
+                    trials=4)
+        assert run_cells([cell], workers=3) == [cell.run()]
+        assert 3 not in engine._POOLS
 
+    def test_an_empty_sweep_is_empty_at_any_count(self):
+        assert run_cells([], workers=WORKERS) == []
+        assert run_keyed([], workers=WORKERS) == {}
 
-class TestExecutorSeam:
-    def _cells(self):
-        return [Cell(experiment="t", key=(i,), fn=draw_trial, args=(2.0,),
-                     trials=3) for i in range(4)]
+    @pytest.mark.parametrize("env, expected", [
+        ("3", 3), (" 2 ", 2), ("", 1), ("1", 1)])
+    def test_env_counts(self, monkeypatch, env, expected):
+        monkeypatch.setenv("REPRO_WORKERS", env)
+        assert resolve_workers(None) == expected
 
-    def test_custom_executor_matches_serial(self):
-        recording = RecordingExecutor()
-        assert (run_cells(self._cells(), executor=recording)
-                == run_cells(self._cells(), workers=1))
-        assert len(recording.batches) == 1
-        assert len(recording.batches[0]) == 4
+    @pytest.mark.parametrize("env", ["two", "1.5", "2x", "-3"])
+    def test_env_rejects_what_is_not_a_count(self, monkeypatch, env):
+        monkeypatch.setenv("REPRO_WORKERS", env)
+        with pytest.raises(ValueError, match="REPRO_WORKERS"):
+            resolve_workers(None)
 
-    def test_workers_argument_accepts_an_executor(self):
-        """The CLI threads --distributed coordinators through the
-        builders' existing workers parameter."""
-        recording = RecordingExecutor()
-        assert (run_cells(self._cells(), workers=recording)
-                == run_cells(self._cells(), workers=1))
-        assert recording.batches
-
-    def test_builtin_executors_agree(self):
-        serial = SerialExecutor()
-        pooled = PooledExecutor(WORKERS)
-        payloads = [cell.unit_payload(0, cell.trials)
-                    for cell in self._cells()]
-        assert serial.run(payloads) == pooled.run(payloads)
-
-    def test_rejects_non_executor(self):
-        with pytest.raises(TypeError, match="Executor"):
-            run_cells(self._cells(), executor=3)
-        with pytest.raises(ValueError):
-            PooledExecutor(0)
+    def test_zero_falls_back_to_cpu_count_without_an_affinity_api(
+            self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert resolve_workers(0) == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert resolve_workers(0) == 1
 
 
 class TestFailurePaths:
@@ -251,6 +261,17 @@ class TestFailurePaths:
             assert run_cells(cells, workers=3) == run_cells(cells, workers=1)
         assert built == [3, 3]
         assert evicted == [3, 3]
+
+    def test_cached_pool_is_reused_across_sweeps(self):
+        """Two sweeps at one worker count share one pool and both match
+        the serial run."""
+        cells = [Cell(experiment="t", key=(i,), fn=draw_trial, args=(2.0,),
+                      trials=3) for i in range(5)]
+        expected = run_cells(cells, workers=1)
+        assert run_cells(cells, workers=2) == expected
+        pool = engine._POOLS[2]
+        assert run_cells(cells, workers=2) == expected
+        assert engine._POOLS[2] is pool
 
 
 class TestExperimentDeterminism:

@@ -102,11 +102,6 @@ class TestCli:
         assert seen["uber_block_prob"] == 0.0
         assert seen["node_count"] == 30
 
-    def test_families_accepts_distributed(self):
-        args = build_parser().parse_args(
-            ["families", "--distributed", "127.0.0.1:0"])
-        assert args.distributed == "127.0.0.1:0"
-
     def test_smoke(self, capsys):
         assert main(["families", "--codes", "pentagon-local",
                      "pentagon-local(3g,2p)"]) == 0

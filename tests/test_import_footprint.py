@@ -6,7 +6,9 @@ daemon, the argument parser every ``python -m repro`` process builds,
 and ``repro lint`` must not pay for scipy or the experiment stack;
 the paper-suite pass must.  A datanode is a byte store behind a
 socket: it loads neither numpy nor the coding stack, not even after
-serving ``put``, ``get`` and ``combine`` on the native backend.
+serving ``put``, ``get`` and ``combine`` on the native backend.  The
+sweep engine is serial or a local fork pool: importing the experiments
+loads no event loop and no socket layer.
 """
 
 import json
@@ -131,3 +133,8 @@ def test_experiments_still_load_scipy_eagerly():
     makes every forked worker import it again (plus once in the parent
     for Table 1's analytic MTTDL), which measured slower on the suite."""
     assert "scipy.sparse.linalg" in loaded_modules("import repro.experiments")
+
+
+def test_experiments_load_no_event_loop_and_no_socket_layer():
+    modules = loaded_modules("import repro.experiments")
+    assert under(modules, "asyncio", "repro.net") == []

@@ -4,9 +4,12 @@ and lock-free blocking stay clean."""
 
 from __future__ import annotations
 
+import pathlib
 import textwrap
 
-from repro.analysis import run_lint
+from repro.analysis import locks, run_lint
+
+SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def lint_source(tmp_path, source, rel="service/daemon.py"):
@@ -322,15 +325,15 @@ class TestScope:
                     time.sleep(1.0)
     """
 
-    def test_distributed_module_is_in_scope(self, tmp_path):
-        report = lint_source(tmp_path, self.BLOCKING,
-                             rel="experiments/distributed.py")
-        assert not report.ok()
-
     def test_net_module_is_in_scope(self, tmp_path):
         report = lint_source(tmp_path, self.BLOCKING,
                              rel="repro/net.py")
         assert not report.ok()
+
+    def test_every_scope_file_exists(self):
+        """A scope entry naming a deleted module checks nothing, silently."""
+        for name in locks.SCOPE_FILES:
+            assert (SRC_DIR / name).is_file(), name
 
     def test_other_trees_are_out_of_scope(self, tmp_path):
         report = lint_source(tmp_path, self.BLOCKING,

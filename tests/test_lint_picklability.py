@@ -1,5 +1,5 @@
-"""Picklability checker: lambdas and closures headed for the executor
-seam are caught; module-level callables and thread-pool bound methods
+"""Picklability checker: lambdas and closures headed for a process
+pool are caught; module-level callables and thread-pool bound methods
 pass."""
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ class TestSubmissionSites:
 
 class TestScopeAndWaivers:
     def test_checker_runs_outside_experiments_too(self, tmp_path):
-        # the executor seam is reachable from anywhere in the tree
+        # the sweep engine is reachable from anywhere in the tree
         report = lint_source(tmp_path, """\
             def go(pool):
                 return pool.submit(lambda: 1)

@@ -1,8 +1,7 @@
-"""Wire-surface checker: handlers, call sites, reply reads and
-distributed frames are held to the literal op tables the fixture trees
-declare (``NAMENODE_OPS`` / ``DATANODE_OPS`` / ``FRAMES`` /
-``FRAMING_OPS``), and the rendered artifact is drift-gated.  Fixture
-trees are parsed, never imported."""
+"""Wire-surface checker: handlers, call sites and reply reads are held
+to the literal op tables the fixture trees declare (``NAMENODE_OPS`` /
+``DATANODE_OPS`` / ``FRAMING_OPS``), and the rendered artifact is
+drift-gated.  Fixture trees are parsed, never imported."""
 
 from __future__ import annotations
 
@@ -63,16 +62,6 @@ SERVICE = {"service/protocol.py": PROTOCOL,
            "service/namenode.py": NAMENODE,
            "service/datanode.py": DATANODE}
 
-FRAMES = """\
-    FRAMES = {
-        "hello": None,
-        "welcome": None,
-        "unit": 3,
-        "result": 3,
-    }
-"""
-
-
 def write(tmp_path, files):
     for rel, source in files.items():
         path = tmp_path / rel
@@ -84,8 +73,8 @@ def lint(tmp_path, files, context=()):
     """Lint the fixture's source trees; ``context`` names fixture files
     (a ``tests/`` tree) that are visible but never produce findings."""
     write(tmp_path, files)
-    scan = [p for p in (tmp_path / "service", tmp_path / "experiments",
-                        tmp_path / "repro") if p.is_dir()]
+    scan = [p for p in (tmp_path / "service", tmp_path / "repro")
+            if p.is_dir()]
     return run_lint(root=tmp_path, paths=scan, checkers=["schema"],
                     context_paths=[tmp_path / rel for rel in context])
 
@@ -375,138 +364,8 @@ class TestCallSitePayloads:
             ("schema.unknown-reply-key", "service/client.py", 9)]
 
 
-class TestWorkerFrames:
-    WORKER = """\
-        def worker(sock, kind, unit, send_frame):
-            if kind == "welcome":
-                send_frame(sock, ("hello", None))
-            reply = ("result", (1, 2, unit))
-            send_frame(sock, reply)
-    """
-
-    def frames(self, tmp_path, coordinator, worker=None, table=FRAMES):
-        source = "\n".join(textwrap.dedent(part) for part in (
-            table, coordinator, self.WORKER if worker is None else worker))
-        return lint(tmp_path, {"experiments/distributed.py": source})
-
-    def test_symmetric_frame_kinds_are_clean(self, tmp_path):
-        report = self.frames(tmp_path, """\
-            def coordinator(conn, kind, send_frame):
-                if kind == "hello":
-                    send_frame(conn, ("welcome", None))
-                    send_frame(conn, ("unit", (1, 2, None)))
-                elif kind == "result" or kind == "unit":
-                    pass
-        """)
-        assert report.ok(), report.format_text()
-
-    def test_conn_send_frames_are_collected(self, tmp_path):
-        # the async coordinator sends via conn.send((kind, data))
-        report = self.frames(tmp_path, """\
-            async def coordinator(conn, kind):
-                if kind == "hello":
-                    await conn.send(("welcome", None))
-                    await conn.send(("unit", (1, 2, None)))
-                elif kind == "result" or kind == "unit":
-                    pass
-        """)
-        assert report.ok(), report.format_text()
-
-    def test_sent_but_undeclared_frame_kind(self, tmp_path):
-        report = self.frames(tmp_path, """\
-            def coordinator(conn, kind, send_frame):
-                if kind == "hello":
-                    send_frame(conn, ("welcome", None))
-                    send_frame(conn, ("unit", (1, 2, None)))
-                    send_frame(conn, ("surprise", None))
-                elif kind == "result" or kind == "unit":
-                    pass
-        """)
-        assert actives(report) == [
-            ("schema.unknown-op", "experiments/distributed.py", 12)]
-
-    def test_declared_and_handled_but_never_sent(self, tmp_path):
-        report = self.frames(tmp_path, """\
-            def coordinator(conn, kind, send_frame):
-                if kind == "hello":
-                    send_frame(conn, ("welcome", None))
-                    send_frame(conn, ("unit", (1, 2, None)))
-                elif kind == "result" or kind == "unit":
-                    pass
-                elif kind == "ghost":
-                    pass
-        """, table=FRAMES.replace("    }", '        "ghost": None,\n    }'))
-        assert actives(report) == [     # at the declaration
-            ("schema.unused-op", "experiments/distributed.py", 6)]
-
-    def test_frame_variable_kinds_are_chased(self, tmp_path):
-        # reply = ("resullt", ...) on one branch, sent later by name
-        report = self.frames(tmp_path, """\
-            def coordinator(conn, kind, send_frame):
-                if kind == "hello":
-                    send_frame(conn, ("welcome", None))
-                    send_frame(conn, ("unit", (1, 2, None)))
-                elif kind == "result" or kind == "unit":
-                    pass
-        """, worker=self.WORKER.replace('("result", (1, 2, unit))',
-                                        '("resullt", (1, 2, unit))'))
-        assert actives(report) == [
-            ("schema.unknown-op", "experiments/distributed.py", 19),
-            ("schema.unused-op", "experiments/distributed.py", 5)]
-
-    def test_send_with_the_wrong_shape(self, tmp_path):
-        report = self.frames(tmp_path, """\
-            def coordinator(conn, kind, send_frame):
-                if kind == "hello":
-                    send_frame(conn, ("welcome", None))
-                    send_frame(conn, ("unit", (1, None)))
-                elif kind == "result" or kind == "unit":
-                    pass
-        """)
-        assert actives(report) == [
-            ("schema.frame-shape", "experiments/distributed.py", 11)]
-
-    RECEIVER = """\
-        def coordinator(conn, send_frame, recv_frame):
-            send_frame(conn, ("welcome", None))
-            send_frame(conn, ("unit", (1, 2, None)))
-            kind, data = recv_frame(conn)
-            if kind == "hello":
-                return
-            if kind != "result":
-                raise ValueError(kind)
-            UNPACK
-
-        def record(generation, unit_id):
-            pass
-
-        def worker(sock, kind, unit, send_frame):
-            if kind == "welcome" or kind == "unit":
-                send_frame(sock, ("hello", None))
-            send_frame(sock, ("result", (1, 2, unit)))
-    """
-
-    def test_unpack_with_the_wrong_arity(self, tmp_path):
-        report = self.frames(tmp_path, self.RECEIVER.replace(
-            "UNPACK", "generation, output = data"), worker="")
-        assert actives(report) == [
-            ("schema.frame-shape", "experiments/distributed.py", 16)]
-
-    def test_star_call_with_the_wrong_arity(self, tmp_path):
-        report = self.frames(tmp_path, self.RECEIVER.replace(
-            "UNPACK", "record(*data)"), worker="")
-        assert actives(report) == [
-            ("schema.frame-shape", "experiments/distributed.py", 16)]
-
-    def test_matching_unpack_is_clean(self, tmp_path):
-        report = self.frames(tmp_path, self.RECEIVER.replace(
-            "UNPACK", "generation, unit_id, output = data"), worker="")
-        assert report.ok(), report.format_text()
-
-
 class TestArtifact:
-    FILES = {**SERVICE, "service/client.py": CLIENT,
-             "experiments/distributed.py": 'FRAMES = {}\n'}
+    FILES = {**SERVICE, "service/client.py": CLIENT}
 
     def project(self, tmp_path):
         return Project(tmp_path, [tmp_path], context_paths=())
@@ -544,7 +403,7 @@ class TestArtifact:
     def test_partial_scan_skips_the_gate(self, tmp_path):
         (tmp_path / "docs").mkdir()
         files = dict(self.FILES)
-        del files["experiments/distributed.py"]     # FRAMES not in view
+        del files["service/protocol.py"]     # op tables not in view
         assert actives(lint(tmp_path, files)) == []
 
     def test_fresh_artifact_clean_then_drifts(self, tmp_path):

@@ -1,6 +1,5 @@
-"""The shared frame protocol (`repro.net`): framing guards, backoff
-math, and the worker's reconnect-with-backoff loop against a
-late-starting coordinator."""
+"""The shared frame protocol (`repro.net`): framing guards, address
+parsing and backoff math."""
 
 import pickle
 import socket
@@ -10,8 +9,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.experiments import distributed
-from repro.experiments.engine import Cell, run_cells
 from repro.net import (
     MAX_FRAME_BYTES,
     ProtocolError,
@@ -124,18 +121,11 @@ class TestFrames:
             a.close()
             b.close()
 
-    def test_distributed_reexports_shared_protocol(self):
-        # Satellite guarantee: experiments.distributed still exposes the
-        # framing it grew up with, now backed by repro.net.
-        assert distributed.send_frame is send_frame
-        assert distributed.recv_frame is recv_frame
-        assert distributed.parse_hostport is parse_hostport
-        assert distributed.MAX_FRAME_BYTES is MAX_FRAME_BYTES
-
 
 class TestParseHostport:
     def test_good(self):
         assert parse_hostport("10.0.0.2:7571") == ("10.0.0.2", 7571)
+        assert parse_hostport("node-3.cluster:0") == ("node-3.cluster", 0)
 
     @pytest.mark.parametrize("bad", ["7571", ":7571", "host:",
                                      "host:nan", "host:70000"])
@@ -163,47 +153,3 @@ class TestBackoff:
     def test_attempts_start_at_one(self):
         with pytest.raises(ValueError):
             backoff_delay(0, 0.1, 1.0)
-
-
-def plain_trial(rng, scale):
-    return scale * float(rng.random())
-
-
-class TestWorkerReconnectBackoff:
-    """Satellite: `run_worker` honours its reconnect budget with
-    capped-exponential pacing when the coordinator is not up yet."""
-
-    def test_no_budget_fails_fast(self):
-        placeholder = socket.socket()
-        placeholder.bind(("127.0.0.1", 0))
-        host, port = placeholder.getsockname()
-        placeholder.close()          # nothing listens here now
-        start = time.monotonic()
-        with pytest.raises(OSError):
-            distributed.run_worker(host, port, reconnect_attempts=0)
-        assert time.monotonic() - start < 5.0
-
-    def test_worker_outwaits_late_coordinator(self):
-        """The worker starts first, retries with backoff, and serves the
-        sweep once the coordinator finally binds the port."""
-        placeholder = socket.socket()
-        placeholder.bind(("127.0.0.1", 0))
-        host, port = placeholder.getsockname()
-        placeholder.close()
-        log: list[str] = []
-        worker = threading.Thread(
-            target=lambda: distributed.run_worker(
-                host, port, reconnect_attempts=40, reconnect_delay=0.05,
-                reconnect_max_delay=0.2, log=log.append),
-            daemon=True)
-        worker.start()
-        time.sleep(0.5)              # worker is deep in its retry loop
-        with distributed.DistributedExecutor(host, port) as executor:
-            executor.wait_for_workers(1, timeout=30)
-            cells = [Cell(experiment="late-coord", key=(i,),
-                          fn=plain_trial, args=(1.0,), trials=2)
-                     for i in range(3)]
-            assert run_cells(cells, workers=executor) == run_cells(
-                cells, workers=1)
-        assert any("retry" in line or "backing off" in line.lower()
-                   or "failed" in line for line in log)

@@ -1,19 +1,11 @@
-"""Sharded exact-reliability enumeration: bit-identity across executors,
-the constant-memory range seam, and the lifted (and clearly named)
-length wall."""
-
-import os
-import pathlib
-import subprocess
-import sys
+"""Sharded exact-reliability enumeration: bit-identity across worker
+counts, the constant-memory range seam, and the lifted (and clearly
+named) length wall."""
 
 import numpy as np
 import pytest
 
-import repro
 from repro.core import make_code
-from repro.experiments.distributed import DistributedExecutor
-from repro.experiments.engine import PooledExecutor
 from repro.reliability import (
     AUTO_SERIAL_MASKS,
     MAX_EXACT_LENGTH,
@@ -24,22 +16,7 @@ from repro.reliability import (
     shard_ranges,
 )
 
-SRC_DIR = pathlib.Path(repro.__file__).resolve().parent.parent
-
 FAST = ReliabilityParams(node_mttf_hours=100.0, node_mttr_hours=10.0)
-
-
-def spawn_worker(address, retries=30):
-    """A real ``python -m repro worker`` subprocess aimed at ``address``."""
-    env = dict(os.environ)
-    parts = [str(SRC_DIR)]
-    if env.get("PYTHONPATH"):
-        parts.append(env["PYTHONPATH"])
-    env["PYTHONPATH"] = os.pathsep.join(parts)
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro", "worker",
-         f"{address[0]}:{address[1]}", "--retries", str(retries)],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
 
 
 class TestMaskRangeVerdicts:
@@ -108,7 +85,7 @@ class TestShardPlanning:
 
 
 class TestExecutorBitIdentity:
-    """workers=1, workers=N and distributed loopback must agree exactly."""
+    """workers=1 and workers=N must agree exactly."""
 
     def test_serial_vs_pooled(self):
         # serial_below=0: heptagon-local's 2**15 masks sit under the
@@ -116,10 +93,7 @@ class TestExecutorBitIdentity:
         serial = recoverable_mask_table(make_code("heptagon-local"))
         pooled = recoverable_mask_table(make_code("heptagon-local"),
                                         workers=2, serial_below=0)
-        explicit = recoverable_mask_table(make_code("heptagon-local"),
-                                          executor=PooledExecutor(2))
         assert (serial == pooled).all()
-        assert (serial == explicit).all()
 
     def test_serial_vs_pooled_rank_based_family(self):
         """A generic (no closed form) family: rank tests in workers."""
@@ -129,31 +103,16 @@ class TestExecutorBitIdentity:
                                         serial_below=0)
         assert (serial == pooled).all()
 
-    def test_distributed_loopback(self):
-        serial = recoverable_mask_table(make_code("heptagon-local"))
-        with DistributedExecutor(heartbeat_timeout=30.0) as executor:
-            proc = spawn_worker(executor.address)
-            try:
-                executor.wait_for_workers(1, timeout=60)
-                distributed = recoverable_mask_table(
-                    make_code("heptagon-local"), executor=executor)
-            finally:
-                executor.close()
-                try:
-                    proc.wait(timeout=15)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait()
-        assert (serial == distributed).all()
+    def test_sharded_brute_force_chain_matches_serial(self, monkeypatch):
+        # No auto-serial floor: a bare workers=2 would otherwise
+        # enumerate pentagon-local's 2**11 masks in-process.
+        import repro.reliability.mask_enum as mask_enum
 
-    def test_sharded_brute_force_chain_matches_serial(self):
-        # An explicit executor: a bare workers=2 would auto-serialise
-        # at pentagon-local's 2**11 masks.
+        monkeypatch.setattr(mask_enum, "AUTO_SERIAL_MASKS", 0)
         code_serial = make_code("pentagon-local")
         code_pooled = make_code("pentagon-local")
         serial = brute_force_chain(code_serial, FAST)
-        pooled = brute_force_chain(code_pooled, FAST,
-                                   executor=PooledExecutor(2))
+        pooled = brute_force_chain(code_pooled, FAST, workers=2)
         assert set(serial.transitions) == set(pooled.transitions)
         for state in serial.transitions:
             assert sorted(serial.transitions[state], key=repr) \
@@ -188,7 +147,7 @@ class TestAutoSerial:
         seen = {}
         real = engine.run_cells
 
-        def spy(cells, workers=None, *, executor=None):
+        def spy(cells, workers=None):
             cells = list(cells)
             seen["cells"] = len(cells)
             return real(cells, 1)            # serial execution, same cells
@@ -201,22 +160,6 @@ class TestAutoSerial:
         expected = make_code("pentagon-local").mask_range_verdicts(
             0, 1 << code.length)
         assert (table == expected).all()
-
-    def test_explicit_executor_always_honoured(self, monkeypatch):
-        import repro.experiments.engine as engine
-
-        seen = {}
-        real = engine.run_cells
-
-        def spy(cells, workers=None, *, executor=None):
-            seen["executor"] = executor
-            return real(cells, 1)
-
-        monkeypatch.setattr(engine, "run_cells", spy)
-        executor = PooledExecutor(2)
-        recoverable_mask_table(make_code("pentagon-local"),
-                               executor=executor)
-        assert seen["executor"] is executor
 
 
 class TestLengthWall:
