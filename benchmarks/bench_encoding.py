@@ -31,7 +31,7 @@ def stripe_data(code, seed=0):
 def test_encode_throughput(benchmark, code_name):
     code = make_code(code_name)
     data = stripe_data(code)
-    code.encode(data)   # warm the packed-table kernel outside the timer
+    code.encode(data)   # compile the kernel outside the timer
     encoded = benchmark(code.encode, data)
     assert len(encoded) == code.symbol_count
     benchmark.extra_info["stripe_mb"] = code.k * BLOCK_BYTES / 2**20

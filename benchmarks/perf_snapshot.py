@@ -19,8 +19,8 @@ repetitions; throughputs are MB/s over the stripe's data payload.
 snapshot with only the storage-service numbers (pair it with
 ``--tag service``).
 
-``--backend`` forces one GF kernel backend (``native``/``numpy``/
-``scalar``) for the whole run — A/B snapshots without env-var
+``--backend`` forces one GF kernel backend (``native`` or the
+``numpy`` reference) for the whole run — A/B snapshots without env-var
 juggling.  Without it the ``core`` section compares backends itself:
 each ``encode_mb_s``/``decode_mb_s`` row carries one throughput per
 available backend plus ``speedup`` (native over numpy) and a
@@ -128,7 +128,7 @@ def core_benchmark() -> dict:
             decoded_by: dict[str, list] = {}
             for backend in backends:
                 gf_kernels.set_backend(backend)
-                encoded = code.encode(data)      # warm packed tables
+                encoded = code.encode(data)      # warm the kernel
                 encoded_by[backend] = encoded
                 seconds = median_seconds(lambda: code.encode(data))
                 encode_row[backend] = round(payload_mb / seconds, 1)

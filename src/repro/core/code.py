@@ -23,15 +23,15 @@ Two shared performance engines live here:
   fault-tolerance enumerators, Markov-chain builders and Monte-Carlo
   simulators all share.
 * a **batched encode/decode path**: the parity rows of the generator
-  are compiled once into a packed-table
-  :class:`~repro.gf.kernels.BatchedLinearMap`, so encoding computes all
-  parity symbols in one pass instead of per-symbol, per-coefficient
-  scalar combines.  Decode compiles a kernel over **only the rows that
-  need arithmetic** and returns every data symbol that survived as a
-  read-only zero-copy view of the caller's buffer, the contract
-  ``encode`` has for its data symbols.  What a failure pattern
-  compiles to (that decode, and the two GF eliminations behind the
-  generic planners) lives in one bounded per-code memo: solved once.
+  are compiled once into a :class:`~repro.gf.kernels.BatchedLinearMap`,
+  so encoding computes all parity symbols in one native pass instead
+  of per-symbol, per-coefficient combines.  Decode compiles a kernel
+  over **only the rows that need arithmetic** and returns every data
+  symbol that survived as a read-only zero-copy view of the caller's
+  buffer, the contract ``encode`` has for its data symbols.  What a
+  failure pattern compiles to (that decode, and the two GF
+  eliminations behind the generic planners) lives in one bounded
+  per-code memo: solved once.
 """
 
 from __future__ import annotations
@@ -326,7 +326,7 @@ class Code(ABC):
         data symbols (copy before mutating either side); the rest are
         fresh, independently mutable arrays.  The solve happens on the
         small coefficient matrix, once per surviving-symbol set, and
-        only the rows that need arithmetic go through the packed-table
+        only the rows that need arithmetic go through the batched
         kernel.  Eliminating over the megabyte-wide buffers directly
         would be an order of magnitude slower.
         """

@@ -48,10 +48,10 @@ def encoding_throughput(code_name: str, block_bytes: int = 1 << 20,
                         repeats: int = 3, seed: int = 0) -> dict[str, float]:
     """Encode and decode throughput in MB/s over the stripe's data bytes.
 
-    One untimed warm-up pass builds the code's packed-table
-    encode/decode kernels first, so the reported figure is the
+    One untimed warm-up pass compiles the code's encode/decode kernels
+    (and loads the native library) first, so the reported figure is the
     steady-state throughput a long encoding run sees rather than a mix
-    of one-off table builds and hot-path work.
+    of one-off setup and hot-path work.
     """
     code = make_code(code_name)
     rng = np.random.default_rng(seed)

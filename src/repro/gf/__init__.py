@@ -18,8 +18,8 @@ _EXPORTS = {
         ("GF256", "gf_add", "gf_sub", "gf_mul", "gf_div", "gf_inv",
          "gf_pow"), "field"),
     **dict.fromkeys(
-        ("BatchedLinearMap", "PACKED_MIN_BYTES", "NATIVE_MIN_BYTES",
-         "linear_combine", "native_available", "native_error"),
+        ("BatchedLinearMap", "linear_combine", "native_available",
+         "native_error"),
         "kernels"),
     **dict.fromkeys(
         ("BACKEND_ENV", "BACKEND_NAMES", "crc32", "set_backend",

@@ -138,11 +138,6 @@ class GF256:
         return MUL_TABLE[coefficient][array]
 
     @staticmethod
-    def mul(a, b) -> np.ndarray:
-        """Element-wise product of two buffers."""
-        return MUL_TABLE[GF256.asarray(a), GF256.asarray(b)]
-
-    @staticmethod
     def axpy(accumulator: np.ndarray, coefficient: int, buffer) -> None:
         """In-place ``accumulator ^= coefficient * buffer``.
 

@@ -178,23 +178,6 @@ def invert(matrix) -> np.ndarray:
     return solve(square, identity)
 
 
-#: Packed kernels for matmul's wide-RHS route, keyed by coefficient
-#: bytes so repeated products with one matrix reuse the built tables.
-_KERNEL_CACHE: dict[tuple[bytes, tuple[int, int]], object] = {}
-
-
-def _cached_kernel(left: np.ndarray):
-    from .kernels import BatchedLinearMap
-
-    key = (left.tobytes(), left.shape)
-    kernel = _KERNEL_CACHE.get(key)
-    if kernel is None:
-        if len(_KERNEL_CACHE) >= 8:
-            _KERNEL_CACHE.pop(next(iter(_KERNEL_CACHE)))
-        kernel = _KERNEL_CACHE[key] = BatchedLinearMap(left)
-    return kernel
-
-
 def matmul(a, b) -> np.ndarray:
     """Matrix product over GF(256).
 
@@ -205,21 +188,14 @@ def matmul(a, b) -> np.ndarray:
     The product runs one vectorised pass per shared-dimension column:
     all output rows are updated at once through a 2-D table gather
     (unit coefficients shortcut to raw XOR), rather than the scalar
-    per-row/per-coefficient loop this replaces.  Wide right-hand sides
-    (block-buffer stacks) route through the packed-table
-    :class:`~repro.gf.kernels.BatchedLinearMap` engine, which also
-    backs :meth:`repro.core.Code.encode` — from
-    :func:`~repro.gf.kernels.packed_threshold` bytes up, so the native
-    backend's much lower amortisation floor is honoured automatically.
+    per-row/per-coefficient loop this replaces.  Block-buffer stacks
+    belong to :class:`~repro.gf.kernels.BatchedLinearMap`, which runs
+    the native kernels.
     """
-    from .kernels import packed_threshold
-
     left = np.asarray(a, dtype=np.uint8)
     right = np.asarray(b, dtype=np.uint8)
     if left.ndim != 2 or right.ndim != 2 or left.shape[1] != right.shape[0]:
         raise ValueError("incompatible shapes for GF matmul")
-    if right.shape[1] >= packed_threshold():
-        return _cached_kernel(left).apply(list(right))
     out = np.zeros((left.shape[0], right.shape[1]), dtype=np.uint8)
     for j in range(left.shape[1]):
         column = left[:, j]

@@ -14,7 +14,7 @@ CPU runs, once, by ``__builtin_cpu_supports`` and ``cpuid``, so one
 compiled library serves any host and nothing is configured.  Each tier
 is also exported under its own name (``repro_gf_apply_gfni`` /
 ``_avx2`` / ``_portable``) so the tests can hold every one the CPU has
-to the numpy and scalar backends.  Rates are bytes of input per second
+to the numpy reference.  Rates are bytes of input per second
 at 1 MiB blocks on a 2-vCPU Intel Xeon (GFNI, AVX-512) with gcc 12:
 
 * **gfni-avx512** — a multiply is one ``vgf2p8affineqb`` per 64 bytes,
@@ -78,8 +78,8 @@ compiled with the host's C compiler (``$CC``, else ``cc``/``gcc``/
 mode (``ffi.dlopen``), which needs no setuptools machinery and adds
 nothing at import time.  Hosts without cffi or a working compiler
 degrade gracefully: :func:`load` returns ``None``, :func:`error`
-says why, and the numpy backend serves every caller (selection lives
-in :func:`repro.gf.kernels.active_backend`).
+says why, and the numpy reference serves every caller (selection:
+:func:`active_backend` below).
 
 The cache directory is ``$REPRO_NATIVE_CACHE``, else
 ``~/.cache/repro-native``, else a per-user tmpdir; the library file
@@ -721,7 +721,7 @@ combine_binding = None
 BACKEND_ENV = "REPRO_GF_BACKEND"
 
 #: Valid backend names (``auto`` resolves to the best available).
-BACKEND_NAMES = ("auto", "native", "numpy", "scalar")
+BACKEND_NAMES = ("auto", "native", "numpy")
 
 #: Process-wide override installed by :func:`set_backend` (takes
 #: precedence over the environment).
@@ -913,10 +913,10 @@ def set_backend(name: str | None) -> None:
 
     ``None`` (or ``"auto"``) restores the default resolution order:
     ``$REPRO_GF_BACKEND``, else ``native`` when the extension builds,
-    else ``numpy``.  Used by tests and ``perf_snapshot.py --backend``;
-    takes effect on the next kernel application (dispatch is per call,
-    never baked into a kernel), :func:`crc32` and :func:`combine`
-    (re-bound).
+    else ``numpy``.  Tests and bit-identity checks use it to hold the
+    native kernels to the ``numpy`` reference in one process; it takes
+    effect on the next kernel application (dispatch is per call, never
+    baked into a kernel), :func:`crc32` and :func:`combine` (re-bound).
     """
     global _FORCED_BACKEND, crc32_binding, combine_binding
     if name is None or name == "auto":
@@ -937,7 +937,8 @@ def requested_backend() -> str:
 
 
 def active_backend() -> str:
-    """The backend new kernel applications will actually run on.
+    """The backend new kernel applications will actually run on:
+    ``native`` (the C kernels) or ``numpy`` (the per-row reference).
 
     ``native``/``auto`` requests degrade to ``numpy`` when the
     extension cannot be built (one warning when native was explicitly
@@ -946,7 +947,7 @@ def active_backend() -> str:
     """
     global _FALLBACK_WARNED
     requested = requested_backend()
-    if requested in ("numpy", "scalar"):
+    if requested == "numpy":
         return requested
     if load() is not None:
         return "native"
@@ -1011,9 +1012,11 @@ def _bind_combine():
         apply = kernels.apply
 
         def bound(coefficients, blocks):
-            length = len(blocks[0]) if blocks else 0
             if len(coefficients) != len(blocks):
                 raise ValueError("coefficient/buffer count mismatch")
+            if not blocks:
+                raise ValueError("cannot infer output length from empty input")
+            length = len(blocks[0])
             if any(len(block) != length for block in blocks):
                 raise ValueError("buffers must share a common length")
             out = bytearray(length)
@@ -1034,7 +1037,8 @@ def combine(coefficients: bytes, blocks) -> bytes:
     all-ones included, is one call of the op-table entry point, inputs
     read in place.  Elsewhere it is :func:`repro.gf.kernels.linear_combine`,
     imported on the first call: the only way numpy enters a datanode's
-    data path.
+    data path.  Both refuse a count mismatch, unequal lengths and an
+    empty input with the same ``ValueError``.
     Bound like :func:`crc32`.
     """
     bound = combine_binding or _bind_combine()

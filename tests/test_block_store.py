@@ -21,8 +21,7 @@ from repro.gf import kernels, linear_combine, native
 from repro.service.datanode import DataNodeServer, call
 from repro.service.namenode import NameNodeServer
 
-BACKENDS = (["native", "numpy", "scalar"] if native.load() is not None
-            else ["numpy", "scalar"])
+BACKENDS = ["native", "numpy"] if native.load() is not None else ["numpy"]
 
 BLOCK = BlockId("f", 0, 0)
 PAYLOAD = np.random.default_rng(3).integers(

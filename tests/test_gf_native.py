@@ -1,14 +1,14 @@
 """Native GF(2^8) backend: selection seam, bit-identity, fallback.
 
 The native C kernels must change *nothing* observable except wall
-time.  This suite fuzzes bit-identity between the ``native``,
-``numpy`` and ``scalar`` backends across odd block sizes, unaligned
-and non-contiguous buffers, and every registry-constructible code;
-pins down the backend-selection contract (``REPRO_GF_BACKEND``,
-:func:`set_backend`, warn-once degradation when native is requested
-but unavailable); and covers the satellite fixes that ride along
-(bounded thread-local scratch, the fused :func:`linear_combine`
-drop-in and its multiply-free all-ones route).  The block checksum
+time.  This suite fuzzes bit-identity between the ``native`` kernels
+and the ``numpy`` per-row reference across block sizes from one byte
+up, unaligned and non-contiguous buffers, and every
+registry-constructible code; pins down the backend-selection contract
+(``REPRO_GF_BACKEND``, :func:`set_backend`, warn-once degradation when
+native is requested but unavailable); and covers the fused
+:func:`linear_combine` drop-in, its multiply-free all-ones route and
+the datanode's :func:`repro.gf.native.combine`.  The block checksum
 lives in the same library, so it is held here too — and so runs under
 the sanitizers: :func:`repro.gf.crc32` against ``zlib.crc32`` bit for
 bit, which of the two a process has bound, and that no verify was lost
@@ -34,9 +34,8 @@ from repro.core import make_code
 from repro.core.registry import available_codes
 from repro.gf import (
     BACKEND_ENV,
+    BACKEND_NAMES,
     GF256,
-    NATIVE_MIN_BYTES,
-    PACKED_MIN_BYTES,
     BatchedLinearMap,
     crc32,
     linear_combine,
@@ -57,7 +56,7 @@ def _restore_backend():
 
 
 #: Every backend this host can run (native only where it built).
-BACKENDS = ["native", "numpy", "scalar"] if NATIVE else ["numpy", "scalar"]
+BACKENDS = ["native", "numpy"] if NATIVE else ["numpy"]
 
 
 def random_case(seed, m, k, size):
@@ -67,19 +66,35 @@ def random_case(seed, m, k, size):
     return rows, buffers
 
 
+def apply_on(backend, rows, buffers, block_size=None):
+    """``rows @ stack(buffers)`` with ``backend`` forced for the call."""
+    kernels.set_backend(backend)
+    return BatchedLinearMap(rows).apply(buffers, block_size)
+
+
 class TestBackendSelection:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="bogus"):
             kernels.set_backend("bogus")
-        with pytest.raises(ValueError):
-            BatchedLinearMap([[1]], backend="bogus")
+
+    def test_the_names(self, monkeypatch):
+        assert BACKEND_NAMES == ("auto", "native", "numpy")
+        monkeypatch.setenv(BACKEND_ENV, "scalar")
+        with pytest.raises(ValueError, match="auto, native, numpy"):
+            kernels.requested_backend()
+        with pytest.raises(ValueError, match="auto, native, numpy"):
+            kernels.set_backend("scalar")
+
+    def test_a_kernel_takes_no_backend(self):
+        with pytest.raises(TypeError):
+            BatchedLinearMap([[1]], backend="numpy")
 
     def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "scalar")
-        assert kernels.requested_backend() == "scalar"
-        assert kernels.active_backend() == "scalar"
         monkeypatch.setenv(BACKEND_ENV, "numpy")
+        assert kernels.requested_backend() == "numpy"
         assert kernels.active_backend() == "numpy"
+        monkeypatch.setenv(BACKEND_ENV, "auto")
+        assert kernels.requested_backend() == "auto"
 
     def test_invalid_env_var_is_loud(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "turbo")
@@ -87,24 +102,17 @@ class TestBackendSelection:
             kernels.requested_backend()
 
     def test_set_backend_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "scalar")
+        monkeypatch.setenv(BACKEND_ENV, "native")
         kernels.set_backend("numpy")
         assert kernels.active_backend() == "numpy"
         kernels.set_backend(None)
-        assert kernels.active_backend() == "scalar"
+        assert kernels.requested_backend() == "native"
 
     @needs_native
     def test_auto_resolves_to_native_when_available(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
         assert kernels.requested_backend() == "auto"
         assert kernels.active_backend() == "native"
-
-    def test_packed_threshold_follows_backend(self):
-        kernels.set_backend("numpy")
-        assert kernels.packed_threshold() == PACKED_MIN_BYTES
-        if NATIVE:
-            kernels.set_backend("native")
-            assert kernels.packed_threshold() == NATIVE_MIN_BYTES
 
 
 class TestFallback:
@@ -138,15 +146,17 @@ class TestFallback:
             native.reset()
 
     def test_kernels_stay_correct_without_native(self, monkeypatch):
-        """A pinned-native kernel on a compilerless host still computes."""
+        """A native request on a compilerless host still computes."""
         monkeypatch.setattr(native, "_load_uncached",
                             lambda: (None, "no compiler (simulated)"))
         native.reset()
         try:
-            rows, buffers = random_case(1, 3, 4, NATIVE_MIN_BYTES + 1)
-            pinned = BatchedLinearMap(rows, backend="native").apply(buffers)
-            scalar = BatchedLinearMap(rows, backend="scalar").apply(buffers)
-            assert np.array_equal(pinned, scalar)
+            rows, buffers = random_case(1, 3, 4, 2049)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                degraded = apply_on("native", rows, buffers)
+            for row, out in zip(rows, degraded):
+                assert np.array_equal(out, GF256.combine(row, buffers))
             combined = linear_combine(rows[0], buffers)
             assert np.array_equal(combined,
                                   GF256.combine(rows[0], buffers))
@@ -165,39 +175,32 @@ class TestFallback:
             native.reset()
 
 
+@needs_native
 class TestBitIdentityFuzz:
-    """native == numpy == scalar, byte for byte, on adversarial shapes."""
+    """native == numpy, byte for byte, on adversarial shapes."""
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            m=st.integers(1, 6), k=st.integers(1, 6),
-           size=st.integers(NATIVE_MIN_BYTES - 2, NATIVE_MIN_BYTES + 66))
+           size=st.integers(1, 2048 + 66))
     def test_backends_agree_around_native_floor(self, seed, m, k, size):
         rows, buffers = random_case(seed, m, k, size)
-        outputs = {
-            backend: BatchedLinearMap(rows, backend=backend).apply(buffers)
-            for backend in ("scalar", "numpy", "native")
-        }
-        assert np.array_equal(outputs["numpy"], outputs["scalar"])
-        assert np.array_equal(outputs["native"], outputs["scalar"])
+        assert np.array_equal(apply_on("native", rows, buffers),
+                              apply_on("numpy", rows, buffers))
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
-           size=st.integers(PACKED_MIN_BYTES, PACKED_MIN_BYTES + 3))
-    def test_backends_agree_on_numpy_packed_sizes(self, seed, size):
+           size=st.integers(1 << 16, (1 << 16) + 3))
+    def test_backends_agree_on_large_blocks(self, seed, size):
         rows, buffers = random_case(seed, 5, 4, size)
-        outputs = {
-            backend: BatchedLinearMap(rows, backend=backend).apply(buffers)
-            for backend in ("scalar", "numpy", "native")
-        }
-        assert np.array_equal(outputs["numpy"], outputs["scalar"])
-        assert np.array_equal(outputs["native"], outputs["scalar"])
+        assert np.array_equal(apply_on("native", rows, buffers),
+                              apply_on("numpy", rows, buffers))
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), offset=st.integers(0, 3),
            stride=st.integers(2, 3))
     def test_unaligned_and_noncontiguous_buffers(self, seed, offset, stride):
-        size = NATIVE_MIN_BYTES + 7
+        size = 2048 + 7
         rng = np.random.default_rng(seed)
         rows = rng.integers(0, 256, (3, 3), dtype=np.uint8)
         backing = rng.integers(0, 256, (3, stride * size + offset),
@@ -205,34 +208,28 @@ class TestBitIdentityFuzz:
         buffers = [backing[i, offset:offset + stride * size:stride]
                    for i in range(3)]
         assert not buffers[0].flags.c_contiguous
-        outputs = {
-            backend: BatchedLinearMap(rows, backend=backend).apply(buffers)
-            for backend in ("scalar", "numpy", "native")
-        }
-        assert np.array_equal(outputs["numpy"], outputs["scalar"])
-        assert np.array_equal(outputs["native"], outputs["scalar"])
+        assert np.array_equal(apply_on("native", rows, buffers),
+                              apply_on("numpy", rows, buffers))
 
     def test_read_only_input_views(self):
-        rows, buffers = random_case(3, 2, 3, NATIVE_MIN_BYTES)
+        rows, buffers = random_case(3, 2, 3, 2048)
         frozen = [GF256.asarray(buffer.tobytes()) for buffer in buffers]
         assert not frozen[0].flags.writeable
-        for backend in ("numpy", "native"):
-            assert np.array_equal(
-                BatchedLinearMap(rows, backend=backend).apply(frozen),
-                BatchedLinearMap(rows, backend="scalar").apply(buffers))
+        assert np.array_equal(apply_on("native", rows, frozen),
+                              apply_on("numpy", rows, buffers))
 
 
 class TestRegistryCodesAcrossBackends:
+    @pytest.mark.parametrize("size", [1, 23, 511, 2047, 2049])
     @pytest.mark.parametrize("code_name", available_codes())
-    def test_encode_decode_bit_identical(self, code_name):
+    def test_encode_decode_bit_identical(self, code_name, size):
         code = make_code(code_name)
         rng = np.random.default_rng(17)
-        size = NATIVE_MIN_BYTES + 1                 # odd, native-eligible
         data = [rng.integers(0, 256, size, dtype=np.uint8)
                 for _ in range(code.k)]
         encoded_by = {}
         decoded_by = {}
-        for backend in ("scalar", "numpy", "native"):
+        for backend in BACKENDS:
             kernels.set_backend(backend)
             encoded = code.encode(data)
             failed = set(range(code.fault_tolerance))
@@ -240,12 +237,12 @@ class TestRegistryCodesAcrossBackends:
                          for i in code.layout.surviving_symbols(failed)}
             encoded_by[backend] = encoded
             decoded_by[backend] = code.decode_data(available)
-        for backend in ("numpy", "native"):
-            for a, b in zip(encoded_by[backend], encoded_by["scalar"]):
+        for backend in BACKENDS:
+            for a, b in zip(encoded_by[backend], encoded_by["numpy"]):
                 assert np.array_equal(a, b), f"{code_name} encode {backend}"
-            for a, b in zip(decoded_by[backend], decoded_by["scalar"]):
+            for a, b in zip(decoded_by[backend], decoded_by["numpy"]):
                 assert np.array_equal(a, b), f"{code_name} decode {backend}"
-        for expected, actual in zip(data, decoded_by["scalar"]):
+        for expected, actual in zip(data, decoded_by["numpy"]):
             assert np.array_equal(expected, actual)
 
 
@@ -289,6 +286,14 @@ class TestLinearCombine:
         with pytest.raises(ValueError, match="element"):
             linear_combine([256], [np.zeros(4, np.uint8)])
         assert len(linear_combine([], [], length=9)) == 9
+        for backend in BACKENDS:            # the datanode's combine
+            kernels.set_backend(backend)
+            with pytest.raises(ValueError, match="empty"):
+                native.combine(b"", [])
+            with pytest.raises(ValueError, match="mismatch"):
+                native.combine(b"\x01", [])
+            with pytest.raises(ValueError, match="length"):
+                native.combine(b"\x01\x01", [b"ab", b"abc"])
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("length", [0, 1, 31, 2047, 2048, 65536, 65537])
@@ -328,7 +333,7 @@ class TestLinearCombine:
                                                   coefficients):
         kernels.set_backend(backend)
         rng = np.random.default_rng(7)
-        buffers = [rng.integers(0, 256, NATIVE_MIN_BYTES + 3, dtype=np.uint8)
+        buffers = [rng.integers(0, 256, 2048 + 3, dtype=np.uint8)
                    for _ in coefficients]
         assert np.array_equal(
             linear_combine(coefficients, buffers),
@@ -469,32 +474,15 @@ class TestNoVerifyWasDropped:
             assert scrub["checksums"][("f", 0, 1)] != zlib.crc32(payload)
 
 
-class TestScratchCache:
-    def test_bounded_per_thread(self):
-        kernels._SCRATCH.pairs.clear()
-        for words in range(512, 512 + 3 * kernels._SCRATCH_LIMIT):
-            kernels._scratch_pair(np.uint32, words)
-        assert len(kernels._SCRATCH.pairs) <= kernels._SCRATCH_LIMIT
-
-    def test_thread_local_isolation(self):
-        mine = kernels._scratch_pair(np.uint64, 128)
-        other = {}
-
-        def worker():
-            other["pair"] = kernels._scratch_pair(np.uint64, 128)
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        thread.join()
-        assert other["pair"][0] is not mine[0]
-
+class TestConcurrentApply:
     @pytest.mark.parametrize("backend", ["numpy", "native"])
     def test_concurrent_apply_bit_identical(self, backend):
         if backend == "native" and not NATIVE:
             pytest.skip("native GF kernels unavailable")
-        rows, buffers = random_case(29, 4, 5, PACKED_MIN_BYTES)
-        kernel = BatchedLinearMap(rows, backend=backend)
-        expected = BatchedLinearMap(rows, backend="scalar").apply(buffers)
+        rows, buffers = random_case(29, 4, 5, 1 << 16)
+        expected = apply_on("numpy", rows, buffers)
+        kernels.set_backend(backend)
+        kernel = BatchedLinearMap(rows)
         results = [None] * 8
 
         def worker(slot):
@@ -565,17 +553,12 @@ def mixed_rows(rng, m, k):
 
 
 def reference(rows, buffers, length):
-    """The scalar and numpy backends, which must agree first."""
-    scalar = BatchedLinearMap(rows, backend="scalar").apply(
-        buffers, block_size=length)
-    numpy_ = BatchedLinearMap(rows, backend="numpy").apply(
-        buffers, block_size=length)
-    assert np.array_equal(numpy_, scalar)
-    return scalar
+    """``rows @ stack(buffers)`` on the numpy per-row reference."""
+    return apply_on("numpy", rows, buffers, block_size=length)
 
 
 class TestEveryTier:
-    """Each kernel tier, called directly, against numpy and scalar."""
+    """Each kernel tier, called directly, against the numpy reference."""
 
     @pytest.mark.parametrize("tier", TIER_PARAMS)
     @settings(max_examples=40, deadline=None)

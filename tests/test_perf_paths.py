@@ -2,8 +2,8 @@
 
 The perf overhaul must change *nothing* observable except wall time:
 
-1. the packed-table batched encode path is byte-identical to the scalar
-   ``GF256.combine`` reference for every registered code;
+1. the batched encode path is byte-identical to the per-symbol
+   ``GF256.combine`` loop it replaced, for every registered code;
 2. the vectorised ``matmul`` agrees with a scalar ``gf_mul`` reference;
 3. ``can_recover_many`` / ``can_recover_masks`` agree with per-pattern
    ``can_recover`` and with a from-scratch rank-test reference on
@@ -22,13 +22,11 @@ import pytest
 from repro.core import make_code
 from repro.gf import (
     GF256,
-    PACKED_MIN_BYTES,
     BatchedLinearMap,
     gf_mul,
     matmul,
     row_echelon,
 )
-from repro.gf.kernels import _u16_view
 from repro.reliability import (
     ReliabilityParams,
     group_model,
@@ -45,6 +43,9 @@ ALL_CODES = [
     "rs(6,4)", "rs(14,10)",
     "pentagon-local", "heptagon-local",
 ]
+
+#: Block size of the large-block cases.
+BLOCK = 1 << 16
 
 #: Codes small enough for exhaustive failure-pattern sweeps.
 SMALL_CODES = ["3-rep", "pentagon", "(4,3) RAID+m", "rs(6,4)", "heptagon-local"]
@@ -68,11 +69,11 @@ def scalar_reference_encode(code, data):
 
 class TestBatchedEncodeBitIdentical:
     @pytest.mark.parametrize("code_name", ALL_CODES)
-    def test_packed_path_matches_scalar_reference(self, code_name):
-        """Large even blocks take the packed-table path; compare bytes."""
+    def test_batched_path_matches_scalar_reference(self, code_name):
+        """A 64 KiB stripe through the batched kernel; compare bytes."""
         code = make_code(code_name)
         rng = np.random.default_rng(7)
-        size = PACKED_MIN_BYTES
+        size = BLOCK
         data = [rng.integers(0, 256, size, dtype=np.uint8)
                 for _ in range(code.k)]
         expected = scalar_reference_encode(code, data)
@@ -82,10 +83,10 @@ class TestBatchedEncodeBitIdentical:
             assert np.array_equal(a, b), f"{code_name} symbol {index}"
 
     @pytest.mark.parametrize("code_name", ["heptagon-local", "rs(14,10)"])
-    def test_odd_and_small_blocks_fall_back_identically(self, code_name):
+    def test_odd_and_small_blocks_are_identical(self, code_name):
         code = make_code(code_name)
         rng = np.random.default_rng(8)
-        for size in (24, 1023, PACKED_MIN_BYTES + 1):
+        for size in (24, 1023, BLOCK + 1):
             data = [rng.integers(0, 256, size, dtype=np.uint8)
                     for _ in range(code.k)]
             expected = scalar_reference_encode(code, data)
@@ -93,10 +94,10 @@ class TestBatchedEncodeBitIdentical:
                 assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("code_name", ["pentagon", "heptagon-local", "rs(14,10)"])
-    def test_decode_roundtrip_through_packed_kernels(self, code_name):
+    def test_decode_roundtrip_through_batched_kernels(self, code_name):
         code = make_code(code_name)
         rng = np.random.default_rng(9)
-        data = [rng.integers(0, 256, PACKED_MIN_BYTES, dtype=np.uint8)
+        data = [rng.integers(0, 256, BLOCK, dtype=np.uint8)
                 for _ in range(code.k)]
         blocks = code.encode(data)
         failed = set(range(code.fault_tolerance))
@@ -108,9 +109,9 @@ class TestBatchedEncodeBitIdentical:
     def test_kernel_handles_unaligned_views(self):
         kernel = BatchedLinearMap([[3, 7], [29, 1]])
         rng = np.random.default_rng(10)
-        backing = rng.integers(0, 256, 2 * PACKED_MIN_BYTES + 1, dtype=np.uint8)
-        buffers = [backing[1:PACKED_MIN_BYTES + 1],        # odd start offset
-                   backing[PACKED_MIN_BYTES + 1:]]
+        backing = rng.integers(0, 256, 2 * BLOCK + 1, dtype=np.uint8)
+        buffers = [backing[1:BLOCK + 1],        # odd start offset
+                   backing[BLOCK + 1:]]
         out = kernel.apply(buffers)
         for r, row in enumerate([[3, 7], [29, 1]]):
             assert np.array_equal(out[r], GF256.combine(row, buffers))
@@ -128,15 +129,6 @@ class TestVectorisedMatmul:
                 for t in range(7):
                     expected ^= gf_mul(int(left[i, t]), int(right[t, j]))
                 assert product[i, j] == expected
-
-    def test_wide_rhs_routes_through_packed_kernel(self):
-        rng = np.random.default_rng(12)
-        left = rng.integers(0, 256, (3, 4), dtype=np.uint8)
-        right = rng.integers(0, 256, (4, PACKED_MIN_BYTES), dtype=np.uint8)
-        product = matmul(left, right)
-        for r in range(3):
-            assert np.array_equal(
-                product[r], GF256.combine(left[r], list(right)))
 
 
 class TestDecodabilityEngine:
@@ -225,12 +217,6 @@ class TestAsarrayContract:
         private = GF256.asarray(source, writable=True)
         private[0] = 55
         assert source[0] == 0
-
-    def test_u16_view_respects_alignment(self):
-        backing = np.zeros(9, dtype=np.uint8)
-        view = _u16_view(backing[1:])
-        assert view.dtype == np.uint16
-        assert len(view) == 4
 
 
 class TestSimulatorsStillAgree:

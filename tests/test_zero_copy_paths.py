@@ -7,8 +7,9 @@ here as the arbiter):
 * ``Code.decode_data`` returns every data symbol that survived as a
   read-only view of the caller's buffer and solves only the rest —
   same bytes as pushing the whole inverse through one kernel, on the
-  native, numpy and scalar backends, for every registry code and every
-  failure set up to its tolerance (a seeded sample for the large ones);
+  native kernels and the numpy reference, for every registry code and
+  every failure set up to its tolerance (a seeded sample for the large
+  ones);
 * the per-code memos — decode kernels in one, read and repair plans in
   another sized to the code — are bounded, evict, and never let one
   caller's mutation reach the next (planners stay pure functions); a
@@ -39,8 +40,6 @@ from repro.core import (
 )
 from repro.core.code import PATTERN_MEMO_ENTRIES
 from repro.gf import (
-    NATIVE_MIN_BYTES,
-    PACKED_MIN_BYTES,
     BatchedLinearMap,
     independent_rows,
     invert,
@@ -48,13 +47,12 @@ from repro.gf import (
     linear_combine,
 )
 
-#: Block size that takes each backend through its packed route (the
-#: scalar one has none); odd where the backend allows it.
-BLOCK_BYTES = {"scalar": 23, "numpy": PACKED_MIN_BYTES,
-               "native": NATIVE_MIN_BYTES + 1}
-#: Failure sets per (code, backend): all of them up to this many, a
-#: seeded sample of this many beyond (64 KiB numpy decodes are slow).
-PATTERNS = {"scalar": 64, "numpy": 12, "native": 64}
+#: Block size of every stripe decoded here: small and odd, which both
+#: backends take at any size.
+BLOCK_BYTES = 23
+#: Failure sets per code: all of them up to this many, a seeded sample
+#: of this many beyond.
+PATTERNS = 64
 
 
 @pytest.fixture(autouse=True)
@@ -99,16 +97,16 @@ def reference_fetch(blocks):
 
 
 class TestDecodeHandsOutWhatSurvived:
-    @pytest.mark.parametrize("backend", ["scalar", "numpy", "native"])
+    @pytest.mark.parametrize("backend", ["numpy", "native"])
     @pytest.mark.parametrize("code_name", available_codes())
     def test_views_for_survivors_fresh_rows_for_the_rest(self, code_name,
                                                          backend):
         kernels.set_backend(backend)
         code = make_code(code_name)
-        data, encoded = stripe(code, BLOCK_BYTES[backend])
+        data, encoded = stripe(code, BLOCK_BYTES)
         column_of = {code.layout.data_column(s.index): s.index
                      for s in code.layout.data_symbols()}
-        for failed in failure_sets(code, PATTERNS[backend]):
+        for failed in failure_sets(code, PATTERNS):
             available = {i: encoded[i]
                          for i in code.layout.surviving_symbols(failed)}
             decoded = code.decode_data(available)
