@@ -172,7 +172,7 @@ def run_table1(args: argparse.Namespace) -> None:
 def run_fig3(args: argparse.Namespace) -> None:
     from .experiments import fig3, render_figure
 
-    if args.mu:
+    if args.mu is not None:
         panels = {f"mu={args.mu}": fig3.locality_panel(
             args.mu, trials=args.trials, workers=args.workers)}
     else:
@@ -366,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_workers(p_table1)
 
     p_fig3 = sub.add_parser("fig3", help="locality vs load panels")
-    p_fig3.add_argument("--mu", type=int, default=None,
+    p_fig3.add_argument("--mu", type=_positive, default=None,
                         help="map slots per node (default: all panels)")
     p_fig3.add_argument("--trials", type=int, default=30)
     add_workers(p_fig3)
@@ -406,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_all = sub.add_parser("all", help="everything")
     p_all.add_argument("--trials", type=int, default=20)
     p_all.add_argument("--runs", type=int, default=8)
-    p_all.add_argument("--mu", type=int, default=None)
+    p_all.add_argument("--mu", type=_positive, default=None)
     p_all.add_argument("--mc-trials", type=int, default=0)
     add_workers(p_all)
 
@@ -536,6 +536,17 @@ def _worker_count(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(
             "worker count must be >= 0 (0 means one per CPU)")
+    return value
+
+
+def _positive(text: str) -> int:
+    """argparse type for a count of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
     return value
 
 

@@ -18,6 +18,11 @@ The paper's observations, all of which these sweeps reproduce:
 
 The heptagon-local code's locality equals the heptagon's (the global
 node hosts no data) — pass ``"heptagon-local"`` to check.
+
+A panel is one sweep cell per ``(code, load, mu)``.  Each trial draws
+one stripe placement and schedules it with every scheduler of the
+panel (:func:`placement_trial`), so the schedulers are compared on the
+same placements and a placement is drawn once, not once per scheduler.
 """
 
 from __future__ import annotations
@@ -39,26 +44,50 @@ SCHEDULER_LABELS = {"delay": "DS", "max-matching": "MM", "peeling": "peel"}
 
 def locality_trial(rng, code_name: str, scheduler_name: str, load: float,
                    slots_per_node: int, node_count: int) -> float:
-    """One seeded locality measurement (the engine's per-trial unit)."""
-    scheduler = make_scheduler(scheduler_name)
+    """One seeded locality measurement of one scheduler."""
+    return placement_trial(rng, code_name, (scheduler_name,), load,
+                           slots_per_node, node_count)[0]
+
+
+def placement_trial(rng, code_name: str, scheduler_names: tuple[str, ...],
+                    load: float, slots_per_node: int,
+                    node_count: int) -> tuple[float, ...]:
+    """One seeded placement, scheduled by every scheduler in turn.
+
+    Each scheduler starts from the generator state right after the
+    workload was drawn, so its locality is what a trial of that
+    scheduler alone would measure.
+    """
     tasks = workload_for_load(code_name, load, node_count, slots_per_node, rng)
-    assignment = scheduler.assign(tasks, node_count, slots_per_node, rng)
-    return assignment.locality_percent()
+    drawn = rng.bit_generator.state
+    localities = []
+    for name in scheduler_names:
+        rng.bit_generator.state = drawn
+        assignment = make_scheduler(name).assign(tasks, node_count,
+                                                 slots_per_node, rng)
+        localities.append(assignment.locality_percent())
+    return tuple(localities)
 
 
-def _cell(code_name: str, scheduler_name: str, load: float,
+def _per_scheduler(values: list[tuple[float, ...]]) -> tuple[CellStats, ...]:
+    return tuple(CellStats.from_values(column) for column in zip(*values))
+
+
+def _cell(code_name: str, scheduler_names: tuple[str, ...], load: float,
           slots_per_node: int, node_count: int, trials: int) -> Cell:
-    # The seed key deliberately excludes the scheduler name: every
-    # scheduler is evaluated on the *same* stripe placements, so the
-    # max-matching benchmark dominates the others trial-by-trial, as in
-    # the paper's paired comparison.
+    # Every scheduler of the cell is evaluated on the *same* stripe
+    # placements, so the max-matching benchmark dominates the others
+    # trial by trial, as in the paper's paired comparison.  The seed
+    # key names the placement only, so a scheduler's numbers do not
+    # depend on which other schedulers share its cell.
     return Cell(
         experiment="fig3",
-        key=(code_name, scheduler_name, load, slots_per_node),
+        key=(code_name, scheduler_names, load, slots_per_node),
         seed_key=(code_name, load, slots_per_node),
-        fn=locality_trial,
-        args=(code_name, scheduler_name, load, slots_per_node, node_count),
+        fn=placement_trial,
+        args=(code_name, scheduler_names, load, slots_per_node, node_count),
         trials=trials,
+        reduce=_per_scheduler,
     )
 
 
@@ -66,9 +95,9 @@ def locality_cell(code_name: str, scheduler_name: str, load: float,
                   slots_per_node: int, node_count: int = NODE_COUNT,
                   trials: int = 30, workers: int | None = None) -> CellStats:
     """Mean data locality (%) for one (code, scheduler, load, mu) cell."""
-    cell = _cell(code_name, scheduler_name, load, slots_per_node,
+    cell = _cell(code_name, (scheduler_name,), load, slots_per_node,
                  node_count, trials)
-    return run_cells([cell], workers)[0]
+    return run_cells([cell], workers)[0][0]
 
 
 def locality_panel(slots_per_node: int,
@@ -79,25 +108,28 @@ def locality_panel(slots_per_node: int,
                    trials: int = 30,
                    workers: int | None = None) -> FigureResult:
     """One Fig. 3 panel: locality vs load for every (code, scheduler) pair."""
+    if slots_per_node < 1:
+        raise ValueError(
+            f"slots_per_node must be at least 1, got {slots_per_node}")
     result = FigureResult(
         title=f"Fig. 3 panel (mu={slots_per_node} map slots/node, "
               f"{node_count} nodes)",
         x_label="load %", y_label="data locality %",
     )
     cells = [
-        _cell(code_name, scheduler_name, load, slots_per_node,
+        _cell(code_name, tuple(schedulers), load, slots_per_node,
               node_count, trials)
         for code_name in codes
-        for scheduler_name in schedulers
         for load in loads
     ]
     stats = iter(run_cells(cells, workers))
+    by_code = {code_name: [next(stats) for _ in loads] for code_name in codes}
     for code_name in codes:
-        for scheduler_name in schedulers:
+        for position, scheduler_name in enumerate(schedulers):
             label = f"{_short(code_name)}-{SCHEDULER_LABELS[scheduler_name]}"
             series = Series(label)
-            for load in loads:
-                series.add(load, next(stats))
+            for load, per_scheduler in zip(loads, by_code[code_name]):
+                series.add(load, per_scheduler[position])
             result.series.append(series)
     return result
 

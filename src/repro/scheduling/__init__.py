@@ -1,8 +1,9 @@
 """Map-task scheduling: delay scheduling, maximum matching, peeling.
 
 The bipartite task-to-node assignment model of the paper's Section 3.2,
-with the three schedulers whose locality Fig. 3 compares, plus the
-max-flow machinery behind the matching benchmark.
+with the three schedulers whose locality Fig. 3 compares.  The
+maximum-matching benchmark is an augmenting-path matcher over node
+slots (:mod:`.matching`).
 """
 
 from .assignment import (
@@ -14,7 +15,6 @@ from .assignment import (
 )
 from .delay_scheduler import DelayScheduler, DelaySchedulerError
 from .matching import MaxMatchingScheduler, maximum_matching_count
-from .maxflow import FlowNetwork
 from .peeling import PeelingScheduler
 
 SCHEDULERS = {
@@ -46,7 +46,6 @@ __all__ = [
     "MaxMatchingScheduler",
     "maximum_matching_count",
     "PeelingScheduler",
-    "FlowNetwork",
     "SCHEDULERS",
     "make_scheduler",
 ]

@@ -88,6 +88,18 @@ class Assignment:
                 )
 
 
+def spill_remote(assignment: Assignment, tasks: list[Task],
+                 free: list[int]) -> None:
+    """Place ``tasks`` remotely, each on the node with the most free
+    slots (lowest index on ties), counting down ``free``."""
+    for task in tasks:
+        node = max(range(len(free)), key=lambda n: (free[n], -n))
+        if free[node] <= 0:
+            raise ValueError("ran out of slots during remote spill")
+        assignment.place(task, node)
+        free[node] -= 1
+
+
 def total_slots(node_count: int, slots_per_node: int) -> int:
     return node_count * slots_per_node
 

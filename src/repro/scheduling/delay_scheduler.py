@@ -64,42 +64,41 @@ class DelayScheduler:
         free = [slots_per_node] * node_count
         # FIFO within the job, as in Hadoop: pending tasks in index order.
         pending: dict[int, Task] = {task.index: task for task in tasks}
-        # Node -> pending local task indices, for O(1) local lookup.
-        local_index: dict[int, set[int]] = {node: set() for node in range(node_count)}
-        for task in tasks:
-            for node in task.candidates:
-                local_index[node].add(task.index)
+        # Node -> its local task indices, highest first, so the end of
+        # the list is the node's lowest-index local task; placed tasks
+        # are popped off the end as they surface (tasks only ever leave
+        # ``pending``).  ``fifo`` does the same for the non-local launch.
+        fifo = sorted(pending, reverse=True)
+        local: list[list[int]] = [[] for _ in range(node_count)]
+        for index in fifo:
+            for node in pending[index].candidates:
+                local[node].append(index)
 
         skips = 0
-        order = rng.permutation(node_count)
+        order = rng.permutation(node_count).tolist()
         while pending:
-            progressed = False
             if not self.sticky_heartbeat_order:
-                order = rng.permutation(node_count)
+                order = rng.permutation(node_count).tolist()
             for node in order:
                 if not pending:
                     break
+                mine = local[node]
                 while free[node] > 0 and pending:
-                    local_candidates = local_index[node] & pending.keys()
-                    if local_candidates:
-                        chosen = pending.pop(min(local_candidates))
-                        assignment.place(chosen, node)
-                        free[node] -= 1
-                        skips = 0
-                        progressed = True
-                        continue
-                    if skips >= max_skips:
-                        chosen = pending.pop(min(pending))
-                        assignment.place(chosen, node)   # non-local launch
-                        free[node] -= 1
-                        skips = 0
-                        progressed = True
-                        continue
-                    skips += 1
-                    break   # this heartbeat was declined; next node
-            if not progressed and skips < max_skips:
-                # Entire round declined: the skip counter keeps growing
-                # round over round until the delay expires, as in Hadoop.
-                continue
+                    while mine and mine[-1] not in pending:
+                        mine.pop()
+                    if mine:
+                        chosen = mine.pop()
+                    elif skips >= max_skips:
+                        while fifo[-1] not in pending:
+                            fifo.pop()
+                        chosen = fifo.pop()   # non-local launch
+                    else:
+                        # Declined.  The skip counter keeps growing, round
+                        # over round, until the delay expires, as in Hadoop.
+                        skips += 1
+                        break   # next node
+                    assignment.place(pending.pop(chosen), node)
+                    free[node] -= 1
+                    skips = 0
         assignment.validate_capacity()
         return assignment

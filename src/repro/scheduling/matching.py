@@ -7,36 +7,66 @@ The maximum matching gives the best locality any scheduler could
 achieve; Fig. 3 plots it (the "MM" curves) as the benchmark the delay
 scheduler and peeling algorithm are compared against.
 
-We solve the capacitated matching as a max-flow problem with
-:class:`~repro.scheduling.maxflow.FlowNetwork` (Dinic), then place the
-unmatched remainder remotely on leftover slots.
+The capacitated matching is found by augmenting paths over node slots:
+a greedy pass, then one breadth-first search per unmatched task for a
+chain of tasks that each move to another candidate node and so free a
+slot for it.  A task with no such chain never gets one later (Kuhn's
+algorithm), so one search per task suffices.  The matched count is
+unique, and locality depends only on it.  Unmatched tasks spill
+remotely onto leftover slots.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .assignment import Assignment, Task
-from .maxflow import FlowNetwork
+from .assignment import Assignment, Task, spill_remote
+
+
+def _match(tasks: list[Task], node_count: int,
+           slots_per_node: int) -> list[int]:
+    """Node matched to each task (by list position), -1 if unmatched."""
+    matched = [-1] * len(tasks)
+    holders: list[list[int]] = [[] for _ in range(node_count)]
+    unmatched: list[int] = []
+    for position, task in enumerate(tasks):
+        for node in task.candidates:
+            if len(holders[node]) < slots_per_node:
+                matched[position] = node
+                holders[node].append(position)
+                break
+        else:
+            unmatched.append(position)
+
+    for root in unmatched:
+        # reached[node] = the task that would move onto ``node``
+        reached = dict.fromkeys(tasks[root].candidates, root)
+        queue = list(reached)
+        for node in queue:
+            if len(holders[node]) < slots_per_node:
+                break
+            for holder in holders[node]:
+                for other in tasks[holder].candidates:
+                    if other not in reached:
+                        reached[other] = holder
+                        queue.append(other)
+        else:
+            continue   # no augmenting path: the task stays unmatched
+        while node >= 0:   # shift every task on the path one node along
+            mover = reached[node]
+            previous = matched[mover]
+            matched[mover] = node
+            holders[node].append(mover)
+            if previous >= 0:
+                holders[previous].remove(mover)
+            node = previous
+    return matched
 
 
 def maximum_matching_count(tasks: list[Task], node_count: int,
                            slots_per_node: int) -> int:
     """Size of the maximum local assignment (matched task count)."""
-    if not tasks:
-        return 0
-    source = 0
-    task_base = 1
-    node_base = task_base + len(tasks)
-    sink = node_base + node_count
-    network = FlowNetwork(sink + 1)
-    for position, task in enumerate(tasks):
-        network.add_edge(source, task_base + position, 1)
-        for node in task.candidates:
-            network.add_edge(task_base + position, node_base + node, 1)
-    for node in range(node_count):
-        network.add_edge(node_base + node, sink, slots_per_node)
-    return network.max_flow(source, sink)
+    return sum(node >= 0 for node in _match(tasks, node_count, slots_per_node))
 
 
 class MaxMatchingScheduler:
@@ -59,42 +89,14 @@ class MaxMatchingScheduler:
                 f"{len(tasks)} tasks exceed cluster capacity "
                 f"{node_count * slots_per_node}"
             )
-        source = 0
-        task_base = 1
-        node_base = task_base + len(tasks)
-        sink = node_base + node_count
-        network = FlowNetwork(sink + 1)
-        task_edges: list[list[tuple[int, int]]] = []   # per task: (edge id, node)
-        for position, task in enumerate(tasks):
-            network.add_edge(source, task_base + position, 1)
-            edges = []
-            for node in task.candidates:
-                edge_id = network.add_edge(task_base + position, node_base + node, 1)
-                edges.append((edge_id, node))
-            task_edges.append(edges)
-        for node in range(node_count):
-            network.add_edge(node_base + node, sink, slots_per_node)
-        network.max_flow(source, sink)
-
         free = [slots_per_node] * node_count
         unmatched: list[Task] = []
-        for position, task in enumerate(tasks):
-            matched_node = None
-            for edge_id, node in task_edges[position]:
-                if network.flow_on(edge_id) > 0:
-                    matched_node = node
-                    break
-            if matched_node is None:
+        for task, node in zip(tasks, _match(tasks, node_count, slots_per_node)):
+            if node < 0:
                 unmatched.append(task)
             else:
-                assignment.place(task, matched_node)
-                free[matched_node] -= 1
-        # Remote spill: least-loaded node first (deterministic tie-break).
-        for task in unmatched:
-            node = max(range(node_count), key=lambda n: (free[n], -n))
-            if free[node] <= 0:
-                raise ValueError("ran out of slots during remote spill")
-            assignment.place(task, node)
-            free[node] -= 1
+                assignment.place(task, node)
+                free[node] -= 1
+        spill_remote(assignment, unmatched, free)
         assignment.validate_capacity()
         return assignment

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .assignment import Assignment, Task
+from .assignment import Assignment, Task, spill_remote
 
 
 class PeelingScheduler:
@@ -92,11 +92,6 @@ class PeelingScheduler:
             )
             del pending[best_task.index]
 
-        for task in deferred:
-            node = max(range(node_count), key=lambda n: (free[n], -n))
-            if free[node] <= 0:
-                raise ValueError("ran out of slots during remote spill")
-            assignment.place(task, node)
-            free[node] -= 1
+        spill_remote(assignment, deferred, free)
         assignment.validate_capacity()
         return assignment

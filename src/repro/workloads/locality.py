@@ -16,14 +16,24 @@ sets reflect the code's placement:
   global-parity node hosts no data and "does not play a role in task
   assignment", paper Section 3.2);
 * Reed-Solomon leaves a single candidate per task.
+
+A workload needs only the code's stripe length and its data symbols'
+replica slots.  :func:`workload_for_load` memoises that layout per code
+name, so a sweep builds each code once per process rather than once
+per trial.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from ..core import Code, make_code
 from ..scheduling import Task, tasks_for_load
+
+#: A code's task layout: stripe length and each data symbol's replica slots.
+Layout = tuple[int, tuple[tuple[int, ...], ...]]
 
 
 def stripe_node_sample(rng: np.random.Generator, node_count: int,
@@ -36,6 +46,15 @@ def stripe_node_sample(rng: np.random.Generator, node_count: int,
     return rng.choice(node_count, size=length, replace=False)
 
 
+def _layout_of(code: Code) -> Layout:
+    return code.length, tuple(s.replicas for s in code.layout.data_symbols())
+
+
+@functools.lru_cache(maxsize=64)
+def _named_layout(code_name: str) -> Layout:
+    return _layout_of(make_code(code_name))
+
+
 def generate_tasks(code: Code, task_count: int, node_count: int,
                    rng: np.random.Generator,
                    shuffle: bool = False) -> list[Task]:
@@ -45,26 +64,32 @@ def generate_tasks(code: Code, task_count: int, node_count: int,
     contributes a uniformly random subset of its data blocks, modelling
     a file whose tail stripe is only partially read.
     """
+    return _tasks(_layout_of(code), task_count, node_count, rng, shuffle)
+
+
+def _tasks(layout: Layout, task_count: int, node_count: int,
+           rng: np.random.Generator, shuffle: bool) -> list[Task]:
     if task_count < 0:
         raise ValueError("task_count must be non-negative")
+    length, data_replicas = layout
     tasks: list[Task] = []
-    layout = code.layout
-    data_symbols = layout.data_symbols()
     stripe = 0
     while len(tasks) < task_count:
-        nodes = stripe_node_sample(rng, node_count, code.length)
+        nodes = stripe_node_sample(rng, node_count, length).tolist()
         remaining = task_count - len(tasks)
-        if remaining >= len(data_symbols):
-            chosen = data_symbols
+        if remaining >= len(data_replicas):
+            chosen = data_replicas
         else:
-            picks = rng.choice(len(data_symbols), size=remaining, replace=False)
-            chosen = [data_symbols[i] for i in sorted(picks)]
-        for symbol in chosen:
-            candidates = tuple(int(nodes[slot]) for slot in symbol.replicas)
-            tasks.append(Task(index=len(tasks), stripe=stripe, candidates=candidates))
+            picks = rng.choice(len(data_replicas), size=remaining,
+                               replace=False)
+            chosen = [data_replicas[i] for i in sorted(picks.tolist())]
+        for replicas in chosen:
+            candidates = tuple(nodes[slot] for slot in replicas)
+            tasks.append(Task(index=len(tasks), stripe=stripe,
+                              candidates=candidates))
         stripe += 1
     if shuffle:
-        order = rng.permutation(len(tasks))
+        order = rng.permutation(len(tasks)).tolist()
         tasks = [
             Task(index=new_index, stripe=tasks[old].stripe,
                  candidates=tasks[old].candidates)
@@ -77,6 +102,6 @@ def workload_for_load(code_name: str, load: float, node_count: int,
                       slots_per_node: int, rng: np.random.Generator,
                       shuffle: bool = False) -> list[Task]:
     """Tasks for one job at the requested load on a ``node_count`` cluster."""
-    code = make_code(code_name)
     task_count = tasks_for_load(load, node_count, slots_per_node)
-    return generate_tasks(code, task_count, node_count, rng, shuffle=shuffle)
+    return _tasks(_named_layout(code_name), task_count, node_count, rng,
+                  shuffle)

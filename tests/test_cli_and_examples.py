@@ -84,6 +84,17 @@ class TestCommands:
         assert "mu=2" in out
         assert "hept-DS" in out
 
+    @pytest.mark.parametrize("mu", ("0", "-2"))
+    def test_fig3_rejects_a_non_positive_mu(self, mu, capsys):
+        """``--mu 0`` used to run all four panels and ``--mu -2`` to die
+        deep in the sweep; both now stop at the parser."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fig3", "--mu", mu, "--trials", "1"])
+        assert exit_info.value.code != 0
+        captured = capsys.readouterr()
+        assert "=== Fig. 3 mu=2 ===" not in captured.out
+        assert "--mu" in captured.err
+
     def test_fig4(self, capsys):
         assert main(["fig4", "--runs", "2"]) == 0
         out = capsys.readouterr().out

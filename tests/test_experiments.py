@@ -130,6 +130,32 @@ class TestFig3:
         high = fig3.locality_cell("heptagon", "delay", 100.0, 8, trials=8)
         assert high.mean > low.mean + 10
 
+    @pytest.mark.parametrize("mu", (0, -2))
+    def test_rejects_non_positive_slots(self, mu):
+        with pytest.raises(ValueError, match="slots_per_node"):
+            fig3.locality_panel(mu, trials=1)
+
+    def test_one_placement_serves_every_scheduler(self):
+        """A trial schedules one placement with every scheduler, each
+        from the generator state right after the draw: each value is
+        what a trial of that scheduler alone measures, whatever ran
+        before it, and matching dominates trial by trial."""
+        from repro.experiments.runner import trial_rng
+        from repro.scheduling import make_scheduler
+        from repro.workloads import workload_for_load
+
+        schedulers = ("delay", "max-matching", "peeling", "delay")
+        for trial in range(4):
+            seeds = ("fig3", "heptagon", 100.0, 2, trial)
+            values = fig3.placement_trial(trial_rng(*seeds), "heptagon",
+                                          schedulers, 100.0, 2, 25)
+            for name, value in zip(schedulers, values):
+                rng = trial_rng(*seeds)
+                tasks = workload_for_load("heptagon", 100.0, 25, 2, rng)
+                alone = make_scheduler(name).assign(tasks, 25, 2, rng)
+                assert value == alone.locality_percent()
+            assert values[1] >= max(values)
+
     def test_peeling_between_delay_and_matching(self):
         panel = fig3.peeling_panel(trials=8)
         for code in ("pent", "hept"):

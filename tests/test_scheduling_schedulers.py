@@ -1,5 +1,7 @@
 """Tests for the delay, max-matching and peeling schedulers."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,90 @@ class TestMaxMatchingScheduler:
 
     def test_empty(self):
         assert MaxMatchingScheduler().assign([], 2, 2).assigned_count == 0
+
+
+class TestMatchingCount:
+    def test_empty(self):
+        assert maximum_matching_count([], 5, 2) == 0
+
+    def test_perfect_matching(self):
+        tasks = [Task(i, 0, (i,)) for i in range(4)]
+        assert maximum_matching_count(tasks, 4, 1) == 4
+
+    def test_capacity_limits_matching(self):
+        # 5 tasks all pointing at one node with 2 slots.
+        tasks = [Task(i, 0, (0,)) for i in range(5)]
+        assert maximum_matching_count(tasks, 1, 2) == 2
+
+    def test_two_replicas_avoid_contention(self):
+        # Each task on nodes (i, i+1): chain admits a full matching.
+        tasks = [Task(i, 0, (i, i + 1)) for i in range(4)]
+        assert maximum_matching_count(tasks, 5, 1) == 4
+
+    def test_augmenting_path_moves_a_greedy_match(self):
+        # Greedy puts task 0 on node 0; task 1 only fits there, so the
+        # matcher must move task 0 to node 1.
+        tasks = [Task(0, 0, (0, 1)), Task(1, 0, (0,))]
+        assert maximum_matching_count(tasks, 2, 1) == 2
+        assignment = MaxMatchingScheduler().assign(tasks, 2, 1)
+        assert assignment.placements == {0: 1, 1: 0}
+
+    def test_pentagon_stripe_fits_two_slots(self):
+        """An isolated pentagon stripe achieves full locality at mu=2.
+
+        9 tasks on the K5 edge structure orient into in-degree <= 2.
+        """
+        tasks = [
+            Task(symbol.index, 0, symbol.replicas)
+            for symbol in make_code("pentagon").layout.data_symbols()
+        ]
+        assert maximum_matching_count(tasks, 5, 2) == 9
+
+    def test_heptagon_stripe_capped_at_mu2(self):
+        """An isolated heptagon stripe cannot exceed 14 local tasks at mu=2."""
+        tasks = [
+            Task(symbol.index, 0, symbol.replicas)
+            for symbol in make_code("heptagon").layout.data_symbols()
+        ]
+        assert maximum_matching_count(tasks, 7, 2) == 14
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_against_networkx_on_random_graphs(self, seed):
+        """The count equals an independent max-flow on source -> task ->
+        node -> sink, and the scheduler realises it within capacity."""
+        networkx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(seed)
+        short = 0
+        for trial in range(40):
+            node_count = int(rng.integers(1, 26))
+            mu = int(rng.integers(1, 9))
+            # Every other instance draws its candidates from a few hot
+            # nodes, so tasks whose every candidate is full are common.
+            hot = node_count if trial % 2 else max(1, node_count // 4)
+            tasks = []
+            for index in range(int(rng.integers(0, node_count * mu + 1))):
+                degree = int(rng.integers(1, min(3, hot) + 1))
+                candidates = rng.choice(hot, size=degree, replace=False)
+                tasks.append(Task(index, index, tuple(candidates.tolist())))
+            graph = networkx.DiGraph()
+            graph.add_nodes_from(("source", "sink"))
+            for task in tasks:
+                graph.add_edge("source", ("task", task.index), capacity=1)
+                for node in task.candidates:
+                    graph.add_edge(("task", task.index), ("node", node),
+                                   capacity=1)
+            for node in range(node_count):
+                graph.add_edge(("node", node), "sink", capacity=mu)
+            expected = networkx.maximum_flow_value(graph, "source", "sink")
+
+            count = maximum_matching_count(tasks, node_count, mu)
+            assert count == expected
+            assignment = MaxMatchingScheduler().assign(tasks, node_count, mu)
+            assert assignment.assigned_count == len(tasks)
+            assignment.validate_capacity()
+            assert assignment.local_count == count
+            short += count < len(tasks)
+        assert short > 0
 
 
 class TestDelayScheduler:
@@ -192,3 +278,113 @@ class TestSchedulerFactory:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             make_scheduler("fifo")
+
+
+# Golden digests.  Every rewrite of the schedulers, the workload
+# generator or the Fig. 3 sweep must reproduce them bit for bit: they
+# pin the delay scheduler's exact placements (not just its locality),
+# every generated workload, and two small Fig. 3 panels.
+FIG3_CODES = ("2-rep", "3-rep", "pentagon", "heptagon", "heptagon-local",
+              "rs(14,10)")
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+DELAY_VARIANTS = {
+    "default": {},
+    "no-wait": {"max_skips": 0},
+    "skips-3": {"max_skips": 3},
+    "sticky": {"sticky_heartbeat_order": True},
+}
+
+GOLDEN_DELAY_PLACEMENTS = {
+    ("2-rep", "default"): "783dec7623274a9a",
+    ("2-rep", "no-wait"): "2f8fc6504d011fa2",
+    ("2-rep", "skips-3"): "a8ed8dbd135ef2fb",
+    ("2-rep", "sticky"): "2d479fef9cf3ce5d",
+    ("pentagon", "default"): "84124547a82313e2",
+    ("pentagon", "no-wait"): "b70e5e6442d8ea2b",
+    ("pentagon", "skips-3"): "e6555a9aed86466d",
+    ("pentagon", "sticky"): "853654e10103481d",
+    ("heptagon", "default"): "dd9c33b3fe09324d",
+    ("heptagon", "no-wait"): "718028a21dba0630",
+    ("heptagon", "skips-3"): "143a9a82c18c80db",
+    ("heptagon", "sticky"): "fc55e41d9f9d3338",
+}
+
+GOLDEN_WORKLOADS = {
+    ("2-rep", False): "1d0f5cfc5ab85c75",
+    ("2-rep", True): "54a2f4d6cec54c72",
+    ("3-rep", False): "5485e98841bc2cfd",
+    ("3-rep", True): "ae17e167ba5008b0",
+    ("pentagon", False): "c4a0e587ac691693",
+    ("pentagon", True): "5e9e7c110d95f876",
+    ("heptagon", False): "4a323ae4f2bc3b15",
+    ("heptagon", True): "458d38e2ac998504",
+    ("heptagon-local", False): "3de49a2d2cc511f6",
+    ("heptagon-local", True): "4117c1a8bba3e59c",
+    ("rs(14,10)", False): "7a2300c75ce8bc6a",
+    ("rs(14,10)", True): "37ace7a62f272010",
+}
+
+GOLDEN_PANELS = {
+    "locality-mu2": "3a32993c4a72f6b4",
+    "peeling-mu4": "23d34bedcac51b22",
+}
+
+
+def delay_placements_digest(code_name: str, variant: str) -> str:
+    runs = []
+    for seed in range(4):
+        for load, mu in ((100.0, 2), (75.0, 4)):
+            rng = np.random.default_rng(seed)
+            tasks = workload_for_load(code_name, load, 25, mu, rng)
+            assignment = DelayScheduler(**DELAY_VARIANTS[variant]).assign(
+                tasks, 25, mu, rng)
+            runs.append(sorted((int(task), int(node)) for task, node
+                               in assignment.placements.items()))
+    return _digest(runs)
+
+
+def workload_digest(code_name: str, shuffle: bool) -> str:
+    code = make_code(code_name)
+    runs = []
+    for seed in range(3):
+        # 1 + a stripe's data count: a partial tail stripe for every
+        # code with more than one data block per stripe
+        for task_count in (23, 50, 1 + len(code.layout.data_symbols())):
+            tasks = generate_tasks(code, task_count, 25,
+                                   np.random.default_rng(seed),
+                                   shuffle=shuffle)
+            runs.append([(t.index, t.stripe, t.candidates) for t in tasks])
+    return _digest(runs)
+
+
+def panel_digest(name: str) -> str:
+    from repro.experiments import fig3
+
+    if name == "locality-mu2":
+        panel = fig3.locality_panel(2, trials=4)
+    else:
+        panel = fig3.peeling_panel(trials=4)
+    return _digest(panel.points())
+
+
+class TestGoldenBitIdentity:
+    @pytest.mark.parametrize("code_name", ("2-rep", "pentagon", "heptagon"))
+    @pytest.mark.parametrize("variant", tuple(DELAY_VARIANTS))
+    def test_delay_placements(self, code_name, variant):
+        assert (delay_placements_digest(code_name, variant)
+                == GOLDEN_DELAY_PLACEMENTS[code_name, variant])
+
+    @pytest.mark.parametrize("code_name", FIG3_CODES)
+    @pytest.mark.parametrize("shuffle", (False, True))
+    def test_generated_workloads(self, code_name, shuffle):
+        assert (workload_digest(code_name, shuffle)
+                == GOLDEN_WORKLOADS[code_name, shuffle])
+
+    @pytest.mark.parametrize("name", ("locality-mu2", "peeling-mu4"))
+    def test_fig3_panels(self, name):
+        assert panel_digest(name) == GOLDEN_PANELS[name]
