@@ -11,17 +11,34 @@ The mean time to absorption from transient state ``s`` satisfies
 
     (sum of rates out of s) * t(s) - sum_{s' transient} rate(s->s') t(s') = 1
 
-a sparse linear system solved with scipy.  Small systems (every
-lumped chain of :func:`repro.reliability.models.group_chain`) go
-through the exact sparse-LU solve;
-the exhaustive subset chains of
-:func:`repro.reliability.models.brute_force_chain` reach tens of
-thousands of hypercube-structured states where sparse LU fill-in is
-catastrophic (minutes at 2**16 masks), so larger systems switch to a
-Jacobi-preconditioned BiCGSTAB with iterative refinement — the rate
-matrix is strictly diagonally dominant on the transient block, where
-that combination converges to ~1e-12 relative residual in milliseconds
-— and fall back to the exact LU only if refinement stalls.
+and the probability of absorbing in ``a`` the same system with the
+rate ``s -> a`` on the right.  The solver depends on the transient
+state count:
+
+* up to :data:`ELIMINATION_STATES` (every lumped chain of
+  :func:`repro.reliability.models.group_chain`, at most 81 states) —
+  :func:`_eliminate`, the elimination of Grassmann, Taksar and Heyman
+  (Oper. Res. 33(5), 1985) in numpy.  It keeps each exit rate as the
+  *sum* of the remaining rates, never as a diagonal minus something,
+  so it only adds non-negative numbers and is exact to rounding however
+  stiff lambda/mu is: 3.8e-16 worst relative error against a 60-digit
+  reference over the 78 chains Table 1 and the families table solve.
+  Pivoting LU subtracts nearly equal rates there: sparse LU was off by
+  up to 4.6 % (3-rep at MTTF 1e9 h; 7e-5 at the calibrated MTTF) and
+  dense ``numpy.linalg.solve`` by 34 %, so neither serves this size;
+* up to :data:`DIRECT_SOLVE_STATES` — sparse LU (``spsolve``);
+* above it — the subset chains of
+  :func:`repro.reliability.models.brute_force_chain`, tens of thousands
+  of hypercube-structured states where LU fill-in is catastrophic
+  (minutes at 2**16 masks): Jacobi-preconditioned BiCGSTAB with
+  iterative refinement, falling back to LU if refinement stalls.
+
+Elimination is O(n**3): a whole solve of a random chain with six edges
+per state took 0.8 against sparse LU's 0.9 ms at 24 states, 2.2
+against 1.5 ms at 81, 17 against 4 ms at 256 and 160 against 15 ms at
+512 (2-vCPU Xeon, scipy already imported), hence the cut-over at 256.
+Only the sparse tiers need scipy, and they import it themselves: the
+paper's tables never load it.
 """
 
 from __future__ import annotations
@@ -30,15 +47,14 @@ from collections.abc import Hashable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix, lil_matrix
-from scipy.sparse.linalg import LinearOperator, bicgstab, spsolve
 
 State = Hashable
 
+#: Largest transient-state count solved by :func:`_eliminate`.
+ELIMINATION_STATES = 256
+
 #: Largest transient-state count solved by exact sparse LU; the
-#: lumped chains all sit far below it (the 15-slot heptagon-local
-#: subset chain has ~3.7k states), so their solution paths — and the
-#: 1e-9-tight equivalence tests against them — are unchanged.
+#: 15-slot heptagon-local subset chain (~3.7k states) sits below it.
 DIRECT_SOLVE_STATES = 4096
 
 #: Refinement target: iterate until the residual shrinks below this
@@ -46,30 +62,56 @@ DIRECT_SOLVE_STATES = 4096
 _REFINE_TOLERANCE = 1e-10
 
 
-def _solve_transient_system(matrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``matrix @ t = rhs`` for the mean-absorption-time system."""
-    size = matrix.shape[0]
+def _eliminate(rates: np.ndarray, absorb: np.ndarray,
+               rhs: np.ndarray) -> np.ndarray:
+    """State 0's row of the solution, by GTH elimination (in place).
+
+    ``rates[i, j]`` is the rate from transient ``i`` to ``j`` (the
+    diagonal is never read), ``absorb[i]`` from ``i`` into absorption,
+    ``rhs`` an ``(n, m)`` right-hand side.  States ``n-1 .. 1`` are
+    folded in turn into the states left."""
+    for k in range(len(absorb) - 1, 0, -1):
+        row = rates[k, :k]
+        factor = rates[:k, k] / (row.sum() + absorb[k])
+        rates[:k, :k] += np.multiply.outer(factor, row)
+        absorb[:k] += factor * absorb[k]
+        rhs[:k] += np.multiply.outer(factor, rhs[k])
+    return rhs[0] / absorb[0]
+
+
+def _sparse_solve(rows, cols, vals, shape, split: bool) -> np.ndarray:
+    """State 0's row of the solution above the elimination tier, from
+    the rate triplets :meth:`MarkovChain._solve` collects."""
+    from scipy.sparse import coo_matrix, diags
+    from scipy.sparse.linalg import LinearOperator, bicgstab, spsolve
+
+    size = shape[0]
+    full = coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+    rhs = full[:, size:].toarray() if split else np.ones((size, 1))
+    exit_rates = np.asarray(full.sum(axis=1)).ravel()
+    matrix = (diags(exit_rates) - full[:, :size]).tocsr()
     if size <= DIRECT_SOLVE_STATES:
-        return spsolve(matrix.tocsr(), rhs)
-    csr = matrix.tocsr()
-    diagonal = csr.diagonal()
+        return np.array([spsolve(matrix, column)[0] for column in rhs.T])
     preconditioner = LinearOperator(
-        csr.shape, lambda vector: vector / diagonal)
-    rhs_norm = float(np.linalg.norm(rhs))
-    solution = np.zeros(size, dtype=np.float64)
-    residual = rhs
-    for _ in range(5):
-        update, info = bicgstab(csr, residual, M=preconditioner,
-                                rtol=1e-12, atol=0.0, maxiter=2000)
-        if info < 0:
-            break
-        solution = solution + update
-        residual = rhs - csr @ solution
-        if np.linalg.norm(residual) <= _REFINE_TOLERANCE * rhs_norm:
-            return solution
-    # Exact (slow) fallback: correctness over speed when the iterative
-    # path stalls on pathologically stiff rates.
-    return spsolve(csr, rhs)
+        matrix.shape, lambda vector: vector / exit_rates)
+
+    def solve(column: np.ndarray) -> float:
+        solution, residual = np.zeros(size), column
+        for _ in range(5):
+            update, info = bicgstab(matrix, residual, M=preconditioner,
+                                    rtol=1e-12, atol=0.0, maxiter=2000)
+            if info < 0:
+                break
+            solution = solution + update
+            residual = column - matrix @ solution
+            if (np.linalg.norm(residual)
+                    <= _REFINE_TOLERANCE * np.linalg.norm(column)):
+                return solution[0]
+        # Exact (slow) fallback: correctness over speed when the
+        # iterative path stalls on pathologically stiff rates.
+        return spsolve(matrix, column)[0]
+
+    return np.array([solve(column) for column in rhs.T])
 
 
 @dataclass
@@ -85,8 +127,10 @@ class MarkovChain:
     absorbing: set[State] = field(default_factory=set)
 
     def add_transition(self, source: State, dest: State, rate: float) -> None:
-        if rate < 0:
-            raise ValueError("transition rates must be non-negative")
+        if not 0 <= rate < float("inf"):
+            raise ValueError(
+                f"transition rates must be finite and non-negative, "
+                f"got {rate!r}")
         if rate == 0:
             return
         self.transitions.setdefault(source, []).append((rate, dest))
@@ -101,9 +145,6 @@ class MarkovChain:
 
     def transient_states(self) -> list[State]:
         return [s for s in self.transitions if s not in self.absorbing]
-
-    def exit_rate(self, state: State) -> float:
-        return sum(rate for rate, _ in self.transitions.get(state, []))
 
     def validate(self) -> None:
         """Check every transient state can eventually reach absorption."""
@@ -135,62 +176,46 @@ class MarkovChain:
         """
         if start in self.absorbing:
             return 0.0
-        if start not in self.transitions:
-            raise KeyError(f"unknown state {start!r}")
-        self.validate()
-        transient = self.transient_states()
-        index = {state: i for i, state in enumerate(transient)}
-        size = len(transient)
-        # COO triplets instead of per-element lil assignment: building
-        # the 2**16-mask subset chains' systems this way is ~100x
-        # cheaper, and duplicate (i, j) entries sum exactly like the
-        # old accumulating assignment did.
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        rhs = np.ones(size, dtype=np.float64)
-        for state in transient:
-            i = index[state]
-            out_rate = self.exit_rate(state)
-            if out_rate <= 0:
-                raise ValueError(f"transient state {state!r} has no exits")
-            rows.append(i)
-            cols.append(i)
-            vals.append(out_rate)
-            for rate, dest in self.transitions[state]:
-                if dest not in self.absorbing:
-                    rows.append(i)
-                    cols.append(index[dest])
-                    vals.append(-rate)
-        matrix = coo_matrix((vals, (rows, cols)), shape=(size, size),
-                            dtype=np.float64)
-        solution = _solve_transient_system(matrix, rhs)
-        return float(solution[index[start]])
+        return float(self._solve(start, split=False)[0])
 
     def absorption_probability_split(self, start: State) -> dict[State, float]:
         """Probability of ending in each absorbing state (diagnostics)."""
         if start in self.absorbing:
             return {start: 1.0}
+        return dict(zip(self.absorbing,
+                        map(float, self._solve(start, split=True))))
+
+    def _solve(self, start: State, split: bool) -> np.ndarray:
+        """``start``'s mean time to absorption, or its probability of
+        absorbing in each state of ``self.absorbing`` (in its order)."""
+        if start not in self.transitions:
+            raise KeyError(f"unknown state {start!r}")
         self.validate()
-        transient = self.transient_states()
-        index = {state: i for i, state in enumerate(transient)}
+        transient = [start, *(state for state in self.transient_states()
+                              if state != start)]
         size = len(transient)
-        result: dict[State, float] = {}
-        for target in self.absorbing:
-            matrix = lil_matrix((size, size), dtype=np.float64)
-            rhs = np.zeros(size, dtype=np.float64)
-            for state in transient:
-                i = index[state]
-                matrix[i, i] = self.exit_rate(state)
-                for rate, dest in self.transitions[state]:
-                    if dest in self.absorbing:
-                        if dest == target:
-                            rhs[i] += rate
-                    else:
-                        matrix[i, index[dest]] -= rate
-            solution = spsolve(matrix.tocsr(), rhs)
-            result[target] = float(solution[index[start]])
-        return result
+        column = {state: i
+                  for i, state in enumerate([*transient, *self.absorbing])}
+        # Rate triplets over transient rows and all columns, absorbing
+        # states last; self-loops change nothing and are skipped, and
+        # duplicate edges sum.
+        rows: list[int] = []
+        cols: list[int] = []
+        vals: list[float] = []
+        for i, state in enumerate(transient):
+            for rate, dest in self.transitions[state]:
+                if dest != state:
+                    rows.append(i)
+                    cols.append(column[dest])
+                    vals.append(rate)
+        shape = (size, len(column))
+        if size > ELIMINATION_STATES:
+            return _sparse_solve(rows, cols, vals, shape, split)
+        flat = np.asarray(rows, dtype=np.intp) * shape[1] + cols
+        full = np.bincount(flat, vals, size * shape[1]).reshape(shape)
+        into = full[:, size:]
+        return _eliminate(full[:, :size], into.sum(axis=1),
+                          into if split else np.ones((size, 1)))
 
 
 HOURS_PER_YEAR = 24 * 365.25

@@ -4,7 +4,9 @@ Every case runs a fresh interpreter and asserts on ``sys.modules``
 after the import or call under test, never on a timing.  A datanode
 daemon, the argument parser every ``python -m repro`` process builds,
 and ``repro lint`` must not pay for scipy or the experiment stack;
-the paper-suite pass must.  A datanode is a byte store behind a
+the paper-suite pass pays for the experiment stack but, since every
+chain it solves is small enough for the numpy elimination, not for
+scipy.  A datanode is a byte store behind a
 socket: it loads neither numpy nor the coding stack, not even after
 serving ``put``, ``get`` and ``combine`` on the native backend.  The
 sweep engine is serial or a local fork pool: importing the experiments
@@ -126,13 +128,19 @@ def test_lint_rules_loads_no_numpy():
     assert under(modules, "numpy", "scipy") == []
 
 
-def test_experiments_still_load_scipy_eagerly():
-    """Deliberately not lazy: ``reliability/markov.py`` imports
-    ``scipy.sparse.linalg`` at module level.  ``paper_suite``'s fork
-    pool then inherits scipy from the parent; deferring the import
-    makes every forked worker import it again (plus once in the parent
-    for Table 1's analytic MTTDL), which measured slower on the suite."""
-    assert "scipy.sparse.linalg" in loaded_modules("import repro.experiments")
+def test_paper_tables_load_no_scipy():
+    """Table 1, its Monte-Carlo check and the families table solve
+    chains of at most 81 states, all by the numpy elimination in
+    ``reliability/markov.py``; only ``brute_force_chain``'s large subset
+    chains import scipy, inside the sparse solve."""
+    modules = loaded_modules(
+        "import repro.experiments\n"
+        "from repro.experiments import families, table1\n"
+        "table1.build_table1(workers=1)\n"
+        "families.build_families(workers=1)\n"
+        "table1.monte_carlo_validation(trials=20, workers=1)")
+    assert "repro.experiments" in modules
+    assert under(modules, "scipy") == []
 
 
 def test_experiments_load_no_event_loop_and_no_socket_layer():

@@ -1,15 +1,57 @@
-"""Tests for the CTMC solver against closed-form results."""
+"""Tests for the CTMC solver against closed-form and exact results."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from repro.experiments.table1 import build_table1
 from repro.reliability import (
     HOURS_PER_YEAR,
     MarkovChain,
+    ReliabilityParams,
+    group_model,
     hours_to_years,
+    markov,
     simulate_chain_mttd,
     years_to_hours,
 )
+
+FAST = ReliabilityParams(node_mttf_hours=100.0, node_mttr_hours=10.0)
+
+
+def exact_solve(chain, start, target=None):
+    """``start``'s mean time to absorption — or, given ``target``, its
+    probability of absorbing there — by Gaussian elimination over
+    ``Fraction``: the float rates are taken exactly, so the one rounding
+    is the final conversion."""
+    transient = chain.transient_states()
+    index = {state: i for i, state in enumerate(transient)}
+    size = len(transient)
+    rows = []
+    for state in transient:
+        row = [Fraction(0)] * size + [Fraction(target is None)]
+        for rate, dest in chain.transitions[state]:
+            if dest != state:
+                row[index[state]] += Fraction(rate)
+                if dest in index:
+                    row[index[dest]] -= Fraction(rate)
+                elif dest == target:
+                    row[size] += Fraction(rate)
+        rows.append(row)
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for row in rows[col + 1:]:
+            if row[col]:
+                factor = row[col] / rows[col][col]
+                row[col:] = [a - factor * b
+                             for a, b in zip(row[col:], rows[col][col:])]
+    solution = [Fraction(0)] * size
+    for i in reversed(range(size)):
+        tail = sum(rows[i][j] * solution[j] for j in range(i + 1, size))
+        solution[i] = (rows[i][size] - tail) / rows[i][i]
+    return float(solution[index[start]])
 
 
 class TestChainConstruction:
@@ -17,6 +59,14 @@ class TestChainConstruction:
         chain = MarkovChain()
         with pytest.raises(ValueError):
             chain.add_transition(0, 1, -1.0)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"),
+                                      float("-inf")])
+    def test_non_finite_rate_rejected(self, rate):
+        chain = MarkovChain()
+        with pytest.raises(ValueError, match="finite"):
+            chain.add_transition(0, 1, rate)
+        assert chain.transitions == {}
 
     def test_zero_rate_ignored(self):
         chain = MarkovChain()
@@ -45,6 +95,13 @@ class TestChainConstruction:
         chain.mark_absorbing("DL")
         with pytest.raises(KeyError):
             chain.mean_time_to_absorption(99)
+
+    def test_unknown_start_rejected_by_the_split(self):
+        chain = MarkovChain()
+        chain.add_transition(0, "DL", 1.0)
+        chain.mark_absorbing("DL")
+        with pytest.raises(KeyError, match="unknown state"):
+            chain.absorption_probability_split(99)
 
 
 class TestClosedForms:
@@ -124,6 +181,80 @@ class TestAbsorptionSplit:
         chain.mark_absorbing("B")
         split = chain.absorption_probability_split(0)
         assert sum(split.values()) == pytest.approx(1.0)
+
+    def test_stiff_split_is_exact(self):
+        """A 3-rep chain at lambda/mu = 1e-9 with a second, rare exit
+        from the two-down state: the rare side's probability is ~1e-9 of
+        the total and must still come out exact to rounding."""
+        lam, mu = 1e-9, 1.0
+        chain = MarkovChain()
+        chain.add_transition(0, 1, 3 * lam)
+        chain.add_transition(1, 0, mu)
+        chain.add_transition(1, 2, 2 * lam)
+        chain.add_transition(2, 1, 2 * mu)
+        chain.add_transition(2, "DL", lam)
+        chain.add_transition(2, "UBER", 1e-9 * lam)
+        chain.mark_absorbing("DL")
+        chain.mark_absorbing("UBER")
+        split = chain.absorption_probability_split(0)
+        for target in ("DL", "UBER"):
+            assert split[target] == pytest.approx(
+                exact_solve(chain, 0, target), rel=1e-12)
+
+
+class TestExactness:
+    """The elimination against the ``Fraction`` reference, on the
+    chains the paper's tables solve."""
+
+    def test_every_small_table1_chain(self, monkeypatch):
+        solved = []
+        solve = MarkovChain.mean_time_to_absorption
+
+        def recorded(chain, start):
+            value = solve(chain, start)
+            solved.append((chain, start, value))
+            return value
+
+        monkeypatch.setattr(MarkovChain, "mean_time_to_absorption",
+                            recorded)
+        build_table1(workers=1)
+        small = [(chain, start, value) for chain, start, value in solved
+                 if len(chain.transient_states()) <= 25]
+        assert len(small) >= 30
+        for chain, start, value in small:
+            assert value == pytest.approx(exact_solve(chain, start),
+                                          rel=1e-12)
+
+    def test_three_rep_at_the_calibration_bracket(self):
+        """MTTF 1e9 h, the top of :func:`calibrate_mttf`'s bracket:
+        lambda/mu ~ 2.4e-8, where sparse LU was off by 4.6 %."""
+        model = group_model("3-rep", ReliabilityParams(
+            node_mttf_hours=1e9, node_mttr_hours=24))
+        assert model.mttdl_hours() == pytest.approx(
+            exact_solve(model.chain, model.start), rel=1e-12)
+
+
+class TestSolverTiers:
+    """Large chains leave the elimination for sparse LU and then
+    BiCGSTAB; lowering the thresholds sends a small chain down each
+    tier, which must agree with the elimination."""
+
+    @pytest.mark.parametrize("thresholds", [(0, 4096), (0, 0)],
+                             ids=["sparse-lu", "bicgstab"])
+    @pytest.mark.parametrize("code", ["pentagon", "heptagon-local"])
+    def test_sparse_tiers_match_elimination(self, monkeypatch, thresholds,
+                                            code):
+        model = group_model(code, FAST)
+        # a second absorbing state, so the split solves two columns
+        model.chain.add_transition(model.start, "RARE", 1e-3)
+        model.chain.mark_absorbing("RARE")
+        expected = model.mttdl_hours()
+        split = model.chain.absorption_probability_split(model.start)
+        monkeypatch.setattr(markov, "ELIMINATION_STATES", thresholds[0])
+        monkeypatch.setattr(markov, "DIRECT_SOLVE_STATES", thresholds[1])
+        assert model.mttdl_hours() == pytest.approx(expected, rel=1e-9)
+        assert model.chain.absorption_probability_split(model.start) \
+            == pytest.approx(split, rel=1e-9)
 
 
 class TestSimulatorAgreement:
