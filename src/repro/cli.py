@@ -30,7 +30,7 @@ Storage service
 The paper's codes can also be *served* by a long-lived daemon cluster
 (:mod:`repro.service`)::
 
-    # namenode + 6 datanode subprocesses on loopback (Ctrl-C stops)
+    # namenode + 6 datanode processes on loopback (Ctrl-C stops)
     python -m repro serve --datanodes 6
 
     # read-load a cluster under a seeded fault plan; --strict makes a
@@ -39,6 +39,11 @@ The paper's codes can also be *served* by a long-lived daemon cluster
 
     # one extra datanode joining an already-running namenode
     python -m repro datanode --node-id 6 --namenode 127.0.0.1:7007
+
+    # three more from one interpreter: it imports the daemon stack once,
+    # forks one process per id and prints a "node_id pid" line for each
+    python -m repro datanode --node-id 6 --node-id 7 --node-id 8 \
+        --namenode 127.0.0.1:7007
 
 Static analysis
 ---------------
@@ -62,10 +67,10 @@ Imports
 -------
 
 Each handler imports what it runs, and :func:`build_parser` imports
-no experiment module.  So ``repro datanode``, one per daemon
-:class:`~repro.service.ServiceCluster` spawns, loads neither numpy,
-scipy, the coding stack nor the sweep engine, and ``repro lint``
-loads no numpy.
+no experiment module.  So ``repro datanode``, the one launcher a
+:class:`~repro.service.ServiceCluster` spawns for all its datanodes,
+loads neither numpy, scipy, the coding stack nor the sweep engine
+before it forks, and ``repro lint`` loads no numpy.
 """
 
 from __future__ import annotations
@@ -275,14 +280,24 @@ def run_serve(args: argparse.Namespace) -> None:
 
 def run_datanode_cmd(args: argparse.Namespace) -> None:
     from .net import parse_hostport
-    from .service import run_datanode
+    from .service.datanode import launch_datanodes
 
+    node_ids = args.node_ids
+    if len(set(node_ids)) != len(node_ids):
+        print("error: each --node-id may be given once", file=sys.stderr)
+        raise SystemExit(2)
+    if args.port and len(node_ids) > 1:
+        print("error: --port binds one datanode: give a single --node-id",
+              file=sys.stderr)
+        raise SystemExit(2)
     host, port = parse_hostport(args.namenode)
-    run_datanode(
-        args.node_id, (host, port), host=args.host, port=args.port,
+    status = launch_datanodes(
+        node_ids, (host, port), host=args.host, port=args.port,
         heartbeat_interval=args.heartbeat_interval,
         fault_seed=args.fault_seed, connect_retries=args.connect_retries,
         log=lambda message: print(f"[datanode] {message}", flush=True))
+    if status:
+        raise SystemExit(status)
 
 
 def run_load_cmd(args: argparse.Namespace) -> None:
@@ -412,9 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser(
         "serve", help="run a storage service (namenode + datanode "
-                      "subprocesses) until interrupted")
+                      "processes) until interrupted")
     p_serve.add_argument("--datanodes", type=int, default=6, metavar="N",
-                         help="datanode subprocesses (default %(default)s)")
+                         help="datanode processes (default %(default)s)")
     p_serve.add_argument("--block-bytes", type=int, default=65536)
     p_serve.add_argument("--seed", type=int, default=0)
     p_serve.add_argument("--silence-timeout", type=float, default=5.0,
@@ -430,8 +445,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "one rack loss stays within code tolerance")
 
     p_dn = sub.add_parser(
-        "datanode", help="run one storage datanode daemon")
-    p_dn.add_argument("--node-id", type=int, required=True)
+        "datanode", help="run storage datanode daemons, one forked "
+                         "process per --node-id")
+    p_dn.add_argument("--node-id", type=_node_id, action="append",
+                      required=True, dest="node_ids", metavar="ID",
+                      help="a datanode id, >= 0 (repeatable)")
     p_dn.add_argument("--namenode", type=_hostport, required=True,
                       metavar="HOST:PORT")
     p_dn.add_argument("--host", default="127.0.0.1")
@@ -547,6 +565,18 @@ def _positive(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
+def _node_id(text: str) -> int:
+    """argparse type for a datanode id: an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a datanode id (an integer >= 0)")
     return value
 
 

@@ -22,6 +22,7 @@ _EXPORTS = {
     "StorageClient": "client",
     "ServiceCluster": "cluster",
     "DataNodeServer": "datanode",
+    "launch_datanodes": "datanode",
     "run_datanode": "datanode",
     "Fault": "faults",
     "FaultPlan": "faults",

@@ -1,18 +1,23 @@
-"""Spin up a whole service: one namenode + N datanode subprocesses.
+"""Spin up a whole service: one namenode + N datanode processes.
 
 :class:`ServiceCluster` is the harness the CLI, the tests and the
-bench all share.  Datanodes run as real OS processes (``python -m
-repro datanode``) so a ``kill`` fault is an actual ``SIGKILL`` —
-half-written frames, refused reconnects and all — not a polite
-in-process shutdown.  The namenode runs in-process so callers can
-inspect its state directly.
+bench all share.  Datanodes run as real OS processes, so a ``kill``
+fault is an actual ``SIGKILL`` — half-written frames, refused
+reconnects and all — not a polite in-process shutdown.  One launcher,
+``python -m repro datanode --node-id 0 --node-id 1 ...``, imports the
+daemon stack once and forks one child per node id
+(:func:`~.datanode.launch_datanodes`); it prints each child's pid, so
+:meth:`ServiceCluster.kill_datanode` can SIGKILL exactly one node.  The
+namenode runs in-process so callers can inspect its state directly.
 """
 
 from __future__ import annotations
 
 import os
+import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -24,6 +29,18 @@ from .protocol import ServiceError
 
 #: How long to wait for every datanode to register and heartbeat.
 STARTUP_TIMEOUT = 30.0
+
+#: How long :meth:`ServiceCluster.close` waits for the launcher, and
+#: :meth:`ServiceCluster.kill_datanode` for a victim to be reaped.
+EXIT_TIMEOUT = 5.0
+
+
+def _exists(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def _is_settled(status: dict) -> bool:
@@ -38,7 +55,7 @@ def _is_settled(status: dict) -> bool:
 
 
 class ServiceCluster:
-    """One namenode (in-process) + N datanode subprocesses."""
+    """One namenode (in-process) + N datanode processes."""
 
     def __init__(self, datanodes: int = 6, *, block_bytes: int = 65536,
                  seed: int = 0, host: str = "127.0.0.1",
@@ -70,31 +87,46 @@ class ServiceCluster:
             silence_timeout=silence_timeout, check_period=check_period,
             rack_map=rack_map, **namenode_kwargs)
         self.address = self.namenode.address
-        self._procs: dict[int, subprocess.Popen] = {}
+        # The launcher's stdout is a file, not a pipe: the children's
+        # log lines follow the pid lines into it, and nothing has to
+        # keep draining it for them.
+        self._output = tempfile.TemporaryFile()
+        self._pids: dict[int, int] = {}      # node id -> datanode pid
+        self._launcher: subprocess.Popen | None = None
         try:
-            for node_id in range(datanodes):
-                self._procs[node_id] = self._spawn(node_id,
-                                                   heartbeat_interval)
+            self._launcher = self._spawn(heartbeat_interval)
             self._await_alive(range(datanodes), startup_timeout)
         except Exception:
             self.close()
             raise
 
     # ------------------------------------------------------------------
-    def _spawn(self, node_id: int,
-               heartbeat_interval: float) -> subprocess.Popen:
+    def _spawn(self, heartbeat_interval: float) -> subprocess.Popen:
         src_root = Path(__file__).resolve().parents[2]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(src_root)] + ([env["PYTHONPATH"]]
                                if env.get("PYTHONPATH") else []))
+        node_ids = [arg for node_id in range(self.datanode_count)
+                    for arg in ("--node-id", str(node_id))]
+        # A session of its own: its process group is the datanodes, so
+        # close() can still reach them if the launcher dies unreaped.
         return subprocess.Popen(
-            [sys.executable, "-m", "repro", "datanode",
-             "--node-id", str(node_id),
+            [sys.executable, "-m", "repro", "datanode", *node_ids,
              "--namenode", f"{self.address[0]}:{self.address[1]}",
              "--heartbeat-interval", str(heartbeat_interval),
              "--fault-seed", str(self.seed)],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            env=env, stdout=self._output, start_new_session=True)
+
+    def _read_pids(self) -> None:
+        """Take up the ``node_id pid`` lines the launcher has printed."""
+        if len(self._pids) == self.datanode_count:
+            return
+        text = os.pread(self._output.fileno(), 1 << 20, 0)
+        for line in text.split(b"\n")[:-1]:       # complete lines only
+            fields = line.split()
+            if len(fields) == 2 and all(f.isdigit() for f in fields):
+                self._pids[int(fields[0])] = int(fields[1])
 
     def _await_alive(self, node_ids, timeout: float) -> None:
         wanted = set(node_ids)
@@ -102,15 +134,38 @@ class ServiceCluster:
         while time.monotonic() < deadline:
             if wanted <= set(self.namenode._alive_ids()):
                 return
-            for node_id, proc in self._procs.items():
-                if node_id in wanted and proc.poll() is not None:
+            self._read_pids()
+            for node_id in sorted(wanted):
+                pid = self._pids.get(node_id)
+                if pid is not None and not _exists(pid):
                     raise ServiceError(
-                        f"datanode {node_id} exited with "
-                        f"{proc.returncode} during startup")
+                        f"datanode {node_id} exited during startup")
+            if self._launcher.poll() is not None:
+                raise ServiceError(
+                    f"the datanode launcher exited with "
+                    f"{self._launcher.returncode} during startup")
             time.sleep(0.05)
         raise ServiceError(
             f"datanodes {sorted(wanted - set(self.namenode._alive_ids()))} "
             f"never became alive within {timeout:.0f}s")
+
+    def kill_datanode(self, node_id: int) -> None:
+        """SIGKILL one datanode and wait until its launcher has reaped
+        it: afterwards its pid names no process.  The namenode learns
+        of the death as it would of a crash, by the silence."""
+        self._read_pids()
+        pid = self._pids[node_id]
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            return
+        deadline = time.monotonic() + EXIT_TIMEOUT
+        while _exists(pid):
+            if time.monotonic() > deadline:
+                raise ServiceError(
+                    f"datanode {node_id} (pid {pid}) was not reaped "
+                    f"within {EXIT_TIMEOUT:g}s")
+            time.sleep(0.005)
 
     # ------------------------------------------------------------------
     def client(self, *, retry: RetryPolicy | None = None,
@@ -160,18 +215,26 @@ class ServiceCluster:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        for proc in self._procs.values():
-            if proc.poll() is None:
-                proc.terminate()
-        deadline = time.monotonic() + 5.0
-        for proc in self._procs.values():
-            remaining = deadline - time.monotonic()
+        """Stop the datanodes and the namenode.  The launcher forwards
+        its SIGTERM and exits once every datanode is reaped; one that
+        overruns :data:`EXIT_TIMEOUT` is SIGKILLed.  A launcher that
+        died by SIGKILL left its datanodes running, so they are killed
+        through its process group: no datanode outlives the cluster."""
+        launcher, self._launcher = self._launcher, None
+        if launcher is not None:
+            if launcher.poll() is None:
+                launcher.terminate()
             try:
-                proc.wait(timeout=max(0.1, remaining))
+                launcher.wait(timeout=EXIT_TIMEOUT)
             except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait(timeout=5.0)
-        self._procs.clear()
+                launcher.kill()
+                launcher.wait()
+            if launcher.returncode == -signal.SIGKILL:
+                try:
+                    os.killpg(launcher.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+        self._output.close()
         self.namenode.close()
 
     def __enter__(self) -> "ServiceCluster":

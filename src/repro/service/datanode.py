@@ -30,16 +30,26 @@ transport, the protocol tables, the fault hooks, the block store and
 the native GF library.  It loads neither numpy nor the coding stack
 (``tests/test_import_footprint.py`` pins the list); only a ``combine``
 on a host without the native library imports numpy, on first use.
+
+:func:`launch_datanodes` is how daemons start: one process imports
+all of that once and forks a child per node id, so a cluster of N
+datanodes pays for one interpreter start, not N.  A daemon its
+namenode refuses, or one that stays cut off from it for its whole
+reconnect budget, stops and exits nonzero.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
+import signal
 import socket
+import sys
 import threading
+import traceback
 
 from ..cluster.datanode import DataNode
-from ..gf.native import combine
+from ..gf.native import combine, crc32
 from ..net import (
     AsyncRpcClient,
     AsyncRpcServer,
@@ -53,6 +63,7 @@ from .faults import Fault, FaultArm
 from .protocol import (
     DATANODE_OPS,
     SERVICE_VERSION,
+    ServiceError,
     block_from_tuple,
     dispatch,
     expect,
@@ -102,6 +113,9 @@ class DataNodeServer:
         self.faults = FaultArm(self.store, seed=fault_seed)
         self._shutdown = threading.Event()
         self._served = 0
+        #: Why the daemon shut itself down, when it did: the namenode
+        #: refused its registration or stayed unreachable.
+        self.failure: str | None = None
         self.server = AsyncRpcServer(
             self._handle, host, port,
             before_request=self.faults.before_request_gate,
@@ -190,7 +204,7 @@ class DataNodeServer:
                 "requests": self._served,
                 "faults": self.faults.snapshot()}
 
-    # lint: allow(schema.unused-op): graceful-stop surface for external operators; ServiceCluster terminates its subprocess children directly
+    # lint: allow(schema.unused-op): graceful-stop surface for external operators; ServiceCluster terminates its datanode launcher directly
     def _op_shutdown(self, data, peer) -> dict:
         del data, peer
         self._shutdown.set()
@@ -265,11 +279,20 @@ class DataNodeServer:
                     continue
                 try:
                     if not registered:
-                        await client.call(
-                            "dn-register",
-                            {"node_id": self.node_id,
-                             "address": self.address,
-                             "version": SERVICE_VERSION})
+                        try:
+                            await client.call(
+                                "dn-register",
+                                {"node_id": self.node_id,
+                                 "address": self.address,
+                                 "version": SERVICE_VERSION})
+                        except (ProtocolError, ServiceError) as error:
+                            if getattr(error, "code", None) is None:
+                                raise       # a transport fault: retry
+                            # The namenode answered and said no: asking
+                            # again gets the same answer.
+                            self._give_up(
+                                f"namenode refused registration: {error}")
+                            return
                         registered = True
                         attempts = 0
                     with self._store_lock:
@@ -277,13 +300,15 @@ class DataNodeServer:
                     await client.call("dn-heartbeat",
                                       {"node_id": self.node_id,
                                        "blocks": blocks})
-                except (ConnectionError, OSError, ProtocolError):
+                except (ConnectionError, OSError, ProtocolError) as error:
                     registered = False   # re-register on a fresh peer
                     attempts += 1
                     if attempts > self.connect_retries:
                         # Orphaned from the namenode for good: shut down
                         # rather than serve a cluster that forgot us.
-                        self._shutdown.set()
+                        self._give_up(
+                            f"namenode unreachable after {attempts} "
+                            f"attempts: {error}")
                         return
                     await asyncio.sleep(backoff_delay(
                         attempts, 0.2, RetryPolicy.RECONNECT_MAX_DELAY))
@@ -292,17 +317,22 @@ class DataNodeServer:
         finally:
             await client.close()
 
+    def _give_up(self, reason: str) -> None:
+        self.failure = reason
+        self._shutdown.set()
+
 
 def run_datanode(node_id: int, namenode: tuple[str, int], *,
                  host: str = "127.0.0.1", port: int = 0,
                  heartbeat_interval: float = HEARTBEAT_INTERVAL,
                  fault_seed: int = 0, connect_retries: int = 60,
-                 log=None, ready=None) -> int:
+                 log=None) -> int:
     """Run one datanode daemon until it is told to shut down.
 
-    ``ready`` (optional callable) receives the bound address once the
-    daemon is serving — the CLI prints it, tests latch onto it.
-    Returns the number of requests served.
+    Returns the number of requests served.  Raises
+    :class:`~.protocol.ServiceError` when the daemon gave up on its
+    namenode: refused at registration, or unreachable for its whole
+    reconnect budget.
     """
     emit = log if log is not None else (lambda message: None)
     server = DataNodeServer(
@@ -310,14 +340,118 @@ def run_datanode(node_id: int, namenode: tuple[str, int], *,
         heartbeat_interval=heartbeat_interval, fault_seed=fault_seed,
         connect_retries=connect_retries)
     try:
-        if ready is not None:
-            ready(server.address)
         emit(f"datanode {node_id} serving on "
              f"{server.address[0]}:{server.address[1]} "
              f"(namenode {namenode[0]}:{namenode[1]})")
         server.wait()
+        if server.failure is not None:
+            emit(f"datanode {node_id} giving up: {server.failure}")
+            raise ServiceError(f"datanode {node_id}: {server.failure}")
         emit(f"datanode {node_id} shutting down "
              f"({server._served} requests served)")
         return server._served
     finally:
         server.close()
+
+
+#: What a launcher forwards to its children.
+_STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)
+
+
+def launch_datanodes(node_ids, namenode: tuple[str, int], **daemon) -> int:
+    """Serve each of ``node_ids`` from a forked child of this process,
+    and supervise the children until the last one has exited.
+
+    The daemon stack is imported once, here, and one CRC is taken
+    before the first fork (which loads the native library when it is
+    the backend), so every child inherits the bound
+    :func:`~repro.gf.native.crc32` instead of paying for an interpreter
+    start, the imports and cffi's parse again.  Each child is still an
+    OS process of its own, so a ``kill`` fault SIGKILLs exactly that
+    node.
+
+    Prints one ``node_id pid`` line per child on stdout as it forks
+    it.  SIGTERM and SIGINT are forwarded to the live children, and
+    each child is reaped as it exits.  ``daemon`` holds
+    :func:`run_datanode`'s keyword arguments.
+
+    Returns 0 when every child exited 0, else 1; a launcher that was
+    told to stop ends by the same signal once its children are gone.
+    Raises ``RuntimeError``, having forked nothing, when a second
+    thread is alive: a child would inherit only the forking thread,
+    and with it any lock another thread held.
+    """
+    crc32(b"")      # loads the native library on its backend, binds CRC
+    if threading.active_count() != 1:
+        raise RuntimeError(
+            f"refusing to fork datanodes with {threading.active_count()} "
+            f"threads alive")
+    children: dict[int, int] = {}            # pid -> node id
+    stopped: list[int] = []
+
+    def forward(signum, frame) -> None:
+        del frame
+        stopped.append(signum)
+        for pid in list(children):
+            try:
+                os.kill(pid, signum)
+            except ProcessLookupError:
+                pass                        # exited, not reaped yet
+
+    for signum in _STOP_SIGNALS:
+        signal.signal(signum, forward)
+    try:
+        for node_id in node_ids:
+            if stopped:
+                break
+            sys.stdout.flush()
+            sys.stderr.flush()
+            # Blocked across the fork: the child resets its handlers
+            # before a stop signal can reach it, and the parent records
+            # the pid before it forwards one.
+            signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve_forked(node_id, namenode, daemon)
+                children[pid] = node_id
+            finally:
+                signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
+            print(f"{node_id} {pid}", flush=True)
+    except BaseException:
+        forward(signal.SIGTERM, None)
+        raise
+    failed = False
+    while children:
+        pid, status = os.waitpid(-1, 0)
+        del children[pid]
+        if os.waitstatus_to_exitcode(status) != 0:
+            failed = True
+    if stopped:
+        signal.signal(stopped[0], signal.SIG_DFL)
+        os.kill(os.getpid(), stopped[0])
+    return 1 if failed else 0
+
+
+def _serve_forked(node_id: int, namenode: tuple[str, int],
+                  daemon: dict) -> None:
+    """A forked child's whole life: one daemon, then ``os._exit`` —
+    never a return into the launcher's fork loop."""
+    code = 1
+    try:
+        for signum in _STOP_SIGNALS:
+            signal.signal(signum, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
+        run_datanode(node_id, namenode, **daemon)
+        code = 0
+    except ServiceError:
+        pass                                # run_datanode logged why
+    except BaseException:                   # the child's top level
+        traceback.print_exc()
+    finally:
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except (OSError, ValueError):
+                pass
+        os._exit(code)

@@ -121,6 +121,31 @@ def test_a_serving_datanode_still_loads_no_numpy():
         under(modules, "repro"))
 
 
+#: ``repro datanode`` with several ids, stopped at its first fork: what
+#: every child of the launcher starts from.
+LAUNCHER_UP_TO_FORK = r"""
+import json, os, sys
+import repro.cli
+
+def fork():
+    print(json.dumps(sorted(sys.modules)), flush=True)
+    os._exit(0)
+
+os.fork = fork
+repro.cli.main(["datanode", "--node-id", "0", "--node-id", "1",
+                "--node-id", "2", "--namenode", "127.0.0.1:9"])
+"""
+
+
+def test_the_launcher_forks_with_the_datanode_footprint():
+    modules = loaded_modules(LAUNCHER_UP_TO_FORK)
+    assert "repro.service.datanode" in modules
+    assert under(modules, *DATANODE_NEVER) == []
+    assert under(modules, *EXPERIMENT_STACK) == []
+    assert len(under(modules, "repro")) <= DATANODE_REPRO_MODULES, (
+        under(modules, "repro"))
+
+
 def test_lint_rules_loads_no_numpy():
     modules = loaded_modules(
         "import repro.cli\nrepro.cli.main(['lint', '--rules'])")

@@ -185,9 +185,7 @@ class TestTwoPhaseWrites:
         with ServiceCluster(3, seed=8, **FAST) as cluster:
             with cluster.client(retry=fast_retry(8)) as client:
                 client.write_file("ok", b"z" * 64, "3-rep")
-                proc = cluster._procs[0]
-                proc.kill()
-                proc.wait()
+                cluster.kill_datanode(0)
                 deadline = time.monotonic() + 10
                 while (time.monotonic() < deadline
                        and 0 in cluster.namenode._alive_ids()):
@@ -312,9 +310,7 @@ class TestRackAwarePlacement:
                 client.write_file("rrep", rep, "3-rep")
                 # Take down all of rack 2 at once.
                 for node_id in (4, 5):
-                    proc = cluster._procs[node_id]
-                    proc.kill()
-                    proc.wait()
+                    cluster.kill_datanode(node_id)
                 deadline = time.monotonic() + 10
                 while time.monotonic() < deadline:
                     alive = set(cluster.namenode._alive_ids())

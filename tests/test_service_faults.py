@@ -375,8 +375,7 @@ class TestWholeStripeReads:
             data, stripes = self._written(cluster, 11)
             # Slot 0 is the planned source of four data symbols.
             victim = stripes[0][0]
-            cluster._procs[victim].kill()
-            cluster._procs[victim].wait()
+            cluster.kill_datanode(victim)
             with cluster.client(retry=fast_retry(11)) as client:
                 assert client.read_file("f") == data
                 # One retry budget and one re-plan per stripe that
