@@ -22,7 +22,6 @@ _EXPORTS = {
     "StorageClient": "client",
     "ServiceCluster": "cluster",
     "DataNodeServer": "datanode",
-    "launch_datanodes": "datanode",
     "run_datanode": "datanode",
     "Fault": "faults",
     "FaultPlan": "faults",

@@ -6,14 +6,19 @@ fault is an actual ``SIGKILL`` — half-written frames, refused
 reconnects and all — not a polite in-process shutdown.  One launcher,
 ``python -m repro datanode --node-id 0 --node-id 1 ...``, imports the
 daemon stack once and forks one child per node id
-(:func:`~.datanode.launch_datanodes`); it prints each child's pid, so
-:meth:`ServiceCluster.kill_datanode` can SIGKILL exactly one node.  The
-namenode runs in-process so callers can inspect its state directly.
+(:func:`~.datanode.launch_datanodes`); it prints each child's pid,
+which the cluster holds as a pidfd, so
+:meth:`ServiceCluster.kill_datanode` can SIGKILL exactly one node and
+never a later process that reuses its pid.  The launcher and the
+datanodes stay in the caller's process group: a signal to the group
+(a terminal's ^C, ``timeout``) reaches every datanode.  The namenode
+runs in-process so callers can inspect its state directly.
 """
 
 from __future__ import annotations
 
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -35,9 +40,19 @@ STARTUP_TIMEOUT = 30.0
 EXIT_TIMEOUT = 5.0
 
 
-def _exists(pid: int) -> bool:
+def _exited(pidfd: int, timeout: float = 0.0) -> bool:
+    """True once the process behind ``pidfd`` has exited, reaped or
+    not; waits up to ``timeout`` seconds for it."""
+    poller = select.poll()
+    poller.register(pidfd, select.POLLIN)
+    return bool(poller.poll(max(0, round(timeout * 1000))))
+
+
+def _signal(pidfd: int, signum: int) -> bool:
+    """Send ``signum`` (0 only probes); False once the process has
+    been reaped."""
     try:
-        os.kill(pid, 0)
+        signal.pidfd_send_signal(pidfd, signum)
     except ProcessLookupError:
         return False
     return True
@@ -92,6 +107,7 @@ class ServiceCluster:
         # keep draining it for them.
         self._output = tempfile.TemporaryFile()
         self._pids: dict[int, int] = {}      # node id -> datanode pid
+        self._pidfds: dict[int, int] = {}    # node id -> its pidfd
         self._launcher: subprocess.Popen | None = None
         try:
             self._launcher = self._spawn(heartbeat_interval)
@@ -109,24 +125,33 @@ class ServiceCluster:
                                if env.get("PYTHONPATH") else []))
         node_ids = [arg for node_id in range(self.datanode_count)
                     for arg in ("--node-id", str(node_id))]
-        # A session of its own: its process group is the datanodes, so
-        # close() can still reach them if the launcher dies unreaped.
         return subprocess.Popen(
             [sys.executable, "-m", "repro", "datanode", *node_ids,
              "--namenode", f"{self.address[0]}:{self.address[1]}",
              "--heartbeat-interval", str(heartbeat_interval),
              "--fault-seed", str(self.seed)],
-            env=env, stdout=self._output, start_new_session=True)
+            env=env, stdout=self._output)
 
     def _read_pids(self) -> None:
-        """Take up the ``node_id pid`` lines the launcher has printed."""
+        """Take up the ``node_id pid`` lines the launcher has printed,
+        and a pidfd for each new pid: the launcher reaps a datanode as
+        soon as it dies, freeing its pid, so every later signal goes
+        through the pidfd.  A datanode already gone gets none."""
         if len(self._pids) == self.datanode_count:
             return
         text = os.pread(self._output.fileno(), 1 << 20, 0)
         for line in text.split(b"\n")[:-1]:       # complete lines only
             fields = line.split()
-            if len(fields) == 2 and all(f.isdigit() for f in fields):
-                self._pids[int(fields[0])] = int(fields[1])
+            if len(fields) != 2 or not all(f.isdigit() for f in fields):
+                continue
+            node_id, pid = int(fields[0]), int(fields[1])
+            if node_id in self._pids:
+                continue
+            self._pids[node_id] = pid
+            try:
+                self._pidfds[node_id] = os.pidfd_open(pid)
+            except ProcessLookupError:
+                pass
 
     def _await_alive(self, node_ids, timeout: float) -> None:
         wanted = set(node_ids)
@@ -136,8 +161,9 @@ class ServiceCluster:
                 return
             self._read_pids()
             for node_id in sorted(wanted):
-                pid = self._pids.get(node_id)
-                if pid is not None and not _exists(pid):
+                if node_id in self._pids and (
+                        node_id not in self._pidfds
+                        or _exited(self._pidfds[node_id])):
                     raise ServiceError(
                         f"datanode {node_id} exited during startup")
             if self._launcher.poll() is not None:
@@ -151,16 +177,16 @@ class ServiceCluster:
 
     def kill_datanode(self, node_id: int) -> None:
         """SIGKILL one datanode and wait until its launcher has reaped
-        it: afterwards its pid names no process.  The namenode learns
-        of the death as it would of a crash, by the silence."""
+        it: afterwards its pid names no process of the cluster.  The
+        namenode learns of the death as it would of a crash, by the
+        silence.  A datanode that is already gone is left alone."""
         self._read_pids()
         pid = self._pids[node_id]
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except ProcessLookupError:
+        pidfd = self._pidfds.get(node_id)
+        if pidfd is None or not _signal(pidfd, signal.SIGKILL):
             return
         deadline = time.monotonic() + EXIT_TIMEOUT
-        while _exists(pid):
+        while _signal(pidfd, 0):
             if time.monotonic() > deadline:
                 raise ServiceError(
                     f"datanode {node_id} (pid {pid}) was not reaped "
@@ -217,9 +243,9 @@ class ServiceCluster:
     def close(self) -> None:
         """Stop the datanodes and the namenode.  The launcher forwards
         its SIGTERM and exits once every datanode is reaped; one that
-        overruns :data:`EXIT_TIMEOUT` is SIGKILLed.  A launcher that
-        died by SIGKILL left its datanodes running, so they are killed
-        through its process group: no datanode outlives the cluster."""
+        overruns :data:`EXIT_TIMEOUT` is SIGKILLed.  However the
+        launcher ended, every datanode it printed that is still running
+        is then SIGKILLed and waited for: none outlives the cluster."""
         launcher, self._launcher = self._launcher, None
         if launcher is not None:
             if launcher.poll() is None:
@@ -229,11 +255,14 @@ class ServiceCluster:
             except subprocess.TimeoutExpired:
                 launcher.kill()
                 launcher.wait()
-            if launcher.returncode == -signal.SIGKILL:
-                try:
-                    os.killpg(launcher.pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
+            self._read_pids()
+        pidfds, self._pidfds = list(self._pidfds.values()), {}
+        for pidfd in pidfds:
+            _signal(pidfd, signal.SIGKILL)
+        deadline = time.monotonic() + EXIT_TIMEOUT
+        for pidfd in pidfds:
+            _exited(pidfd, deadline - time.monotonic())
+            os.close(pidfd)
         self._output.close()
         self.namenode.close()
 

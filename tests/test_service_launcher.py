@@ -62,13 +62,18 @@ def _free_port() -> int:
         return sock.getsockname()[1]
 
 
-def _repro(*args: str, timeout: float = 60.0) -> subprocess.CompletedProcess:
+def _env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC_DIR)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
                           else []))
-    return subprocess.run([sys.executable, "-m", "repro", *args], env=env,
-                          capture_output=True, text=True, timeout=timeout)
+    return env
+
+
+def _repro(*args: str, timeout: float = 60.0) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "repro", *args],
+                          env=_env(), capture_output=True, text=True,
+                          timeout=timeout)
 
 
 class TestNoDaemonOutlivesClose:
@@ -102,8 +107,47 @@ class TestNoDaemonOutlivesClose:
         # Orphaned, the datanodes keep serving until close() finds them.
         assert all(_live(pid) for pid in pids.values())
         cluster.close()
-        assert _wait_until(
-            lambda: not any(_live(pid) for pid in pids.values()), 5.0)
+        assert [pid for pid in pids.values() if _live(pid)] == []
+
+    def test_after_the_launcher_died_by_another_signal(self):
+        """SIGHUP ends the launcher without reaching its children."""
+        cluster = ServiceCluster(3, seed=9, **FAST)
+        pids = self._pids(cluster)
+        launcher = cluster._launcher
+        launcher.send_signal(signal.SIGHUP)
+        assert launcher.wait(timeout=5.0) == -signal.SIGHUP
+        assert all(_live(pid) for pid in pids.values())
+        cluster.close()
+        assert [pid for pid in pids.values() if _live(pid)] == []
+
+    def test_a_sigterm_to_the_callers_group_reaches_every_datanode(self):
+        """The caller dies by a SIGTERM to its process group, as
+        ``timeout`` sends it, without running close(): the datanodes
+        share its group, so they die with it."""
+        script = (
+            "import time\n"
+            "from repro.service import ServiceCluster\n"
+            f"cluster = ServiceCluster(3, seed=8, **{FAST!r})\n"
+            "cluster._read_pids()\n"
+            "print(*cluster._pids.values(), flush=True)\n"
+            "time.sleep(60)\n")
+        caller = subprocess.Popen(
+            [sys.executable, "-c", script], env=_env(),
+            stdout=subprocess.PIPE, text=True, start_new_session=True)
+        try:
+            pids = [int(pid) for pid in caller.stdout.readline().split()]
+            assert len(pids) == 3
+            os.killpg(caller.pid, signal.SIGTERM)
+            assert caller.wait(timeout=10.0) == -signal.SIGTERM
+            assert _wait_until(
+                lambda: not any(_live(pid) for pid in pids), 5.0)
+        finally:
+            try:
+                os.killpg(caller.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            caller.wait(timeout=10.0)
+            caller.stdout.close()
 
 
 class TestKillOne:
@@ -134,6 +178,8 @@ class TestKillOne:
             cluster.kill_datanode(1)
             with pytest.raises(ProcessLookupError):
                 os.kill(pids[1], 0)
+            assert _live(pids[0]) and _live(pids[2])
+            cluster.kill_datanode(1)        # gone: signals nothing
             assert _live(pids[0]) and _live(pids[2])
 
 

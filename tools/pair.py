@@ -5,7 +5,7 @@ the gain rule.
 ::
 
     python3 tools/pair.py BASE_REV CHANGE_REV --workload W --pairs N
-                          [--seed S] [--seconds T] [--workdir DIR]
+                          [--seed S] [--workdir DIR]
 
 Both revisions are exported with ``git archive`` into fresh
 directories; ``WORKTREE`` names the working tree as it stands, tracked
@@ -71,12 +71,11 @@ def export(commit: str, dest: pathlib.Path) -> pathlib.Path:
 
 
 def run_once(tree: pathlib.Path, workload: str, seed: int,
-             seconds: float | None, smoke: bool = False) -> dict:
-    """One harness run in ``tree``: its final JSON line."""
+             smoke: bool = False) -> dict:
+    """One harness run in ``tree``, at the harness's own length: its
+    final JSON line."""
     command = [sys.executable, "-m", "perfbench", "--workload", workload,
                "--seed", str(seed)]
-    if seconds is not None:
-        command += ["--seconds", str(seconds)]
     if smoke:
         command.append("--smoke")
     # The tree under test supplies every import: nothing from ours.
@@ -159,8 +158,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0,
                         help="seed of pair 0; pair i runs seed + i")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="the harness's --seconds (default: its own)")
     parser.add_argument("--workdir", default=None,
                         help="where the trees are exported (default: a "
                              "new temporary directory)")
@@ -180,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
         (trees["base"] / "BENCHMARK.json").read_text())["end_to_end"]
 
     for side, tree in trees.items():
-        run_once(tree, args.workload, args.seed, None, smoke=True)
+        run_once(tree, args.workload, args.seed, smoke=True)
         print(f"warm-up {side}: done", flush=True)
 
     runs: dict[str, list[dict]] = {"base": [], "change": []}
@@ -189,8 +186,7 @@ def main(argv: list[str] | None = None) -> int:
         seed = args.seed + index
         order = ("base", "change") if index % 2 == 0 else ("change", "base")
         for side in order:
-            runs[side].append(run_once(trees[side], args.workload, seed,
-                                       args.seconds))
+            runs[side].append(run_once(trees[side], args.workload, seed))
         base, change = runs["base"][-1], runs["change"][-1]
         problems += _check(base, f"pair {index} base")
         problems += _check(change, f"pair {index} change")
