@@ -375,9 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table1 = sub.add_parser("table1",
                               help="storage overhead / length / MTTDL")
-    p_table1.add_argument("--mc-trials", type=int, default=0,
+    p_table1.add_argument("--mc-trials", type=_mc_trials, default=0,
+                          metavar="N",
                           help="also validate the MTTDL chains by "
-                               "Monte-Carlo with this many trials")
+                               "Monte-Carlo with N >= 400 trials "
+                               "(default 0: skip)")
     add_workers(p_table1)
 
     p_fig3 = sub.add_parser("fig3", help="locality vs load panels")
@@ -422,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_all.add_argument("--trials", type=int, default=20)
     p_all.add_argument("--runs", type=int, default=8)
     p_all.add_argument("--mu", type=_positive, default=None)
-    p_all.add_argument("--mc-trials", type=int, default=0)
+    p_all.add_argument("--mc-trials", type=_mc_trials, default=0,
+                       metavar="N")
     add_workers(p_all)
 
     p_serve = sub.add_parser(
@@ -565,6 +568,24 @@ def _positive(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
+def _mc_trials(text: str) -> int:
+    """argparse type for ``--mc-trials``: 0 (skip the check) or enough
+    trials for the check's fixed tolerance to be three standard errors."""
+    from .experiments.table1 import MC_MIN_TRIALS, MC_TOLERANCE
+
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value != 0 and value < MC_MIN_TRIALS:
+        raise argparse.ArgumentTypeError(
+            f"{text!r}: give 0 (skip) or at least {MC_MIN_TRIALS} trials; "
+            f"the check holds each simulation to {MC_TOLERANCE:.0%} of "
+            f"its chain, three standard errors only from "
+            f"{MC_MIN_TRIALS} trials on")
     return value
 
 

@@ -204,8 +204,18 @@ def monte_carlo_validation(codes: tuple[str, ...] = MC_CODES,
     return rows
 
 
+#: How close :func:`mc_shape_checks` holds each simulation to its chain.
+MC_TOLERANCE = 0.15
+
+#: The fewest trials the check is run with.  Absorption times are close
+#: to exponential, so the relative standard error of their mean is
+#: about ``1 / sqrt(trials)``; :data:`MC_TOLERANCE` is three of them
+#: from ``(3 / 0.15) ** 2 = 400`` trials on.
+MC_MIN_TRIALS = 400
+
+
 def mc_shape_checks(rows: list[MCValidationRow],
-                    tolerance: float = 0.15) -> dict[str, bool]:
+                    tolerance: float = MC_TOLERANCE) -> dict[str, bool]:
     """Chain/simulation agreement within ``tolerance`` for every code."""
     return {
         f"{row.code} simulation within {tolerance:.0%} of chain":

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,13 +62,10 @@ class JobResult:
         return (self.map_input_traffic_bytes + self.shuffle_traffic_bytes) / GiB
 
 
-@dataclass(order=True)
-class _Event:
-    time: float
-    sequence: int
-    kind: str = field(compare=False)
-    node: int = field(compare=False, default=-1)
-    task_index: int = field(compare=False, default=-1)
+# Event kinds.  An event is a plain ``(time, sequence, kind, node)``
+# tuple: the unique sequence number breaks time ties in push order, so
+# the heap never compares further than it.
+_HEARTBEAT, _MAP_DONE, _FETCH_DONE = range(3)
 
 
 class MapReduceSimulator:
@@ -85,26 +82,30 @@ class MapReduceSimulator:
 
         free_slots = [config.map_slots] * config.node_count
         pending: dict[int, Task] = {task.index: task for task in tasks}
-        local_index: dict[int, set[int]] = {
-            node: set() for node in range(config.node_count)
-        }
-        for task in tasks:
-            for node in task.candidates:
+        # Node -> its local task indices, highest first, so the end of
+        # the list is the node's lowest-index pending local task; tasks
+        # launched elsewhere are popped off the end as they surface
+        # (tasks only ever leave ``pending``).  ``fifo`` does the same
+        # for the non-local launch, which takes the lowest index.
+        fifo = sorted(pending, reverse=True)
+        local: list[list[int]] = [[] for _ in range(config.node_count)]
+        for index in fifo:
+            for node in pending[index].candidates:
                 if node >= config.node_count:
                     raise ValueError(
-                        f"task {task.index} references node {node} outside the cluster"
+                        f"task {index} references node {node} outside the cluster"
                     )
-                local_index[node].add(task.index)
+                local[node].append(index)
 
-        events: list[_Event] = []
+        events: list[tuple[float, int, int, int]] = []
         sequence = itertools.count()
 
-        def push(time: float, kind: str, node: int = -1, task_index: int = -1):
-            heapq.heappush(events, _Event(time, next(sequence), kind, node, task_index))
+        def push(time: float, kind: int, node: int):
+            heapq.heappush(events, (time, next(sequence), kind, node))
 
         offsets = rng.uniform(0.0, config.heartbeat_s, size=config.node_count)
         for node in range(config.node_count):
-            push(float(offsets[node]), "heartbeat", node=node)
+            push(float(offsets[node]), _HEARTBEAT, node)
 
         decline_since: float | None = None
         local_count = 0
@@ -135,30 +136,30 @@ class MapReduceSimulator:
                 active_fetches += 1
                 fetch_bytes_total += config.block_bytes
                 duration = duration * config.remote_penalty + fetch_time()
-                push(now + fetch_time(), "fetch_done", node=node)
+                push(now + fetch_time(), _FETCH_DONE, node)
             free_slots[node] -= 1
             running_maps += 1
-            push(now + duration, "map_done", node=node, task_index=task.index)
+            push(now + duration, _MAP_DONE, node)
 
         while pending or running_maps:
-            event = heapq.heappop(events)
-            now = event.time
-            if event.kind == "map_done":
-                free_slots[event.node] += 1
+            now, _, kind, node = heapq.heappop(events)
+            if kind == _MAP_DONE:
+                free_slots[node] += 1
                 running_maps -= 1
                 last_map_finish = max(last_map_finish, now)
                 continue
-            if event.kind == "fetch_done":
+            if kind == _FETCH_DONE:
                 active_fetches = max(0, active_fetches - 1)
                 continue
             # Heartbeat: grant up to tasks_per_heartbeat map tasks.
-            node = event.node
+            mine = local[node]
             granted = 0
             while (free_slots[node] > 0 and pending
                    and granted < config.tasks_per_heartbeat):
-                local_candidates = local_index[node] & pending.keys()
-                if local_candidates:
-                    task = pending.pop(min(local_candidates))
+                while mine and mine[-1] not in pending:
+                    mine.pop()
+                if mine:
+                    task = pending.pop(mine.pop())
                     launch(now, node, task, is_local=True)
                     decline_since = None       # local launch resets the wait
                     granted += 1
@@ -167,13 +168,15 @@ class MapReduceSimulator:
                     decline_since = now        # start waiting
                     break
                 if now - decline_since >= config.delay_s:
-                    task = pending.pop(min(pending))
+                    while fifo[-1] not in pending:
+                        fifo.pop()
+                    task = pending.pop(fifo.pop())
                     launch(now, node, task, is_local=False)
                     granted += 1               # wait NOT reset (EuroSys alg.)
                     continue
                 break                          # still within the delay
             if pending:
-                push(now + config.heartbeat_s, "heartbeat", node=node)
+                push(now + config.heartbeat_s, _HEARTBEAT, node)
 
         task_count = len(tasks)
         shuffle_bytes = int(task_count * config.block_bytes

@@ -35,6 +35,10 @@ from .protocol import ServiceError
 #: How long to wait for every datanode to register and heartbeat.
 STARTUP_TIMEOUT = 30.0
 
+#: How often, while waiting for registrations, the launcher and the
+#: datanodes it printed are checked for an early exit.
+STARTUP_CHECK_PERIOD = 0.05
+
 #: How long :meth:`ServiceCluster.close` waits for the launcher, and
 #: :meth:`ServiceCluster.kill_datanode` for a victim to be reaped.
 EXIT_TIMEOUT = 5.0
@@ -154,11 +158,25 @@ class ServiceCluster:
                 pass
 
     def _await_alive(self, node_ids, timeout: float) -> None:
+        """Return once every node in ``node_ids`` is alive: woken by each
+        registration, and every :data:`STARTUP_CHECK_PERIOD` in between
+        to fail fast on a dead launcher or datanode."""
         wanted = set(node_ids)
+        namenode = self.namenode
         deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if wanted <= set(self.namenode._alive_ids()):
-                return
+
+        def all_alive() -> bool:
+            return wanted <= set(namenode._alive_ids())
+
+        while True:
+            remaining = deadline - time.monotonic()
+            with namenode._registered:
+                if namenode._registered.wait_for(
+                        all_alive, max(0.0, min(STARTUP_CHECK_PERIOD,
+                                                remaining))):
+                    return
+            if remaining <= 0:
+                break
             self._read_pids()
             for node_id in sorted(wanted):
                 if node_id in self._pids and (
@@ -170,9 +188,8 @@ class ServiceCluster:
                 raise ServiceError(
                     f"the datanode launcher exited with "
                     f"{self._launcher.returncode} during startup")
-            time.sleep(0.05)
         raise ServiceError(
-            f"datanodes {sorted(wanted - set(self.namenode._alive_ids()))} "
+            f"datanodes {sorted(wanted - set(namenode._alive_ids()))} "
             f"never became alive within {timeout:.0f}s")
 
     def kill_datanode(self, node_id: int) -> None:

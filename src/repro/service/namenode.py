@@ -125,6 +125,8 @@ class NameNodeServer:
         self._placement = (RandomSpreadPlacement() if rack_map is None
                            else RackAwarePlacement())
         self._meta = threading.RLock()
+        #: Notified under ``_meta`` whenever a datanode registers.
+        self._registered = threading.Condition(self._meta)
         self._namespace = NameNode()
         self._checksums: dict[BlockId, int] = {}
         self._pending: dict[str, float] = {}      # reserved name -> since
@@ -247,6 +249,7 @@ class NameNodeServer:
             else:       # reconnect / restart: refresh address and beat
                 record.address = address
                 record.last_beat = time.monotonic()
+            self._registered.notify_all()
         return {"node_id": node_id, "block_bytes": self.block_bytes,
                 "version": SERVICE_VERSION}
 

@@ -95,6 +95,32 @@ class TestCommands:
         assert "=== Fig. 3 mu=2 ===" not in captured.out
         assert "--mu" in captured.err
 
+    @pytest.mark.parametrize("command", ("table1", "all"))
+    @pytest.mark.parametrize("trials", ("-5", "3", "200", "399", "x"))
+    def test_mc_trials_below_the_check_s_floor_stop_at_the_parser(
+            self, command, trials, capsys):
+        """At 200 trials the 15 % check failed 3-rep on the default seed,
+        at 3 it failed (4,3) RAID+m, and -5 built the whole table before
+        a ValueError traceback."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, "--mc-trials", trials])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--mc-trials" in err and "15%" in err and "400" in err
+
+    @pytest.mark.parametrize("trials", (0, 400, 600))
+    def test_mc_trials_zero_or_enough(self, trials):
+        for command in ("table1", "all"):
+            args = build_parser().parse_args(
+                [command, "--mc-trials", str(trials)])
+            assert args.mc_trials == trials
+
+    def test_table1_mc_check_passes_at_its_floor(self, capsys):
+        assert main(["table1", "--mc-trials", "400"]) == 0
+        out = capsys.readouterr().out
+        assert "Monte-Carlo validation" in out
+        assert "FAIL" not in out
+
     def test_fig4(self, capsys):
         assert main(["fig4", "--runs", "2"]) == 0
         out = capsys.readouterr().out

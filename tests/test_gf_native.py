@@ -19,7 +19,12 @@ the built library are skipped, and the rest exercise exactly the
 degraded path such a host runs.
 """
 
+import os
+import pathlib
+import shutil
 import socket
+import subprocess
+import sys
 import threading
 import warnings
 import zlib
@@ -173,6 +178,128 @@ class TestFallback:
         finally:
             monkeypatch.delenv("REPRO_NATIVE_CACHE")
             native.reset()
+
+
+def built_library() -> pathlib.Path:
+    """This host's cached library, as :func:`native.load` found it."""
+    name = f"repro_gf_native_{native._source_digest()}.so"
+    return next(path for path in (directory / name for directory
+                                  in native._candidate_cache_dirs())
+                if path.exists())
+
+
+@needs_native
+class TestPreParsedDeclarations:
+    """cffi's out-of-line module beside the library: generated by the
+    one ``cdef`` when missing, imported otherwise, regenerated when it
+    does not import."""
+
+    @pytest.fixture
+    def cache(self, monkeypatch, tmp_path):
+        """A cache directory holding only the library, and the only
+        directory :func:`native.load` may use."""
+        shutil.copy(built_library(), tmp_path)
+        monkeypatch.setattr(native, "_candidate_cache_dirs",
+                            lambda: [tmp_path])
+        native.reset()
+        yield tmp_path
+        monkeypatch.undo()
+        native.reset()
+
+    @staticmethod
+    def module_path(cache):
+        import _cffi_backend
+        return native._ffi_module_path(cache, native._source_digest(),
+                                       _cffi_backend.__version__)
+
+    @staticmethod
+    def assert_loads():
+        kernels_ = native.load()
+        assert kernels_ is not None, native.error()
+        assert kernels_.lib.repro_crc32(b"abc", 3, 0) == zlib.crc32(b"abc")
+        state = kernels_.ffi.new("repro_sim_state *")
+        assert state.trial == 0 and kernels_.ffi.NULL is not None
+
+    def test_a_library_alone_gets_its_module(self, cache):
+        path = self.module_path(cache)
+        assert not path.exists()
+        self.assert_loads()
+        assert path.exists()
+        assert native._source_digest() in path.name
+        assert sorted(p.name for p in cache.iterdir()
+                      if not p.name.startswith("__")) == sorted(
+            [built_library().name, path.name])
+
+    def test_another_cffis_module_is_left_alone(self, cache):
+        """The name carries cffi's version: an upgrade regenerates."""
+        self.assert_loads()
+        path = self.module_path(cache)
+        other = native._ffi_module_path(cache, native._source_digest(),
+                                        "0.0.1")
+        path.rename(other)
+        native.reset()
+        self.assert_loads()
+        assert path.exists() and other.exists()
+
+    @pytest.mark.parametrize("damage", ["truncated", "foreign-version"])
+    def test_a_module_that_does_not_import_is_rebuilt(self, cache, damage):
+        self.assert_loads()
+        path = self.module_path(cache)
+        good = path.read_bytes()
+        if damage == "truncated":
+            path.write_bytes(good[:len(good) // 2])
+        else:
+            # what a cffi with another module format would have written
+            assert b"_version = 0x" in good
+            path.write_bytes(good.replace(b"_version = 0x",
+                                          b"_version = 0x7", 1))
+        native.reset()
+        self.assert_loads()
+        assert path.read_bytes() == good
+
+    def test_a_directory_whose_module_cannot_be_rebuilt_is_skipped(
+            self, cache, monkeypatch, tmp_path_factory):
+        """The module's failure fails that directory, not the load."""
+        spare = tmp_path_factory.mktemp("spare")
+        shutil.copy(built_library(), spare)
+        self.module_path(cache).write_bytes(b"raise ImportError\n")
+        write = native._write_ffi_module
+
+        def refuse_first(path):
+            if path.parent == cache:
+                raise OSError("read-only cache (simulated)")
+            write(path)
+
+        monkeypatch.setattr(native, "_write_ffi_module", refuse_first)
+        monkeypatch.setattr(native, "_candidate_cache_dirs",
+                            lambda: [cache, spare])
+        native.reset()
+        self.assert_loads()
+        assert self.module_path(spare).exists()
+
+    def test_racing_cold_loads_land_on_one_file(self, tmp_path):
+        script = (
+            "import pathlib, sys\n"
+            "from repro.gf import native\n"
+            "native._candidate_cache_dirs = "
+            "lambda: [pathlib.Path(sys.argv[1])]\n"
+            "assert native.load() is not None, native.error()\n"
+            "assert native.crc32(b'abc') == 0x352441c2\n")
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + ([os.environ["PYTHONPATH"]]
+                          if os.environ.get("PYTHONPATH") else [])))
+        racers = [subprocess.Popen([sys.executable, "-c", script,
+                                    str(tmp_path)], env=env,
+                                   stderr=subprocess.PIPE, text=True)
+                  for _ in range(2)]
+        for racer in racers:
+            _, stderr = racer.communicate(timeout=300)
+            assert racer.returncode == 0, stderr
+        names = sorted(p.name for p in tmp_path.iterdir()
+                       if p.name != "__pycache__")
+        assert names == sorted([built_library().name,
+                                self.module_path(tmp_path).name])
 
 
 @needs_native

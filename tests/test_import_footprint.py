@@ -10,7 +10,9 @@ scipy.  A datanode is a byte store behind a
 socket: it loads neither numpy nor the coding stack, not even after
 serving ``put``, ``get`` and ``combine`` on the native backend.  The
 sweep engine is serial or a local fork pool: importing the experiments
-loads no event loop and no socket layer.
+loads no event loop and no socket layer.  Once the GF library is
+cached, no process that loads it parses C: cffi's Python package and
+pycparser stay out.
 """
 
 import json
@@ -144,6 +146,27 @@ def test_the_launcher_forks_with_the_datanode_footprint():
     assert under(modules, *EXPERIMENT_STACK) == []
     assert len(under(modules, "repro")) <= DATANODE_REPRO_MODULES, (
         under(modules, "repro"))
+
+
+#: A process that loads the GF library imports cffi's backend only:
+#: the declarations come pre-parsed from the module cached beside it.
+WARM_LOADS = {
+    "datanode": SERVE_ON_NATIVE,
+    "launcher": LAUNCHER_UP_TO_FORK,
+    "experiments": "import repro.experiments\n"
+                   "from repro.gf import native\n"
+                   "assert native.load() is not None, native.error()\n",
+}
+
+
+@pytest.mark.parametrize("code", WARM_LOADS.values(), ids=WARM_LOADS.keys())
+def test_a_warm_cache_parses_no_c(code):
+    from repro.gf import native
+    if native.load() is None:        # also warms the cache
+        pytest.skip(f"native GF kernels unavailable: {native.error()}")
+    modules = loaded_modules(code, REPRO_GF_BACKEND="native")
+    assert "_cffi_backend" in modules
+    assert under(modules, "cffi", "pycparser") == []
 
 
 def test_lint_rules_loads_no_numpy():

@@ -16,9 +16,12 @@ import numpy as np
 import pytest
 
 from repro.cluster import (
+    BlockId,
     ClusterTopology,
     DataNode,
+    FileInfo,
     MiniHDFS,
+    NameNode,
     RackAwarePlacement,
     RoundRobinPlacement,
     StripeInfo,
@@ -125,6 +128,41 @@ def test_minihdfs_and_the_daemon_order_end_in_the_same_state(code_name):
             assert set(mine.block_ids()) == set(theirs.block_ids())
             for block in mine.block_ids():
                 assert mine.get(block) == theirs.get(block)
+
+
+class TestStripeOf:
+    """Both index checks are half-open at 0: the first stripe and the
+    first symbol resolve, -1 of either raises (wire input lands here)."""
+
+    @pytest.fixture
+    def namenode(self):
+        code = make_code("pentagon")
+        info = FileInfo("f", "pentagon", 2 * code.k * BLOCK, BLOCK)
+        info.stripes = [StripeInfo("f", index, code, (0, 1, 2, 3, 4))
+                        for index in range(2)]
+        namenode = NameNode()
+        namenode.create_file(info)
+        return namenode
+
+    def test_index_zero_of_each_resolves(self, namenode):
+        stripe = namenode.stripe_of(BlockId("f", 0, 0))
+        assert (stripe.file_name, stripe.stripe_index) == ("f", 0)
+        assert namenode.stripe_of(BlockId("f", 1, 0)).stripe_index == 1
+        assert namenode.stripe_of(BlockId("f", 0, 9)) is stripe
+
+    @pytest.mark.parametrize("block", [BlockId("f", -1, 0),
+                                       BlockId("f", 2, 0),
+                                       BlockId("f", 0, -1),
+                                       BlockId("f", 0, 10)],
+                             ids=["stripe-1", "stripe-past", "symbol-1",
+                                  "symbol-past"])
+    def test_out_of_range_raises_index_error(self, namenode, block):
+        with pytest.raises(IndexError):
+            namenode.stripe_of(block)
+
+    def test_unknown_file(self, namenode):
+        with pytest.raises(FileNotFoundError):
+            namenode.stripe_of(BlockId("g", 0, 0))
 
 
 class TestChooseTargets:
