@@ -505,11 +505,6 @@ def _apply_waiver(project: Project, finding: Finding) -> Finding:
 # Shared AST helpers (used by several checkers)
 # ---------------------------------------------------------------------------
 
-def call_name(node: ast.Call) -> str:
-    """Dotted name of a call target, best effort (``"a.b.c"`` or ``""``)."""
-    return dotted_name(node.func)
-
-
 def dotted_name(node: ast.AST) -> str:
     """``a.b.c`` for Name/Attribute chains, ``""`` for anything else."""
     parts: list[str] = []

@@ -1,22 +1,22 @@
 """Lock-discipline checker for the service daemons and their RPC core.
 
-The storage service (PR 5) keeps its invariants with a small set of
-locks — ``NameNodeServer._meta`` (RLock over namespace + liveness),
-per-stripe locks from ``_stripe_lock(key)``, ``DataNodeServer._store_lock``,
-``FaultArm._lock``.  Two classes of bug hide from tests here: a *blocking*
-call (socket I/O, RPC round-trip, sleep, subprocess wait) made while
-holding a lock turns one slow peer into a stalled daemon; and two
-functions acquiring the same pair of locks in opposite orders is a
-deadlock that needs the right interleaving to fire.
+The storage service keeps its invariants with a small set of locks —
+``NameNodeServer._meta`` (RLock over namespace + liveness), per-stripe
+locks from ``_stripe_lock(key)``, ``AsyncRpcServer._close_lock``.  A
+datanode is one thread and holds none.  Two classes of bug hide from
+tests here: a *blocking* call (socket I/O, RPC round-trip, sleep,
+subprocess wait) made while holding a lock turns one slow peer into a
+stalled daemon; and two functions acquiring the same pair of locks in
+opposite orders is a deadlock that needs the right interleaving to
+fire.
 
 Since the daemons moved onto one asyncio loop apiece (the shared
 :mod:`repro.net` core), two async-specific bugs joined the list: a
 *blocking* call inside a coroutine stalls not one thread but the whole
 event loop (every connection, every heartbeat); and an ``await`` while
 holding a *synchronous* lock parks the loop with the lock held, so
-any foreign thread queued on that lock (the fault ticker, a bridging
-``run_coroutine`` caller) deadlocks against the coroutine that will
-never resume.
+any foreign thread queued on that lock (a bridging ``run_coroutine``
+caller) deadlocks against the coroutine that will never resume.
 
 This is the v2 of the checker: the ordering and blocking analyses now
 ride the project-wide call graph (:mod:`.callgraph`) instead of

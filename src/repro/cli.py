@@ -280,7 +280,7 @@ def run_serve(args: argparse.Namespace) -> None:
 
 def run_datanode_cmd(args: argparse.Namespace) -> None:
     from .net import parse_hostport
-    from .service.datanode import launch_datanodes
+    from .service.datanode import launch_datanodes, print_line
 
     node_ids = args.node_ids
     if len(set(node_ids)) != len(node_ids):
@@ -295,7 +295,7 @@ def run_datanode_cmd(args: argparse.Namespace) -> None:
         node_ids, (host, port), host=args.host, port=args.port,
         heartbeat_interval=args.heartbeat_interval,
         fault_seed=args.fault_seed, connect_retries=args.connect_retries,
-        log=lambda message: print(f"[datanode] {message}", flush=True))
+        log=lambda message: print_line(f"[datanode] {message}"))
     if status:
         raise SystemExit(status)
 

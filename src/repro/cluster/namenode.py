@@ -130,10 +130,6 @@ class FileInfo:
     block_bytes: int
     stripes: list[StripeInfo] = field(default_factory=list)
 
-    @property
-    def data_block_count(self) -> int:
-        return sum(stripe.code.k for stripe in self.stripes)
-
 
 class NameNode:
     """In-memory metadata service."""
@@ -190,10 +186,6 @@ class NameNode:
             raise IndexError(f"{block}: {stripe.code.name} has "
                              f"{stripe.code.layout.symbol_count} symbols")
         return stripe
-
-    def total_stored_blocks(self) -> int:
-        """Physical blocks across the namespace (replicas included)."""
-        return sum(stripe.code.total_blocks for stripe in self.stripes())
 
 
 def choose_targets(stripe: StripeInfo, failed_slots, alive,

@@ -60,9 +60,6 @@ class RaidNode:
         self.fs = fs
         self.policies = list(policies) if policies else []
 
-    def add_policy(self, policy: RaidPolicy) -> None:
-        self.policies.append(policy)
-
     def policy_for(self, file_name: str) -> RaidPolicy | None:
         """First matching policy, HDFS-RAID style."""
         for policy in self.policies:

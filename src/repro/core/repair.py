@@ -132,9 +132,6 @@ class RepairPlan:
         """Total network traffic of the plan in block units."""
         return sum(transfer.blocks_moved for transfer in self.transfers)
 
-    def transfers_from(self, slot: int) -> tuple[Transfer, ...]:
-        return tuple(t for t in self.transfers if t.source_slot == slot)
-
     def summary(self) -> str:
         """One-line human summary used by examples and reports."""
         slots = ",".join(str(slot) for slot in self.failed_slots)

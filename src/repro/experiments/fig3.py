@@ -42,13 +42,6 @@ LOADS = (25.0, 50.0, 75.0, 100.0)
 SCHEDULER_LABELS = {"delay": "DS", "max-matching": "MM", "peeling": "peel"}
 
 
-def locality_trial(rng, code_name: str, scheduler_name: str, load: float,
-                   slots_per_node: int, node_count: int) -> float:
-    """One seeded locality measurement of one scheduler."""
-    return placement_trial(rng, code_name, (scheduler_name,), load,
-                           slots_per_node, node_count)[0]
-
-
 def placement_trial(rng, code_name: str, scheduler_names: tuple[str, ...],
                     load: float, slots_per_node: int,
                     node_count: int) -> tuple[float, ...]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import statistics
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,12 +117,3 @@ class FigureResult:
         """
         return [(entry.label, list(entry.xs), list(entry.ys),
                  list(entry.spreads)) for entry in self.series]
-
-
-def sweep_series(label: str, xs: Iterable[float],
-                 cell: Callable[[float], CellStats]) -> Series:
-    """Build a series by evaluating ``cell`` at every x."""
-    series = Series(label)
-    for x in xs:
-        series.add(x, cell(x))
-    return series

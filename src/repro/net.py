@@ -9,8 +9,9 @@ instead of hanging or allocating unbounded memory.
 
 On top of the framing sit the async peers every daemon shares:
 
-* :class:`AsyncRpcServer` — one event loop per daemon on its own
-  thread; each accepted connection is a callback protocol doing
+* :class:`AsyncRpcServer` — one event loop per daemon, on a thread
+  of its own or on its owner's; each accepted connection is a callback
+  protocol doing
   ``receive in place -> dispatch -> reply`` (one fixed receive buffer
   per connection that the kernel fills directly, so a pipelined burst
   of block frames costs no growing buffer and no payload copy).
@@ -600,7 +601,7 @@ class _RpcProtocol(asyncio.BufferedProtocol):
 
 
 class AsyncRpcServer:
-    """One event loop + listener on a dedicated thread, per daemon.
+    """One event loop + listener per daemon.
 
     Each connection runs ``recv -> before_request -> handler(kind,
     data, peer) -> reply``; handler exceptions are marshalled into
@@ -617,18 +618,24 @@ class AsyncRpcServer:
     task, and the connection queues subsequent frames behind it so
     replies stay in request order.
 
-    The daemon-facing surface is thread-friendly: construction binds
-    the port and starts the loop, :meth:`run_coroutine` bridges sync
-    callers onto the loop, :meth:`spawn` launches background tasks
-    (heartbeats, checker sweeps), and :meth:`close` drains in-flight
-    requests before stopping the loop.
+    Construction binds the port.  By default the loop then serves on a
+    thread of its own and the surface is thread-friendly:
+    :meth:`run_coroutine` bridges sync callers onto the loop,
+    :meth:`spawn` launches background tasks (heartbeats, checker
+    sweeps), and :meth:`close` drains in-flight requests before
+    stopping the loop.  With ``own_thread=False`` nothing is served
+    until the owner calls :meth:`serve`, which runs the loop on the
+    calling thread until :meth:`close` — from a handler on the loop or
+    from any other thread — has drained it: a daemon that is nothing
+    but this server needs no second thread.
     """
 
     def __init__(self, handler, host: str = "127.0.0.1",
                  port: int = 0, *, before_request=None,
                  error_marshaller=None,
                  idle_timeout: float = IDLE_TIMEOUT,
-                 drain_timeout: float = 5.0, name: str = "rpc"):
+                 drain_timeout: float = 5.0, name: str = "rpc",
+                 own_thread: bool = True):
         self._handler = handler
         self._before_request = before_request
         self._marshal = error_marshaller or self._default_marshal
@@ -642,11 +649,19 @@ class AsyncRpcServer:
         self._connections: set[_RpcProtocol] = set()
         self._tasks: set[asyncio.Task] = set()
         self._shutdown_callbacks: list = []
+        #: The drain :meth:`close` started, held: the loop holds tasks
+        #: weakly.
+        self._drain: asyncio.Task | None = None
         self.loop = asyncio.new_event_loop()
+        self._thread: threading.Thread | None = None
+        if not own_thread:
+            self.address: tuple[str, int] = self.loop.run_until_complete(
+                self._start(host, port))
+            return
         self._thread = threading.Thread(
-            target=self._run_loop, name=f"{name}-loop", daemon=True)
+            target=self.serve, name=f"{name}-loop", daemon=True)
         self._thread.start()
-        self.address: tuple[str, int] = asyncio.run_coroutine_threadsafe(
+        self.address = asyncio.run_coroutine_threadsafe(
             self._start(host, port), self.loop).result()
 
     @staticmethod
@@ -656,11 +671,16 @@ class AsyncRpcServer:
     # ------------------------------------------------------------------
     # Loop plumbing
     # ------------------------------------------------------------------
-    def _run_loop(self) -> None:
+    def serve(self) -> None:
+        """Run the loop on the calling thread until :meth:`close` has
+        drained it, then close the loop (an ``own_thread`` server's
+        thread runs this)."""
         asyncio.set_event_loop(self.loop)
         try:
             self.loop.run_forever()
         finally:
+            with self._close_lock:
+                self._closed = True
             pending = asyncio.all_tasks(self.loop)
             for task in pending:
                 task.cancel()
@@ -741,19 +761,22 @@ class AsyncRpcServer:
         for conn in list(self._connections):
             conn.shut()
 
+    def _stop(self) -> None:
+        """On the loop: drain, then stop it."""
+        self._drain = self.loop.create_task(self._shutdown())
+        self._drain.add_done_callback(lambda _: self.loop.stop())
+
     def close(self) -> None:
-        """Drain and stop the loop.  Callable from any foreign thread."""
+        """Drain and stop the loop.  Callable from any thread; only a
+        foreign caller of an ``own_thread`` server waits for the drain —
+        elsewhere :meth:`serve` returns once it is done."""
         with self._close_lock:
             if self._closed:
                 return
             self._closed = True
-        try:
-            self.run_coroutine(self._shutdown(),
-                               timeout=self._drain_timeout + 5.0)
-        except (TimeoutError, RuntimeError):
-            pass
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self._thread.join(timeout=5.0)
+        self.loop.call_soon_threadsafe(self._stop)
+        if self._thread not in (None, threading.current_thread()):
+            self._thread.join(timeout=self._drain_timeout + 10.0)
 
     def __enter__(self) -> "AsyncRpcServer":
         return self

@@ -158,9 +158,11 @@ class ServiceCluster:
                 pass
 
     def _await_alive(self, node_ids, timeout: float) -> None:
-        """Return once every node in ``node_ids`` is alive: woken by each
-        registration, and every :data:`STARTUP_CHECK_PERIOD` in between
-        to fail fast on a dead launcher or datanode."""
+        """Return once every node in ``node_ids`` is alive and the
+        launcher has printed its pid (a datanode can register before
+        the launcher gets to print): woken by each registration, and
+        every :data:`STARTUP_CHECK_PERIOD` in between to fail fast on a
+        dead launcher or datanode."""
         wanted = set(node_ids)
         namenode = self.namenode
         deadline = time.monotonic() + timeout
@@ -171,13 +173,16 @@ class ServiceCluster:
         while True:
             remaining = deadline - time.monotonic()
             with namenode._registered:
-                if namenode._registered.wait_for(
-                        all_alive, max(0.0, min(STARTUP_CHECK_PERIOD,
-                                                remaining))):
-                    return
+                alive = namenode._registered.wait_for(
+                    all_alive, max(0.0, min(STARTUP_CHECK_PERIOD,
+                                            remaining)))
+            self._read_pids()
+            if alive and wanted <= set(self._pids):
+                return
             if remaining <= 0:
                 break
-            self._read_pids()
+            if alive:
+                time.sleep(0.001)       # the pid lines are on their way
             for node_id in sorted(wanted):
                 if node_id in self._pids and (
                         node_id not in self._pidfds
@@ -188,9 +193,11 @@ class ServiceCluster:
                 raise ServiceError(
                     f"the datanode launcher exited with "
                     f"{self._launcher.returncode} during startup")
+        dead = sorted(wanted - set(namenode._alive_ids()))
         raise ServiceError(
-            f"datanodes {sorted(wanted - set(namenode._alive_ids()))} "
-            f"never became alive within {timeout:.0f}s")
+            f"datanodes {dead} never became alive within {timeout:.0f}s"
+            if dead else f"the launcher printed no pid for datanodes "
+            f"{sorted(wanted - set(self._pids))} within {timeout:.0f}s")
 
     def kill_datanode(self, node_id: int) -> None:
         """SIGKILL one datanode and wait until its launcher has reaped
@@ -224,8 +231,9 @@ class ServiceCluster:
         bound = plan.resolve(range(self.datanode_count))
         armed: dict[int, list[str]] = {}
         for node_id, faults in sorted(bound.items()):
-            self.namenode.dn_call_sync(node_id, "fault", {"faults": faults})
             armed[node_id] = [fault.describe() for fault in faults]
+            self.namenode.dn_call_sync(node_id, "fault",
+                                       {"faults": armed[node_id]})
         return armed
 
     def status(self) -> dict:

@@ -1,9 +1,12 @@
 """The datanode daemon: block storage behind a socket.
 
 Wraps the in-memory :class:`~repro.cluster.datanode.DataNode` store in
-an :class:`~repro.net.AsyncRpcServer` (one event loop per daemon),
-registers with its namenode, and heartbeats until shut down.  The ops,
-their request keys and their reply keys are declared in
+an :class:`~repro.net.AsyncRpcServer`, registers with its namenode, and
+heartbeats until shut down.  A daemon is one thread: one event loop,
+run by :meth:`DataNodeServer.serve` on the calling thread, serves the
+requests, the heartbeats and the fault triggers, so the store and the
+fault state are only ever touched from that loop and hold no lock.
+The ops, their request keys and their reply keys are declared in
 :data:`~.protocol.DATANODE_OPS`; each is one ``_op_<kind>`` method
 reached through :func:`~.protocol.dispatch`.  The data path serves
 
@@ -22,8 +25,10 @@ reached through :func:`~.protocol.dispatch`.  The data path serves
 
 Every data-path request first passes the :class:`~.faults.FaultArm`
 hook, so an armed plan can kill, hang, slow or corrupt this daemon at
-a precise request count or time — and a hung daemon also stops
-heartbeating, exactly like the real failure it models.
+a precise request count or time (a loop timer) — and a hung daemon
+also stops heartbeating, exactly like the real failure it models.  The
+``fault`` op carries spec strings, which the daemon parses itself: one
+bad spec and nothing is armed.
 
 A daemon is a byte store behind a socket and imports no more: the
 transport, the protocol tables, the fault hooks, the block store and
@@ -59,7 +64,7 @@ from ..net import (
     recv_frame,
     send_frame,
 )
-from .faults import Fault, FaultArm
+from .faults import FaultArm, parse_fault
 from .protocol import (
     DATANODE_OPS,
     SERVICE_VERSION,
@@ -95,7 +100,12 @@ def call(sock: socket.socket, kind: str, data) -> object:
 
 
 class DataNodeServer:
-    """One storage daemon: event loop, store, faults, heartbeats."""
+    """One storage daemon: event loop, store, faults, heartbeats.
+
+    Construction binds the port; :meth:`serve` then runs the daemon on
+    the calling thread until a ``shutdown`` request, :meth:`close` or
+    giving up on the namenode stops it.
+    """
 
     def __init__(self, node_id: int, namenode: tuple[str, int], *,
                  host: str = "127.0.0.1", port: int = 0,
@@ -106,12 +116,7 @@ class DataNodeServer:
         self.heartbeat_interval = heartbeat_interval
         self.connect_retries = connect_retries
         self.store = DataNode(node_id)
-        # The fault ticker thread can corrupt blocks while the loop
-        # serves, so store access stays mutex-guarded even though all
-        # request handling now runs on one loop thread.
-        self._store_lock = threading.Lock()
         self.faults = FaultArm(self.store, seed=fault_seed)
-        self._shutdown = threading.Event()
         self._served = 0
         #: Why the daemon shut itself down, when it did: the namenode
         #: refused its registration or stayed unreachable.
@@ -120,24 +125,20 @@ class DataNodeServer:
             self._handle, host, port,
             before_request=self.faults.before_request_gate,
             error_marshaller=marshal_error,
-            name=f"datanode-{node_id}")
+            name=f"datanode-{node_id}", own_thread=False)
         self.address = self.server.address
         self.server.spawn(self._heartbeat_loop())
 
     # ------------------------------------------------------------------
-    def wait(self, timeout: float | None = None) -> bool:
-        """Block until a ``shutdown`` request arrives."""
-        return self._shutdown.wait(timeout)
+    def serve(self) -> int:
+        """Serve on the calling thread until stopped; returns the
+        number of requests served."""
+        self.server.serve()
+        return self._served
 
     def close(self) -> None:
-        self._shutdown.set()
+        """Stop serving: callable from the loop or any other thread."""
         self.server.close()
-
-    def __enter__(self) -> "DataNodeServer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Request handling
@@ -154,17 +155,13 @@ class DataNodeServer:
             memoryview(payload)
         except TypeError as error:
             raise ProtocolError(f"put data: {error}") from None
-        with self._store_lock:
-            crc = self.store.put(block, payload)
-        return {"crc": crc}
+        return {"crc": self.store.put(block, payload)}
 
     def _op_get(self, data, peer) -> dict:
         del peer
         block = block_from_tuple(data["block"])
-        with self._store_lock:
-            payload = self.store.get(block, verify=True)
-            crc = self.store.checksum(block)
-        return {"data": payload, "crc": crc}
+        return {"data": self.store.get(block, verify=True),
+                "crc": self.store.checksum(block)}
 
     def _op_combine(self, data, peer) -> dict:
         del peer
@@ -177,55 +174,51 @@ class DataNodeServer:
     def _op_delete(self, data, peer) -> dict:
         del peer
         dropped = 0
-        with self._store_lock:
-            for entry in expect("blocks", data["blocks"], list, tuple):
-                block = block_from_tuple(entry)
-                if self.store.has(block):
-                    self.store.drop(block)
-                    dropped += 1
+        for entry in expect("blocks", data["blocks"], list, tuple):
+            block = block_from_tuple(entry)
+            if self.store.has(block):
+                self.store.drop(block)
+                dropped += 1
         return {"dropped": dropped}
 
     def _op_fault(self, data, peer) -> dict:
         del peer
-        faults = expect("faults", data["faults"], list, tuple)
-        if not all(isinstance(fault, Fault) for fault in faults):
-            # armed, a stray value would kill the fault ticker and
-            # every later request would trip over it
-            raise ProtocolError("faults must all be Fault specs")
+        specs = expect("faults", data["faults"], list, tuple)
+        try:
+            faults = [parse_fault(expect("fault spec", spec, str))
+                      for spec in specs]
+        except ValueError as error:
+            raise ProtocolError(f"fault spec: {error}") from None
         return {"armed": self.faults.arm(faults)}
 
     def _op_status(self, data, peer) -> dict:
         del data, peer
-        with self._store_lock:
-            blocks = self.store.block_count
-            used = self.store.used_bytes
         return {"node_id": self.node_id, "version": SERVICE_VERSION,
-                "blocks": blocks, "used_bytes": used,
+                "blocks": self.store.block_count,
+                "used_bytes": self.store.used_bytes,
                 "requests": self._served,
                 "faults": self.faults.snapshot()}
 
-    # lint: allow(schema.unused-op): graceful-stop surface for external operators; ServiceCluster terminates its datanode launcher directly
     def _op_shutdown(self, data, peer) -> dict:
         del data, peer
-        self._shutdown.set()
+        self.close()        # the drain starts after this reply is sent
         return {"node_id": self.node_id}
 
     def _combine(self, parts) -> bytes:
         """GF-combine locally held blocks: the partial-parity hot path."""
         coefficients: list[int] = []
         buffers: list[bytes] = []
-        with self._store_lock:
-            try:
-                for entry, coefficient in parts:
-                    if type(coefficient) is not int:
-                        raise ProtocolError(
-                            f"combine coefficient {coefficient!r}: not an int")
-                    coefficients.append(coefficient)
-                    buffers.append(
-                        self.store.get(block_from_tuple(entry), verify=True))
-            except (TypeError, ValueError):
-                raise ProtocolError(
-                    "combine parts are (block, coefficient) pairs") from None
+        try:
+            for entry, coefficient in parts:
+                if type(coefficient) is not int:
+                    raise ProtocolError(
+                        f"combine coefficient {coefficient!r}: not an int")
+                coefficients.append(coefficient)
+                buffers.append(
+                    self.store.get(block_from_tuple(entry), verify=True))
+        except (TypeError, ValueError):
+            raise ProtocolError(
+                "combine parts are (block, coefficient) pairs") from None
         if not buffers:
             raise ProtocolError("combine of zero blocks")
         try:
@@ -234,9 +227,8 @@ class DataNodeServer:
             bad = next(c for c in coefficients if not 0 <= c < 256)
             raise ValueError(f"{bad!r} is not an element of GF(256)") from None
         # Every source was CRC-verified by its ``get``.  The arithmetic
-        # runs outside the lock on the stored ``bytes`` themselves,
-        # which nothing can mutate (put/corrupt swap in new objects):
-        # one native pass for any vector, all-ones included.
+        # runs on the stored ``bytes`` themselves: one native pass for
+        # any vector, all-ones included.
         return combine(ops, buffers)
 
     def _checksums(self, entries) -> dict:
@@ -246,18 +238,15 @@ class DataNodeServer:
         ``(file_name, stripe_index, symbol_index)`` — the namenode's
         scrub-plus-GC sweep reconciles this against its metadata.
         """
-        out: dict[tuple, int | None] = {}
-        with self._store_lock:
-            if entries is None:
-                targets = [(b, (b.file_name, b.stripe_index, b.symbol_index))
-                           for b in self.store.block_ids()]
-            else:
-                targets = [(block_from_tuple(e), tuple(e))
-                           for e in expect("blocks", entries, list, tuple)]
-            for block, key in targets:
-                out[key] = (self.store.current_checksum(block)
-                            if self.store.has(block) else None)
-        return {"checksums": out}
+        if entries is None:
+            targets = [(b, (b.file_name, b.stripe_index, b.symbol_index))
+                       for b in self.store.block_ids()]
+        else:
+            targets = [(block_from_tuple(e), tuple(e))
+                       for e in expect("blocks", entries, list, tuple)]
+        return {"checksums": {key: (self.store.current_checksum(block)
+                                    if self.store.has(block) else None)
+                              for block, key in targets}}
 
     # ------------------------------------------------------------------
     # Namenode-facing side
@@ -270,7 +259,7 @@ class DataNodeServer:
         attempts = 0
         registered = False
         try:
-            while not self._shutdown.is_set():
+            while True:
                 if self.faults.hung:
                     # A hung daemon goes silent everywhere: stop
                     # beating so the namenode's silence timeout
@@ -295,11 +284,9 @@ class DataNodeServer:
                             return
                         registered = True
                         attempts = 0
-                    with self._store_lock:
-                        blocks = self.store.block_count
                     await client.call("dn-heartbeat",
                                       {"node_id": self.node_id,
-                                       "blocks": blocks})
+                                       "blocks": self.store.block_count})
                 except (ConnectionError, OSError, ProtocolError) as error:
                     registered = False   # re-register on a fresh peer
                     attempts += 1
@@ -319,7 +306,7 @@ class DataNodeServer:
 
     def _give_up(self, reason: str) -> None:
         self.failure = reason
-        self._shutdown.set()
+        self.close()
 
 
 def run_datanode(node_id: int, namenode: tuple[str, int], *,
@@ -327,7 +314,8 @@ def run_datanode(node_id: int, namenode: tuple[str, int], *,
                  heartbeat_interval: float = HEARTBEAT_INTERVAL,
                  fault_seed: int = 0, connect_retries: int = 60,
                  log=None) -> int:
-    """Run one datanode daemon until it is told to shut down.
+    """Run one datanode daemon on this thread until it is told to shut
+    down.
 
     Returns the number of requests served.  Raises
     :class:`~.protocol.ServiceError` when the daemon gave up on its
@@ -339,23 +327,30 @@ def run_datanode(node_id: int, namenode: tuple[str, int], *,
         node_id, namenode, host=host, port=port,
         heartbeat_interval=heartbeat_interval, fault_seed=fault_seed,
         connect_retries=connect_retries)
-    try:
-        emit(f"datanode {node_id} serving on "
-             f"{server.address[0]}:{server.address[1]} "
-             f"(namenode {namenode[0]}:{namenode[1]})")
-        server.wait()
-        if server.failure is not None:
-            emit(f"datanode {node_id} giving up: {server.failure}")
-            raise ServiceError(f"datanode {node_id}: {server.failure}")
-        emit(f"datanode {node_id} shutting down "
-             f"({server._served} requests served)")
-        return server._served
-    finally:
-        server.close()
+    emit(f"datanode {node_id} serving on "
+         f"{server.address[0]}:{server.address[1]} "
+         f"(namenode {namenode[0]}:{namenode[1]})")
+    served = server.serve()
+    if server.failure is not None:
+        emit(f"datanode {node_id} giving up: {server.failure}")
+        raise ServiceError(f"datanode {node_id}: {server.failure}")
+    emit(f"datanode {node_id} shutting down ({served} requests served)")
+    return served
 
 
 #: What a launcher forwards to its children.
 _STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)
+
+
+def print_line(text: str) -> None:
+    """Write ``text`` and its newline to stdout in one write.
+
+    A launcher and its children share one stdout; under
+    ``PYTHONUNBUFFERED`` :func:`print` writes the newline on its own,
+    and another process's line can land in between.
+    """
+    sys.stdout.write(text + "\n")
+    sys.stdout.flush()
 
 
 def launch_datanodes(node_ids, namenode: tuple[str, int], **daemon) -> int:
@@ -417,7 +412,7 @@ def launch_datanodes(node_ids, namenode: tuple[str, int], **daemon) -> int:
                 children[pid] = node_id
             finally:
                 signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
-            print(f"{node_id} {pid}", flush=True)
+            print_line(f"{node_id} {pid}")
     except BaseException:
         forward(signal.SIGTERM, None)
         raise

@@ -17,25 +17,34 @@ Determinism: ``random`` targets and the corrupted block are drawn from
 plan + seed + cluster always injects the same faults at the same
 triggers.  numpy is imported at the first draw, so a datanode that
 never resolves a target or corrupts a block does not load it.  Trigger
-*evaluation* happens datanode-side (:class:`FaultArm`): request counts
-are exact, time triggers fire from a ticker thread so a kill lands even
-on an idle daemon.
+*evaluation* happens datanode-side (:class:`FaultArm`), on the daemon's
+one event loop: request counts are exact, and time triggers are loop
+timers, so a kill lands even on an idle daemon.
+
+A spec crosses the wire as its text: :meth:`Fault.describe` prints
+every field so that :func:`parse_fault` reads back exactly the same
+fault, and the datanode parses what it is sent.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 import os
 import signal
-import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 ACTIONS = ("kill", "hang", "slow", "corrupt")
 
-#: How long a hung daemon sleeps per poll — effectively forever at the
-#: scale of any test or load run, without needing an unkillable sleep.
-_HANG_SLEEP = 3600.0
+#: ``delay`` when a spec names none.
+_DEFAULT_DELAY = 0.25
+
+
+def _number(value: float) -> str:
+    """The shortest text :func:`float` reads back as ``value``."""
+    text = repr(float(value))
+    return text[:-2] if text.endswith(".0") else text
 
 
 @dataclass(frozen=True)
@@ -46,7 +55,7 @@ class Fault:
     target: int | None          # datanode ordinal; None = seeded random
     at_time: float | None = None    # seconds after arming
     on_request: int | None = None   # k-th data-path request after arming
-    delay: float = 0.25         # slow: extra seconds per request
+    delay: float = _DEFAULT_DELAY   # slow: extra seconds per request
     duration: float | None = None   # slow: how long it lasts (None: forever)
 
     def __post_init__(self) -> None:
@@ -56,22 +65,25 @@ class Fault:
         if (self.at_time is None) == (self.on_request is None):
             raise ValueError(
                 "a fault needs exactly one trigger: t=SECONDS or k=REQUESTS")
-        if self.at_time is not None and self.at_time < 0:
-            raise ValueError("t must be >= 0")
+        for key, value in (("t", self.at_time), ("delay", self.delay),
+                           ("duration", self.duration)):
+            if value is not None and not (math.isfinite(value)
+                                          and value >= 0):
+                raise ValueError(f"{key} must be a finite number >= 0, "
+                                 f"got {value!r}")
         if self.on_request is not None and self.on_request < 1:
             raise ValueError("k counts requests from 1")
-        if self.delay < 0:
-            raise ValueError("delay must be >= 0")
 
     def describe(self) -> str:
-        trigger = (f"t={self.at_time:g}" if self.at_time is not None
+        """The spec :func:`parse_fault` reads back as this fault."""
+        trigger = (f"t={_number(self.at_time)}" if self.at_time is not None
                    else f"k={self.on_request}")
         target = "random" if self.target is None else f"dn{self.target}"
         extra = ""
-        if self.action == "slow":
-            extra = f",delay={self.delay:g}"
-            if self.duration is not None:
-                extra += f",duration={self.duration:g}"
+        if self.action == "slow" or self.delay != _DEFAULT_DELAY:
+            extra = f",delay={_number(self.delay)}"
+        if self.duration is not None:
+            extra += f",duration={_number(self.duration)}"
         return f"{self.action}:{target}@{trigger}{extra}"
 
 
@@ -144,7 +156,7 @@ def parse_fault(spec: str) -> Fault:
         if key == "t":
             kwargs["at_time"] = number
         elif key == "k":
-            if number != int(number):
+            if not number.is_integer():
                 raise ValueError(f"{spec!r}: k must be an integer")
             kwargs["on_request"] = int(number)
         elif key in ("delay", "duration"):
@@ -164,10 +176,12 @@ def parse_fault_plan(specs, seed: int = 0) -> FaultPlan:
 class FaultArm:
     """Datanode-side armed faults: trigger bookkeeping + execution.
 
-    ``before_request()`` is wired into the daemon's data-path request
-    hook; a ticker thread covers pure time triggers.  Corruption picks
-    a deterministic stored block (seeded draw over the sorted block
-    list at trigger time) and flips its bytes through
+    Everything runs on the daemon's event loop, so nothing here takes a
+    lock.  :meth:`before_request_gate` is the daemon's data-path request
+    hook and counts ``k=`` triggers; a ``t=`` trigger is a loop timer
+    that :meth:`arm` schedules.  Corruption picks a deterministic stored
+    block (seeded draw over the sorted block list at trigger time) and
+    flips its bytes through
     :meth:`~repro.cluster.datanode.DataNode.corrupt` — the checksum
     stays, so the next verified read or checker scrub catches it.
     """
@@ -175,160 +189,91 @@ class FaultArm:
     def __init__(self, store, *, seed: int = 0):
         self._store = store
         self._seed = seed
-        self._lock = threading.Lock()
         self._pending: list[tuple[int, Fault]] = []
-        self._armed_at = time.monotonic()
+        self._timers: list[asyncio.TimerHandle] = []
         self._requests = 0
         self._armed_total = 0
-        self._hung = False
+        #: True once a hang fault fired (heartbeats must stop too — a
+        #: hung daemon goes silent everywhere, which is exactly how the
+        #: namenode's liveness tracking is meant to catch it).
+        self.hung = False
         self._slow_until: float | None = None   # None: inactive
         self._slow_delay = 0.0
         self._fired: list[str] = []
-        self._ticker = threading.Thread(target=self._tick_loop,
-                                        name="fault-ticker", daemon=True)
-        self._ticker.start()
 
     # -- arming --------------------------------------------------------
     def arm(self, faults) -> int:
-        """Arm more faults now; resets the t=0 reference to this call."""
-        with self._lock:
-            self._armed_at = time.monotonic()
-            self._requests = 0
-            for fault in faults:
-                self._pending.append((self._armed_total, fault))
-                self._armed_total += 1
-            return len(self._pending)
+        """Arm more faults now, on the running loop: ``t=0`` and the
+        request count restart for every pending fault, so the timers
+        of those already armed are cancelled and scheduled again."""
+        loop = asyncio.get_running_loop()
+        for timer in self._timers:
+            timer.cancel()
+        self._requests = 0
+        for fault in faults:
+            self._pending.append((self._armed_total, fault))
+            self._armed_total += 1
+        self._timers = [loop.call_later(entry[1].at_time, self._due, entry)
+                        for entry in self._pending
+                        if entry[1].at_time is not None]
+        return len(self._pending)
 
     # -- status --------------------------------------------------------
-    @property
-    def hung(self) -> bool:
-        """True once a hang fault fired (heartbeats must stop too — a
-        hung daemon goes silent everywhere, which is exactly how the
-        namenode's liveness tracking is meant to catch it)."""
-        with self._lock:
-            return self._hung
-
     def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "pending": [fault.describe() for _, fault in self._pending],
-                "fired": list(self._fired),
-                "hung": self._hung,
-                "requests": self._requests,
-            }
+        return {
+            "pending": [fault.describe() for _, fault in self._pending],
+            "fired": list(self._fired),
+            "hung": self.hung,
+            "requests": self._requests,
+        }
 
     # -- trigger evaluation --------------------------------------------
-    def before_request(self, kind: str, data) -> None:
-        """Hook run ahead of every served request."""
-        del data
-        if kind in ("fault", "status"):
-            return      # the harness control path must stay responsive
-        with self._lock:
-            self._requests += 1
-            count = self._requests
-            elapsed = time.monotonic() - self._armed_at
-        self._evaluate(count, elapsed)
-        self._apply_degradations()
-
     def before_request_gate(self, kind: str, data):
-        """Async-daemon twin of :meth:`before_request`.
+        """Hook run ahead of every served request.
 
         Trigger bookkeeping runs synchronously (the healthy hot path
         never touches the event loop's task machinery); when a
         hang/slow degradation is active the returned coroutine *awaits*
         instead of sleeping, so a hung or slowed connection parks only
         its own coroutine — other clients keep being served on the same
-        event loop, exactly as the threaded pool kept its other workers
-        going.  Returns ``None`` when there is nothing to wait for.
+        event loop.  Returns ``None`` when there is nothing to wait for.
         """
         del data
         if kind in ("fault", "status"):
             return None     # the harness control path must stay responsive
-        with self._lock:
-            self._requests += 1
-            count = self._requests
-            elapsed = time.monotonic() - self._armed_at
-        self._evaluate(count, elapsed)
-        with self._lock:
-            degraded = self._hung or (self._slow_until is not None
-                                      and time.monotonic()
-                                      < self._slow_until)
-        if not degraded:
-            return None
-        return self._degrade_async()
+        self._requests += 1
+        for entry in [entry for entry in self._pending
+                      if entry[1].on_request is not None
+                      and self._requests >= entry[1].on_request]:
+            self._due(entry)
+        if self.hung:
+            return self._hang()
+        if self._slow_until is not None \
+                and time.monotonic() < self._slow_until:
+            return asyncio.sleep(self._slow_delay)
+        return None
 
-    async def _degrade_async(self) -> None:
-        while True:
-            with self._lock:
-                hung = self._hung
-                slow = (self._slow_delay
-                        if self._slow_until is not None
-                        and time.monotonic() < self._slow_until else 0.0)
-            if hung:
-                await asyncio.sleep(_HANG_SLEEP)
-                continue    # stay hung — never answer again
-            if slow:
-                await asyncio.sleep(slow)
-            return
-
-    def _tick_loop(self) -> None:
-        while True:
-            time.sleep(0.05)
-            with self._lock:
-                if not self._pending:
-                    continue
-                count = self._requests
-                elapsed = time.monotonic() - self._armed_at
-            self._evaluate(count, elapsed, time_only=True)
-
-    def _evaluate(self, count: int, elapsed: float,
-                  time_only: bool = False) -> None:
-        ready: list[tuple[int, Fault]] = []
-        with self._lock:
-            remaining = []
-            for index, fault in self._pending:
-                if fault.at_time is not None:
-                    triggered = elapsed >= fault.at_time
-                elif time_only:
-                    triggered = False
-                else:
-                    triggered = count >= fault.on_request
-                (ready if triggered else remaining).append((index, fault))
-            self._pending = remaining
-        for index, fault in ready:
-            self._fire(index, fault)
-
-    def _apply_degradations(self) -> None:
-        while True:
-            with self._lock:
-                hung = self._hung
-                slow = (self._slow_delay
-                        if self._slow_until is not None
-                        and time.monotonic() < self._slow_until else 0.0)
-            if hung:
-                time.sleep(_HANG_SLEEP)
-                continue    # stay hung — never answer again
-            if slow:
-                time.sleep(slow)
-            return
+    @staticmethod
+    async def _hang() -> None:
+        """A hung daemon never answers: park until the server closes."""
+        await asyncio.get_running_loop().create_future()
 
     # -- execution -----------------------------------------------------
-    def _fire(self, index: int, fault: Fault) -> None:
-        with self._lock:
-            self._fired.append(fault.describe())
+    def _due(self, entry: tuple[int, Fault]) -> None:
+        """Fire a pending fault whose trigger came due."""
+        self._pending.remove(entry)
+        index, fault = entry
+        self._fired.append(fault.describe())
         if fault.action == "kill":
             # The abrupt exit the acceptance scenario asks for: no
             # close frames, no cleanup — connections just go EOF.
             os.kill(os.getpid(), signal.SIGKILL)
         elif fault.action == "hang":
-            with self._lock:
-                self._hung = True
+            self.hung = True
         elif fault.action == "slow":
-            with self._lock:
-                self._slow_delay = fault.delay
-                horizon = (float("inf") if fault.duration is None
-                           else time.monotonic() + fault.duration)
-                self._slow_until = horizon
+            self._slow_delay = fault.delay
+            self._slow_until = (math.inf if fault.duration is None
+                                else time.monotonic() + fault.duration)
         elif fault.action == "corrupt":
             self._corrupt_one(index)
 

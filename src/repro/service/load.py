@@ -67,8 +67,8 @@ def arm_faults(namenode: tuple[str, int],
         bound = plan.resolve(reply["datanodes"])
         armed: dict[int, list[str]] = {}
         for node_id, faults in sorted(bound.items()):
-            client._dn_call(node_id, "fault", {"faults": faults})
             armed[node_id] = [fault.describe() for fault in faults]
+            client._dn_call(node_id, "fault", {"faults": armed[node_id]})
         return armed
 
 

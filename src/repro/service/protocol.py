@@ -34,7 +34,7 @@ from ..net import ProtocolError
 
 #: Bumped on any incompatible message change; both ends carry it in the
 #: register/stat paths so version skew fails fast instead of weirdly.
-SERVICE_VERSION = 1
+SERVICE_VERSION = 2
 
 
 #: The namenode's wire surface: op -> (required request keys, optional

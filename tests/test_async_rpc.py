@@ -24,6 +24,8 @@ from repro.net import (
 from repro.service.datanode import DataNodeServer, call
 from repro.service.protocol import marshal_error, unmarshal_error
 
+from datanode_thread import serving
+
 
 def _echo_handler(kind, data, peer):
     if kind == "echo":
@@ -53,13 +55,10 @@ def echo_server():
 def lone_datanode():
     """One in-process async datanode whose namenode never answers —
     the daemon keeps serving its data path on its reconnect budget."""
-    server = DataNodeServer(0, ("127.0.0.1", _free_port()),
-                            connect_retries=10**6,
-                            heartbeat_interval=30.0)
-    try:
+    with serving(DataNodeServer(0, ("127.0.0.1", _free_port()),
+                                connect_retries=10**6,
+                                heartbeat_interval=30.0)) as server:
         yield server
-    finally:
-        server.close()
 
 
 class TestWireCompat:
@@ -120,6 +119,22 @@ class TestGracefulDrain:
             server.close()          # drain: the reply still arrives
             sock.settimeout(5.0)
             assert recv_frame(sock) == ("ok", "done")
+
+
+    def test_a_datanode_answers_shutdown_then_stops(self):
+        daemon = DataNodeServer(0, ("127.0.0.1", _free_port()),
+                                connect_retries=10**6,
+                                heartbeat_interval=30.0)
+        serving = threading.Thread(target=daemon.serve, daemon=True)
+        serving.start()
+        with socket.create_connection(daemon.address) as sock:
+            call(sock, "put", {"block": ("s", 0, 0), "data": b"x"})
+            assert call(sock, "shutdown", None) == {"node_id": 0}
+            serving.join(timeout=10.0)
+            assert not serving.is_alive()       # serve() returned
+            sock.settimeout(5.0)
+            with pytest.raises((ConnectionError, OSError)):
+                call(sock, "status", None)
 
 
 class TestRetryPolicyConsolidation:

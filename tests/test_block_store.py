@@ -21,6 +21,8 @@ from repro.gf import kernels, linear_combine, native
 from repro.service.datanode import DataNodeServer, call
 from repro.service.namenode import NameNodeServer
 
+from datanode_thread import on_loop, serving
+
 BACKENDS = ["native", "numpy"] if native.load() is not None else ["numpy"]
 
 BLOCK = BlockId("f", 0, 0)
@@ -76,7 +78,7 @@ class TestStore:
 @pytest.fixture(scope="module")
 def datanode():
     with NameNodeServer(check_period=30.0) as namenode, \
-            DataNodeServer(0, namenode.address) as server:
+            serving(DataNodeServer(0, namenode.address)) as server:
         yield server
 
 
@@ -92,8 +94,8 @@ def stored(datanode, count, length, seed):
     blocks = [rng.integers(0, 256, length, dtype=np.uint8).tobytes()
               for _ in range(count)]
     for symbol, data in enumerate(blocks):
-        datanode._op_put({"block": (f"c{seed}", length, symbol),
-                          "data": data}, None)
+        on_loop(datanode, datanode._op_put,
+                {"block": (f"c{seed}", length, symbol), "data": data}, None)
     return blocks
 
 
@@ -108,7 +110,8 @@ class TestWire:
             parts = [(("w", 0, 0), 1), (("w", 0, 1), coefficient)]
             data = call(sock, "combine", {"parts": parts})["data"]
             assert type(data) is bytes and len(data) == len(PAYLOAD)
-        assert type(datanode.store.get(BlockId("w", 0, 1))) is bytes
+        assert type(on_loop(datanode, datanode.store.get,
+                            BlockId("w", 0, 1))) is bytes
 
     def test_combine_of_unequal_blocks_is_a_value_error(self, sock):
         call(sock, "put", {"block": ("w", 2, 0), "data": b"x" * 8})
@@ -137,6 +140,7 @@ class TestDaemonCombine:
         for vector in vectors:
             parts = [((f"c{length}", length, symbol), coefficient)
                      for symbol, coefficient in enumerate(vector)]
-            got = datanode._op_combine({"parts": parts}, None)["data"]
+            got = on_loop(datanode, datanode._op_combine,
+                          {"parts": parts}, None)["data"]
             want = linear_combine(vector, blocks[:len(vector)]).tobytes()
             assert type(got) is bytes and got == want, (backend, vector)

@@ -48,17 +48,21 @@ DATANODE_REPRO_MODULES = 12
 #: accepts registration and heartbeats, then put, get and combine
 #: (a general vector and an all-ones one) over a real socket.
 SERVE_ON_NATIVE = r"""
-import socket
+import socket, threading
 import repro.cli
 from repro.gf import native
 from repro.net import AsyncRpcServer
 from repro.service.datanode import DataNodeServer, call
+from repro.service.protocol import SERVICE_VERSION
 
 assert native.active_backend() == "native", native.error()
 stub = AsyncRpcServer(lambda kind, data, peer: {
-    "node_id": 0, "block_bytes": 4096, "version": 1}, name="stub")
-with DataNodeServer(0, stub.address, heartbeat_interval=0.05) as daemon, \
-        socket.create_connection(daemon.address) as sock:
+    "node_id": 0, "block_bytes": 4096, "version": SERVICE_VERSION},
+    name="stub")
+daemon = DataNodeServer(0, stub.address, heartbeat_interval=0.05)
+serving = threading.Thread(target=daemon.serve)
+serving.start()
+with socket.create_connection(daemon.address) as sock:
     for symbol in range(3):
         call(sock, "put", {"block": ("f", 0, symbol),
                            "data": bytes([symbol + 1]) * 4096})
@@ -67,6 +71,9 @@ with DataNodeServer(0, stub.address, heartbeat_interval=0.05) as daemon, \
     assert call(sock, "combine", {"parts": parts})["data"] == b"\x00" * 4096
     parts = [(("f", 0, 0), 2), (("f", 0, 2), 1)]
     assert call(sock, "combine", {"parts": parts})["data"] == b"\x01" * 4096
+daemon.close()
+serving.join(timeout=10.0)
+assert not serving.is_alive()
 stub.close()
 """
 

@@ -17,9 +17,12 @@ import pytest
 from repro.net import ProtocolError
 from repro.service import protocol
 from repro.service.datanode import DataNodeServer, call
+from repro.service.faults import Fault
 from repro.service.namenode import NameNodeServer
 from repro.service.protocol import (DATANODE_OPS, NAMENODE_OPS,
                                     ServiceError, dispatch)
+
+from datanode_thread import on_loop, serving
 
 SERVICES = {"namenode": NAMENODE_OPS, "datanode": DATANODE_OPS}
 
@@ -138,11 +141,9 @@ def test_every_declared_code_is_a_wire_code_and_every_wire_code_declared():
 
 @pytest.fixture(scope="module")
 def servers():
-    namenode = NameNodeServer(check_period=3600.0)
-    datanode = DataNodeServer(0, namenode.address)
-    yield {"namenode": namenode, "datanode": datanode}
-    datanode.close()
-    namenode.close()
+    with NameNodeServer(check_period=3600.0) as namenode, \
+            serving(DataNodeServer(0, namenode.address)) as datanode:
+        yield {"namenode": namenode, "datanode": datanode}
 
 
 @pytest.fixture(scope="module")
@@ -352,8 +353,8 @@ class Live:
     def rotten(self) -> tuple:
         """A block the datanode holds whose bytes fail their CRC."""
         block = self.stored()
-        with self.datanode._store_lock:
-            self.datanode.store.corrupt(protocol.block_from_tuple(block))
+        on_loop(self.datanode, self.datanode.store.corrupt,
+                protocol.block_from_tuple(block))
         return block
 
     def well_formed(self, kind: str) -> dict:
@@ -421,7 +422,7 @@ def test_a_type_confused_value_is_a_bad_request(live, service, kind, key):
     # host "a", so no sweep ever resolves that name
     assert outcome(sock, kind, live.well_formed(kind)) == "ok"
     assert call(sock, "status", None)["version"] == protocol.SERVICE_VERSION
-    assert live.datanode.faults._ticker.is_alive()
+    assert_faults_still_fire(live)
 
 
 @pytest.mark.parametrize("code_name", ["rs(1,2)", "0-rep", "no-such-code"])
@@ -432,17 +433,50 @@ def test_a_code_name_the_registry_refuses_is_a_bad_request(live, code_name):
             == "bad-request"
 
 
-def test_a_malformed_fault_request_arms_nothing(live):
-    """Armed, a stray value kills the fault ticker, and every later
-    data-path request trips over it."""
+def assert_faults_still_fire(live) -> None:
+    """A fault armed now fires at the next data-path request, and the
+    datanode still serves that request and the ones after it."""
+    sock = live.socks["datanode"]
+    fired = call(sock, "status", None)["faults"]["fired"]
+    spec = "slow:dn0@k=1,delay=0,duration=0"
+    assert call(sock, "fault", {"faults": [spec]})["armed"] >= 1
+    block = live.stored()
+    assert call(sock, "status", None)["faults"]["fired"] == [*fired, spec]
+    assert call(sock, "get", {"block": block})["data"] == b"ok"
+
+
+def unchecked_fault(**fields) -> Fault:
+    """A ``Fault`` that skipped its checks, as unpickling one does."""
+    fault = object.__new__(Fault)
+    for key, value in {"action": "kill", "target": 0, "at_time": None,
+                       "on_request": None, "delay": 0.25, "duration": None,
+                       **fields}.items():
+        object.__setattr__(fault, key, value)
+    return fault
+
+
+@pytest.mark.parametrize("faults", [
+    ["x"], [{"action": "nope"}], "x", None, 7,
+    # pickled specs: the daemon parses text, it does not trust objects
+    [unchecked_fault(at_time="soon")],
+    [unchecked_fault(action="explode", at_time=-1)],
+    # specs the grammar reads but no fault may hold
+    *[[f"kill:dn0@{trigger}"] for trigger in ("t=nan", "t=inf", "t=-1",
+                                               "k=inf", "k=nan")],
+    *[[f"slow:dn0@k=1,{option}"]
+      for option in ("delay=nan", "delay=inf", "duration=-5",
+                     "duration=nan", "duration=inf")],
+    # one bad spec, and the good one beside it is not armed either
+    ["slow:dn0@k=1", "slow:dn0@t=nan"],
+], ids=repr)
+def test_a_malformed_fault_request_arms_nothing(live, faults):
+    """Armed, a stray value would trip every later data-path request
+    over it."""
     sock = live.socks["datanode"]
     pending = call(sock, "status", None)["faults"]["pending"]
-    for faults in (["x"], [{"action": "nope"}], "x", None, 7):
-        bad_request(sock, "fault", {"faults": faults})
+    bad_request(sock, "fault", {"faults": faults})
     assert call(sock, "status", None)["faults"]["pending"] == pending
-    assert live.datanode.faults._ticker.is_alive()
-    block = live.stored()
-    assert call(sock, "get", {"block": block})["data"] == b"ok"
+    assert_faults_still_fire(live)
     assert call(sock, "fault", {"faults": []})["armed"] == len(pending)
 
 

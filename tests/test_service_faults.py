@@ -3,12 +3,15 @@ datanode-side arm, and the checksum substrate it leans on
 (per-block CRCs + typed ``CorruptBlockError`` on the MiniHDFS read
 path)."""
 
+import asyncio
+import math
 import socket
-import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import repro.service.client as client_module
 from repro.cluster import (
@@ -24,6 +27,7 @@ from repro.core import UnrecoverableStripeError, make_code
 from repro.service import RetryPolicy, ServiceCluster, WriteFailedError
 from repro.service.datanode import call
 from repro.service.faults import (
+    ACTIONS,
     Fault,
     FaultArm,
     FaultPlan,
@@ -31,6 +35,16 @@ from repro.service.faults import (
     parse_fault_plan,
 )
 from repro.service.load import file_payload
+
+#: Every fault the grammar can state: finite, non-negative numbers.
+FAULTS = st.builds(
+    lambda trigger, **fields: Fault(**trigger, **fields),
+    trigger=st.fixed_dictionaries({"at_time": st.floats(0, 1e12)})
+    | st.fixed_dictionaries({"on_request": st.integers(1, 10**12)}),
+    action=st.sampled_from(ACTIONS),
+    target=st.none() | st.integers(0, 10**6),
+    delay=st.floats(0, 1e12),
+    duration=st.none() | st.floats(0, 1e12))
 
 
 class TestGrammar:
@@ -66,10 +80,23 @@ class TestGrammar:
         "kill:dn1@x=2",              # unknown key
         "kill:dn1@t=soon",           # non-numeric
         "slow:dn1@k=1.5",            # fractional request count
+        "kill:dn1@t=nan",            # non-finite numbers
+        "kill:dn1@t=inf",
+        "kill:dn1@k=inf",
+        "slow:dn1@k=1,delay=nan",
+        "slow:dn1@k=1,delay=inf",
+        "slow:dn1@k=1,duration=nan",
+        "slow:dn1@k=1,duration=inf",
+        "slow:dn1@k=1,duration=-5",  # negative duration
     ])
     def test_rejected_specs(self, bad):
         with pytest.raises(ValueError):
             parse_fault(bad)
+
+    @given(FAULTS)
+    def test_describe_is_exact(self, fault):
+        """What goes over the wire is the fault, to the last bit."""
+        assert parse_fault(fault.describe()) == fault
 
     def test_plan_parses_semicolon_list(self):
         plan = parse_fault_plan("kill:dn0@t=1; slow:dn1@k=2,delay=0.1",
@@ -84,6 +111,11 @@ class TestGrammar:
             Fault(action="kill", target=0, at_time=-1.0)
         with pytest.raises(ValueError):
             Fault(action="kill", target=0, on_request=0)
+        for bad in (math.nan, math.inf, -1.0):
+            for key in ("at_time", "delay", "duration"):
+                with pytest.raises(ValueError):
+                    Fault(**{"action": "slow", "target": 0, "on_request": 1,
+                             key: bad})
 
 
 class TestDeterminism:
@@ -115,54 +147,70 @@ def _loaded_store(blocks=4, size=256):
     return store
 
 
+async def gate(arm, kind="get", timeout=1.0) -> float:
+    """Seconds one request spends in the arm's gate; ``inf`` when the
+    gate holds it past ``timeout``."""
+    start = time.perf_counter()
+    parked = arm.before_request_gate(kind, {})
+    if parked is not None:
+        try:
+            await asyncio.wait_for(parked, timeout)
+        except TimeoutError:
+            return math.inf
+    return time.perf_counter() - start
+
+
 class TestFaultArm:
+    """The gate the daemon runs ahead of every request, on a loop."""
+
     def test_slow_applies_delay_after_kth_request(self):
-        arm = FaultArm(_loaded_store(), seed=0)
-        arm.arm([Fault(action="slow", target=0, on_request=2,
-                       delay=0.15)])
-        start = time.perf_counter()
-        arm.before_request("get", {})
-        assert time.perf_counter() - start < 0.1     # 1st request: free
-        start = time.perf_counter()
-        arm.before_request("get", {})
-        assert time.perf_counter() - start >= 0.15   # 2nd: slowed
+        async def go():
+            arm = FaultArm(_loaded_store(), seed=0)
+            arm.arm([Fault(action="slow", target=0, on_request=2,
+                           delay=0.15)])
+            assert await gate(arm) < 0.1         # 1st request: free
+            assert await gate(arm) >= 0.15       # 2nd: slowed
+        asyncio.run(go())
 
     def test_slow_duration_expires(self):
-        arm = FaultArm(_loaded_store(), seed=0)
-        arm.arm([Fault(action="slow", target=0, on_request=1,
-                       delay=0.05, duration=0.2)])
-        arm.before_request("get", {})
-        time.sleep(0.3)
-        start = time.perf_counter()
-        arm.before_request("get", {})
-        assert time.perf_counter() - start < 0.04    # back to full speed
+        async def go():
+            arm = FaultArm(_loaded_store(), seed=0)
+            arm.arm([Fault(action="slow", target=0, on_request=1,
+                           delay=0.05, duration=0.2)])
+            await gate(arm)
+            await asyncio.sleep(0.3)
+            assert await gate(arm) < 0.04        # back to full speed
+        asyncio.run(go())
 
     def test_control_path_requests_never_trigger(self):
-        arm = FaultArm(_loaded_store(), seed=0)
-        arm.arm([Fault(action="slow", target=0, on_request=1, delay=0.2)])
-        start = time.perf_counter()
-        arm.before_request("status", {})
-        arm.before_request("fault", {})
-        assert time.perf_counter() - start < 0.1
-        assert arm.snapshot()["pending"]             # still armed
+        async def go():
+            arm = FaultArm(_loaded_store(), seed=0)
+            arm.arm([Fault(action="slow", target=0, on_request=1,
+                           delay=0.2)])
+            assert arm.before_request_gate("status", {}) is None
+            assert arm.before_request_gate("fault", {}) is None
+            assert arm.snapshot()["pending"]     # still armed
+        asyncio.run(go())
 
     def test_hang_blocks_requests_and_reports(self):
-        arm = FaultArm(_loaded_store(), seed=0)
-        arm.arm([Fault(action="hang", target=0, on_request=1)])
-        blocked = threading.Thread(
-            target=arm.before_request, args=("get", {}), daemon=True)
-        blocked.start()
-        blocked.join(timeout=0.5)
-        assert blocked.is_alive()                    # never answers again
-        assert arm.hung
+        async def go():
+            arm = FaultArm(_loaded_store(), seed=0)
+            arm.arm([Fault(action="hang", target=0, on_request=1)])
+            assert await gate(arm, timeout=0.5) == math.inf
+            assert await gate(arm, timeout=0.2) == math.inf  # never again
+            assert arm.hung and arm.snapshot()["hung"]
+        asyncio.run(go())
 
     def test_corrupt_is_deterministic_and_checksum_detectable(self):
+        async def go(store):
+            arm = FaultArm(store, seed=21)
+            arm.arm([Fault(action="corrupt", target=0, on_request=1)])
+            await gate(arm)
+
         damaged = []
         for _ in range(2):
             store = _loaded_store()
-            arm = FaultArm(store, seed=21)
-            arm.arm([Fault(action="corrupt", target=0, on_request=1)])
-            arm.before_request("get", {})
+            asyncio.run(go(store))
             bad = [block for block in store.block_ids()
                    if store.current_checksum(block)
                    != store.checksum(block)]
@@ -171,6 +219,37 @@ class TestFaultArm:
                 store.get(bad[0], verify=True)
             damaged.append(bad[0])
         assert damaged[0] == damaged[1]              # same seed, same block
+
+    def test_a_timed_fault_fires_after_its_delay(self):
+        """A ``t=`` fault fires from a loop timer, with no request."""
+        async def go():
+            arm = FaultArm(_loaded_store(), seed=0)
+            started = time.monotonic()
+            arm.arm([Fault(action="hang", target=0, at_time=0.2)])
+            await asyncio.sleep(0.1)
+            assert not arm.hung and arm.snapshot()["pending"]
+            while not arm.hung:
+                await asyncio.sleep(0.01)
+            assert time.monotonic() - started >= 0.2
+            assert arm.snapshot()["fired"] == ["hang:dn0@t=0.2"]
+            assert arm.snapshot()["pending"] == []
+        asyncio.run(go())
+
+    def test_rearming_restarts_a_pending_timers_clock(self):
+        """t=0 is the last ``arm``: a fault pending from an earlier one
+        waits its whole delay again."""
+        async def go():
+            arm = FaultArm(_loaded_store(), seed=0)
+            arm.arm([Fault(action="hang", target=0, at_time=0.3)])
+            await asyncio.sleep(0.2)
+            rearmed = time.monotonic()
+            assert arm.arm([]) == 1
+            await asyncio.sleep(0.2)             # 0.4 s after the first
+            assert not arm.hung
+            while not arm.hung:
+                await asyncio.sleep(0.01)
+            assert time.monotonic() - rearmed >= 0.3
+        asyncio.run(go())
 
 
 class TestChecksumSubstrate:

@@ -13,6 +13,7 @@ deadline (the cluster's start-up timeout, a subprocess timeout or a
 polling deadline).
 """
 
+import io
 import os
 import pathlib
 import signal
@@ -27,7 +28,8 @@ import pytest
 from repro.cli import build_parser
 from repro.net import AsyncRpcServer, ProtocolError
 from repro.service import ServiceCluster, ServiceError, parse_fault_plan
-from repro.service.datanode import DataNodeServer, launch_datanodes
+from repro.service.datanode import (DataNodeServer, launch_datanodes,
+                                    print_line)
 from repro.service.namenode import NameNodeServer
 from repro.service.protocol import marshal_error
 
@@ -183,7 +185,55 @@ class TestKillOne:
             assert _live(pids[0]) and _live(pids[2])
 
 
+def _threads(pid: int) -> int:
+    with open(f"/proc/{pid}/status") as handle:
+        for line in handle:
+            if line.startswith("Threads:"):
+                return int(line.split()[1])
+    raise AssertionError(f"no Threads line for pid {pid}")
+
+
+class TestOneThread:
+    def test_a_serving_datanode_runs_one_thread(self):
+        """Requests, heartbeats and fault timers share the main thread:
+        a forked datanode never starts another."""
+        with ServiceCluster(5, seed=10, **FAST) as cluster:
+            cluster._read_pids()
+            pids = dict(cluster._pids)
+            cluster.arm_faults(parse_fault_plan(
+                "slow:dn0@t=60,delay=0.1;corrupt:dn1@t=60", seed=10))
+            with cluster.client() as client:
+                client.write_file("f", b"x" * 5000, "pentagon")
+                assert client.read_file("f") == b"x" * 5000
+            for node_id, pid in sorted(pids.items()):
+                reply = cluster.namenode.dn_call_sync(
+                    node_id, "status", {}, timeout=5.0)
+                assert reply["node_id"] == node_id
+                assert _threads(pid) == 1, node_id
+
+
 class TestStartup:
+    def test_a_printed_line_is_one_write(self, monkeypatch):
+        """The launcher and its children share one stdout: under
+        ``PYTHONUNBUFFERED`` (an unbuffered binary layer, text written
+        through) a line that took two writes could be split by another
+        process's, and its pid line lost."""
+        writes = []
+
+        class Raw(io.RawIOBase):
+            def writable(self):
+                return True
+
+            def write(self, data):
+                writes.append(bytes(data))
+                return len(data)
+
+        monkeypatch.setattr(sys, "stdout",
+                            io.TextIOWrapper(Raw(), write_through=True))
+        print_line("3 4242")
+        print_line("[datanode] datanode 3 serving")
+        assert writes == [b"3 4242\n", b"[datanode] datanode 3 serving\n"]
+
     def test_a_node_failing_at_startup_is_named(self, monkeypatch):
         """The namenode refuses node 2; its daemon stops at once and the
         cluster names it, long before the start-up timeout."""
@@ -235,10 +285,13 @@ class TestRefusedOrOrphanedDaemon:
             raise ProtocolError(f"{kind} refused")
 
         with AsyncRpcServer(refuse, error_marshaller=marshal_error,
-                            name="refusing-namenode") as namenode, \
-                DataNodeServer(0, namenode.address, connect_retries=60,
-                               heartbeat_interval=0.05) as daemon:
-            assert daemon.wait(timeout=5.0)
+                            name="refusing-namenode") as namenode:
+            daemon = DataNodeServer(0, namenode.address, connect_retries=60,
+                                    heartbeat_interval=0.05)
+            serving = threading.Thread(target=daemon.serve, daemon=True)
+            serving.start()
+            serving.join(timeout=5.0)       # serve() returns: it stopped
+            assert not serving.is_alive()
             assert "refused registration" in daemon.failure
 
     def test_a_daemon_that_gives_up_exits_nonzero(self):
