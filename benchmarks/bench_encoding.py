@@ -35,8 +35,9 @@ def test_encode_throughput(benchmark, code_name):
     encoded = benchmark(code.encode, data)
     assert len(encoded) == code.symbol_count
     benchmark.extra_info["stripe_mb"] = code.k * BLOCK_BYTES / 2**20
-    benchmark.extra_info["mb_per_s"] = (
-        code.k * BLOCK_BYTES / 2**20 / benchmark.stats["mean"])
+    if benchmark.stats:         # None under --benchmark-disable
+        benchmark.extra_info["mb_per_s"] = (
+            code.k * BLOCK_BYTES / 2**20 / benchmark.stats["mean"])
 
 
 @pytest.mark.benchmark(group="decode")
@@ -100,5 +101,6 @@ def test_crc32_of_a_block(benchmark, checksum, block_bytes):
     block = np.random.default_rng(3).integers(0, 256, block_bytes,
                                               dtype=np.uint8)
     assert benchmark(checksum, block) == zlib.crc32(block)
-    benchmark.extra_info["gb_per_s"] = (
-        block_bytes / 1e9 / benchmark.stats["mean"])
+    if benchmark.stats:
+        benchmark.extra_info["gb_per_s"] = (
+            block_bytes / 1e9 / benchmark.stats["mean"])

@@ -96,10 +96,19 @@ class BoundedMemo(dict):
 
 def read_only_view(buffer) -> np.ndarray:
     """``buffer`` as a uint8 array that shares its memory and refuses
-    writes — how a block that needs no arithmetic is handed on."""
-    view = GF256.asarray(buffer).view()
-    view.flags.writeable = False
-    return view
+    writes — how a block that needs no arithmetic is handed on.
+
+    A uint8 array that already refuses writes is returned itself, as
+    are the read-only views :meth:`GF256.asarray` makes of ``bytes``,
+    ``bytearray`` and ``memoryview`` input; only a writable buffer gets
+    a new view.  Input of another dtype is converted first, and the
+    result then shares memory with that conversion, not the caller.
+    """
+    array = GF256.asarray(buffer)
+    if array.flags.writeable:
+        array = array.view()
+        array.setflags(write=False)
+    return array
 
 
 class Code(ABC):
@@ -156,12 +165,14 @@ class Code(ABC):
     # Encoding / decoding
     # ------------------------------------------------------------------
     @cached_property
-    def _data_columns(self) -> tuple[int, ...]:
-        """For each data symbol (in layout order) its data-buffer column."""
+    def _symbol_sources(self) -> tuple[int, ...]:
+        """Per symbol in layout order, where :meth:`encode` takes it
+        from: its data-buffer column, or ``~r`` for parity row ``r``."""
+        rows = iter(range(self.symbol_count))
         return tuple(
             self.layout.data_column(symbol.index)
+            if symbol.kind is SymbolKind.DATA else ~next(rows)
             for symbol in self.layout.symbols
-            if symbol.kind is SymbolKind.DATA
         )
 
     @cached_property
@@ -192,8 +203,13 @@ class Code(ABC):
                                PLAN_MEMO_PER_SYMBOL * self.symbol_count))
 
     def _checked_buffers(self, data_blocks) -> tuple[list[np.ndarray], int]:
-        """Validate one stripe's data blocks; returns (buffers, size)."""
-        buffers = [GF256.asarray(block) for block in data_blocks]
+        """Validate one stripe's ``k`` blocks; returns (buffers, size).
+
+        Each buffer is the block's :func:`read_only_view`, made here
+        once: the kernels read these, and :meth:`encode` and
+        :meth:`decode_data` hand them back as they are.
+        """
+        buffers = [read_only_view(block) for block in data_blocks]
         if len(buffers) != self.k:
             raise ValueError(
                 f"{self.name}: expected {self.k} data blocks, "
@@ -205,16 +221,10 @@ class Code(ABC):
 
     def _assemble_symbols(self, buffers: list[np.ndarray],
                           parity) -> list[np.ndarray]:
-        """Interleave data-buffer views and parity rows in symbol order."""
-        encoded: list[np.ndarray] = []
-        data_columns = iter(self._data_columns)
-        parity_rows = iter(parity) if parity is not None else None
-        for symbol in self.layout.symbols:
-            if symbol.kind is SymbolKind.DATA:
-                encoded.append(read_only_view(buffers[next(data_columns)]))
-            else:
-                encoded.append(next(parity_rows))
-        return encoded
+        """Interleave the checked data buffers and the parity rows in
+        symbol order."""
+        return [buffers[source] if source >= 0 else parity[~source]
+                for source in self._symbol_sources]
 
     def split_stripes(self, data: bytes, block_bytes: int) -> list[list[memoryview]]:
         """Pad and split file ``data`` into per-stripe data-block lists.
@@ -341,8 +351,8 @@ class Code(ABC):
         buffers, block_size = self._checked_buffers(available[i] for i in basis)
         solved = iter(kernel.apply(buffers, block_size)
                       if kernel is not None else ())
-        return [next(solved) if source is None
-                else read_only_view(buffers[source]) for source in sources]
+        return [next(solved) if source is None else buffers[source]
+                for source in sources]
 
     def decode_symbol(self, symbol_index: int, available: dict[int, np.ndarray]) -> np.ndarray:
         """Reconstruct one coded symbol from surviving symbol buffers —

@@ -22,6 +22,11 @@ import numpy as np
 from .tables import EXP, FIELD_SIZE, GROUP_ORDER, INV_TABLE, LOG, MUL_TABLE
 
 
+#: The dtype of every block buffer: numpy keeps one instance of it, so
+#: an ``is`` test recognises a uint8 array in O(1).
+_UINT8 = np.dtype(np.uint8)
+
+
 def _check_element(value: int) -> None:
     if not 0 <= value < FIELD_SIZE:
         raise ValueError(f"{value!r} is not an element of GF(256)")
@@ -96,12 +101,16 @@ class GF256:
 
         Mutation contract: by default the result may be a **read-only
         zero-copy view** of the caller's buffer (always the case for
-        ``bytes``/``bytearray``/``memoryview`` input, and ``ndarray``
-        input is returned as-is).  Read paths — encode, decode, rank
-        checks — never write through it.  Pass ``writable=True`` when
-        the caller needs a private buffer it may mutate; only then is a
-        copy guaranteed.
+        ``bytes``/``bytearray``/``memoryview`` input).  A uint8
+        ``ndarray`` is returned itself, writable or not, in O(1): every
+        layer a block crosses may call this and pay nothing.  Read
+        paths — encode, decode, rank checks — never write through the
+        result.  Any other dtype is converted (a new array).  Pass
+        ``writable=True`` when the caller needs a private buffer it may
+        mutate; then a copy is always made, of any input.
         """
+        if not writable and type(data) is np.ndarray and data.dtype is _UINT8:
+            return data
         if isinstance(data, (bytes, bytearray, memoryview)):
             try:
                 array = np.frombuffer(data, dtype=np.uint8)

@@ -81,36 +81,57 @@ def linear_combine(coefficients, buffers, length: int | None = None) -> np.ndarr
     ``svc_degraded`` benchmark spent ~10 % more CPU per read.
     """
     coefficients = [int(c) for c in coefficients]
-    buffers = [GF256.asarray(b) for b in buffers]
+    buffers, length = _checked(buffers, length)
     if len(coefficients) != len(buffers):
         raise ValueError("coefficient/buffer count mismatch")
     if length is None:
-        if not buffers:
-            raise ValueError("cannot infer output length from empty input")
-        length = len(buffers[0])
-    for buffer in buffers:
-        if len(buffer) != length:
-            raise ValueError("buffers must share a common length")
+        raise ValueError("cannot infer output length from empty input")
     try:
         ops = bytes(coefficients)
     except ValueError:
         bad = next(c for c in coefficients if not 0 <= c < 256)
         raise ValueError(f"{bad!r} is not an element of GF(256)") from None
-    if buffers and coefficients.count(1) == len(coefficients):
+    if buffers and ops.count(1) == len(ops):
         return GF256.xor_reduce(buffers)
     if active_backend() == "native":
         return _apply_native(_native.load(), ops, 1, buffers, length)[0]
     return GF256.combine(coefficients, buffers, length=length)
 
 
+def _checked(buffers, length: int | None) -> tuple[list[np.ndarray], int | None]:
+    """``buffers`` as uint8 arrays of one common length, in one walk.
+
+    Each goes through :meth:`GF256.asarray` (the buffer itself, in
+    O(1), when it is a uint8 array already) and is held to ``length``,
+    or to the first buffer's length when that is ``None``.  Returns the
+    arrays and the length (still ``None`` for no buffers).
+    """
+    asarray = GF256.asarray
+    arrays: list[np.ndarray] = []
+    for buffer in buffers:
+        array = asarray(buffer)
+        if length is None:
+            length = len(array)
+        elif len(array) != length:
+            raise ValueError("buffers must share a common length")
+        arrays.append(array)
+    return arrays, length
+
+
 def _apply_native(kernels, ops: bytes, nrows: int, buffers,
                   length: int) -> np.ndarray:
     """``ops @ stack(buffers)`` in one native call; ``ops`` is the
-    ``(nrows, len(buffers))`` op table, row-major."""
+    ``(nrows, len(buffers))`` op table, row-major, and ``buffers`` are
+    uint8 arrays of ``length`` bytes.  C reads contiguous memory only:
+    when a strided array makes the call refuse its inputs
+    (``ValueError``, before any byte is written), it runs again on
+    contiguous copies."""
     out = np.empty((nrows, length), dtype=np.uint8)
-    kernels.apply(ops, [buffer if buffer.flags.c_contiguous
-                        else np.ascontiguousarray(buffer)
-                        for buffer in buffers], length, out, nrows)
+    try:
+        kernels.apply(ops, buffers, length, out, nrows)
+    except ValueError:
+        kernels.apply(ops, [np.ascontiguousarray(buffer)
+                            for buffer in buffers], length, out, nrows)
     return out
 
 
@@ -129,25 +150,25 @@ class BatchedLinearMap:
             raise ValueError("expected a 2-D coefficient matrix")
         self.rows = matrix
         self.m, self.k = matrix.shape
-        #: The native op table: the matrix over its live columns only.
-        self._live_columns = np.nonzero(matrix.any(axis=0))[0].tolist()
-        self._native_ops = matrix[:, self._live_columns].tobytes()
+        #: The native op table: the matrix over its live columns only;
+        #: ``_live_columns`` is ``None`` when every column is live.
+        live = np.nonzero(matrix.any(axis=0))[0].tolist()
+        self._live_columns = None if len(live) == self.k else live
+        self._native_ops = matrix[:, live].tobytes()
 
     def apply(self, buffers, block_size: int | None = None) -> np.ndarray:
         """Return ``rows @ stack(buffers)`` as an ``(m, block_size)`` array."""
-        buffers = [GF256.asarray(b) for b in buffers]
+        buffers, block_size = _checked(buffers, block_size)
         if len(buffers) != self.k:
             raise ValueError(
                 f"expected {self.k} input buffers, got {len(buffers)}")
         if block_size is None:
-            if not buffers:
-                raise ValueError("cannot infer block size from empty input")
-            block_size = len(buffers[0])
-        if any(len(b) != block_size for b in buffers):
-            raise ValueError("buffers must share a common length")
+            raise ValueError("cannot infer block size from empty input")
         if active_backend() == "native":
+            live = self._live_columns
             return _apply_native(_native.load(), self._native_ops, self.m,
-                                 [buffers[j] for j in self._live_columns],
+                                 buffers if live is None
+                                 else [buffers[j] for j in live],
                                  block_size)
         out = np.empty((self.m, block_size), dtype=np.uint8)
         for r, coefficients in enumerate(self.rows.tolist()):

@@ -702,8 +702,10 @@ class NativeKernels:
     row-major — into ``out`` as ``nrows`` rows of ``length`` bytes, in
     one call of ``repro_gf_apply``.  ``inputs`` are C-contiguous buffers
     of at least ``length`` bytes, ``out`` a writable one of ``nrows *
-    length``; nothing is checked.  It is the one Python call path into
-    the GF kernels: :class:`repro.gf.kernels.BatchedLinearMap`,
+    length``; lengths are not checked.  A buffer C cannot read in place
+    (a strided numpy array) raises ``ValueError`` before the call.  It
+    is the one Python call path into the GF kernels:
+    :class:`repro.gf.kernels.BatchedLinearMap`,
     :func:`repro.gf.kernels.linear_combine` and :func:`combine` all
     run on it.
     """
@@ -712,10 +714,11 @@ class NativeKernels:
         self.ffi = ffi
         self.lib = lib
         from_buffer, gf_apply = ffi.from_buffer, lib.repro_gf_apply
+        byte_array = ffi.typeof("uint8_t[]")    # resolved once, not per buffer
 
         def apply(ops, inputs, length, out, nrows=1):
-            gf_apply(ops, [from_buffer("uint8_t[]", data) for data in inputs],
-                     len(inputs), length, from_buffer("uint8_t[]", out),
+            gf_apply(ops, [from_buffer(byte_array, data) for data in inputs],
+                     len(inputs), length, from_buffer(byte_array, out),
                      nrows)
 
         self.apply = apply

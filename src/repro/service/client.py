@@ -393,15 +393,21 @@ class StorageClient:
         info = self._stat_for_read(name)
         code = self._code(info["code_name"])
         symbols = [symbol.index for symbol in code.layout.data_symbols()]
-        pieces: list[bytes] = []
+        # The join is the one copy of each block: it reads the recovered
+        # arrays in place, and the padding past the file's end is cut
+        # from views before it.
+        left = info["size_bytes"]
+        pieces: list[np.ndarray] = []
         for stripe_index in range(len(info["stripes"])):
             fetched = self._prefetch_stripe(info, code, stripe_index,
                                             symbols)
             for symbol_index, prefetched in zip(symbols, fetched):
-                pieces.append(self._read_symbol(
+                block = self._read_symbol(
                     info, code, stripe_index, symbol_index,
-                    prefetched=prefetched).tobytes())
-        return b"".join(pieces)[:info["size_bytes"]]
+                    prefetched=prefetched)[:left]
+                pieces.append(block)
+                left -= len(block)
+        return b"".join(pieces)
 
     def _prefetch_stripe(self, info: dict, code: Code, stripe_index: int,
                          symbols) -> list:

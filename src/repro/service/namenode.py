@@ -462,7 +462,6 @@ class NameNodeServer:
             }
         return out
 
-    # lint: allow(schema.unused-op): graceful-stop surface for external operators; `repro serve` and the tests close the server object directly
     def _op_shutdown(self, data, peer) -> dict:
         del data, peer
         # close() must run off-loop (it joins the loop thread).

@@ -19,8 +19,51 @@ from repro.gf import (
     gf_pow,
     gf_sub,
 )
+from repro.core import read_only_view
 
 elements = st.integers(min_value=0, max_value=255)
+
+#: Per kind of input to ``GF256.asarray``: (``asarray`` returns the
+#: input itself, the result shares the input's memory, it is writable).
+ASARRAY_INPUTS = {
+    "writable uint8": (True, True, True),
+    "read-only uint8": (True, True, False),
+    "bytes": (False, True, False),
+    "bytearray": (False, True, False),
+    "memoryview": (False, True, False),
+    "int64": (False, False, True),
+    "strided uint8": (True, True, True),
+}
+
+
+def make_input(kind):
+    """A 16-byte input of ``kind``, and the byte values it holds."""
+    values = np.arange(16, dtype=np.uint8) * 3
+    if kind == "writable uint8":
+        return values.copy(), values
+    if kind == "read-only uint8":
+        source = values.copy()
+        source.flags.writeable = False
+        return source, values
+    if kind == "bytes":
+        return values.tobytes(), values
+    if kind == "bytearray":
+        return bytearray(values.tobytes()), values
+    if kind == "memoryview":
+        return memoryview(bytearray(values.tobytes())), values
+    if kind == "int64":
+        return values.astype(np.int64), values
+    assert kind == "strided uint8"
+    source = np.repeat(values, 2)[::2]
+    assert not source.flags.c_contiguous
+    return source, values
+
+
+def memory_of(source):
+    """What a result sharing ``source``'s memory overlaps."""
+    if isinstance(source, np.ndarray):
+        return source
+    return np.frombuffer(source, dtype=np.uint8)
 nonzero = st.integers(min_value=1, max_value=255)
 
 
@@ -122,6 +165,53 @@ class TestFieldAxioms:
     @given(nonzero, nonzero)
     def test_div_mul_roundtrip(self, a, b):
         assert gf_mul(gf_div(a, b), b) == a
+
+
+class TestPassThroughContract:
+    """When ``GF256.asarray`` and ``read_only_view`` hand back their
+    input, share its memory, or copy it."""
+
+    @pytest.mark.parametrize("kind", ASARRAY_INPUTS)
+    def test_asarray(self, kind):
+        itself, shares, writable = ASARRAY_INPUTS[kind]
+        source, values = make_input(kind)
+        array = GF256.asarray(source)
+        assert array.dtype == np.uint8
+        assert np.array_equal(array, values)
+        assert (array is source) == itself
+        assert np.shares_memory(array, memory_of(source)) == shares
+        assert array.flags.writeable == writable
+
+    @pytest.mark.parametrize("kind", ASARRAY_INPUTS)
+    def test_writable_is_always_a_private_copy(self, kind):
+        source, values = make_input(kind)
+        array = GF256.asarray(source, writable=True)
+        assert array.dtype == np.uint8
+        assert np.array_equal(array, values)
+        assert array is not source
+        assert array.flags.writeable
+        assert not np.shares_memory(array, memory_of(source))
+        array[0] ^= 0xFF
+        assert np.array_equal(GF256.asarray(source), values)
+
+    @pytest.mark.parametrize("kind", ASARRAY_INPUTS)
+    def test_read_only_view(self, kind):
+        _, shares, _ = ASARRAY_INPUTS[kind]
+        source, values = make_input(kind)
+        view = read_only_view(source)
+        assert view.dtype == np.uint8
+        assert np.array_equal(view, values)
+        assert not view.flags.writeable
+        assert np.shares_memory(view, memory_of(source)) == shares
+        # Only a uint8 array that already refuses writes comes back as
+        # itself; a writable one still takes writes through its own
+        # name, and the view sees them.
+        assert (view is source) == (kind == "read-only uint8")
+        if shares and isinstance(source, np.ndarray) and source.flags.writeable:
+            source[0] ^= 0xFF
+            assert view[0] == source[0]
+        with pytest.raises(ValueError):
+            view[0] = 1
 
 
 class TestVectorOps:

@@ -3,8 +3,11 @@ meta-test asserting the shipped tree is clean."""
 
 from __future__ import annotations
 
+import io
 import json
+import pathlib
 import textwrap
+import tokenize
 
 import pytest
 
@@ -214,6 +217,26 @@ class TestShippedTree:
         report = run_lint()
         for finding in report.waived:
             assert finding.justification, finding.format()
+
+    def test_every_shipped_waiver_covers_a_waived_finding(self):
+        """A waiver that matches nothing is stale: it would silently
+        waive whatever finding lands on its line next.  Waivers quoted
+        inside docstrings are text, not comments, and are not counted."""
+        report = run_lint()
+        root = pathlib.Path(report.root)
+        used = {(finding.path, SourceFile(root / finding.path, root)
+                 .waiver_for(finding.rule, finding.line).line)
+                for finding in report.waived}
+        shipped = set()
+        for path in sorted((root / "src").rglob("*.py")):
+            source = SourceFile(path, root)
+            comments = {token.start[0] for token in tokenize.generate_tokens(
+                io.StringIO(source.text).readline)
+                if token.type == tokenize.COMMENT}
+            shipped |= {(source.rel, waiver.line) for waiver in source.waivers
+                        if waiver.line in comments}
+        assert shipped, "no waiver comment found under src/"
+        assert sorted(shipped - used) == []
 
 
 class TestWaiverPlacement:

@@ -8,6 +8,7 @@ when its median is worse than the base's by more than the bound.
 
 import importlib.util
 import pathlib
+import subprocess
 
 import pytest
 
@@ -73,3 +74,26 @@ def test_unpaired_or_single_runs_are_refused():
         pair.verdict([1.0], [0.5], "lower")
     with pytest.raises(ValueError):
         pair.verdict(BASE, BASE, "smaller")
+
+
+def test_runs_get_no_caller_pythonpath_and_write_bytecode(monkeypatch,
+                                                          tmp_path):
+    """The warm-up run must leave ``.pyc`` files behind for the timed
+    runs, whatever the caller's ``PYTHONDONTWRITEBYTECODE``, and the
+    tree under test must import nothing from the caller's path."""
+    seen = []
+
+    def fake_run(command, **kwargs):
+        seen.append(kwargs["env"])
+        return subprocess.CompletedProcess(command, 0, stdout='{"ok": 1}\n',
+                                           stderr="")
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    monkeypatch.setenv("PAIR_TOOL_PROBE", "kept")
+    monkeypatch.setattr(pair.subprocess, "run", fake_run)
+    assert pair.run_once(tmp_path, "codec", 0, smoke=True) == {"ok": 1}
+    (env,) = seen
+    assert "PYTHONDONTWRITEBYTECODE" not in env
+    assert "PYTHONPATH" not in env
+    assert env["PAIR_TOOL_PROBE"] == "kept"

@@ -79,8 +79,10 @@ def run_once(tree: pathlib.Path, workload: str, seed: int,
     if smoke:
         command.append("--smoke")
     # The tree under test supplies every import: nothing from ours.
+    # Bytecode writes stay on, so the warm-up pass leaves the ``.pyc``
+    # files the timed runs then load instead of compiling from source.
     env = {key: value for key, value in os.environ.items()
-           if key != "PYTHONPATH"}
+           if key not in ("PYTHONPATH", "PYTHONDONTWRITEBYTECODE")}
     done = subprocess.run(command, cwd=tree, env=env, capture_output=True,
                           text=True, timeout=RUN_TIMEOUT_S)
     if done.returncode not in (0, 1) or not done.stdout.strip():
