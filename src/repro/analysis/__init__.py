@@ -2,9 +2,10 @@
 
 ``repro lint`` runs AST checkers that encode the invariants the rest
 of the system depends on — determinism by construction, picklability
-into the sweep engine's fork pool, service lock discipline, the
-declared wire surface, and RPC errors never swallowed silently.  The
-cross-function rules ride a project-wide call graph
+into the sweep engine's fork pool, no blocking call under the
+service's one threading lock or on a daemon's event loop, the declared
+wire surface, and RPC errors never swallowed silently.  The
+wire-schema rules ride a project-wide call graph
 (:mod:`repro.analysis.callgraph`).  See :mod:`repro.analysis.core`
 for the framework and the waiver syntax, ``docs/linting.md`` for the
 rule catalogue and the checker-author guide.

@@ -1,31 +1,25 @@
 """Interprocedural analysis core: call graph + per-function summaries.
 
-The PR 7 checkers were per-file pattern matchers: a lock cycle or a
-payload mismatch that spans two functions was invisible.  This module
-gives every checker whole-program context:
+A per-file pattern matcher cannot see a payload mismatch that spans
+two functions.  This module gives the checkers whole-program context:
 
 * **Symbol tables** — every scanned file becomes a module
   (``src/repro/net.py`` -> ``repro.net``) with its imports, top-level
   functions and classes (methods included, bases resolved through
   imports so ``self.m()`` finds inherited methods).
-* **Per-function summaries** (:class:`FunctionInfo`) — locks acquired
-  (class-qualified tokens, sync vs asyncio, what was already held),
-  calls made (with the lock context at the call site), ``await``
-  presence, and payload-parameter key reads (``data["k"]`` /
-  ``data.get("k")``) for the wire-schema checker.
-  Nested defs and lambdas are folded into the enclosing function under
-  their definition-site locks, matching the lock checker's model (in
-  this codebase closures run where they are made).
+* **Per-function summaries** (:class:`FunctionInfo`) — calls made
+  (with the payload parameters forwarded whole) and payload-parameter
+  key reads (``data["k"]`` / ``data.get("k")``) for the wire-schema
+  checker.  Nested defs and lambdas are folded into the enclosing
+  function (in this codebase closures run where they are made).
 * **Resolution** — ``self.m()`` through the class and its repo-known
   bases, bare names through module functions and ``from``-imports
   (re-export chains are chased a few hops), ``mod.f()`` through module
   aliases.  Resolution is deliberately best-effort: an unresolved call
   contributes nothing, so every derived fact stays a *may* fact on the
   resolved subgraph, never a speculative one.
-* **Fixpoint closures** — :meth:`CallGraph.transitive_locks`
-  propagates lock summaries over the graph until stable (cycles are
-  fine), and :meth:`CallGraph.payload_keys` follows a payload dict
-  forwarded whole into helpers.
+* **Payload closure** — :meth:`CallGraph.payload_keys` follows a
+  payload dict forwarded whole into helpers (recursion is fine).
 
 Exception flow is not modelled: the typed errors an RPC op may answer
 are declared in ``service/protocol.py``'s op tables and checked on
@@ -54,56 +48,12 @@ def module_name(rel: str) -> str:
     return ".".join(parts) or trimmed
 
 
-def lock_token(expr: ast.AST) -> str | None:
-    """Canonical token for a with-item that acquires a lock.
-
-    ``self._meta`` -> ``"self._meta"``; ``self._stripe_lock(key)`` ->
-    ``"self._stripe_lock()"`` (all stripe locks are one class for
-    ordering purposes); a bare name containing ``lock`` -> the name.
-    """
-    if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
-        attr = expr.attr
-        if (attr in {"_meta", "_state", "_cond"}
-                or "lock" in attr.lower()):
-            return f"{expr.value.id}.{attr}"
-        return None
-    if isinstance(expr, ast.Call):
-        name = dotted_name(expr.func)
-        if name.endswith("_lock") or name.endswith("_stripe_lock"):
-            return f"{name}()"
-        return None
-    if isinstance(expr, ast.Name) and "lock" in expr.id.lower():
-        return expr.id
-    return None
-
-
-def qualify_token(token: str, cls: str | None) -> str:
-    """``self._meta`` inside ``class NameNodeServer`` ->
-    ``NameNodeServer._meta`` so the ordering graph never aliases two
-    classes' locks just because both fields are called ``_meta``."""
-    if cls is not None and token.startswith("self."):
-        return cls + token[len("self"):]
-    return token
-
-
-@dataclass(frozen=True)
-class Acquisition:
-    """One lock acquisition inside a function body."""
-
-    token: str                      # class-qualified
-    is_sync: bool                   # ``with`` vs ``async with``
-    line: int
-    held: tuple[str, ...]           # qualified tokens held just before
-
-
 @dataclass(frozen=True)
 class CallSite:
-    """One call made by a function, with its lock context."""
+    """One call made by a function."""
 
     line: int
     raw: str                        # dotted target as written ("" if exotic)
-    held: tuple[tuple[str, bool], ...]   # (qualified token, is_sync)
-    awaited: bool
     # bare parameter names forwarded whole: (positional index, param)
     forwarded: tuple[tuple[int, str], ...] = ()
     callee: str | None = None       # resolved qualname (filled at build)
@@ -119,12 +69,9 @@ class FunctionInfo:
     name: str
     rel: str
     line: int
-    is_async: bool
     params: tuple[str, ...]         # positional params, self/cls stripped
     node: ast.AST
-    acquisitions: list[Acquisition] = field(default_factory=list)
     calls: list[CallSite] = field(default_factory=list)
-    awaits: bool = False
     # payload reads: param -> key -> (required, first line)
     reads: dict[str, dict[str, tuple[bool, int]]] = field(
         default_factory=dict)
@@ -155,70 +102,38 @@ class ModuleInfo:
 
 
 class _Summarizer:
-    """One walk of a function body, tracking the held-lock context."""
+    """One walk of a function body."""
 
     def __init__(self, fn: FunctionInfo):
         self.fn = fn
-        params = set(fn.params)
-        self._params = params
+        self._params = set(fn.params)
 
     def walk_body(self, body: list[ast.stmt]) -> None:
         for stmt in body:
-            self._walk(stmt, (), awaited=False)
+            self._walk(stmt)
 
-    def _walk(self, node: ast.AST,
-              held: tuple[tuple[str, bool], ...],
-              awaited: bool) -> None:
-        fn = self.fn
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            is_sync = isinstance(node, ast.With)
-            tokens: list[tuple[str, bool]] = []
-            for item in node.items:
-                # the with-expression evaluates *before* the lock holds
-                self._walk(item.context_expr, held, awaited)
-                token = lock_token(item.context_expr)
-                if token is not None:
-                    token = qualify_token(token, fn.cls)
-                    fn.acquisitions.append(Acquisition(
-                        token, is_sync, node.lineno,
-                        tuple(name for name, _ in held)
-                        + tuple(name for name, _ in tokens)))
-                    tokens.append((token, is_sync))
-            inner = held + tuple(tokens)
-            for stmt in node.body:
-                self._walk(stmt, inner, False)
-            return
-        if isinstance(node, ast.Await):
-            fn.awaits = True
-            self._walk(node.value, held, True)
-            return
+    def _walk(self, node: ast.AST) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.Lambda)):
-            # folded into the enclosing summary under definition-site
-            # locks
+            # folded into the enclosing summary
             body = node.body if isinstance(node.body, list) else [node.body]
             for stmt in body:
-                self._walk(stmt, held, False)
+                self._walk(stmt)
             return
         if isinstance(node, ast.Call):
-            self._record_call(node, held, awaited)
+            self._record_call(node)
         if isinstance(node, ast.Subscript):
             self._record_read(node)
         for child in ast.iter_child_nodes(node):
-            self._walk(child, held, awaited)
+            self._walk(child)
 
-    def _record_call(self, node: ast.Call,
-                     held: tuple[tuple[str, bool], ...],
-                     awaited: bool) -> None:
+    def _record_call(self, node: ast.Call) -> None:
         fn = self.fn
-        raw = dotted_name(node.func)
         forwarded = tuple(
             (index, arg.id) for index, arg in enumerate(node.args)
             if isinstance(arg, ast.Name) and arg.id in self._params)
-        fn.calls.append(CallSite(
-            node.lineno, raw,
-            tuple((qualify_token(t, fn.cls), s) for t, s in held),
-            awaited, forwarded))
+        fn.calls.append(CallSite(node.lineno, dotted_name(node.func),
+                                 forwarded))
         # payload.get("key") reads
         func = node.func
         if (isinstance(func, ast.Attribute) and func.attr == "get"
@@ -263,7 +178,6 @@ class CallGraph:
         self.modules: dict[str, ModuleInfo] = {}
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
-        self._locks_closure: dict[str, frozenset[str]] | None = None
         self._keys_memo: dict[tuple[str, str],
                               dict[str, tuple[bool, int]]] = {}
         for entry in project.all_files():
@@ -346,9 +260,8 @@ class CallGraph:
                 else f"{mod.name}.{node.name}")
         info = FunctionInfo(
             qualname=qual, module=mod.name, cls=cls, name=node.name,
-            rel=entry.rel, line=node.lineno,
-            is_async=isinstance(node, ast.AsyncFunctionDef),
-            params=tuple(params), node=node)
+            rel=entry.rel, line=node.lineno, params=tuple(params),
+            node=node)
         _Summarizer(info).walk_body(node.body)
         return info
 
@@ -435,56 +348,7 @@ class CallGraph:
                     queue.append(resolved)
         return None
 
-    # -- fixpoint closures ---------------------------------------------
-
-    def transitive_locks(self) -> dict[str, frozenset[str]]:
-        """Function -> every lock token it may acquire, transitively."""
-        if self._locks_closure is not None:
-            return self._locks_closure
-        result = {qual: {a.token for a in fn.acquisitions}
-                  for qual, fn in self.functions.items()}
-        changed = True
-        while changed:
-            changed = False
-            for qual, fn in self.functions.items():
-                mine = result[qual]
-                before = len(mine)
-                for call in fn.calls:
-                    if call.callee is not None and call.callee != qual:
-                        mine |= result.get(call.callee, set())
-                if len(mine) != before:
-                    changed = True
-        self._locks_closure = {qual: frozenset(items)
-                               for qual, items in result.items()}
-        return self._locks_closure
-
-    def acquire_chain(self, start: str, token: str) -> list[str]:
-        """Shortest call chain from ``start`` to a function that
-        directly acquires ``token`` (for human-readable cycle reports).
-        Returns function qualnames, ``[start, ..., acquirer]``."""
-        closure = self.transitive_locks()
-        if token not in closure.get(start, frozenset()):
-            return []
-        parents: dict[str, str] = {}
-        queue = [start]
-        seen = {start}
-        while queue:
-            qual = queue.pop(0)
-            fn = self.functions[qual]
-            if any(a.token == token for a in fn.acquisitions):
-                chain = [qual]
-                while chain[-1] in parents:
-                    chain.append(parents[chain[-1]])
-                return list(reversed(chain))
-            for call in fn.calls:
-                callee = call.callee
-                if (callee is None or callee in seen
-                        or token not in closure.get(callee, frozenset())):
-                    continue
-                seen.add(callee)
-                parents[callee] = qual
-                queue.append(callee)
-        return []
+    # -- payload closure -----------------------------------------------
 
     def payload_keys(self, qualname: str, param: str,
                      _stack: frozenset = frozenset()

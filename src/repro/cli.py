@@ -49,8 +49,8 @@ Static analysis
 ---------------
 
 ``repro lint`` runs the invariant checkers over the tree (determinism,
-picklability, lock discipline, declared wire surface, typed errors;
-see ``docs/linting.md``)::
+picklability, no blocking under the one threading lock or on a loop,
+declared wire surface, typed errors; see ``docs/linting.md``)::
 
     python -m repro lint                 # scan src/ benchmarks/ examples/
     python -m repro lint --format json   # machine-readable report
@@ -271,8 +271,7 @@ def run_serve(args: argparse.Namespace) -> None:
         print(f"[serve] drive it with: python -m repro load {host}:{port}",
               flush=True)
         try:
-            while not cluster.namenode._closed.wait(0.5):
-                pass
+            cluster.namenode.server.join()
             print("[serve] shutdown requested", flush=True)
         except KeyboardInterrupt:
             print("[serve] interrupted, shutting down", flush=True)
@@ -499,8 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lint = sub.add_parser(
         "lint", help="run the invariant static-analysis suite "
-                     "(determinism, picklability, locks, declared wire "
-                     "surface, typed errors)")
+                     "(determinism, picklability, blocking under a "
+                     "lock or on a loop, declared wire surface, typed "
+                     "errors)")
     p_lint.add_argument(
         "paths", nargs="*", metavar="PATH",
         help="files or directories to scan (default: the repo's src/, "

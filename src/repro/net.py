@@ -620,14 +620,15 @@ class AsyncRpcServer:
 
     Construction binds the port.  By default the loop then serves on a
     thread of its own and the surface is thread-friendly:
-    :meth:`run_coroutine` bridges sync callers onto the loop,
-    :meth:`spawn` launches background tasks (heartbeats, checker
-    sweeps), and :meth:`close` drains in-flight requests before
-    stopping the loop.  With ``own_thread=False`` nothing is served
-    until the owner calls :meth:`serve`, which runs the loop on the
-    calling thread until :meth:`close` — from a handler on the loop or
-    from any other thread — has drained it: a daemon that is nothing
-    but this server needs no second thread.
+    :meth:`run_coroutine` and :meth:`on_loop` bridge sync callers onto
+    the loop, :meth:`spawn` launches background tasks (heartbeats,
+    checker sweeps), :meth:`close` drains in-flight requests before
+    stopping the loop and :meth:`join` waits for it to stop.  With
+    ``own_thread=False`` nothing is served until the owner calls
+    :meth:`serve`, which runs the loop on the calling thread until
+    :meth:`close` — from a handler on the loop or from any other
+    thread — has drained it: a daemon that is nothing but this server
+    needs no second thread.
     """
 
     def __init__(self, handler, host: str = "127.0.0.1",
@@ -718,6 +719,18 @@ class AsyncRpcServer:
             future.cancel()
             raise
 
+    def on_loop(self, fn, *args, timeout: float | None = 10.0):
+        """``fn(*args)`` called on the loop from a foreign thread — and
+        awaited there if it returns a coroutine; its result here.  The
+        one way another thread reads a daemon's loop-owned state.
+        Raises :class:`TimeoutError` after ``timeout`` seconds."""
+        async def call():
+            result = fn(*args)
+            if asyncio.iscoroutine(result):
+                result = await result
+            return result
+        return self.run_coroutine(call(), timeout)
+
     def spawn(self, coro) -> None:
         """Launch a background task on the loop (heartbeats, sweeps)."""
         self.loop.call_soon_threadsafe(
@@ -727,10 +740,6 @@ class AsyncRpcServer:
         """Hold ``task`` until it finishes; :meth:`close` cancels it."""
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
-
-    def wake(self, event: asyncio.Event) -> None:
-        """Set an asyncio event from a foreign thread."""
-        self.loop.call_soon_threadsafe(event.set)
 
     def add_shutdown_callback(self, coro_fn) -> None:
         """``await coro_fn()`` on the loop during :meth:`close` drain."""
@@ -748,13 +757,15 @@ class AsyncRpcServer:
         deadline = self.loop.time() + self._drain_timeout
         while self.loop.time() < deadline and self._busy:
             await asyncio.sleep(0.02)
+        # Background tasks go before the callbacks run, so none of them
+        # dials out through a pool that a callback is closing.
+        for task in list(self._tasks):
+            task.cancel()
         for callback in self._shutdown_callbacks:
             try:
                 await callback()
             except Exception:
                 pass
-        for task in list(self._tasks):
-            task.cancel()
         # Remaining connections are idle (the drain above waited out
         # in-flight work): close them gracefully so any reply bytes
         # still in flight get flushed, not RST.
@@ -777,6 +788,11 @@ class AsyncRpcServer:
         self.loop.call_soon_threadsafe(self._stop)
         if self._thread not in (None, threading.current_thread()):
             self._thread.join(timeout=self._drain_timeout + 10.0)
+
+    def join(self) -> None:
+        """Block until an ``own_thread`` server's loop has ended —
+        whoever closed it (a ``shutdown`` op answers, then closes)."""
+        self._thread.join()
 
     def __enter__(self) -> "AsyncRpcServer":
         return self

@@ -12,7 +12,8 @@ which the cluster holds as a pidfd, so
 never a later process that reuses its pid.  The launcher and the
 datanodes stay in the caller's process group: a signal to the group
 (a terminal's ^C, ``timeout``) reaches every datanode.  The namenode
-runs in-process so callers can inspect its state directly.
+runs in-process, on a loop thread of its own; the harness reads its
+state through that loop (:meth:`~repro.net.AsyncRpcServer.on_loop`).
 """
 
 from __future__ import annotations
@@ -166,16 +167,14 @@ class ServiceCluster:
         wanted = set(node_ids)
         namenode = self.namenode
         deadline = time.monotonic() + timeout
-
-        def all_alive() -> bool:
-            return wanted <= set(namenode._alive_ids())
-
         while True:
             remaining = deadline - time.monotonic()
-            with namenode._registered:
-                alive = namenode._registered.wait_for(
-                    all_alive, max(0.0, min(STARTUP_CHECK_PERIOD,
-                                            remaining)))
+            try:
+                namenode.server.on_loop(namenode.wait_alive, wanted,
+                                        timeout=STARTUP_CHECK_PERIOD)
+                alive = True
+            except TimeoutError:
+                alive = False
             self._read_pids()
             if alive and wanted <= set(self._pids):
                 return
@@ -193,7 +192,8 @@ class ServiceCluster:
                 raise ServiceError(
                     f"the datanode launcher exited with "
                     f"{self._launcher.returncode} during startup")
-        dead = sorted(wanted - set(namenode._alive_ids()))
+        dead = sorted(wanted - set(namenode.server.on_loop(
+            namenode._alive_ids)))
         raise ServiceError(
             f"datanodes {dead} never became alive within {timeout:.0f}s"
             if dead else f"the launcher printed no pid for datanodes "
@@ -237,7 +237,9 @@ class ServiceCluster:
         return armed
 
     def status(self) -> dict:
-        return self.namenode._op_status({}, None)
+        """The namenode's ``status`` reply, read on its loop."""
+        return self.namenode.server.on_loop(
+            self.namenode._op_status, {}, None)
 
     def wait_settled(self, timeout: float = 30.0, poll: float = 0.2,
                      min_wait: float | None = None) -> dict:

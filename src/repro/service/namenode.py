@@ -12,15 +12,15 @@ re-placing rebuilt blocks on replacement nodes — and garbage-collects
 orphaned blocks that no committed stripe accounts for (the debris of
 aborted or expired two-phase writes).  Serving continues throughout:
 reads never block on a repair (clients decode around damage on their
-own), writes are refused only when fewer datanodes are alive than the
-code needs, and a stripe's metadata mutates only under its per-stripe
-``asyncio.Lock``.
+own), and writes are refused only when fewer datanodes are alive than
+the code needs.
 
-Request handlers run synchronously on the loop under the ``_meta``
-mutex (still a ``threading.RLock`` — tests and the cluster harness
-read state from foreign threads); the checker coroutine never awaits
-while holding it, a discipline the ``repro lint`` locks checker
-enforces.
+All of the namenode's state belongs to its event loop: request
+handlers run synchronously on it, and the checker is one coroutine
+on it that repairs one stripe at a time, so nothing takes a lock.
+A caller on another thread — the cluster harness, a test — reads
+that state through :meth:`~repro.net.AsyncRpcServer.on_loop`, which
+runs the read on the loop and hands back its result.
 
 Two-phase writes keep the namespace consistent under client failures:
 ``begin-write`` only reserves the name, the client places and stores
@@ -32,7 +32,7 @@ blocks the next sweep deletes.
 What is decided about a stripe — the namespace, store order, where a
 failed slot is rebuilt, the repair plan, the put-back list, the
 re-binding — is decided in :mod:`repro.cluster.namenode`, the model
-MiniHDFS drives too; this module is the daemon around it: locks,
+MiniHDFS drives too; this module is the daemon around it: the loop,
 awaits, liveness, scrub, GC.  With a ``rack_map`` (``node_id -> rack``)
 ``place-stripe`` places through
 :class:`~repro.cluster.placement.RackAwarePlacement` instead of
@@ -44,7 +44,6 @@ single rack loss stays within the code's failure-domain tolerance.
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -124,9 +123,6 @@ class NameNodeServer:
                          else {int(k): int(v) for k, v in rack_map.items()})
         self._placement = (RandomSpreadPlacement() if rack_map is None
                            else RackAwarePlacement())
-        self._meta = threading.RLock()
-        #: Notified under ``_meta`` whenever a datanode registers.
-        self._registered = threading.Condition(self._meta)
         self._namespace = NameNode()
         self._checksums: dict[BlockId, int] = {}
         self._pending: dict[str, float] = {}      # reserved name -> since
@@ -141,9 +137,9 @@ class NameNodeServer:
         self._stats = {"repairs_done": 0, "repair_failures": 0,
                        "checker_sweeps": 0, "degraded_blocks_seen": 0,
                        "gc_blocks": 0}
-        self._stripe_locks: dict[tuple[str, int], asyncio.Lock] = {}
-        self._closed = threading.Event()
         self._kick = asyncio.Event()
+        #: Set by each registration (see :meth:`wait_alive`).
+        self._registration = asyncio.Event()
         self._pool = RpcPool(
             retry=RetryPolicy(attempts=1, timeout=rpc_timeout),
             error_unmarshaller=unmarshal_error)
@@ -156,11 +152,6 @@ class NameNodeServer:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        self._closed.set()
-        try:
-            self.server.wake(self._kick)
-        except RuntimeError:
-            pass            # loop already stopped (double close)
         self.server.close()
 
     def __enter__(self) -> "NameNodeServer":
@@ -174,35 +165,37 @@ class NameNodeServer:
     # ------------------------------------------------------------------
     def _code(self, code_name) -> Code:
         expect("code_name", code_name, str)
-        with self._meta:
-            if code_name not in self._codes:
-                try:
-                    self._codes[code_name] = make_code(code_name)
-                except (KeyError, ValueError) as exc:
-                    # an unknown name, or a family's parameters out of
-                    # range ("rs(1,2)"): the client's mistake, and no
-                    # op that names a code declares either error
-                    raise ProtocolError(
-                        f"unknown code name {code_name!r}: "
-                        f"{exc.args[0] if exc.args else exc}") from exc
-            return self._codes[code_name]
+        if code_name not in self._codes:
+            try:
+                self._codes[code_name] = make_code(code_name)
+            except (KeyError, ValueError) as exc:
+                # an unknown name, or a family's parameters out of
+                # range ("rs(1,2)"): the client's mistake, and no op
+                # that names a code declares either error
+                raise ProtocolError(
+                    f"unknown code name {code_name!r}: "
+                    f"{exc.args[0] if exc.args else exc}") from exc
+        return self._codes[code_name]
 
     def _alive_ids(self) -> list[int]:
         """Datanodes whose last heartbeat is within the silence budget."""
         horizon = time.monotonic() - self.silence_timeout
-        with self._meta:
-            return sorted(node_id
-                          for node_id, record in self._datanodes.items()
-                          if record.last_beat >= horizon)
+        return sorted(node_id
+                      for node_id, record in self._datanodes.items()
+                      if record.last_beat >= horizon)
 
     def _addresses(self) -> dict[int, tuple[str, int]]:
-        with self._meta:
-            return {node_id: record.address
-                    for node_id, record in self._datanodes.items()}
+        return {node_id: record.address
+                for node_id, record in self._datanodes.items()}
 
-    def _stripe_lock(self, key: tuple[str, int]) -> asyncio.Lock:
-        with self._meta:
-            return self._stripe_locks.setdefault(key, asyncio.Lock())
+    async def wait_alive(self, node_ids) -> None:
+        """Return once every datanode in ``node_ids`` is alive, woken by
+        each registration (the cluster harness awaits this through
+        :meth:`~repro.net.AsyncRpcServer.on_loop`)."""
+        wanted = set(node_ids)
+        while not wanted <= set(self._alive_ids()):
+            self._registration.clear()
+            await self._registration.wait()
 
     async def _dn_call(self, node_id: int, kind: str, data) -> object:
         """One pooled RPC to a datanode (scrub/repair/GC path)."""
@@ -242,14 +235,13 @@ class NameNodeServer:
                 f"dn-register needs node_id >= 0 and a (str host, int "
                 f"port) address: {node_id}, {data['address']!r}")
         address = (host, port)
-        with self._meta:
-            record = self._datanodes.get(node_id)
-            if record is None:
-                self._datanodes[node_id] = DataNodeRecord(node_id, address)
-            else:       # reconnect / restart: refresh address and beat
-                record.address = address
-                record.last_beat = time.monotonic()
-            self._registered.notify_all()
+        record = self._datanodes.get(node_id)
+        if record is None:
+            self._datanodes[node_id] = DataNodeRecord(node_id, address)
+        else:           # reconnect / restart: refresh address and beat
+            record.address = address
+            record.last_beat = time.monotonic()
+        self._registration.set()
         return {"node_id": node_id, "block_bytes": self.block_bytes,
                 "version": SERVICE_VERSION}
 
@@ -257,13 +249,12 @@ class NameNodeServer:
         del peer
         node_id = expect("node_id", data["node_id"], int)
         blocks = expect("blocks", data.get("blocks", 0), int)
-        with self._meta:
-            record = self._datanodes.get(node_id)
-            if record is None:
-                raise ProtocolError(
-                    f"heartbeat from unregistered datanode {node_id}")
-            record.last_beat = time.monotonic()
-            record.blocks = blocks
+        record = self._datanodes.get(node_id)
+        if record is None:
+            raise ProtocolError(
+                f"heartbeat from unregistered datanode {node_id}")
+        record.last_beat = time.monotonic()
+        record.blocks = blocks
         return {}
 
     # -- client-facing: namespace -------------------------------------
@@ -273,22 +264,19 @@ class NameNodeServer:
 
     def _op_list(self, data, peer) -> list:
         del data, peer
-        with self._meta:
-            return self._namespace.files()
+        return self._namespace.files()
 
     def _op_stat(self, data, peer) -> dict:
         del peer
         name = expect("name", data["name"], str)
-        with self._meta:
-            info = self._namespace.file(name)
-            stripes = [tuple(stripe.slot_nodes) for stripe in info.stripes]
-            out = {"name": name, "code_name": info.code_name,
-                   "size_bytes": info.size_bytes,
-                   "block_bytes": info.block_bytes,
-                   "stripes": stripes}
-        out["datanodes"] = self._addresses()
-        out["alive"] = self._alive_ids()
-        return out
+        info = self._namespace.file(name)
+        return {"name": name, "code_name": info.code_name,
+                "size_bytes": info.size_bytes,
+                "block_bytes": info.block_bytes,
+                "stripes": [tuple(stripe.slot_nodes)
+                            for stripe in info.stripes],
+                "datanodes": self._addresses(),
+                "alive": self._alive_ids()}
 
     def _op_begin_write(self, data, peer) -> dict:
         del peer
@@ -300,13 +288,12 @@ class NameNodeServer:
                 f"{code.name} needs {code.length} datanodes, only "
                 f"{len(alive)} alive — the service is read-only below "
                 "the code's tolerance")
-        with self._meta:
-            if name in self._namespace:
-                raise FileExistsError(f"file {name!r} already exists")
-            if name in self._pending:
-                raise WriteRefusedError(
-                    f"file {name!r} is already being written")
-            self._pending[name] = time.monotonic()
+        if name in self._namespace:
+            raise FileExistsError(f"file {name!r} already exists")
+        if name in self._pending:
+            raise WriteRefusedError(
+                f"file {name!r} is already being written")
+        self._pending[name] = time.monotonic()
         return {"block_bytes": self.block_bytes}
 
     def _op_place_stripe(self, data, peer) -> dict:
@@ -321,9 +308,8 @@ class NameNodeServer:
             raise WriteRefusedError(
                 f"{code.name} needs {code.length} distinct datanodes; "
                 f"{len(eligible)} eligible (alive minus {sorted(exclude)})")
-        topology = self._topology(eligible)
-        with self._meta:
-            placed = self._placement.place_stripe(code, topology, self._rng)
+        placed = self._placement.place_stripe(
+            code, self._topology(eligible), self._rng)
         return {"slot_nodes": tuple(int(n) for n in placed),
                 "datanodes": self._addresses()}
 
@@ -378,22 +364,18 @@ class NameNodeServer:
             checksums.update((stripe.block_id(int(symbol)), crc)
                              for symbol, crc in crcs.items())
             info.stripes.append(stripe)
-        with self._meta:
-            if name not in self._pending:
-                raise ProtocolError(
-                    f"commit of {name!r} without begin-write")
-            # Atomic publish: namespace + checksums land together.
-            self._namespace.create_file(info)
-            self._checksums.update(checksums)
-            del self._pending[name]
+        if name not in self._pending:
+            raise ProtocolError(f"commit of {name!r} without begin-write")
+        # Atomic publish: namespace + checksums land together.
+        self._namespace.create_file(info)
+        self._checksums.update(checksums)
+        del self._pending[name]
         return {"stripes": len(info.stripes)}
 
     def _op_abort_write(self, data, peer) -> dict:
         del peer
         name = expect("name", data["name"], str)
-        with self._meta:
-            existed = self._pending.pop(name, None) is not None
-        return {"aborted": existed}
+        return {"aborted": self._pending.pop(name, None) is not None}
 
     def _op_report_corrupt(self, data, peer) -> dict:
         """A client hit a corrupt or missing block: queue the stripe now
@@ -402,91 +384,86 @@ class NameNodeServer:
         block = block_from_tuple(data["block"])
         node_id = expect("node_id", data["node_id"], int)
         key = (block.file_name, block.stripe_index)
-        with self._meta:
-            try:
-                stripe = self._namespace.stripe_of(block)
-            except IndexError as exc:
-                raise ProtocolError(f"report-corrupt: {exc}") from exc
-            slot = stripe.slot_of_node(node_id)
-            if slot is not None:
-                self._damaged.setdefault(key, set()).add(slot)
-                self._enqueue_repair(key)
-        self._kick.set()        # handlers run on the loop: safe directly
+        try:
+            stripe = self._namespace.stripe_of(block)
+        except IndexError as exc:
+            raise ProtocolError(f"report-corrupt: {exc}") from exc
+        slot = stripe.slot_of_node(node_id)
+        if slot is not None:
+            self._damaged.setdefault(key, set()).add(slot)
+            self._enqueue_repair(key)
+        self._kick.set()
         return {}
 
     def _op_status(self, data, peer) -> dict:
         del data, peer
         alive = set(self._alive_ids())
         now = time.monotonic()
-        with self._meta:
-            datanodes = {}
-            for node_id, record in self._datanodes.items():
-                entry = {"address": record.address,
-                         "alive": node_id in alive,
-                         "blocks": record.blocks,
-                         "silence_s": round(now - record.last_beat, 3)}
-                if self.rack_map is not None:
-                    entry["rack"] = self.rack_map.get(node_id)
-                datanodes[node_id] = entry
-            stripes = self._namespace.stripes()
-            # Stripes with a slot on a dead node: the checker's backlog
-            # even before its next sweep has noticed — the load/CI
-            # settle condition keys off this going to zero.
-            degraded_stripes = sum(
-                1 for stripe in stripes
-                if (stripe.file_name, stripe.stripe_index) not in self._lost
-                and any(node not in alive for node in stripe.slot_nodes))
-            out = {
-                "version": SERVICE_VERSION,
-                "block_bytes": self.block_bytes,
-                "datanodes": datanodes,
-                "alive": sorted(alive),
-                "files": len(self._namespace.files()),
-                "pending_writes": len(self._pending),
-                "stripes": len(stripes),
-                "repair": {
-                    "queued": len(self._repair_queue),
-                    "in_progress": self._repairing is not None,
-                    "damaged_stripes": len(self._damaged),
-                    "degraded_stripes": degraded_stripes,
-                    "done": self._stats["repairs_done"],
-                    "failed": self._stats["repair_failures"],
-                    "lost": sorted(self._lost),
-                },
-                "checker": {
-                    "sweeps": self._stats["checker_sweeps"],
-                    "period_s": self.check_period,
-                    "silence_timeout_s": self.silence_timeout,
-                    "gc_blocks": self._stats["gc_blocks"],
-                },
-            }
-        return out
+        datanodes = {}
+        for node_id, record in self._datanodes.items():
+            entry = {"address": record.address,
+                     "alive": node_id in alive,
+                     "blocks": record.blocks,
+                     "silence_s": round(now - record.last_beat, 3)}
+            if self.rack_map is not None:
+                entry["rack"] = self.rack_map.get(node_id)
+            datanodes[node_id] = entry
+        stripes = self._namespace.stripes()
+        # Stripes with a slot on a dead node: the checker's backlog even
+        # before its next sweep has noticed — the load/CI settle
+        # condition keys off this going to zero.
+        degraded_stripes = sum(
+            1 for stripe in stripes
+            if (stripe.file_name, stripe.stripe_index) not in self._lost
+            and any(node not in alive for node in stripe.slot_nodes))
+        return {
+            "version": SERVICE_VERSION,
+            "block_bytes": self.block_bytes,
+            "datanodes": datanodes,
+            "alive": sorted(alive),
+            "files": len(self._namespace.files()),
+            "pending_writes": len(self._pending),
+            "stripes": len(stripes),
+            "repair": {
+                "queued": len(self._repair_queue),
+                "in_progress": self._repairing is not None,
+                "damaged_stripes": len(self._damaged),
+                "degraded_stripes": degraded_stripes,
+                "done": self._stats["repairs_done"],
+                "failed": self._stats["repair_failures"],
+                "lost": sorted(self._lost),
+            },
+            "checker": {
+                "sweeps": self._stats["checker_sweeps"],
+                "period_s": self.check_period,
+                "silence_timeout_s": self.silence_timeout,
+                "gc_blocks": self._stats["gc_blocks"],
+            },
+        }
 
     def _op_shutdown(self, data, peer) -> dict:
         del data, peer
-        # close() must run off-loop (it joins the loop thread).
-        threading.Thread(target=self.close, daemon=True).start()
+        self.close()            # answered first, then the loop drains
         return {}
 
     # ------------------------------------------------------------------
     # Checker / repairer loop
     # ------------------------------------------------------------------
     def _enqueue_repair(self, key: tuple[str, int]) -> None:
-        with self._meta:
-            if key not in self._queued and key not in self._lost:
-                self._queued.add(key)
-                self._repair_queue.append(key)
+        if key not in self._queued and key not in self._lost:
+            self._queued.add(key)
+            self._repair_queue.append(key)
 
     async def _checker_loop(self) -> None:
-        while not self._closed.is_set():
+        """Sweep, then repair, every ``check_period`` or on a kick, until
+        the server's drain cancels it."""
+        while True:
             try:
                 async with asyncio.timeout(self.check_period):
                     await self._kick.wait()
             except TimeoutError:
                 pass
             self._kick.clear()
-            if self._closed.is_set():
-                return
             try:
                 await self._sweep()
             except Exception:       # a sick sweep must not kill the loop
@@ -496,17 +473,16 @@ class NameNodeServer:
     async def _sweep(self) -> None:
         """One checker pass: scrub checksums, find damage, GC orphans."""
         alive = set(self._alive_ids())
-        with self._meta:
-            # slot_nodes is read below without the lock: only
-            # _repair_stripe re-homes a stripe, and it runs after the
-            # sweep on this same coroutine
-            stripes = self._namespace.stripes()
-            expected = dict(self._checksums)
-            now = time.monotonic()
-            for name, since in list(self._pending.items()):
-                if now - since > self.reservation_timeout:
-                    del self._pending[name]     # writer died; free the name
-            self._stats["checker_sweeps"] += 1
+        # A snapshot: commits land while the scrub RPCs are in flight.
+        # slot_nodes may be read live, since only _repair_stripe
+        # re-homes a stripe and it runs after the sweep on this coroutine.
+        stripes = self._namespace.stripes()
+        expected = dict(self._checksums)
+        now = time.monotonic()
+        for name, since in list(self._pending.items()):
+            if now - since > self.reservation_timeout:
+                del self._pending[name]     # writer died; free the name
+        self._stats["checker_sweeps"] += 1
         # Scrub: fetch each alive datanode's full inventory of current
         # CRCs.
         inventories: dict[int, dict] = {}
@@ -535,8 +511,7 @@ class NameNodeServer:
                         slots.add(stripe.slot_of_node(node_id))
             if slots:
                 key = (stripe.file_name, stripe.stripe_index)
-                with self._meta:
-                    self._damaged.setdefault(key, set()).update(slots)
+                self._damaged.setdefault(key, set()).update(slots)
                 self._enqueue_repair(key)
         await self._gc_orphans(unclaimed)
 
@@ -548,74 +523,65 @@ class NameNodeServer:
         on the datanodes (client-side deletes are best-effort only);
         so can a repair that re-homed a slot away from a node that
         later revived.  Keep/delete decisions are made against
-        *current* metadata under ``_meta`` — not the sweep-start
-        snapshot — so a file that committed while the scrub RPCs were
-        in flight keeps its fresh blocks: a ``_pending`` name is an
-        in-flight write, and stripes owned by the repair queue are
-        left untouched until the repair settles.
+        *current* metadata — not the sweep-start snapshot — so a file
+        that committed while the scrub RPCs were in flight keeps its
+        fresh blocks: a ``_pending`` name is an in-flight write, and
+        stripes owned by the repair queue are left untouched until the
+        repair settles.
         """
         doomed: dict[int, list[tuple]] = {}
-        with self._meta:
-            for node_id, entries in unclaimed.items():
-                for entry in entries:
-                    name, stripe_index, symbol_index = entry
-                    if name in self._pending:
-                        continue            # write still in flight
-                    try:
-                        stripe = self._namespace.stripe_of(BlockId(*entry))
-                    except (FileNotFoundError, IndexError):
-                        # aborted/expired/unknown, or outside the file
-                        doomed.setdefault(node_id, []).append(entry)
-                        continue
-                    key = (name, stripe_index)
-                    if (key in self._damaged or key in self._queued
-                            or key == self._repairing):
-                        continue            # the repairer owns this stripe
-                    if node_id not in stripe.replica_nodes(symbol_index):
-                        # stale copy from before a repair re-homed it
-                        doomed.setdefault(node_id, []).append(entry)
+        for node_id, entries in unclaimed.items():
+            for entry in entries:
+                name, stripe_index, symbol_index = entry
+                if name in self._pending:
+                    continue                # write still in flight
+                try:
+                    stripe = self._namespace.stripe_of(BlockId(*entry))
+                except (FileNotFoundError, IndexError):
+                    # aborted/expired/unknown, or outside the file
+                    doomed.setdefault(node_id, []).append(entry)
+                    continue
+                key = (name, stripe_index)
+                if (key in self._damaged or key in self._queued
+                        or key == self._repairing):
+                    continue                # the repairer owns this stripe
+                if node_id not in stripe.replica_nodes(symbol_index):
+                    # stale copy from before a repair re-homed it
+                    doomed.setdefault(node_id, []).append(entry)
         for node_id, entries in doomed.items():
             try:
                 reply = await self._dn_call(node_id, "delete",
                                             {"blocks": entries})
             except (ConnectionError, OSError, ProtocolError):
                 continue        # unreachable: next sweep retries
-            with self._meta:
-                self._stats["gc_blocks"] += int(reply.get("dropped", 0))
+            self._stats["gc_blocks"] += int(reply.get("dropped", 0))
 
     async def _drain_repairs(self) -> None:
-        while not self._closed.is_set():
-            with self._meta:
-                if not self._repair_queue:
-                    return
-                key = self._repair_queue.popleft()
-                self._queued.discard(key)
-                self._repairing = key
+        while self._repair_queue:
+            key = self._repair_queue.popleft()
+            self._queued.discard(key)
+            self._repairing = key
             requeue = False
             try:
                 requeue = not await self._repair_stripe(key)
             except UnrecoverableStripeError:
-                with self._meta:
-                    self._lost.add(key)
-                    self._damaged.pop(key, None)
-                    self._stats["repair_failures"] += 1
+                self._lost.add(key)
+                self._damaged.pop(key, None)
+                self._stats["repair_failures"] += 1
             except CorruptBlockError as error:
                 # A repair source turned out corrupt: widen the damage
                 # set and try again next round.
-                with self._meta:
-                    stripe = self._namespace.file(key[0]).stripes[key[1]]
-                    slot = stripe.slot_of_node(error.node_id)
-                    if slot is not None:
-                        self._damaged.setdefault(key, set()).add(slot)
-                    self._stats["repair_failures"] += 1
+                stripe = self._namespace.file(key[0]).stripes[key[1]]
+                slot = stripe.slot_of_node(error.node_id)
+                if slot is not None:
+                    self._damaged.setdefault(key, set()).add(slot)
+                self._stats["repair_failures"] += 1
                 requeue = True
             except Exception:
-                with self._meta:
-                    self._stats["repair_failures"] += 1
+                self._stats["repair_failures"] += 1
                 requeue = True
             finally:
-                with self._meta:
-                    self._repairing = None
+                self._repairing = None
             if requeue:
                 self._enqueue_repair(key)
                 return      # let liveness/scrub state evolve first
@@ -623,57 +589,50 @@ class NameNodeServer:
     async def _repair_stripe(self, key: tuple[str, int]) -> bool:
         """Rebuild one stripe's damaged slots; True when fully handled.
 
-        Serving continues while this runs — only the stripe's own
-        asyncio lock is held across the repair RPCs, and readers never
-        take it (they decode around damage client-side until the
-        repair lands).  ``_meta`` is only ever held between awaits.
+        Serving continues while this awaits its repair RPCs: readers
+        decode around the damage client-side until the repair lands.
+        Only the checker coroutine repairs, one stripe at a time, and
+        ``_repairing`` names that stripe so the GC pass leaves it be.
         """
-        async with self._stripe_lock(key):
-            alive = set(self._alive_ids())
-            with self._meta:
-                stripe = self._namespace.file(key[0]).stripes[key[1]]
-                damaged = set(self._damaged.get(key, ()))
-            damaged |= stripe.failed_slots(set(stripe.slot_nodes) - alive)
-            if not damaged:
-                with self._meta:
-                    self._damaged.pop(key, None)
-                return True         # healed elsewhere (e.g. node revived)
-            targets = choose_targets(
-                stripe, damaged, alive,
-                None if self.rack_map is None else self.rack_map.get)
-            # planned even with no spare to put it on: a stripe past
-            # decoding is lost now, not requeued forever
-            plan = stripe.plan_repair(damaged, targets or {})
-            if targets is None:
-                return False        # no replacement capacity yet: requeue
-            # Pre-fetch every network transfer (DECODED ones are local
-            # hand-offs inside the interpreter; the rest never depend
-            # on earlier payloads), then interpret the plan over the
-            # prefetched payloads, which arrive in plan order.
-            prefetched: list[np.ndarray] = []
-            for transfer in plan.transfers:
-                if transfer.kind is TransferKind.DECODED:
-                    continue
-                kind, data = transfer_request(
-                    stripe.file_name, stripe.stripe_index, transfer)
-                reply = await self._dn_call(
-                    stripe.slot_nodes[transfer.source_slot], kind, data)
-                prefetched.append(
-                    np.frombuffer(reply["data"], dtype=np.uint8))
-            payloads = iter(prefetched)
-            puts = stripe.rebuilt_blocks(
-                targets, run_plan(plan, lambda transfer: next(payloads)))
-            with self._meta:
-                expected = [self._checksums.get(block)
-                            for _, block, _ in puts]
-            for (node_id, block, payload), crc in zip(puts, expected):
-                reply = await self._dn_call(
-                    node_id, "put", {"block": block_tuple(block),
-                                     "data": payload.tobytes()})
-                if crc is not None and reply["crc"] != crc:
-                    raise CorruptBlockError(node_id, block)
-            with self._meta:
-                stripe.rehome(targets)
-                self._damaged.pop(key, None)
-                self._stats["repairs_done"] += 1
-            return True
+        alive = set(self._alive_ids())
+        stripe = self._namespace.file(key[0]).stripes[key[1]]
+        damaged = set(self._damaged.get(key, ()))
+        damaged |= stripe.failed_slots(set(stripe.slot_nodes) - alive)
+        if not damaged:
+            self._damaged.pop(key, None)
+            return True             # healed elsewhere (e.g. node revived)
+        targets = choose_targets(
+            stripe, damaged, alive,
+            None if self.rack_map is None else self.rack_map.get)
+        # planned even with no spare to put it on: a stripe past
+        # decoding is lost now, not requeued forever
+        plan = stripe.plan_repair(damaged, targets or {})
+        if targets is None:
+            return False            # no replacement capacity yet: requeue
+        # Pre-fetch every network transfer (DECODED ones are local
+        # hand-offs inside the interpreter; the rest never depend on
+        # earlier payloads), then interpret the plan over the
+        # prefetched payloads, which arrive in plan order.
+        prefetched: list[np.ndarray] = []
+        for transfer in plan.transfers:
+            if transfer.kind is TransferKind.DECODED:
+                continue
+            kind, data = transfer_request(
+                stripe.file_name, stripe.stripe_index, transfer)
+            reply = await self._dn_call(
+                stripe.slot_nodes[transfer.source_slot], kind, data)
+            prefetched.append(np.frombuffer(reply["data"], dtype=np.uint8))
+        payloads = iter(prefetched)
+        puts = stripe.rebuilt_blocks(
+            targets, run_plan(plan, lambda transfer: next(payloads)))
+        for node_id, block, payload in puts:
+            reply = await self._dn_call(
+                node_id, "put", {"block": block_tuple(block),
+                                 "data": payload.tobytes()})
+            crc = self._checksums.get(block)
+            if crc is not None and reply["crc"] != crc:
+                raise CorruptBlockError(node_id, block)
+        stripe.rehome(targets)
+        self._damaged.pop(key, None)
+        self._stats["repairs_done"] += 1
+        return True

@@ -4,7 +4,7 @@ A datanode serves on the thread that calls
 :meth:`~repro.service.datanode.DataNodeServer.serve`; a test keeps its
 own thread and serves the daemon from a second one.  Its state belongs
 to its loop: a test reaches it through the declared ops, or through
-:func:`on_loop`.
+:meth:`~repro.net.AsyncRpcServer.on_loop`.
 """
 
 import contextlib
@@ -23,10 +23,3 @@ def serving(daemon):
         daemon.close()
         thread.join(timeout=10.0)
         assert not thread.is_alive(), "the datanode did not stop"
-
-
-def on_loop(daemon, fn, *args):
-    """``fn(*args)``, called on the daemon's loop; its result here."""
-    async def call():
-        return fn(*args)
-    return daemon.server.run_coroutine(call(), timeout=10.0)

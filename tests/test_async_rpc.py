@@ -22,6 +22,7 @@ from repro.net import (
     send_frame,
 )
 from repro.service.datanode import DataNodeServer, call
+from repro.service.namenode import NameNodeServer
 from repro.service.protocol import marshal_error, unmarshal_error
 
 from datanode_thread import serving
@@ -121,20 +122,87 @@ class TestGracefulDrain:
             assert recv_frame(sock) == ("ok", "done")
 
 
-    def test_a_datanode_answers_shutdown_then_stops(self):
-        daemon = DataNodeServer(0, ("127.0.0.1", _free_port()),
-                                connect_retries=10**6,
-                                heartbeat_interval=30.0)
-        serving = threading.Thread(target=daemon.serve, daemon=True)
-        serving.start()
+    @pytest.mark.parametrize("kind", ["datanode", "namenode"])
+    def test_a_daemon_answers_shutdown_then_stops(self, kind, monkeypatch):
+        """The reply goes out, then the daemon's loop drains and stops —
+        on the loop itself: no thread is started to close it."""
+        if kind == "datanode":
+            daemon = DataNodeServer(0, ("127.0.0.1", _free_port()),
+                                    connect_retries=10**6,
+                                    heartbeat_interval=30.0)
+            loop = threading.Thread(target=daemon.serve, daemon=True)
+            loop.start()
+            answer = {"node_id": 0}
+        else:
+            daemon = NameNodeServer(check_period=30.0)
+            loop, answer = daemon.server._thread, {}
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread)
+                            or start(thread))
         with socket.create_connection(daemon.address) as sock:
-            call(sock, "put", {"block": ("s", 0, 0), "data": b"x"})
-            assert call(sock, "shutdown", None) == {"node_id": 0}
-            serving.join(timeout=10.0)
-            assert not serving.is_alive()       # serve() returned
+            if kind == "datanode":
+                call(sock, "put", {"block": ("s", 0, 0), "data": b"x"})
+            assert call(sock, "shutdown", None) == answer
+            loop.join(timeout=10.0)
+            assert not loop.is_alive()          # the loop has ended
             sock.settimeout(5.0)
             with pytest.raises((ConnectionError, OSError)):
                 call(sock, "status", None)
+        assert started == []
+
+
+class TestOnLoop:
+    """The one bridge from a foreign thread onto a server's loop."""
+
+    def test_the_result_comes_back_to_the_caller(self, echo_server):
+        assert echo_server.on_loop(sorted, {3, 1, 2}) == [1, 2, 3]
+
+    def test_fn_runs_on_the_loop_thread(self, echo_server):
+        assert (echo_server.on_loop(threading.get_ident)
+                == echo_server._thread.ident)
+
+    def test_a_returned_coroutine_is_awaited_on_the_loop(self, echo_server):
+        async def doubled(value):
+            await asyncio.sleep(0)
+            return value * 2, threading.get_ident()
+        assert echo_server.on_loop(doubled, 21) == (
+            42, echo_server._thread.ident)
+
+    def test_an_exception_reaches_the_caller(self, echo_server):
+        with pytest.raises(KeyError, match="gone"):
+            echo_server.on_loop({}.pop, "gone")
+        assert echo_server.on_loop(len, "still serving") == 13
+
+    def test_a_timeout_raises_and_cancels_the_call(self, echo_server):
+        cancelled = threading.Event()
+
+        async def stuck():
+            try:
+                await asyncio.sleep(60.0)
+            except asyncio.CancelledError:
+                cancelled.set()
+                raise
+
+        with pytest.raises(TimeoutError):
+            echo_server.on_loop(stuck, timeout=0.05)
+        assert cancelled.wait(5.0)
+
+    def test_join_returns_once_a_handler_has_closed_the_server(self):
+        def handler(kind, data, peer):
+            server.close()          # on the loop: answered, then drained
+            return "bye"
+
+        server = AsyncRpcServer(handler, "127.0.0.1", 0, name="closer")
+        with socket.create_connection(server.address) as sock:
+            send_frame(sock, ("stop", None))
+            assert recv_frame(sock) == ("ok", "bye")
+        joiner = threading.Thread(target=server.join, daemon=True)
+        joiner.start()
+        joiner.join(timeout=10.0)
+        assert not joiner.is_alive()
+        assert not server._thread.is_alive()
 
 
 class TestRetryPolicyConsolidation:

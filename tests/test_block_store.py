@@ -21,7 +21,7 @@ from repro.gf import kernels, linear_combine, native
 from repro.service.datanode import DataNodeServer, call
 from repro.service.namenode import NameNodeServer
 
-from datanode_thread import on_loop, serving
+from datanode_thread import serving
 
 BACKENDS = ["native", "numpy"] if native.load() is not None else ["numpy"]
 
@@ -94,8 +94,9 @@ def stored(datanode, count, length, seed):
     blocks = [rng.integers(0, 256, length, dtype=np.uint8).tobytes()
               for _ in range(count)]
     for symbol, data in enumerate(blocks):
-        on_loop(datanode, datanode._op_put,
-                {"block": (f"c{seed}", length, symbol), "data": data}, None)
+        datanode.server.on_loop(
+            datanode._op_put,
+            {"block": (f"c{seed}", length, symbol), "data": data}, None)
     return blocks
 
 
@@ -110,8 +111,8 @@ class TestWire:
             parts = [(("w", 0, 0), 1), (("w", 0, 1), coefficient)]
             data = call(sock, "combine", {"parts": parts})["data"]
             assert type(data) is bytes and len(data) == len(PAYLOAD)
-        assert type(on_loop(datanode, datanode.store.get,
-                            BlockId("w", 0, 1))) is bytes
+        assert type(datanode.server.on_loop(
+            datanode.store.get, BlockId("w", 0, 1))) is bytes
 
     def test_combine_of_unequal_blocks_is_a_value_error(self, sock):
         call(sock, "put", {"block": ("w", 2, 0), "data": b"x" * 8})
@@ -140,7 +141,7 @@ class TestDaemonCombine:
         for vector in vectors:
             parts = [((f"c{length}", length, symbol), coefficient)
                      for symbol, coefficient in enumerate(vector)]
-            got = on_loop(datanode, datanode._op_combine,
-                          {"parts": parts}, None)["data"]
+            got = datanode.server.on_loop(
+                datanode._op_combine, {"parts": parts}, None)["data"]
             want = linear_combine(vector, blocks[:len(vector)]).tobytes()
             assert type(got) is bytes and got == want, (backend, vector)

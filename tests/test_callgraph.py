@@ -1,15 +1,13 @@
 """The interprocedural core: symbol resolution across modules and
-re-exports, method lookup through bases, the transitive lock closure,
-and payload-key propagation through forwarded dicts."""
+re-exports, method lookup through bases, and payload-key propagation
+through forwarded dicts."""
 
 from __future__ import annotations
 
 import textwrap
 
 from repro.analysis.core import Project
-from repro.analysis.callgraph import (CallGraph, get_callgraph,
-                                      lock_token, module_name,
-                                      qualify_token)
+from repro.analysis.callgraph import CallGraph, get_callgraph, module_name
 
 
 def build(tmp_path, files):
@@ -26,11 +24,6 @@ class TestNaming:
         assert module_name("src/repro/net.py") == "repro.net"
         assert module_name("repro/core/__init__.py") == "repro.core"
         assert module_name("benchmarks/run.py") == "benchmarks.run"
-
-    def test_qualify_token(self):
-        assert qualify_token("self._meta", "NameNode") == "NameNode._meta"
-        assert qualify_token("self._meta", None) == "self._meta"
-        assert qualify_token("GLOBAL_LOCK", "NameNode") == "GLOBAL_LOCK"
 
 
 class TestResolution:
@@ -111,68 +104,6 @@ class TestResolution:
         assert call.callee == "pkg.base.Base.shared"
 
 
-class TestClosures:
-    LOCKED = {
-        "pkg/__init__.py": "",
-        "pkg/daemon.py": """\
-            import threading
-
-            class Daemon:
-                def __init__(self):
-                    self._meta = threading.Lock()
-                    self._io_lock = threading.Lock()
-
-                def outer(self):
-                    with self._meta:
-                        return self.inner()
-
-                def inner(self):
-                    with self._io_lock:
-                        return 1
-        """,
-    }
-
-    def test_transitive_locks(self, tmp_path):
-        graph = build(tmp_path, self.LOCKED)
-        closure = graph.transitive_locks()
-        assert closure["pkg.daemon.Daemon.outer"] == frozenset(
-            {"Daemon._meta", "Daemon._io_lock"})
-        assert closure["pkg.daemon.Daemon.inner"] == frozenset(
-            {"Daemon._io_lock"})
-
-    def test_acquire_chain(self, tmp_path):
-        graph = build(tmp_path, self.LOCKED)
-        chain = graph.acquire_chain("pkg.daemon.Daemon.outer",
-                                    "Daemon._io_lock")
-        assert chain == ["pkg.daemon.Daemon.outer",
-                         "pkg.daemon.Daemon.inner"]
-
-    def test_lock_token_shapes(self, tmp_path):
-        graph = build(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/locks.py": """\
-                import threading
-
-                GLOBAL_LOCK = threading.Lock()
-
-                class D:
-                    def with_global(self):
-                        with GLOBAL_LOCK:
-                            return 1
-
-                    def with_call(self, key):
-                        with self._stripe_lock(key):
-                            return 2
-            """,
-        })
-        fns = graph.functions
-        assert [a.token for a in
-                fns["pkg.locks.D.with_global"].acquisitions] == ["GLOBAL_LOCK"]
-        assert [a.token for a in
-                fns["pkg.locks.D.with_call"].acquisitions] == [
-                    "D._stripe_lock()"]
-
-
 class TestPayloadKeys:
     def test_forwarded_payload_merges_reads(self, tmp_path):
         graph = build(tmp_path, {
@@ -209,9 +140,6 @@ class TestPayloadKeys:
 
 class TestCaching:
     def test_get_callgraph_memoizes_on_project(self, tmp_path):
-        for rel, src in TestClosures.LOCKED.items():
-            path = tmp_path / rel
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(textwrap.dedent(src))
+        (tmp_path / "mod.py").write_text("def f():\n    return 1\n")
         project = Project(tmp_path, [tmp_path], context_paths=())
         assert get_callgraph(project) is get_callgraph(project)

@@ -49,7 +49,7 @@ from repro.gf import kernels, native
 from repro.service.datanode import DataNodeServer, call
 from repro.service.namenode import NameNodeServer
 
-from datanode_thread import on_loop, serving
+from datanode_thread import serving
 
 NATIVE = native.load() is not None
 needs_native = pytest.mark.skipif(
@@ -591,8 +591,8 @@ class TestNoVerifyWasDropped:
                 assert reply["crc"] == zlib.crc32(payload)
             parts = [(("f", 0, 0), 1), (("f", 0, 1), 1)]
             assert not any(call(sock, "combine", {"parts": parts})["data"])
-            on_loop(datanode, datanode.store.corrupt, BlockId("f", 0, 1),
-                    offset)
+            datanode.server.on_loop(datanode.store.corrupt,
+                                    BlockId("f", 0, 1), offset)
             assert call(sock, "get", {"block": ("f", 0, 0)})["data"] == payload
             for kind, data in (("get", {"block": ("f", 0, 1)}),
                                ("combine", {"parts": parts}),

@@ -207,22 +207,29 @@ class TestCli:
         assert "unknown checker" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def shipped_report():
+    """One lint run over the shipped tree, read by every test below."""
+    return run_lint()
+
+
 class TestShippedTree:
-    def test_repro_lint_is_clean_on_the_shipped_tree(self):
+    def test_repro_lint_is_clean_on_the_shipped_tree(self, shipped_report):
         """The CI gate in test form: zero unwaived findings on main."""
-        report = run_lint()
+        report = shipped_report
         assert report.ok(), "\n" + report.format_text()
 
-    def test_shipped_waivers_all_carry_justifications(self):
-        report = run_lint()
+    def test_shipped_waivers_all_carry_justifications(self, shipped_report):
+        report = shipped_report
         for finding in report.waived:
             assert finding.justification, finding.format()
 
-    def test_every_shipped_waiver_covers_a_waived_finding(self):
+    def test_every_shipped_waiver_covers_a_waived_finding(self,
+                                                          shipped_report):
         """A waiver that matches nothing is stale: it would silently
         waive whatever finding lands on its line next.  Waivers quoted
         inside docstrings are text, not comments, and are not counted."""
-        report = run_lint()
+        report = shipped_report
         root = pathlib.Path(report.root)
         used = {(finding.path, SourceFile(root / finding.path, root)
                  .waiver_for(finding.rule, finding.line).line)

@@ -1,6 +1,6 @@
-"""Lock-discipline checker: blocking-under-lock and lock-order
-inversions are caught in fixture daemons; the condition-wait pattern
-and lock-free blocking stay clean."""
+"""Lock and loop discipline: blocking under a threading lock, blocking
+on the loop and awaiting under a threading lock are caught in fixture
+daemons; blocking outside a lock and awaited calls stay clean."""
 
 from __future__ import annotations
 
@@ -46,34 +46,22 @@ class TestBlockingCalls:
 
             class Daemon:
                 def __init__(self):
-                    self._meta = threading.RLock()
+                    self._close_lock = threading.Lock()
 
                 def bad(self, sock, payload):
-                    with self._meta:
+                    with self._close_lock:
                         sock.sendall(payload)
         """)
         assert rules(report) == [("locks.blocking-call", 9)]
 
-    def test_rpc_helper_under_stripe_lock(self, tmp_path):
+    def test_rpc_helper_under_lock(self, tmp_path):
         report = lint_source(tmp_path, """\
             class NameNode:
                 def repair(self, key):
-                    with self._stripe_lock(key):
+                    with self._close_lock:
                         return self._dn_call(0, "combine", {})
         """)
         assert rules(report) == [("locks.blocking-call", 4)]
-
-    def test_nested_function_body_runs_under_the_lock(self, tmp_path):
-        # the fetch-closure pattern: defined and called inside `with`
-        report = lint_source(tmp_path, """\
-            class NameNode:
-                def repair(self, key, plan):
-                    with self._stripe_lock(key):
-                        def fetch(transfer):
-                            return self._dn_call(1, "combine", {})
-                        return plan(fetch)
-        """)
-        assert rules(report) == [("locks.blocking-call", 5)]
 
     def test_blocking_outside_lock_is_fine(self, tmp_path):
         report = lint_source(tmp_path, """\
@@ -93,31 +81,16 @@ class TestBlockingCalls:
         """)
         assert report.ok()
 
-    def test_condition_wait_on_held_condition_is_exempt(self, tmp_path):
-        report = lint_source(tmp_path, """\
-            import threading
-
-            class Coordinator:
-                def __init__(self):
-                    self._state = threading.Condition()
-
-                def claim(self):
-                    with self._state:
-                        while True:
-                            self._state.wait(0.1)
-        """)
-        assert report.ok()
-
     def test_wait_on_other_object_under_lock_is_flagged(self, tmp_path):
         report = lint_source(tmp_path, """\
             import threading
 
             class Daemon:
                 def __init__(self):
-                    self._meta = threading.RLock()
+                    self._close_lock = threading.Lock()
 
                 def bad(self, proc):
-                    with self._meta:
+                    with self._close_lock:
                         proc.wait()
         """)
         assert rules(report) == [("locks.blocking-call", 9)]
@@ -128,89 +101,56 @@ class TestBlockingCalls:
 
             class Daemon:
                 def __init__(self):
-                    self._meta = threading.RLock()
+                    self._close_lock = threading.Lock()
 
                 def render(self, parts):
-                    with self._meta:
+                    with self._close_lock:
                         return ", ".join(parts)
         """)
         assert report.ok()
 
-
-class TestLockOrdering:
-    INVERTED = """\
-        import threading
-
-        class Daemon:
-            def __init__(self):
-                self._meta = threading.RLock()
-                self._store_lock = threading.Lock()
-
-            def forward(self):
-                with self._meta:
-                    with self._store_lock:
-                        return 1
-
-            def backward(self):
-                with self._store_lock:
-                    with self._meta:
-                        return 2
-    """
-
-    def test_inverted_pair_flagged_at_both_sites(self, tmp_path):
-        report = lint_source(tmp_path, self.INVERTED)
-        found = rules(report)
-        assert found == [("locks.lock-order", 10),
-                         ("locks.lock-order", 15)]
-
-    def test_consistent_order_is_fine(self, tmp_path):
+    def test_loop_bridge_under_lock(self, tmp_path):
         report = lint_source(tmp_path, """\
-            import threading
+            class Harness:
+                def status(self):
+                    with self._close_lock:
+                        return self.server.on_loop(self._op_status, {}, None)
+        """)
+        assert rules(report) == [("locks.blocking-call", 4)]
+
+    def test_subprocess_run_under_lock(self, tmp_path):
+        report = lint_source(tmp_path, """\
+            import subprocess
 
             class Daemon:
-                def __init__(self):
-                    self._meta = threading.RLock()
-                    self._store_lock = threading.Lock()
+                def bad(self):
+                    with self._close_lock:
+                        subprocess.run(["true"])
+        """)
+        assert rules(report) == [("locks.blocking-call", 6)]
 
-                def one(self):
-                    with self._meta:
-                        with self._store_lock:
-                            return 1
+    def test_module_level_lock(self, tmp_path):
+        report = lint_source(tmp_path, """\
+            import threading
+            import time
 
-                def two(self):
-                    with self._meta:
-                        with self._store_lock:
-                            return 2
+            _REGISTRY_LOCK = threading.Lock()
+
+            def bad():
+                with _REGISTRY_LOCK:
+                    time.sleep(0.1)
+        """)
+        assert rules(report) == [("locks.blocking-call", 8)]
+
+    def test_with_expression_runs_before_the_lock(self, tmp_path):
+        # the lock is taken after its with-expression has returned
+        report = lint_source(tmp_path, """\
+            class Daemon:
+                def good(self, sock):
+                    with self._lock_for(sock.recv(4)):
+                        return 1
         """)
         assert report.ok()
-
-    def test_inversion_through_helper_call(self, tmp_path):
-        # one level of propagation: helper() acquires _meta, and is
-        # called under _store_lock while someone else nests the
-        # opposite way
-        report = lint_source(tmp_path, """\
-            import threading
-
-            class Daemon:
-                def __init__(self):
-                    self._meta = threading.RLock()
-                    self._store_lock = threading.Lock()
-
-                def helper(self):
-                    with self._meta:
-                        return 1
-
-                def backward(self):
-                    with self._store_lock:
-                        return self.helper()
-
-                def forward(self):
-                    with self._meta:
-                        with self._store_lock:
-                            return 2
-        """)
-        assert [rule for rule, _ in rules(report)] == [
-            "locks.lock-order", "locks.lock-order"]
 
 
 class TestAsyncRules:
@@ -261,10 +201,10 @@ class TestAsyncRules:
 
             class Daemon:
                 def __init__(self):
-                    self._meta = threading.RLock()
+                    self._close_lock = threading.Lock()
 
                 async def bad(self):
-                    with self._meta:
+                    with self._close_lock:
                         await self.flush()
         """)
         assert rules(report) == [("locks.sync-lock-await", 9)]
@@ -309,6 +249,38 @@ class TestAsyncRules:
                     return emit
         """)
         assert report.ok()
+
+    def test_loop_bridge_in_async_def(self, tmp_path):
+        # a coroutine that bridges onto its own loop waits on itself
+        report = lint_source(tmp_path, """\
+            class Daemon:
+                async def bad(self):
+                    return self.server.run_coroutine(self.flush())
+        """)
+        assert rules(report) == [("locks.async-blocking", 3)]
+
+    def test_unawaited_asyncio_sleep_is_not_a_block(self, tmp_path):
+        report = lint_source(tmp_path, """\
+            import asyncio
+
+            class Daemon:
+                async def good(self):
+                    nap = asyncio.sleep(0.1)
+                    await nap
+        """)
+        assert report.ok()
+
+    def test_nested_async_def_is_async_context(self, tmp_path):
+        report = lint_source(tmp_path, """\
+            import time
+
+            class Daemon:
+                def start(self):
+                    async def tick():
+                        time.sleep(0.1)
+                    return tick
+        """)
+        assert rules(report) == [("locks.async-blocking", 6)]
 
 
 class TestScope:
@@ -355,104 +327,3 @@ class TestScope:
         """)
         assert report.ok()
         assert len(report.waived) == 1
-
-
-class TestInterprocedural:
-    def test_two_hop_lock_cycle(self, tmp_path):
-        # neither function nests the locks directly: outer_a holds
-        # _meta and reaches _store_lock through mid(); outer_b nests
-        # the opposite way.  Only the transitive closure sees it.
-        report = lint_source(tmp_path, """\
-            import threading
-
-            class Daemon:
-                def __init__(self):
-                    self._meta = threading.RLock()
-                    self._store_lock = threading.Lock()
-
-                def outer_a(self):
-                    with self._meta:
-                        return self.mid()
-
-                def mid(self):
-                    return self.leaf()
-
-                def leaf(self):
-                    with self._store_lock:
-                        return 1
-
-                def outer_b(self):
-                    with self._store_lock:
-                        with self._meta:
-                            return 2
-        """)
-        found = rules(report)
-        assert [rule for rule, _ in found] == [
-            "locks.lock-order", "locks.lock-order"]
-        # the call-edge finding names the chain through mid()
-        messages = [f.message for f in report.active]
-        assert any("mid" in message for message in messages)
-
-    def test_propagated_blocking_through_helpers(self, tmp_path):
-        # send() blocks two calls away; direct per-file rules cannot
-        # see it, the closure can
-        report = lint_source(tmp_path, """\
-            import threading
-
-            class Daemon:
-                def __init__(self):
-                    self._meta = threading.RLock()
-
-                def bad(self, payload):
-                    with self._meta:
-                        self.notify(payload)
-
-                def notify(self, payload):
-                    self.push(payload)
-
-                def push(self, payload):
-                    self.sock.sendall(payload)
-        """)
-        found = rules(report)
-        assert ("locks.blocking-call", 9) in found
-        messages = [f.message for f in report.active]
-        assert any("notify" in message for message in messages)
-
-    def test_propagation_stops_at_async_callees(self, tmp_path):
-        # a sync caller never runs an async def's body by calling it;
-        # building the coroutine does not block
-        report = lint_source(tmp_path, """\
-            import threading
-
-            class Daemon:
-                def __init__(self):
-                    self._meta = threading.RLock()
-
-                def ok(self, payload):
-                    with self._meta:
-                        return self.emit(payload)
-
-                async def emit(self, payload):
-                    self.sock.sendall(payload)
-        """)
-        blocked = [r for r, _ in rules(report)
-                   if r == "locks.blocking-call"]
-        assert blocked == []
-
-    def test_condition_wait_exemption_survives_propagation(self,
-                                                           tmp_path):
-        report = lint_source(tmp_path, """\
-            import threading
-
-            class Coordinator:
-                def __init__(self):
-                    self._state = threading.Condition()
-
-                def outer(self):
-                    with self._state:
-                        return self.park()
-
-                def park(self):
-                    self._state.wait(0.1)
-        """)
-        assert report.ok()

@@ -22,7 +22,7 @@ from repro.service.namenode import NameNodeServer
 from repro.service.protocol import (DATANODE_OPS, NAMENODE_OPS,
                                     ServiceError, dispatch)
 
-from datanode_thread import on_loop, serving
+from datanode_thread import serving
 
 SERVICES = {"namenode": NAMENODE_OPS, "datanode": DATANODE_OPS}
 
@@ -293,7 +293,7 @@ def commit_request(name: str, nodes) -> dict:
 
 
 def repair_backlog(namenode):
-    repair = namenode._op_status({}, None)["repair"]
+    repair = namenode.server.on_loop(namenode._op_status, {}, None)["repair"]
     return repair["queued"], repair["damaged_stripes"]
 
 
@@ -353,8 +353,8 @@ class Live:
     def rotten(self) -> tuple:
         """A block the datanode holds whose bytes fail their CRC."""
         block = self.stored()
-        on_loop(self.datanode, self.datanode.store.corrupt,
-                protocol.block_from_tuple(block))
+        self.datanode.server.on_loop(self.datanode.store.corrupt,
+                                     protocol.block_from_tuple(block))
         return block
 
     def well_formed(self, kind: str) -> dict:

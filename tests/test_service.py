@@ -6,6 +6,7 @@ write guarantees and the checker's corruption scrub."""
 
 import gc
 import socket
+import threading
 import time
 
 import pytest
@@ -32,6 +33,16 @@ FAST = dict(block_bytes=2048, silence_timeout=1.2, check_period=0.3,
 def fast_retry(seed=0):
     return RetryPolicy(attempts=2, timeout=1.0, base_delay=0.05,
                        max_delay=0.2, seed=seed)
+
+
+def namenode_alive(cluster) -> list[int]:
+    """The namenode's alive datanodes, read on its loop."""
+    return cluster.namenode.server.on_loop(cluster.namenode._alive_ids)
+
+
+def namenode_addresses(cluster) -> dict[int, tuple[str, int]]:
+    """The namenode's datanode addresses, read on its loop."""
+    return cluster.namenode.server.on_loop(cluster.namenode._addresses)
 
 
 @pytest.fixture(scope="module")
@@ -188,7 +199,7 @@ class TestTwoPhaseWrites:
                 cluster.kill_datanode(0)
                 deadline = time.monotonic() + 10
                 while (time.monotonic() < deadline
-                       and 0 in cluster.namenode._alive_ids()):
+                       and 0 in namenode_alive(cluster)):
                     time.sleep(0.1)
                 with pytest.raises(WriteRefusedError):
                     client.write_file("nope", b"z" * 64, "3-rep")
@@ -212,7 +223,7 @@ class TestOrphanGC:
             with cluster.client(retry=fast_retry(9)) as client:
                 client.write_file("keep", file_payload(9, 0, 9 * 2048),
                                   "pentagon")
-            address = cluster.namenode._addresses()[0]
+            address = namenode_addresses(cluster)[0]
             ghost = ("ghost", 0, 0)
             with socket.create_connection(address) as sock:
                 call(sock, "put", {"block": ghost, "data": b"\xcc" * 64})
@@ -245,7 +256,7 @@ class TestOrphanGC:
                 cluster.wait_settled(timeout=30.0)
                 stat = client.stat("mw")
             status = cluster.status()
-            addresses = cluster.namenode._addresses()
+            addresses = namenode_addresses(cluster)
             for node_id in status["alive"]:
                 for name, stripe_index, _ in _inventory(
                         addresses[node_id]):
@@ -313,11 +324,11 @@ class TestRackAwarePlacement:
                     cluster.kill_datanode(node_id)
                 deadline = time.monotonic() + 10
                 while time.monotonic() < deadline:
-                    alive = set(cluster.namenode._alive_ids())
+                    alive = set(namenode_alive(cluster))
                     if not alive & {4, 5}:
                         break
                     time.sleep(0.1)
-                assert not set(cluster.namenode._alive_ids()) & {4, 5}
+                assert not set(namenode_alive(cluster)) & {4, 5}
                 assert client.read_file("rr") == data
                 assert client.read_file("rrep") == rep
 
@@ -354,3 +365,56 @@ class TestNamenodeCloseMidDial:
         finally:
             silent.close()
         assert seen == []
+
+
+class TestNamenodeLoop:
+    """The namenode's state lives on its loop: the harness reads it and
+    waits on it through ``AsyncRpcServer.on_loop``."""
+
+    @staticmethod
+    def register(namenode, node_id, address=("127.0.0.1", 1)) -> None:
+        with socket.create_connection(namenode.address) as sock:
+            call(sock, "dn-register", {"node_id": node_id,
+                                       "address": address,
+                                       "version": SERVICE_VERSION})
+
+    def test_a_registration_wakes_wait_alive(self):
+        with NameNodeServer(check_period=30.0) as namenode:
+            outcome = []
+            waiter = threading.Thread(target=lambda: outcome.append(
+                namenode.server.on_loop(namenode.wait_alive, {0, 1},
+                                        timeout=10.0)), daemon=True)
+            waiter.start()
+            self.register(namenode, 0)
+            time.sleep(0.05)
+            assert waiter.is_alive()            # node 1 is still missing
+            self.register(namenode, 1, ("127.0.0.1", 2))
+            waiter.join(timeout=5.0)
+            assert not waiter.is_alive() and outcome == [None]
+            assert namenode.server.on_loop(namenode._alive_ids) == [0, 1]
+            assert namenode.server.on_loop(namenode._addresses) == {
+                0: ("127.0.0.1", 1), 1: ("127.0.0.1", 2)}
+
+    def test_wait_alive_returns_at_once_for_registered_nodes(self):
+        with NameNodeServer(check_period=30.0) as namenode:
+            self.register(namenode, 3)
+            namenode.server.on_loop(namenode.wait_alive, {3}, timeout=1.0)
+            namenode.server.on_loop(namenode.wait_alive, (), timeout=1.0)
+
+    def test_wait_alive_times_out_while_nobody_registers(self):
+        with NameNodeServer(check_period=30.0) as namenode:
+            with pytest.raises(TimeoutError):
+                namenode.server.on_loop(namenode.wait_alive, {0},
+                                        timeout=0.1)
+            # the cancelled wait leaves the namenode serving
+            assert namenode.server.on_loop(namenode._alive_ids) == []
+            with socket.create_connection(namenode.address) as sock:
+                assert call(sock, "status", None)["alive"] == []
+
+    def test_close_on_its_own_loop_does_not_wait_for_itself(self):
+        namenode = NameNodeServer(check_period=30.0)
+        namenode.server.on_loop(namenode.close, timeout=5.0)
+        joiner = threading.Thread(target=namenode.server.join, daemon=True)
+        joiner.start()
+        joiner.join(timeout=10.0)
+        assert not joiner.is_alive()

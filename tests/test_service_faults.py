@@ -322,7 +322,8 @@ def fast_retry(seed=0):
 
 def _held_blocks(cluster, node_id: int) -> int:
     """How many blocks a datanode says it holds, from its own mouth."""
-    address = cluster.namenode._addresses()[node_id]
+    namenode = cluster.namenode
+    address = namenode.server.on_loop(namenode._addresses)[node_id]
     with socket.create_connection(address, timeout=5.0) as sock:
         return call(sock, "status", {})["blocks"]
 

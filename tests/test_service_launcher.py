@@ -28,8 +28,8 @@ import pytest
 from repro.cli import build_parser
 from repro.net import AsyncRpcServer, ProtocolError
 from repro.service import ServiceCluster, ServiceError, parse_fault_plan
-from repro.service.datanode import (DataNodeServer, launch_datanodes,
-                                    print_line)
+from repro.service.datanode import (DataNodeServer, call,
+                                    launch_datanodes, print_line)
 from repro.service.namenode import NameNodeServer
 from repro.service.protocol import marshal_error
 
@@ -47,6 +47,15 @@ def _live(pid: int) -> bool:
     except FileNotFoundError:
         return False
     return text[text.rindex(b")") + 2:].split()[0] != b"Z"
+
+
+def _group_alive(pgid: int) -> bool:
+    """True while any process of group ``pgid`` has not been reaped."""
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def _wait_until(predicate, timeout: float) -> bool:
@@ -150,6 +159,33 @@ class TestNoDaemonOutlivesClose:
                 pass
             caller.wait(timeout=10.0)
             caller.stdout.close()
+
+
+class TestServe:
+    def test_a_shutdown_request_ends_serve_and_every_datanode(self):
+        """``repro serve`` blocks until its namenode's loop ends: a
+        ``shutdown`` request ends it, and the process exits 0 with no
+        datanode left in its process group."""
+        serve = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--datanodes", "2"],
+            env=_env(), stdout=subprocess.PIPE, text=True,
+            start_new_session=True)
+        try:
+            # "[serve] namenode on HOST:PORT with 2 datanode(s), ..."
+            line = serve.stdout.readline()
+            assert line.startswith("[serve] namenode on "), line
+            host, port = line.split()[3].rsplit(":", 1)
+            with socket.create_connection((host, int(port)),
+                                          timeout=10.0) as sock:
+                assert call(sock, "shutdown", None) == {}
+            assert serve.wait(timeout=30.0) == 0
+            assert "[serve] shutdown requested" in serve.stdout.read()
+            assert _wait_until(lambda: not _group_alive(serve.pid), 5.0)
+        finally:
+            if _group_alive(serve.pid):
+                os.killpg(serve.pid, signal.SIGKILL)
+            serve.wait(timeout=10.0)
+            serve.stdout.close()
 
 
 class TestKillOne:
