@@ -2,9 +2,9 @@
 degraded reads, failure injection and byte-accounted repair.
 
 The cluster layer is what the paper built on Facebook's HDFS-RAID: it
-stores real encoded bytes, gives the core plan interpreter
-(:func:`repro.core.run_plan`) a transport over live DataNodes, and
-charges every transfer it lands to a network ledger so the
+stores real encoded bytes, fetches each plan's fetch list from live
+DataNodes for the core plan interpreter (:func:`repro.core.run_plan`),
+and charges every transfer it lands to a network ledger so the
 Section 2.1/3.1 bandwidth numbers can be measured rather than asserted.
 
 Importing the package loads none of its modules: each name below is

@@ -147,31 +147,31 @@ class MiniHDFS:
     def _run_plan(self, stripe: StripeInfo, plan, purpose: str, endpoints):
         """:func:`~repro.core.executor.run_plan` over this cluster's nodes.
 
-        The transport combines checksum-verified blocks the (live)
-        source DataNode holds (a plain copy is a read-only view of the
-        stored block); the observer charges each landed
-        transfer to the ledger between the ``(source node, destination
-        node)`` that ``endpoints(transfer)`` names.
+        A fetch combines checksum-verified blocks its (live) source
+        DataNode holds (a plain copy is a read-only view of the stored
+        block).  Each transfer that lands, DECODED hand-offs included,
+        is charged a block between the ``(source node, destination
+        node)`` that ``endpoints(transfer)`` names, in plan order.
         """
-        def fetch(transfer) -> np.ndarray:
-            node_id = stripe.slot_nodes[transfer.source_slot]
-            if not self.topology.is_alive(node_id):
-                raise PlanExecutionError(
-                    f"plan reads from failed node {node_id}")
-            stored = [self.datanodes[node_id].get(stripe.block_id(symbol))
-                      for symbol in transfer.symbols_read]
-            if transfer.plain_copy:
-                return read_only_view(stored[0])
-            return linear_combine(transfer.coefficients, stored)
-
-        def charge(transfer, payload) -> None:
+        payloads: list[np.ndarray] = []
+        for transfer, fetched, _ in plan.schedule:
+            if fetched:
+                node_id = stripe.slot_nodes[transfer.source_slot]
+                if not self.topology.is_alive(node_id):
+                    raise PlanExecutionError(
+                        f"plan reads from failed node {node_id}")
+                stored = [self.datanodes[node_id].get(stripe.block_id(symbol))
+                          for symbol in transfer.symbols_read]
+                if transfer.plain_copy:
+                    payloads.append(read_only_view(stored[0]))
+                else:
+                    payloads.append(linear_combine(transfer.coefficients, stored))
             source, dest = endpoints(transfer)
             self.ledger.charge(
-                source, dest, len(payload), purpose,
+                source, dest, self.block_bytes, purpose,
                 cross_rack=(source is not None and dest is not None
                             and self.topology.cross_rack(source, dest)))
-
-        return run_plan(plan, fetch, charge)
+        return run_plan(plan, payloads)
 
     def run_read_plan(self, stripe: StripeInfo, plan: ReadPlan,
                       reader_node: int | None) -> np.ndarray:

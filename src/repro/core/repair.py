@@ -9,12 +9,11 @@ cost is therefore simply the number of transfers, in block units —
 matching how the paper counts repair bandwidth ("the overall network
 data transfer incurred in repairing the two nodes ... is 10 blocks").
 
-Plans are *pure descriptions*.  One interpreter executes them,
-:func:`repro.core.executor.run_plan`, over three transports: in-memory
-stripes (the tests verify that the described arithmetic really
-reconstructs the lost bytes), MiniHDFS DataNodes with every transfer
-charged to the network ledger, and the storage service's datanode
-``get``/``combine`` RPCs.
+Plans are *pure descriptions*, each memoising on first use the
+:attr:`~RepairPlan.fetches` a transport fetches its own way — from
+in-memory stripes, MiniHDFS DataNodes that charge the network ledger,
+or the storage service's ``get``/``combine`` RPCs — before
+:func:`repro.core.executor.run_plan` computes the rest.
 """
 
 from __future__ import annotations
@@ -22,7 +21,12 @@ from __future__ import annotations
 import enum
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
+
+
+class PlanExecutionError(RuntimeError):
+    """Raised when a plan references unavailable blocks or slots."""
 
 
 class TransferKind(enum.Enum):
@@ -66,11 +70,6 @@ class Transfer:
             raise ValueError("a COPY transfer reads exactly one symbol")
 
     @property
-    def blocks_moved(self) -> int:
-        """Network cost of this transfer, in block units (always 1)."""
-        return 1
-
-    @property
     def plain_copy(self) -> bool:
         """True when the payload is the stored block itself, so no
         transport needs arithmetic for it: the in-process ones hand on a
@@ -95,8 +94,57 @@ class DecodeStep:
     note: str = ""
 
 
+class _Scheduled:
+    """What a plan works out once, on first use, for every transport."""
+
+    @cached_property
+    def schedule(self) -> tuple[tuple[Transfer, bool, tuple[DecodeStep, ...]], ...]:
+        """``(transfer, fetched, decode steps whose last input it is)``
+        per transfer that lands, in plan order; only a DECODED hand-off
+        is not fetched.  A read ends once its symbol is in hand, and one
+        with no transfers is a local COPY at its ``reader_slot``."""
+        wanted = self.symbol if isinstance(self, ReadPlan) else None
+        transfers = self.transfers
+        if wanted is not None and not transfers:
+            transfers = (Transfer(TransferKind.COPY, self.reader_slot,
+                                  self.reader_slot, (wanted,), (1,), wanted),)
+        ready: dict[int, list[DecodeStep]] = {}
+        for step in self.decode_steps:
+            ready.setdefault(max((0, *step.payload_indices)), []).append(step)
+        schedule = []
+        for landed, transfer in enumerate(transfers):
+            if not transfer.symbols_read:
+                raise PlanExecutionError("transfer reads no symbols")
+            steps = tuple(ready.get(landed, ()))
+            schedule.append((transfer, transfer.kind is not TransferKind.DECODED,
+                             steps))
+            if wanted is not None and wanted in (
+                    transfer.delivers_symbol,
+                    *(step.produces_symbol for step in steps)):
+                break
+        return tuple(schedule)
+
+    @cached_property
+    def fetches(self) -> tuple[Transfer, ...]:
+        """The transfers whose payload comes from a source, in order."""
+        return tuple(transfer for transfer, fetched, _ in self.schedule
+                     if fetched)
+
+    @property
+    def network_blocks(self) -> int:
+        """Total network traffic of the plan in block units (one per transfer)."""
+        return len(self.transfers)
+
+    def __reduce__(self):
+        # Rebuilt from its fields, nothing cached is pickled; a
+        # mappingproxy does not pickle, so ``restored`` goes as a dict.
+        return (type(self), tuple(
+            dict(value) if isinstance(value, MappingProxyType) else value
+            for value in map(self.__getattribute__, self.__dataclass_fields__)))
+
+
 @dataclass(frozen=True)
-class RepairPlan:
+class RepairPlan(_Scheduled):
     """Complete recovery recipe for a set of failed slots.
 
     Attributes:
@@ -121,17 +169,6 @@ class RepairPlan:
         object.__setattr__(self, "restored",
                            MappingProxyType(dict(self.restored)))
 
-    def __reduce__(self):
-        # A mappingproxy does not pickle; rebuild from a plain dict.
-        return (type(self), (self.code_name, self.failed_slots,
-                             self.transfers, self.decode_steps,
-                             dict(self.restored)))
-
-    @property
-    def network_blocks(self) -> int:
-        """Total network traffic of the plan in block units."""
-        return sum(transfer.blocks_moved for transfer in self.transfers)
-
     def summary(self) -> str:
         """One-line human summary used by examples and reports."""
         slots = ",".join(str(slot) for slot in self.failed_slots)
@@ -142,7 +179,7 @@ class RepairPlan:
 
 
 @dataclass(frozen=True)
-class ReadPlan:
+class ReadPlan(_Scheduled):
     """Plan for a (possibly degraded) read of one symbol.
 
     ``network_blocks`` is 0 when the reader is co-located with a live
@@ -157,10 +194,6 @@ class ReadPlan:
     transfers: tuple[Transfer, ...]
     decode_steps: tuple[DecodeStep, ...] = ()
     note: str = ""
-
-    @property
-    def network_blocks(self) -> int:
-        return sum(transfer.blocks_moved for transfer in self.transfers)
 
     @property
     def degraded(self) -> bool:

@@ -433,12 +433,12 @@ class StorageClient:
             return [None] * len(symbols)
         fetched = iter(self._fetch_pipelined(
             info["name"], stripe_index,
-            [transfer for plan in plans for transfer in plan.transfers],
+            [transfer for plan in plans for transfer in plan.fetches],
             slot_nodes))
         prefetched: list = []
         unreachable: set[int] = set()
         for plan in plans:
-            outcomes = [next(fetched) for _ in plan.transfers]
+            outcomes = [next(fetched) for _ in plan.fetches]
             casualties = set(map(_casualty, outcomes)) - {None}
             prefetched.append(None if casualties & unreachable
                               else (plan, outcomes, failed))
@@ -654,15 +654,15 @@ class StorageClient:
 
     def _execute_plan(self, name: str, stripe_index: int, plan,
                       slot_nodes, outcomes=None) -> np.ndarray:
-        """Fetch all sources (unless the caller already did), then
-        interpret the plan over the replies."""
+        """Fetch the plan's sources (unless the caller already did),
+        resolve the replies into payloads, then compute the plan."""
         if outcomes is None:
             outcomes = self._fetch_pipelined(name, stripe_index,
-                                             plan.transfers, slot_nodes)
-        outcomes = iter(outcomes)
-        return execute_read_plan(
-            plan, lambda transfer: self._resolve_fetch(
-                name, stripe_index, transfer, slot_nodes, next(outcomes)))
+                                             plan.fetches, slot_nodes)
+        return execute_read_plan(plan, [
+            self._resolve_fetch(name, stripe_index, transfer, slot_nodes,
+                                outcome)
+            for transfer, outcome in zip(plan.fetches, outcomes)])
 
     def _report_corrupt(self, node_id: int, block: BlockId) -> None:
         """Tell the namenode so the checker repairs ahead of its scrub."""

@@ -61,7 +61,6 @@ from ..cluster.namenode import (
 from ..cluster.placement import RackAwarePlacement, RandomSpreadPlacement
 from ..cluster.topology import ClusterTopology, NodeInfo
 from ..core import Code, UnrecoverableStripeError, make_code, run_plan
-from ..core.repair import TransferKind
 from ..net import AsyncRpcServer, ProtocolError, RetryPolicy, RpcPool
 from .protocol import (
     NAMENODE_OPS,
@@ -609,22 +608,14 @@ class NameNodeServer:
         plan = stripe.plan_repair(damaged, targets or {})
         if targets is None:
             return False            # no replacement capacity yet: requeue
-        # Pre-fetch every network transfer (DECODED ones are local
-        # hand-offs inside the interpreter; the rest never depend on
-        # earlier payloads), then interpret the plan over the
-        # prefetched payloads, which arrive in plan order.
-        prefetched: list[np.ndarray] = []
-        for transfer in plan.transfers:
-            if transfer.kind is TransferKind.DECODED:
-                continue
+        payloads: list[np.ndarray] = []
+        for transfer in plan.fetches:
             kind, data = transfer_request(
                 stripe.file_name, stripe.stripe_index, transfer)
             reply = await self._dn_call(
                 stripe.slot_nodes[transfer.source_slot], kind, data)
-            prefetched.append(np.frombuffer(reply["data"], dtype=np.uint8))
-        payloads = iter(prefetched)
-        puts = stripe.rebuilt_blocks(
-            targets, run_plan(plan, lambda transfer: next(payloads)))
+            payloads.append(np.frombuffer(reply["data"], dtype=np.uint8))
+        puts = stripe.rebuilt_blocks(targets, run_plan(plan, payloads))
         for node_id, block, payload in puts:
             reply = await self._dn_call(
                 node_id, "put", {"block": block_tuple(block),

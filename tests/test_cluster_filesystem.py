@@ -9,8 +9,9 @@ from repro.cluster import (
     FailureKind,
     MiniHDFS,
     RoundRobinPlacement,
+    TransferRecord,
 )
-from repro.core import UnrecoverableStripeError
+from repro.core import TransferKind, UnrecoverableStripeError
 
 
 def make_fs(node_count=25, block_bytes=256, seed=0, placement=None):
@@ -281,6 +282,38 @@ class TestRepairAroundCorruptSources:
         fs.datanodes[rotten].get(stripe.block_id(
             stripe.code.layout.symbols_on_slot(
                 stripe.slot_of_node(rotten))[0]))       # verifies
+        assert fs.read_file("f") == data
+
+    def test_an_aborted_attempt_charges_the_transfers_before_the_rot(self):
+        """The ledger charges each transfer as it lands, a DECODED
+        hand-off at its place among the fetched ones, so an attempt a
+        corrupt source aborts has charged exactly the transfers before
+        it; the retried repair then charges its own re-plan in full."""
+        block = 64
+        fs = make_fs(node_count=15, block_bytes=block,
+                     placement=RoundRobinPlacement())
+        data = payload(block * 14)
+        fs.write_file("f", data, "heptagon-local")
+        stripe = fs.namenode.file("f").stripes[0]
+        plan = stripe.code.plan_node_repair((0, 1, 7))
+        assert plan.transfers[15].kind is TransferKind.DECODED
+        rotten = plan.transfers[18]                 # a copy after it
+        assert rotten.kind is TransferKind.COPY
+        replan = stripe.code.plan_node_repair((0, 1, 7, rotten.source_slot))
+        fs.datanodes[stripe.slot_nodes[rotten.source_slot]].corrupt(
+            stripe.block_id(rotten.symbols_read[0]))
+        for slot in (0, 1, 7):
+            fs.fail_node(stripe.slot_nodes[slot], permanent=True)
+        fs.ledger.reset()
+        fs.repair_all()
+        aborted = [TransferRecord(stripe.slot_nodes[t.source_slot],
+                                  stripe.slot_nodes[t.dest_slot], block,
+                                  "repair")
+                   for t in plan.transfers[:18]]
+        assert fs.ledger.records[:18] == aborted
+        retried = sum(r.byte_count for r in fs.ledger.records[18:])
+        assert retried == block * sum(
+            t.source_slot != t.dest_slot for t in replan.transfers)
         assert fs.read_file("f") == data
 
     def test_corruption_past_tolerance_is_unrecoverable(self):

@@ -28,7 +28,7 @@ from repro.cluster import (
     block_checksum,
     choose_targets,
 )
-from repro.core import TransferKind, available_codes, make_code, run_plan
+from repro.core import available_codes, make_code, run_plan
 from repro.gf import linear_combine
 
 BLOCK = 8
@@ -54,8 +54,8 @@ def store(stripe, nodes, blocks):
 
 def repair_in_daemon_order(stripe, failed, alive, nodes):
     """What ``NameNodeServer._repair_stripe`` does, minus the awaits:
-    choose, plan, prefetch every network transfer, interpret, put back
-    in ``rebuilt_blocks`` order, re-home last."""
+    choose, plan, fetch the plan's fetch list, compute, put back in
+    ``rebuilt_blocks`` order, re-home last."""
     targets = choose_targets(stripe, failed, alive)
     plan = stripe.plan_repair(failed, targets)
 
@@ -67,9 +67,7 @@ def repair_in_daemon_order(stripe, failed, alive, nodes):
             [source.get(stripe.block_id(symbol))
              for symbol in transfer.symbols_read])
 
-    prefetched = iter([fetch(transfer) for transfer in plan.transfers
-                       if transfer.kind is not TransferKind.DECODED])
-    recovered = run_plan(plan, lambda transfer: next(prefetched))
+    recovered = run_plan(plan, [fetch(transfer) for transfer in plan.fetches])
     for node_id, block, data in stripe.rebuilt_blocks(targets, recovered):
         nodes[node_id].put(block, data)
     stripe.rehome(targets)

@@ -90,10 +90,12 @@ def reference_decode(code, available):
         [available[i] for i in basis]))
 
 
-def reference_fetch(blocks):
+def reference_run(plan, blocks):
     """The old in-memory transport: every payload through a combine."""
-    return lambda transfer: linear_combine(
-        transfer.coefficients, [blocks[s] for s in transfer.symbols_read])
+    return run_plan(plan, [
+        linear_combine(transfer.coefficients,
+                       [blocks[s] for s in transfer.symbols_read])
+        for transfer in plan.fetches])
 
 
 class TestDecodeHandsOutWhatSurvived:
@@ -362,7 +364,7 @@ class TestPlainCopiesAreViews:
         for slot in range(code.length):
             plan = code.plan_node_repair((slot,))
             recovered = execute_repair_plan(code, encoded, plan)
-            reference = run_plan(plan, reference_fetch(encoded))
+            reference = reference_run(plan, encoded)
             assert recovered.keys() == reference.keys()
             for symbol, payload in recovered.items():
                 assert payload.tobytes() == reference[symbol].tobytes()
@@ -378,8 +380,8 @@ class TestPlainCopiesAreViews:
                     continue
                 read = code.plan_degraded_read(symbol.index, failed)
                 payload = execute_read_plan(code, encoded, read, failed)
-                assert payload.tobytes() == run_plan(
-                    read, reference_fetch(encoded)).tobytes()
+                assert payload.tobytes() == reference_run(
+                    read, encoded).tobytes()
                 assert_no_way_in([payload], encoded)
         for block, before in zip(encoded, pristine):
             assert np.array_equal(block, before)
@@ -405,10 +407,11 @@ class TestPlainCopiesAreViews:
             plan = placed.plan_repair({slot}, {slot: victim})
             payloads = fs.run_repair_plan(placed, plan, {})
             assert_no_way_in(payloads.values(), stored_arrays(fs))
-            reference = run_plan(plan, lambda transfer: linear_combine(
+            reference = run_plan(plan, [linear_combine(
                 transfer.coefficients,
                 [fs.datanodes[placed.slot_nodes[transfer.source_slot]].get(
-                    placed.block_id(s)) for s in transfer.symbols_read]))
+                    placed.block_id(s)) for s in transfer.symbols_read])
+                for transfer in plan.fetches])
             for symbol, payload in payloads.items():
                 assert payload.tobytes() == reference[symbol].tobytes()
             fs.ledger.reset()

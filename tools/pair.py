@@ -8,14 +8,19 @@ the gain rule.
                           [--seed S] [--workdir DIR]
 
 Both revisions are exported with ``git archive`` into fresh
-directories; ``WORKTREE`` names the working tree as it stands, tracked
+directories (new ones under ``--workdir`` on every call, so a tree an
+interrupted batch left half-extracted there is never reused);
+``WORKTREE`` names the working tree as it stands, tracked
 and staged files, through ``git stash create`` (stage a new file for it
 to be included).  Each tree first runs the workload once untimed at
 ``--smoke`` size, so every ``.pyc`` it imports is compiled and the GF
 kernel is built before anything is timed.  Then pair ``i`` runs
 ``python3 -m perfbench --workload W --seed S+i`` in both trees, the
 base first in even pairs and the change first in odd ones.  The
-harness runs unchanged, from each tree's own ``perfbench/``.
+harness runs unchanged, from each tree's own ``perfbench/``, each run
+in a process group of its own: a run past its timeout, or one in
+flight when the tool gets SIGTERM or SIGINT, is killed with everything
+it started (the service workloads' datanode launchers included).
 
 Every run must report ``failed 0``, and both runs of a pair the same
 ``attempted`` count; otherwise the tool names the run and exits 1.
@@ -37,6 +42,7 @@ import argparse
 import json
 import os
 import pathlib
+import signal
 import statistics
 import subprocess
 import sys
@@ -61,8 +67,10 @@ def resolve(rev: str) -> str:
     return _git("rev-parse", "--verify", f"{rev}^{{commit}}")
 
 
-def export(commit: str, dest: pathlib.Path) -> pathlib.Path:
-    dest.mkdir(parents=True)
+def export(commit: str, workdir: pathlib.Path, side: str) -> pathlib.Path:
+    """Extract ``commit`` into a new directory under ``workdir``."""
+    dest = pathlib.Path(tempfile.mkdtemp(dir=workdir,
+                                         prefix=f"{side}-{commit[:12]}-"))
     archive = subprocess.run(["git", "archive", commit], cwd=ROOT,
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive,
@@ -83,12 +91,26 @@ def run_once(tree: pathlib.Path, workload: str, seed: int,
     # files the timed runs then load instead of compiling from source.
     env = {key: value for key, value in os.environ.items()
            if key not in ("PYTHONPATH", "PYTHONDONTWRITEBYTECODE")}
-    done = subprocess.run(command, cwd=tree, env=env, capture_output=True,
-                          text=True, timeout=RUN_TIMEOUT_S)
-    if done.returncode not in (0, 1) or not done.stdout.strip():
+    run = subprocess.Popen(command, cwd=tree, env=env, text=True,
+                           stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                           start_new_session=True)
+    try:
+        stdout, stderr = run.communicate(timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        raise SystemExit(f"pair: {' '.join(command)} in {tree} timed out "
+                         f"after {RUN_TIMEOUT_S} s") from None
+    finally:
+        # The run's group outlives its leader if anything it started
+        # is still running; none of it may outlive the run.
+        try:
+            os.killpg(run.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        run.wait()
+    if run.returncode not in (0, 1) or not stdout.strip():
         raise SystemExit(f"pair: {' '.join(command)} in {tree} exited "
-                         f"{done.returncode}:\n{done.stderr[-2000:]}")
-    return json.loads(done.stdout.splitlines()[-1])
+                         f"{run.returncode}:\n{stderr[-2000:]}")
+    return json.loads(stdout.splitlines()[-1])
 
 
 def verdict(base: list[float], change: list[float], better: str,
@@ -166,13 +188,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
+    # SIGTERM unwinds like SIGINT, so the run in flight is killed.
+    signal.signal(signal.SIGTERM,
+                  lambda signum, frame: sys.exit(128 + signum))
 
     workdir = pathlib.Path(args.workdir or tempfile.mkdtemp(prefix="pair-"))
     workdir.mkdir(parents=True, exist_ok=True)
     commits = {"base": resolve(args.base), "change": resolve(args.change)}
     trees = {}
     for side, commit in commits.items():
-        trees[side] = export(commit, workdir / f"{side}-{commit[:12]}")
+        trees[side] = export(commit, workdir, side)
         print(f"{side:<6} {args.base if side == 'base' else args.change} "
               f"= {commit[:12]} in {trees[side]}", flush=True)
     specs = json.loads(
